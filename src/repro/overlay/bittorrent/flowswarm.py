@@ -335,21 +335,9 @@ class FlowSwarmSimulation:
         if src_asn == dst_asn:
             cls, payers = _INTRA, ()
         else:
-            payers_l = []
-            crossed = False
-            for a, b, link_type in self.underlay.routing.path_links(
-                src_asn, dst_asn
-            ):
-                if link_type is LinkType.TRANSIT:
-                    crossed = True
-                    payer = (
-                        a
-                        if b in self.underlay.topology.asys(a).providers
-                        else b
-                    )
-                    payers_l.append(payer)
-            cls = _TRANSIT if crossed else _PEERING
-            payers = tuple(payers_l)
+            plan = self.underlay.routing.route_plan(src_asn, dst_asn)
+            cls = _TRANSIT if plan.link_class is LinkType.TRANSIT else _PEERING
+            payers = tuple(p for _key, p in plan.links if p is not None)
         trunks: tuple[int, ...] = ()
         if self.flow_config.transit_capacity_mbps is not None and payers:
             cap = self.flow_config.transit_capacity_mbps * 1e6 / 8.0

@@ -168,11 +168,10 @@ class SwarmSimulation:
             if self._bytes_ctr is not None:
                 self._bytes_ctr.inc(nbytes, traffic_class="intra_as")
             return
-        crossed_transit = False
-        for a, b, link_type in self.underlay.routing.path_links(src_asn, dst_asn):
-            if link_type is LinkType.TRANSIT:
-                crossed_transit = True
-                payer = a if b in self.underlay.topology.asys(a).providers else b
+        plan = self.underlay.routing.route_plan(src_asn, dst_asn)
+        crossed_transit = plan.link_class is LinkType.TRANSIT
+        for _key, payer in plan.links:
+            if payer is not None:
                 self.paid_transit[payer] = self.paid_transit.get(payer, 0.0) + nbytes
         if crossed_transit:
             self.transit_bytes += nbytes

@@ -15,7 +15,9 @@ Per-message semantics are preserved exactly — loss draws from the bus's
 own RNG in per-destination send order, fault-hook interposition with
 in-flight drops, TTL decrement, duplicate and TTL-expiry drops, traffic
 observers and trace events per send — while stats, per-kind metric
-cells, per-node counters, and seen-filter marks are committed in
+cells, per-node counters, seen-filter marks, and the sends owed to
+aggregate-capable traffic observers (one call per ``(src, dst, kind)``,
+see :class:`~repro.sim.messages.TrafficObserver`) are committed in
 aggregate at the end (:meth:`MessageBus.account_external`).
 
 Equivalence with the reference path is message-level: the sorted
@@ -41,7 +43,7 @@ import heapq
 import math
 from collections import defaultdict
 from itertools import count
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.errors import OverlayError, SimulationError
 from repro.overlay.gnutella.messages import (
@@ -96,7 +98,7 @@ class _Emitter:
 
     __slots__ = (
         "_bus", "_heap", "_acc", "_sent_by", "_seq", "_delay",
-        "_observers", "_tracer", "fast",
+        "_per_message", "_aggregating", "_edge_sends", "_tracer", "fast",
     )
 
     def __init__(self, kernel: "FloodKernel", heap: list, acc: dict,
@@ -107,12 +109,27 @@ class _Emitter:
         self._sent_by = sent_by
         self._seq = count()
         self._delay = kernel._delay
-        self._observers = self._bus._observers
+        # each observer's shape is resolved once per expansion:
+        # aggregate-capable ones get one observe(count=n) per distinct
+        # (src, dst, kind) at commit; the rest are called per message,
+        # (True, record) when time-aware (e.g. SendLog), else
+        # (False, observe)
+        self._per_message: list[tuple[bool, Callable]] = []
+        self._aggregating: list[Callable] = []
+        for ob in self._bus._observers:
+            if getattr(ob, "accepts_aggregates", False):
+                self._aggregating.append(ob.observe)
+            elif hasattr(ob, "record"):
+                self._per_message.append((True, ob.record))
+            else:
+                self._per_message.append((False, ob.observe))
+        #: (src, dst, kind) -> sends, in first-send order
+        self._edge_sends: dict[tuple[int, int, str], int] = {}
         self._tracer = self._bus._tracer
         #: nothing per-message beyond accounting + delay + heap push:
         #: no observers, tracer, fault hook, or loss draws to interleave
         self.fast = (
-            not self._observers
+            not self._bus._observers
             and self._tracer is None
             and self._bus._fault_hook is None
             and not self._bus._loss_rate
@@ -139,12 +156,15 @@ class _Emitter:
                 self._heap, (t + d, next(self._seq), code, src, dst, aux)
             )
             return
-        for ob in self._observers:
-            rec = getattr(ob, "record", None)
-            if rec is not None:  # time-aware observer (e.g. SendLog)
-                rec(t, src, dst, kind, size)
+        if self._aggregating:
+            edge = (src, dst, kind)
+            sends = self._edge_sends
+            sends[edge] = sends.get(edge, 0) + 1
+        for timed, call in self._per_message:
+            if timed:
+                call(t, src, dst, kind, size)
             else:
-                ob.observe(src, dst, size, kind)
+                call(src, dst, size, kind)
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
@@ -179,6 +199,13 @@ class _Emitter:
             return
         heapq.heappush(self._heap, (t + d, next(self._seq), code, src, dst, aux))
 
+    def hand_over_aggregates(self) -> None:
+        """One ``observe(..., count=n)`` per distinct ``(src, dst, kind)``
+        sent, to every aggregate-capable observer."""
+        for observe in self._aggregating:
+            for (src, dst, kind), n in self._edge_sends.items():
+                observe(src, dst, _SIZES[kind], kind, n)
+
 
 class FloodKernel:
     """Batched expansion of Gnutella descriptor floods for one network."""
@@ -205,9 +232,12 @@ class FloodKernel:
             d = row[dst] = self._lat.one_way_delay(src, dst)
         return d
 
-    def _commit(self, acc: dict, sent_by: dict, recv_by: dict) -> None:
+    def _commit(
+        self, em: _Emitter, acc: dict, sent_by: dict, recv_by: dict
+    ) -> None:
         """Fold the expansion's aggregate accounting into the bus stats,
-        bound metric cells, and per-node counters — one pass per kind and
+        bound metric cells, aggregate-capable traffic observers, and
+        per-node counters — one pass per kind, per (src, dst, kind) and
         per (node, kind) instead of one update per message."""
         net = self.net
         bus = net.bus
@@ -223,6 +253,7 @@ class FloodKernel:
                     dropped_fault=a[_FAULT],
                     dropped_no_handler=a[_NH],
                 )
+        em.hand_over_aggregates()
         for kind, per_host in sent_by.items():
             for host, n in per_host.items():
                 node = nodes[host]
@@ -406,7 +437,7 @@ class FloodKernel:
                 emit(t, dst, back, "QUERYHIT", _BACK, aux)
 
         # -- commit ------------------------------------------------------------
-        self._commit(acc, sent_by, recv_by)
+        self._commit(em, acc, sent_by, recv_by)
         net.drop_counts["duplicate"] += dup_drops
         net.drop_counts["ttl"] += ttl_drops
         hh = net.query_hops_hist
@@ -475,29 +506,38 @@ class FloodKernel:
             for dst in node._connected_peers():
                 emit(t0, node.host_id, dst, "PING", _FWD, (guid, cfg.ping_ttl))
 
+        # hoisted locals: this loop touches every message of the round
+        acc_ping = acc["PING"]
+        acc_pong = acc["PONG"]
+        recv_ping = recv_by["PING"]
+        recv_pong = recv_by["PONG"]
+        ping_ttl = cfg.ping_ttl
+        heappop = heapq.heappop
+        nodes_get = nodes.get
+        seen_test = seen.test
         last_t = t0
         while heap:
-            t, _s, code, src, dst, aux = heapq.heappop(heap)
+            t, _s, code, src, dst, aux = heappop(heap)
             last_t = t
             guid, arg = aux
             if code == _FWD:  # PING arrival
                 if dst not in handlers:
-                    acc["PING"][_NH] += 1
+                    acc_ping[_NH] += 1
                     continue
-                acc["PING"][_DELIV] += 1
-                node = nodes.get(dst)
+                acc_ping[_DELIV] += 1
+                node = nodes_get(dst)
                 if node is None or not node.online:
                     continue
-                recv_by["PING"][dst] += 1
+                recv_ping[dst] += 1
                 key = ("PING", guid)
                 local = flood_seen[guid]
-                if dst in local or seen.test(dst, key):
+                if dst in local or seen_test(dst, key):
                     dup_drops += 1
                     continue
                 local.add(dst)
                 node._route_back[key] = src
                 ttl = arg
-                level_counts[(guid, cfg.ping_ttl - ttl)] += 1
+                level_counts[(guid, ping_ttl - ttl)] += 1
                 # answer: own pong + cached addresses (skip the origin)
                 emit(t, dst, src, "PONG", _BACK, (guid, dst))
                 origin = origin_of[guid]
@@ -512,15 +552,15 @@ class FloodKernel:
                     ttl_drops += 1
             else:  # PONG arrival (arg = advertised peer address)
                 if dst not in handlers:
-                    acc["PONG"][_NH] += 1
+                    acc_pong[_NH] += 1
                     continue
-                acc["PONG"][_DELIV] += 1
-                node = nodes.get(dst)
+                acc_pong[_DELIV] += 1
+                node = nodes_get(dst)
                 if node is None or not node.online:
                     continue
-                recv_by["PONG"][dst] += 1
+                recv_pong[dst] += 1
                 key = ("PING", guid)
-                saw = dst in flood_seen[guid] or seen.test(dst, key)
+                saw = dst in flood_seen[guid] or seen_test(dst, key)
                 if saw and key not in node._route_back:
                     # originator: consume
                     node._learn_address(arg)
@@ -530,7 +570,7 @@ class FloodKernel:
                     emit(t, dst, back, "PONG", _BACK, (guid, arg))
                 node._learn_address(arg)
 
-        self._commit(acc, sent_by, recv_by)
+        self._commit(em, acc, sent_by, recv_by)
         net.drop_counts["duplicate"] += dup_drops
         net.drop_counts["ttl"] += ttl_drops
         for guid, hosts in flood_seen.items():

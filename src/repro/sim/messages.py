@@ -34,7 +34,25 @@ class LatencyProvider(Protocol):
 
 
 class TrafficObserver(Protocol):
-    """Callback protocol for per-message accounting."""
+    """Callback protocol for per-message accounting.
+
+    The bus calls :meth:`observe` once per send, at send time, whether
+    or not the message is later lost or dropped by a fault.
+
+    Batch kernels that simulate sends outside the bus
+    (:class:`~repro.overlay.gnutella.flood.FloodKernel`) also call every
+    observer once per send, in send order — ``record(time, src, dst,
+    kind, size_bytes)`` with the virtual send time if the observer has
+    one, else :meth:`observe` — *unless* the observer sets the class
+    attribute ``accepts_aggregates = True``.  That declares its
+    ``observe`` takes a fifth argument ``count`` and that one call with
+    ``count=n`` equals ``n`` single calls, in any order relative to
+    other ``(src, dst, kind)`` triples.  The kernel then hands such an
+    observer one call per distinct triple when the expansion commits,
+    beside :meth:`MessageBus.account_external`.  The simulation clock
+    does not move during an expansion, so a clock-reading observer bills
+    the whole expansion at its start time.
+    """
 
     def observe(self, src: Hashable, dst: Hashable, size_bytes: int, kind: str) -> None:
         ...
@@ -214,8 +232,9 @@ class MessageBus:
         own kernel loop without touching the event heap.  One call per
         kind updates :class:`BusStats` and the bound metric cells exactly
         as ``sent``/``delivered`` individual messages would have; traffic
-        observers are *not* notified here (kernels call them per message,
-        in send order, so accounting totals match the reference path).
+        observers are *not* notified here (kernels call them themselves,
+        per message or per aggregate — see :class:`TrafficObserver` — so
+        accounting totals match the reference path).
         """
         stats = self.stats
         if sent:

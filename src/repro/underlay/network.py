@@ -98,6 +98,8 @@ class Underlay:
         self._host_by_id: dict[int, Host] = {h.host_id: h for h in self.hosts}
         if len(self._host_by_id) != len(self.hosts):
             raise TopologyError("duplicate host ids in underlay")
+        # Host is frozen, so the per-id ASN cannot go stale
+        self._asn_by_id: dict[int, int] = {h.host_id: h.asn for h in self.hosts}
         self._index_of = {h.host_id: i for i, h in enumerate(self.hosts)}
         # asn -> hosts index: hosts_in_as and the oracle paths are called
         # per candidate list, so a linear scan over all hosts is the wrong
@@ -165,7 +167,10 @@ class Underlay:
             raise TopologyError(f"unknown host id {host_id}") from None
 
     def asn_of(self, host_id: Hashable) -> int:
-        return self.host(self._host_id_of(host_id)).asn
+        try:
+            return self._asn_by_id[host_id]
+        except KeyError:  # ("service", host_id) endpoint, or unknown id
+            return self.host(self._host_id_of(host_id)).asn
 
     def host_ids(self) -> list[int]:
         return [h.host_id for h in self.hosts]

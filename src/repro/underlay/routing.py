@@ -27,11 +27,14 @@ model never reconstructs paths pair by pair.
 Per-source results (hop vectors, predecessor trees) are cached; use
 :meth:`ASRouting.precompute` to batch-build all sources up front and
 :meth:`ASRouting.invalidate` to drop the caches after a topology change.
+Byte accounting does not walk routes per message either:
+:meth:`ASRouting.route_plan` compiles an ordered AS pair's route once
+into the link keys it loads and the AS that pays for each transit link.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,6 +80,22 @@ class _StateGraph:
         self.nxt = np.asarray(flat, dtype=np.int64)
 
 
+class RoutePlan(NamedTuple):
+    """One ordered AS pair's route, compiled for byte accounting.
+
+    ``links`` holds one ``((min_asn, max_asn), payer_asn | None)`` entry
+    per inter-AS link in route order: the undirected link key, and for a
+    transit link the AS that pays for it (the customer side, whichever
+    way the bytes flow) — ``None`` on a peering link.  ``link_class`` is
+    the flow's most expensive link class: ``TRANSIT`` if any link is
+    billed, else ``PEERING``, and ``None`` for a route that never leaves
+    its AS.
+    """
+
+    links: tuple[tuple[tuple[int, int], int | None], ...]
+    link_class: LinkType | None
+
+
 class ASRouting:
     """All-pairs valley-free routing over an :class:`InternetTopology`."""
 
@@ -89,6 +108,7 @@ class ASRouting:
         self._hops_cache: dict[int, np.ndarray] = {}
         self._pred_cache: dict[int, np.ndarray] = {}
         self._best_cache: dict[int, np.ndarray] = {}
+        self._plan_cache: dict[tuple[int, int], RoutePlan] = {}
 
     # -- CSR state graph ----------------------------------------------------
     def _state_graph(self) -> _StateGraph:
@@ -222,6 +242,7 @@ class ASRouting:
         self._hops_cache.clear()
         self._pred_cache.clear()
         self._best_cache.clear()
+        self._plan_cache.clear()
 
     def warm_hops(self, hop_matrix: np.ndarray) -> None:
         """Seed the per-source hop cache from a precomputed all-pairs
@@ -290,6 +311,26 @@ class ASRouting:
         for a, b in zip(p, p[1:]):
             links.append((a, b, self.topology.link_type(a, b)))
         return links
+
+    def route_plan(self, src: int, dst: int) -> RoutePlan:
+        """The route ``src`` -> ``dst`` as a :class:`RoutePlan`, compiled
+        on first use and memoised until :meth:`invalidate`: accounting a
+        message is then a few adds per link instead of a path walk."""
+        pair = (src, dst)
+        plan = self._plan_cache.get(pair)
+        if plan is None:
+            links = []
+            link_class = None
+            for a, b, link_type in self.path_links(src, dst):
+                payer = None
+                if link_type is LinkType.TRANSIT:
+                    link_class = LinkType.TRANSIT
+                    payer = a if b in self.topology.asys(a).providers else b
+                elif link_class is None:
+                    link_class = LinkType.PEERING
+                links.append(((min(a, b), max(a, b)), payer))
+            plan = self._plan_cache[pair] = RoutePlan(tuple(links), link_class)
+        return plan
 
     def hop_matrix(self) -> np.ndarray:
         """All-pairs AS-hop matrix (int32).  Raises if any pair is unroutable."""

@@ -7,6 +7,12 @@ charged to the paying AS (the customer side of each customer-provider link,
 in both directions, matching how transit billing works), and sampled into
 time buckets so the cost model can apply peak-rate (95th percentile)
 billing as described in the survey's §2.1.
+
+The cost of a message is a few integer adds per link of its route: the
+route itself is compiled once per ordered AS pair
+(:meth:`~repro.underlay.routing.ASRouting.route_plan`), and ``observe``
+takes a ``count`` so a batch kernel can account every copy that crossed
+one overlay edge in a single call.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
+from repro.errors import ConfigurationError
 from repro.underlay.autonomous_system import LinkType
 from repro.underlay.cost import CostModel, TransitBillingLedger
 from repro.underlay.routing import ASRouting
@@ -94,45 +101,51 @@ class TrafficAccountant:
         self.kind_bytes: dict[str, list[int]] = defaultdict(lambda: [0, 0])
 
     # -- TrafficObserver ------------------------------------------------------
-    def observe(self, src: Hashable, dst: Hashable, size_bytes: int, kind: str) -> None:
+    #: batch kernels may hand over one ``observe(..., count=n)`` per
+    #: distinct ``(src, dst, kind)`` of an expansion instead of n calls
+    accepts_aggregates = True
+
+    def observe(
+        self, src: Hashable, dst: Hashable, size_bytes: int, kind: str,
+        count: int = 1,
+    ) -> None:
+        """Account ``count`` messages of ``size_bytes`` each — exactly
+        what ``count`` single calls at the current clock would record."""
+        if size_bytes < 0 or count < 1:
+            raise ConfigurationError(
+                f"cannot account {count} message(s) of {size_bytes} bytes"
+            )
         asn_src = self._asn_of(src)
         asn_dst = self._asn_of(dst)
-        self.summary.messages += 1
+        nbytes = size_bytes * count
+        summary = self.summary
+        summary.messages += count
         if asn_src == asn_dst:
-            self.summary.intra_as_bytes += size_bytes
-            self.kind_bytes[kind][0] += size_bytes
+            summary.intra_as_bytes += nbytes
+            self.kind_bytes[kind][0] += nbytes
             return
-        self.kind_bytes[kind][1] += size_bytes
+        self.kind_bytes[kind][1] += nbytes
+        links, link_class = self.routing.route_plan(asn_src, asn_dst)
         bucket = (
             int(self._clock() // self.bucket_seconds) if self._clock is not None else 0
         )
-        crossed_transit = False
-        crossed_peering = False
-        for a, b, link_type in self.routing.path_links(asn_src, asn_dst):
-            key = (min(a, b), max(a, b))
-            self.link_bytes[key] += size_bytes
-            if link_type is LinkType.TRANSIT:
-                crossed_transit = True
-                # the customer side of the link pays, regardless of direction
-                payer = a if b in self.topology.asys(a).providers else b
-                self.paid_transit_bytes[payer] += size_bytes
-                self.transit_samples[key][bucket] += size_bytes
-                self.billing.record(
-                    payer, bucket * self.bucket_seconds, size_bytes
-                )
-            else:
-                crossed_peering = True
-        # classify the flow by its most expensive link class
-        if crossed_transit:
-            self.summary.transit_bytes += size_bytes
-        elif crossed_peering:
-            self.summary.peering_bytes += size_bytes
-        else:  # direct link of unknown type should not happen
-            self.summary.intra_as_bytes += size_bytes
+        link_bytes = self.link_bytes
+        for key, payer in links:
+            link_bytes[key] += nbytes
+            if payer is not None:
+                self.paid_transit_bytes[payer] += nbytes
+                self.transit_samples[key][bucket] += nbytes
+                self.billing.record(payer, bucket * self.bucket_seconds, nbytes)
+        # the flow is classified by its most expensive link class
+        if link_class is LinkType.TRANSIT:
+            summary.transit_bytes += nbytes
+        else:
+            summary.peering_bytes += nbytes
 
     # -- queries ----------------------------------------------------------------
     def reset(self) -> None:
-        """Zero all counters (e.g. after a warm-up phase)."""
+        """Zero every table (e.g. after a warm-up phase).  Compiled route
+        plans belong to the routing and are kept."""
         self.summary = TrafficSummary()
         self.link_bytes.clear()
         self.paid_transit_bytes.clear()

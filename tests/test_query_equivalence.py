@@ -6,6 +6,11 @@ The equivalence currency is the message-level send log: the sorted
 and on bus stats, ``message_counts()`` (including the drop counters),
 per-node counters, search hits, and first-hit latencies — across seeds,
 loss rates (serial floods), whole-run fault windows, and TTL edge cases.
+
+A :class:`TrafficAccountant` rides on the same bus ahead of the
+``SendLog``: the batch kernel hands it one aggregate per ``(src, dst,
+kind)`` at commit while the reference path calls it per message, and
+every table it keeps must come out the same.
 """
 
 import math
@@ -27,7 +32,8 @@ from repro.overlay.kademlia.node import KademliaConfig
 from repro.sim import Simulation
 from repro.sim.messages import MessageBus
 from repro.sim.queryplane import SendLog
-from repro.underlay import Underlay, UnderlayConfig
+from repro.underlay import TrafficAccountant, Underlay, UnderlayConfig
+from tests.test_traffic_oracle import state as traffic_state
 
 SEEDS = (7, 11, 23)
 
@@ -46,10 +52,18 @@ def _underlay(n_hosts, seed=13):
 
 
 def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5, seen_window=4096,
-           fault_schedule=None):
+           fault_schedule=None, accounting=True):
     u = _underlay(n_hosts)
     sim = Simulation()
     bus = MessageBus(sim, u, loss_rate=loss, loss_seed=seed)
+    acct = None
+    if accounting:
+        # every run here ends inside the first 300 s billing bucket, so
+        # billing a kernel expansion at its start time changes no bucket
+        acct = TrafficAccountant(
+            u.topology, u.routing, u.asn_of, clock=lambda: sim.now / 1000.0
+        )
+        bus.add_observer(acct)
     log = SendLog(sim)
     bus.add_observer(log)
     net = GnutellaNetwork(
@@ -68,12 +82,16 @@ def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5, seen_window=4096,
     for h in u.hosts:
         net.share_content(h.host_id, [h.host_id % 7])
     sim.run()
-    return u, sim, bus, net, log
+    return u, sim, bus, net, log, acct
 
 
-def _fingerprint(u, bus, net, log, guids):
+def _fingerprint(u, bus, net, log, acct, guids):
     return {
         "digest": log.digest(),
+        "traffic": None if acct is None else traffic_state(acct),
+        "observed": None if acct is None else (
+            acct.summary.messages, len(log.events)
+        ),
         "stats": (
             bus.stats.sent, bus.stats.delivered, bus.stats.bytes_sent,
             bus.stats.dropped_loss, bus.stats.dropped_fault,
@@ -98,9 +116,12 @@ def _fingerprint(u, bus, net, log, guids):
     }
 
 
-def _run_workload(backend, *, seed, serial=False, **kwargs):
-    u, sim, bus, net, log = _build(backend, seed=seed, **kwargs)
+def _run_workload(backend, *, seed, serial=False, with_events=False,
+                  **kwargs):
+    u, sim, bus, net, log, acct = _build(backend, seed=seed, **kwargs)
     log.clear()
+    if acct is not None:
+        acct.reset()
     net.ping_round()
     sim.run()
     guids = []
@@ -109,22 +130,44 @@ def _run_workload(backend, *, seed, serial=False, **kwargs):
         if serial:
             sim.run()  # quiesce between floods: loss draws stay aligned
     sim.run()
-    return _fingerprint(u, bus, net, log, guids)
+    fp = _fingerprint(u, bus, net, log, acct, guids)
+    if with_events:
+        fp["events"] = list(log.events)
+    return fp
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_flood_workload_bit_identical(seed):
-    assert _run_workload("reference", seed=seed) == _run_workload(
-        "batch", seed=seed
-    )
+    ref = _run_workload("reference", seed=seed)
+    bat = _run_workload("batch", seed=seed)
+    assert ref == bat
+    # the accountant saw every send, once, and some of it left its AS
+    seen, logged = bat["observed"]
+    assert seen == logged > 0
+    assert bat["traffic"]["link_bytes"] and bat["traffic"]["billing.samples"]
 
 
-@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_serial_floods_bit_identical_under_loss(seed):
     ref = _run_workload("reference", seed=seed, loss=0.12, serial=True)
     bat = _run_workload("batch", seed=seed, loss=0.12, serial=True)
     assert ref == bat
     assert ref["stats"][3] > 0  # losses actually happened
+    # sends lost in flight were sent, so they are accounted
+    assert bat["observed"][0] == bat["observed"][1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_aggregating_observer_leaves_per_message_observers_alone(seed):
+    # the SendLog behind an accountant gets the same record() calls in
+    # the same order as a SendLog alone
+    mixed = _run_workload("batch", seed=seed, with_events=True)
+    alone = _run_workload(
+        "batch", seed=seed, with_events=True, accounting=False
+    )
+    assert mixed["events"] == alone["events"]
+    for key in ("digest", "stats", "message_counts", "per_node", "hits", "now"):
+        assert mixed[key] == alone[key]
 
 
 def test_whole_run_fault_window_bit_identical():
@@ -135,9 +178,15 @@ def test_whole_run_fault_window_bit_identical():
         LossFault(start=0.0, end=1e9, rate=1.0, src=0, dst=1),
         LossFault(start=0.0, end=1e9, rate=1.0, src=1, dst=0),
     ))
-    ref = _run_workload("reference", seed=7, fault_schedule=sched)
-    bat = _run_workload("batch", seed=7, fault_schedule=sched)
-    assert ref == bat
+    fault_drops = 0
+    for seed in SEEDS:
+        ref = _run_workload("reference", seed=seed, fault_schedule=sched)
+        bat = _run_workload("batch", seed=seed, fault_schedule=sched)
+        assert ref == bat
+        # sends the fault hook dropped are still accounted
+        assert bat["observed"][0] == bat["observed"][1]
+        fault_drops += bat["stats"][4]
+    assert fault_drops > 0  # the 0<->1 blackhole did drop sends
 
 
 @pytest.mark.parametrize("ttl", [1, 2])

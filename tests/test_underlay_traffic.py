@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.underlay import TrafficAccountant
 from repro.underlay.autonomous_system import LinkType
 
@@ -71,6 +72,58 @@ def test_reset(accountant):
     acct.reset()
     assert acct.summary.total_bytes == 0
     assert not acct.link_bytes
+
+
+def test_reset_clears_every_table_and_keeps_compiled_plans(accountant):
+    u, acct = accountant
+    a, b = next(
+        (x.host_id, y.host_id)
+        for x in u.hosts for y in u.hosts
+        if u.routing.route_plan(x.asn, y.asn).link_class is LinkType.TRANSIT
+    )
+    acct.observe(a, b, 100, "X")
+    plan = u.routing.route_plan(u.asn_of(a), u.asn_of(b))
+    assert acct.billing.total_bytes and acct.transit_samples
+    acct.reset()
+    assert acct.summary.messages == 0 and acct.summary.total_bytes == 0
+    for table in (
+        acct.link_bytes, acct.paid_transit_bytes, acct.transit_samples,
+        acct.kind_bytes, acct.billing.samples, acct.billing.total_bytes,
+    ):
+        assert not table
+    # the plan is a property of the route, not of the counters
+    assert u.routing.route_plan(u.asn_of(a), u.asn_of(b)) is plan
+    acct.observe(a, b, 100, "X")
+    assert acct.summary.transit_bytes == 100
+
+
+@pytest.mark.parametrize("same_as", [True, False])
+def test_negative_size_is_rejected_whatever_the_route(accountant, same_as):
+    # a negative intra-AS or peering-only message used to *subtract*
+    # from the counters; only a transit one raised (from the ledger)
+    u, acct = accountant
+    a, b = _pair_with(u, same_as)
+    with pytest.raises(ConfigurationError):
+        acct.observe(a, b, -1, "X")
+    assert acct.summary.messages == 0 and acct.summary.total_bytes == 0
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_count_below_one_is_rejected(accountant, count):
+    u, acct = accountant
+    a, b = _pair_with(u, False)
+    with pytest.raises(ConfigurationError):
+        acct.observe(a, b, 10, "X", count=count)
+    assert acct.summary.messages == 0 and not acct.link_bytes
+
+
+def test_count_multiplies_bytes_and_messages(accountant):
+    u, acct = accountant
+    a, b = _pair_with(u, False)
+    acct.observe(a, b, 10, "X", count=7)
+    assert acct.summary.messages == 7
+    assert acct.summary.total_bytes == 70
+    assert acct.kind_bytes["X"] == [0, 70]
 
 
 def test_peak_billing_with_clock(small_underlay):
