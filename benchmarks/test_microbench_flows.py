@@ -3,7 +3,7 @@
 ``test_flows_artifact`` runs the same single-torrent workload to full
 completion on both data planes — the flow-level
 :class:`~repro.overlay.bittorrent.FlowSwarmSimulation` and the
-time-stepped :class:`~repro.overlay.bittorrent.SwarmSimulationReference`
+time-stepped :class:`~repro.overlay.bittorrent.SwarmSimulation`
 — at N = 10^2 and 10^3 peers, and records wall-clock, peers/sec and the
 per-size speedup in ``BENCH_flows.json`` at the repo root.  The headline
 claim — the flow plane completes the 10^3-peer swarm >= 5x faster than
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.overlay.bittorrent import (
     FlowSwarmSimulation,
-    SwarmSimulationReference,
+    SwarmSimulation,
     Torrent,
     Tracker,
 )
@@ -58,7 +58,7 @@ def _run_plane(impl: str, n_hosts: int) -> dict:
     if impl == "flow":
         swarm = FlowSwarmSimulation(underlay, torrent, tracker, rng=SEED)
     else:
-        swarm = SwarmSimulationReference(underlay, torrent, tracker, rng=SEED)
+        swarm = SwarmSimulation(underlay, torrent, tracker, rng=SEED)
     swarm.populate(leechers, seeds)
     t0 = time.perf_counter()
     report = swarm.run(max_time_s=7200.0)

@@ -9,10 +9,6 @@
   arms — the speedup is bought by expansion strategy, not by sending
   less.  The headline claim — >= 5x floods/sec — is asserted on every
   run.
-- **kademlia_rounds**: wall time of a value-lookup workload with
-  round-batched RPC issue (``RequestManager.issue_many``) vs
-  per-RPC issue, recorded for the artifact (no floor asserted; the
-  lookup path is dominated by handler work, not issue overhead).
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ import pathlib
 import time
 
 from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork
-from repro.overlay.kademlia.network import KademliaNetwork
-from repro.overlay.kademlia.node import KademliaConfig
 from repro.sim import MessageBus, Simulation
 from repro.underlay import Underlay, UnderlayConfig
 
@@ -116,7 +110,6 @@ def test_query_artifact():
             "batch_floods_per_sec": round(N_QUERIES / batch_s, 2),
             "reference_floods_per_sec": round(N_QUERIES / reference_s, 2),
         },
-        "kademlia_rounds": _kademlia_section(),
         "headline": {
             "flood_speedup": round(speedup, 2),
             "claim": (
@@ -130,33 +123,3 @@ def test_query_artifact():
     )
     assert speedup >= 5.0, artifact["headline"]
 
-
-def _kademlia_section(n_hosts: int = 400, seed: int = 31) -> dict:
-    underlay = Underlay.generate(
-        UnderlayConfig(n_hosts=n_hosts, seed=seed, delay_backend="stream")
-    )
-
-    def measure(batching: bool) -> float:
-        sim = Simulation()
-        bus = MessageBus(sim, underlay)
-        net = KademliaNetwork(
-            underlay, sim, bus,
-            config=KademliaConfig(round_batching=batching), rng=seed,
-        )
-        net.add_all_hosts()
-        net.bootstrap_all()
-        sim.run()
-        t0 = time.perf_counter()
-        net.run_value_workload(40, 80)
-        return time.perf_counter() - t0
-
-    measure(True)  # warm: imports, routing-table code paths
-    batched_s = min(measure(True) for _ in range(REPEATS))
-    per_rpc_s = min(measure(False) for _ in range(REPEATS))
-    return {
-        "n_hosts": n_hosts,
-        "lookups": 80,
-        "batched_s": round(batched_s, 3),
-        "per_rpc_s": round(per_rpc_s, 3),
-        "ratio": round(per_rpc_s / batched_s, 2),
-    }

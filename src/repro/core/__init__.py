@@ -10,14 +10,7 @@ from repro.core.qos import (
     REAL_TIME,
     QoSProfile,
 )
-from repro.core.peerstate import (
-    ArrayNeighborSet,
-    Bitmap2D,
-    NeighborColumns,
-    PeerState,
-    PeerStateReference,
-    SlotAllocator,
-)
+from repro.core.peerstate import Bitmap2D, PeerState, SlotAllocator
 from repro.core.score_cache import CachedSelection, ScoreCache
 from repro.core.selection import (
     CompositeSelection,
@@ -38,7 +31,6 @@ from repro.core.taxonomy import (
 )
 
 __all__ = [
-    "ArrayNeighborSet",
     "BUILTIN_PROFILES",
     "Bitmap2D",
     "CachedSelection",
@@ -50,10 +42,8 @@ __all__ = [
     "LOCATION_SERVICES",
     "LTMStats",
     "LatencySelection",
-    "NeighborColumns",
     "NeighborSelection",
     "PeerState",
-    "PeerStateReference",
     "QoSProfile",
     "REAL_TIME",
     "RandomSelection",

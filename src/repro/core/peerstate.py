@@ -1,51 +1,31 @@
-"""Struct-of-arrays peer state for 10^5–10^6-host overlays.
+"""Slot-indexed packed bitmaps over a peer population.
 
-The object-per-peer layout that the overlays started from (one Python
-object per node, per-message dict churn) caps experiments around 10^4
-hosts: every liveness check chases a pointer, every neighbor update
-rehashes a set, and the garbage collector walks millions of small
-objects.  This module keeps the *hot* per-peer state — liveness/churn
-status, region (AS) assignment, neighbor sets, piece/role bitmaps — in
-contiguous numpy columns keyed by a dense **slot** index, with a
-free-list allocator mapping arbitrary host ids onto slots.
+What is left of the struct-of-arrays peer state: the one column family
+the end-to-end benchmark showed pays for itself.  The duplicate-
+suppression window of a flood (:class:`~repro.sim.queryplane.SeenFilter`)
+is one bit per host per live GUID; packed into ``uint64`` words that is
+``window / 8`` bytes per host whatever a flood's reach, where per-GUID
+host sets cost ``window x reach`` entries.  Liveness, regions and
+neighbor sets are plain Python sets and attributes on the objects that
+own them (see "Scaling" in ``docs/performance.md`` for the measurements
+that retired their array columns).
 
-Layout
-------
-- :class:`SlotAllocator` — host id ↔ slot mapping with a LIFO free list;
-  slots of evicted hosts are recycled, and every allocation (fresh or
-  recycled) clears the slot's row in all registered columns, so a host
-  admitted into a recycled slot can never observe its predecessor's
-  neighbors, bitmap bits, or liveness status.
-- :class:`NeighborColumns` — one bounded neighbor set per slot as a row
-  of a ``(capacity, max_degree)`` int64 matrix plus a count vector.
-  Rows are kept **ascending-sorted**, which makes membership a
-  ``searchsorted``, iteration deterministic, and batch degree queries a
-  single vectorised read.
-- :class:`Bitmap2D` — one packed bitset per slot (``uint64`` words):
-  piece maps, ultrapeer/role flags, any per-peer boolean vector.
-- :class:`PeerState` — the façade combining the allocator, a status
-  column (offline/online/crashed), a region column for AS/region-sharded
-  scheduling, named neighbor tables, and named bitmaps.
-
-:class:`PeerStateReference` is the retained object-based twin (one
-record object per peer, Python sets inside) with the same API.  It
-exists for the equivalence harness (``tests/test_peerstate_equiv.py``
-drives both with identical op sequences and asserts identical observable
-state) and as the baseline arm of ``benchmarks/test_microbench_scale.py``.
+- :class:`SlotAllocator` — host id ↔ dense slot mapping with a LIFO free
+  list; slots of evicted hosts are recycled, and every allocation (fresh
+  or recycled) clears the slot's row in all registered columns, so a
+  host admitted into a recycled slot can never observe its
+  predecessor's bits.
+- :class:`Bitmap2D` — one packed bitset per slot (``uint64`` words).
+- :class:`PeerState` — the allocator plus its named bitmaps.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-#: Liveness states of a slot (the churn/liveness column).
-OFFLINE, ONLINE, CRASHED = 0, 1, 2
-
-_STATUS_NAMES = {OFFLINE: "offline", ONLINE: "online", CRASHED: "crashed"}
 
 
 class SlotAllocator:
@@ -171,89 +151,6 @@ class SlotAllocator:
             raise AssertionError("free list contains duplicate slots")
 
 
-class NeighborColumns:
-    """Bounded per-slot neighbor sets as rows of one int64 matrix.
-
-    Rows hold **host ids** (not slots, so entries never dangle when a
-    neighbor is evicted) in ascending order; ``counts[slot]`` is the row
-    length.  The width doubles on demand, so ``max_degree`` is a starting
-    hint, not a cap.
-    """
-
-    def __init__(self, allocator: SlotAllocator, max_degree: int = 8) -> None:
-        if max_degree < 1:
-            raise ConfigurationError("max_degree must be >= 1")
-        self._width = int(max_degree)
-        self._ids = np.empty((0, self._width), dtype=np.int64)
-        self.counts = np.zeros(0, dtype=np.int32)
-        allocator.register(self._clear_row, self._grow)
-
-    def _grow(self, capacity: int) -> None:
-        if capacity <= self._ids.shape[0]:
-            return
-        ids = np.zeros((capacity, self._width), dtype=np.int64)
-        counts = np.zeros(capacity, dtype=np.int32)
-        n = self._ids.shape[0]
-        ids[:n] = self._ids
-        counts[:n] = self.counts
-        self._ids, self.counts = ids, counts
-
-    def _widen(self) -> None:
-        ids = np.zeros((self._ids.shape[0], self._width * 2), dtype=np.int64)
-        ids[:, : self._width] = self._ids
-        self._ids, self._width = ids, self._width * 2
-
-    def _clear_row(self, slot: int) -> None:
-        self.counts[slot] = 0
-
-    # -- set operations -----------------------------------------------------------
-    def add(self, slot: int, host_id: int) -> bool:
-        """Insert ``host_id`` keeping the row sorted; False if present."""
-        n = int(self.counts[slot])
-        row = self._ids[slot, :n]
-        i = int(np.searchsorted(row, host_id))
-        if i < n and row[i] == host_id:
-            return False
-        if n == self._width:
-            self._widen()
-        self._ids[slot, i + 1 : n + 1] = self._ids[slot, i:n]
-        self._ids[slot, i] = host_id
-        self.counts[slot] = n + 1
-        return True
-
-    def discard(self, slot: int, host_id: int) -> bool:
-        n = int(self.counts[slot])
-        row = self._ids[slot, :n]
-        i = int(np.searchsorted(row, host_id))
-        if i >= n or row[i] != host_id:
-            return False
-        self._ids[slot, i : n - 1] = self._ids[slot, i + 1 : n]
-        self.counts[slot] = n - 1
-        return True
-
-    def contains(self, slot: int, host_id: int) -> bool:
-        n = int(self.counts[slot])
-        row = self._ids[slot, :n]
-        i = int(np.searchsorted(row, host_id))
-        return i < n and row[i] == host_id
-
-    def row(self, slot: int) -> np.ndarray:
-        """The slot's neighbor ids, ascending (a read-only view)."""
-        out = self._ids[slot, : int(self.counts[slot])]
-        out.flags.writeable = False
-        return out
-
-    def clear(self, slot: int) -> None:
-        self.counts[slot] = 0
-
-    def degree(self, slot: int) -> int:
-        return int(self.counts[slot])
-
-    def degrees(self, slots: Sequence[int]) -> np.ndarray:
-        """Vectorised degree gather for a batch of slots."""
-        return self.counts[np.asarray(slots, dtype=np.intp)]
-
-
 class Bitmap2D:
     """Per-slot packed bitsets: one ``uint64``-word row per slot."""
 
@@ -349,52 +246,16 @@ class Bitmap2D:
 
 
 class PeerState:
-    """The struct-of-arrays hot state of a peer population.
+    """A peer population's slot space and the bitmaps laid over it.
 
-    One instance can back several overlays at once: each named neighbor
-    table (``table("neighbors")``) and named bitmap (``bitmap("pieces",
-    n_bits)``) is an independent column family over the same slot space,
-    and all of them are cleared together when a slot is recycled.
+    Each named bitmap (``bitmap("seen", n_bits)``) is an independent
+    column family over the same slots, and all of them are cleared
+    together when a slot is recycled.
     """
 
-    def __init__(
-        self,
-        *,
-        initial_capacity: int = 64,
-        max_degree: int = 8,
-    ) -> None:
+    def __init__(self, *, initial_capacity: int = 64) -> None:
         self.slots = SlotAllocator(initial_capacity)
-        self._default_degree = max_degree
-        self.status = np.zeros(0, dtype=np.int8)
-        self.region = np.zeros(0, dtype=np.int32)
-        self._tables: dict[str, NeighborColumns] = {}
         self._bitmaps: dict[str, Bitmap2D] = {}
-        self.slots.register(self._clear_row, self._grow)
-
-    def _grow(self, capacity: int) -> None:
-        if capacity <= self.status.shape[0]:
-            return
-        status = np.zeros(capacity, dtype=np.int8)
-        region = np.zeros(capacity, dtype=np.int32)
-        n = self.status.shape[0]
-        status[:n] = self.status
-        region[:n] = self.region
-        self.status, self.region = status, region
-
-    def _clear_row(self, slot: int) -> None:
-        self.status[slot] = OFFLINE
-        self.region[slot] = 0
-
-    # -- column families ---------------------------------------------------------
-    def table(self, name: str, max_degree: Optional[int] = None) -> NeighborColumns:
-        """The named neighbor table (created on first use)."""
-        cols = self._tables.get(name)
-        if cols is None:
-            cols = NeighborColumns(
-                self.slots, max_degree or self._default_degree
-            )
-            self._tables[name] = cols
-        return cols
 
     def bitmap(self, name: str, n_bits: int = 64) -> Bitmap2D:
         """The named bitmap (created on first use)."""
@@ -404,20 +265,11 @@ class PeerState:
             self._bitmaps[name] = bm
         return bm
 
-    # -- membership ---------------------------------------------------------------
-    def admit(self, host: Hashable, region: int = 0) -> int:
-        slot = self.slots.alloc(host)
-        self.region[slot] = region
-        return slot
+    def admit(self, host: Hashable) -> int:
+        return self.slots.alloc(host)
 
     def evict(self, host: Hashable) -> int:
-        slot = self.slots.free(host)
-        # Freed slots stay out of the allocator until recycled, but the
-        # bulk liveness scans (online_count/online_hosts) read the status
-        # column straight through the high-water mark — reset it here so
-        # an evicted-while-online host cannot linger in those counts.
-        self.status[slot] = OFFLINE
-        return slot
+        return self.slots.free(host)
 
     def __contains__(self, host: Hashable) -> bool:
         return host in self.slots
@@ -428,273 +280,6 @@ class PeerState:
     def slot_of(self, host: Hashable) -> int:
         return self.slots.slot_of(host)
 
-    def host_at(self, slot: int) -> Hashable:
-        return self.slots.host_at(slot)
-
-    def hosts(self) -> list[Hashable]:
-        return list(self.slots.hosts())
-
-    # -- liveness -----------------------------------------------------------------
-    def set_online(self, host: Hashable) -> None:
-        self.status[self.slots.slot_of(host)] = ONLINE
-
-    def set_offline(self, host: Hashable) -> None:
-        self.status[self.slots.slot_of(host)] = OFFLINE
-
-    def set_crashed(self, host: Hashable) -> None:
-        self.status[self.slots.slot_of(host)] = CRASHED
-
-    def is_online(self, host: Hashable) -> bool:
-        return bool(self.status[self.slots.slot_of(host)] == ONLINE)
-
-    def status_of(self, host: Hashable) -> str:
-        return _STATUS_NAMES[int(self.status[self.slots.slot_of(host)])]
-
-    def online_count(self) -> int:
-        return int(np.count_nonzero(self.status[: self.slots.high_water] == ONLINE))
-
-    def online_hosts(self) -> list[Hashable]:
-        """Online hosts in slot order."""
-        live = np.flatnonzero(self.status[: self.slots.high_water] == ONLINE)
-        return [self.slots.host_at(int(s)) for s in live]
-
-    def set_status_many(self, hosts: Iterable[Hashable], status: int) -> None:
-        """Batch liveness update by host id (one fancy-index write)."""
-        idx = np.fromiter(
-            (self.slots.slot_of(h) for h in hosts), dtype=np.intp
-        )
-        if idx.size:
-            self.status[idx] = status
-
-    def slots_of(self, hosts: Sequence[Hashable]) -> np.ndarray:
-        """Resolve a host batch to a slot vector once; steady-state bulk
-        callers (churn sweeps, scans at 10^5+ hosts) hold the vector and
-        use the slot-level operations instead of re-resolving per call."""
-        return np.fromiter(
-            (self.slots.slot_of(h) for h in hosts),
-            dtype=np.intp,
-            count=len(hosts),
-        )
-
-    def set_status_slots(self, slots: np.ndarray, status: int) -> None:
-        """Batch liveness update by slot vector — one vectorised write,
-        no per-host resolution."""
-        self.status[slots] = status
-
-    # -- regions / sharding --------------------------------------------------------
-    def region_of(self, host: Hashable) -> int:
-        return int(self.region[self.slots.slot_of(host)])
-
-    def shard_of(self, host: Hashable, n_shards: int) -> int:
-        """Deterministic shard for region/AS-sharded scheduling."""
-        return int(self.region[self.slots.slot_of(host)]) % max(1, n_shards)
-
-    # -- diagnostics ---------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self.slots.capacity
-
     def memory_bytes(self) -> int:
-        """Bytes held by the column arrays (not Python-side indices)."""
-        total = self.status.nbytes + self.region.nbytes
-        for cols in self._tables.values():
-            total += cols._ids.nbytes + cols.counts.nbytes
-        for bm in self._bitmaps.values():
-            total += bm._bits.nbytes
-        return total
-
-
-class ArrayNeighborSet:
-    """Set-like view of one slot's row in a :class:`NeighborColumns`.
-
-    Drop-in for the ``set[int]`` neighbor fields of overlay nodes:
-    ``add``/``discard``/``clear``/``in``/``len``/iteration, with
-    **ascending** iteration order (the canonical order of the sorted
-    rows — deterministic, unlike hash order).
-    """
-
-    __slots__ = ("_cols", "_slot")
-
-    def __init__(self, cols: NeighborColumns, slot: int) -> None:
-        self._cols = cols
-        self._slot = slot
-
-    def add(self, host_id: int) -> None:
-        self._cols.add(self._slot, int(host_id))
-
-    def discard(self, host_id: int) -> None:
-        self._cols.discard(self._slot, int(host_id))
-
-    def clear(self) -> None:
-        self._cols.clear(self._slot)
-
-    def update(self, host_ids: Iterable[int]) -> None:
-        for h in host_ids:
-            self._cols.add(self._slot, int(h))
-
-    def __contains__(self, host_id: object) -> bool:
-        return isinstance(host_id, int) and self._cols.contains(
-            self._slot, host_id
-        )
-
-    def __len__(self) -> int:
-        return self._cols.degree(self._slot)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._cols.row(self._slot).tolist())
-
-    def __bool__(self) -> bool:
-        return self._cols.degree(self._slot) > 0
-
-    def __or__(self, other: Iterable[int]) -> set[int]:
-        return set(self) | set(other)
-
-    __ror__ = __or__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (set, frozenset, ArrayNeighborSet)):
-            return set(self) == set(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayNeighborSet({set(self)!r})"
-
-
-class _RefPeer:
-    """One peer record of the object-based reference implementation —
-    deliberately the layout the SoA refactor replaced (per-peer object,
-    Python sets, per-field attribute storage)."""
-
-    __slots__ = ("status", "region", "tables", "bitmaps")
-
-    def __init__(self, region: int) -> None:
-        self.status = OFFLINE
-        self.region = region
-        self.tables: dict[str, set[int]] = {}
-        self.bitmaps: dict[str, set[int]] = {}
-
-
-class PeerStateReference:
-    """Object-based ``_reference`` twin of :class:`PeerState`.
-
-    Same observable API, classic one-object-per-peer layout.  Used by the
-    equivalence harness and as the baseline of the scale benchmark; not
-    wired into any overlay hot path.
-    """
-
-    def __init__(self, **_ignored) -> None:
-        self._peers: dict[Hashable, _RefPeer] = {}
-        self._bitmap_widths: dict[str, int] = {}
-        self.recycles = 0  # API parity; objects have no slots to recycle
-
-    # -- membership ---------------------------------------------------------------
-    def admit(self, host: Hashable, region: int = 0) -> int:
-        if host in self._peers:
-            raise ConfigurationError(f"host {host!r} already has a slot")
-        self._peers[host] = _RefPeer(region)
-        return len(self._peers) - 1
-
-    def evict(self, host: Hashable) -> int:
-        if host not in self._peers:
-            raise ConfigurationError(f"host {host!r} has no slot")
-        del self._peers[host]
-        return 0
-
-    def __contains__(self, host: Hashable) -> bool:
-        return host in self._peers
-
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def hosts(self) -> list[Hashable]:
-        return list(self._peers)
-
-    # -- liveness -----------------------------------------------------------------
-    def set_online(self, host: Hashable) -> None:
-        self._peers[host].status = ONLINE
-
-    def set_offline(self, host: Hashable) -> None:
-        self._peers[host].status = OFFLINE
-
-    def set_crashed(self, host: Hashable) -> None:
-        self._peers[host].status = CRASHED
-
-    def is_online(self, host: Hashable) -> bool:
-        return self._peers[host].status == ONLINE
-
-    def status_of(self, host: Hashable) -> str:
-        return _STATUS_NAMES[self._peers[host].status]
-
-    def online_count(self) -> int:
-        return sum(1 for p in self._peers.values() if p.status == ONLINE)
-
-    def online_hosts(self) -> list[Hashable]:
-        return [h for h, p in self._peers.items() if p.status == ONLINE]
-
-    def set_status_many(self, hosts: Iterable[Hashable], status: int) -> None:
-        for h in hosts:
-            self._peers[h].status = status
-
-    # -- regions ------------------------------------------------------------------
-    def region_of(self, host: Hashable) -> int:
-        return self._peers[host].region
-
-    def shard_of(self, host: Hashable, n_shards: int) -> int:
-        return self._peers[host].region % max(1, n_shards)
-
-    # -- neighbor tables ------------------------------------------------------------
-    def _table(self, host: Hashable, name: str) -> set[int]:
-        return self._peers[host].tables.setdefault(name, set())
-
-    def table_add(self, host: Hashable, name: str, host_id: int) -> bool:
-        t = self._table(host, name)
-        if host_id in t:
-            return False
-        t.add(host_id)
-        return True
-
-    def table_discard(self, host: Hashable, name: str, host_id: int) -> bool:
-        t = self._table(host, name)
-        if host_id not in t:
-            return False
-        t.discard(host_id)
-        return True
-
-    def table_contains(self, host: Hashable, name: str, host_id: int) -> bool:
-        return host_id in self._table(host, name)
-
-    def table_row(self, host: Hashable, name: str) -> list[int]:
-        return sorted(self._table(host, name))
-
-    def table_degree(self, host: Hashable, name: str) -> int:
-        return len(self._table(host, name))
-
-    def table_clear(self, host: Hashable, name: str) -> None:
-        self._table(host, name).clear()
-
-    # -- bitmaps ---------------------------------------------------------------------
-    def _bitmap(self, host: Hashable, name: str) -> set[int]:
-        return self._peers[host].bitmaps.setdefault(name, set())
-
-    def bitmap_set(self, host: Hashable, name: str, bit: int) -> None:
-        width = self._bitmap_widths.setdefault(name, 64)
-        if not (0 <= bit < width):
-            raise ConfigurationError(
-                f"bit {bit} out of range for {width}-bit bitmap"
-            )
-        self._bitmap(host, name).add(bit)
-
-    def bitmap_clear(self, host: Hashable, name: str, bit: int) -> None:
-        self._bitmap(host, name).discard(bit)
-
-    def bitmap_test(self, host: Hashable, name: str, bit: int) -> bool:
-        return bit in self._bitmap(host, name)
-
-    def bitmap_bits(self, host: Hashable, name: str) -> list[int]:
-        return sorted(self._bitmap(host, name))
-
-    def bitmap_count(self, host: Hashable, name: str) -> int:
-        return len(self._bitmap(host, name))
-
-    def declare_bitmap(self, name: str, n_bits: int) -> None:
-        self._bitmap_widths[name] = n_bits
+        """Bytes held by the bitmap arrays (not Python-side indices)."""
+        return sum(bm._bits.nbytes for bm in self._bitmaps.values())

@@ -57,7 +57,6 @@ def _run_arm(
     n_hosts: int,
     cache_fill: int,
     seed: int,
-    query_backend: str = "auto",
 ) -> GnutellaArmResult:
     underlay = generate_underlay(
         UnderlayConfig(
@@ -79,7 +78,6 @@ def _run_arm(
         oracle_list_limit=oracle_list_limit,
         biased_download=biased_download,
         rng=seed + 1,
-        query_backend=query_backend,
     )
     net.add_population(underlay.hosts)
     net.bootstrap(cache_fill=cache_fill)
@@ -140,15 +138,11 @@ def run_fig5(
     cache_fill: int = 250,
     seed: int = 11,
     dot_path_prefix: str | None = None,
-    query_backend: str = "auto",
 ) -> ExperimentResult:
     """The full Figure 5 reproduction: four arms over one underlay seed.
 
     With ``dot_path_prefix``, the unbiased and biased overlay panels of
     the paper's Figure 5 visualisation are written as Graphviz files.
-    ``query_backend`` selects the flood expansion path (``"auto"``
-    batches above the population threshold; ``"batch"``/``"reference"``
-    force one side — the two are trace-equivalent).
     """
     arms = [
         ("unbiased", NeighborPolicy.UNBIASED, None, False),
@@ -170,7 +164,6 @@ def run_fig5(
             n_hosts=n_hosts,
             cache_fill=cache_fill,
             seed=seed,
-            query_backend=query_backend,
         )
         panels[name] = arm.dot
         result.add_row(

@@ -3,7 +3,7 @@ cost-aware choking (CAT, Yamazaki et al. [32]).
 
 Two data planes share the control-plane mechanics (tracker policies,
 tit-for-tat rechoke): the exact time-stepped
-:class:`SwarmSimulation` (alias :data:`SwarmSimulationReference`) and
+:class:`SwarmSimulation` and
 the flow-level :class:`FlowSwarmSimulation`, which scales locality
 sweeps to thousands of peers via max-min fair rate allocation.
 """
@@ -13,11 +13,7 @@ from repro.overlay.bittorrent.flowswarm import (
     FlowSwarmSimulation,
 )
 from repro.overlay.bittorrent.peer import SwarmConfig, SwarmPeer
-from repro.overlay.bittorrent.swarm import (
-    SwarmReport,
-    SwarmSimulation,
-    SwarmSimulationReference,
-)
+from repro.overlay.bittorrent.swarm import SwarmReport, SwarmSimulation
 from repro.overlay.bittorrent.torrent import Bitfield, Torrent
 from repro.overlay.bittorrent.tracker import Tracker, TrackerPolicy
 
@@ -29,7 +25,6 @@ __all__ = [
     "SwarmPeer",
     "SwarmReport",
     "SwarmSimulation",
-    "SwarmSimulationReference",
     "Torrent",
     "Tracker",
     "TrackerPolicy",

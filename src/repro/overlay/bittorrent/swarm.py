@@ -19,8 +19,7 @@ This time-stepped model is the **reference twin** of the flow-level data
 plane in :mod:`repro.overlay.bittorrent.flowswarm`: it caps out at a few
 hundred peers but models pieces exactly, so the flow plane's completion
 times and traffic splits are equivalence-tested against it on small
-swarms (``tests/test_flowswarm_equiv.py``).  The
-:data:`SwarmSimulationReference` alias names it in that role.
+swarms (``tests/test_flowswarm_equiv.py``).
 """
 
 from __future__ import annotations
@@ -304,8 +303,3 @@ class SwarmSimulation:
             transit_bytes=self.transit_bytes,
             duration_s=self.time_s,
         )
-
-
-#: The time-stepped model in its role as the equivalence reference for
-#: the flow-level data plane (`repro.overlay.bittorrent.flowswarm`).
-SwarmSimulationReference = SwarmSimulation

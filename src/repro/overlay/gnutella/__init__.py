@@ -1,7 +1,7 @@
 """Gnutella 0.6 overlay with oracle-biased neighbor selection ([1], §4)."""
 
 from repro.overlay.gnutella.flood import FloodKernel
-from repro.overlay.gnutella.hostcache import HostCache, HostCacheReference
+from repro.overlay.gnutella.hostcache import HostCache
 from repro.overlay.gnutella.messages import (
     ConnectReply,
     ConnectRequest,
@@ -25,7 +25,6 @@ __all__ = [
     "GnutellaNetwork",
     "GnutellaNode",
     "HostCache",
-    "HostCacheReference",
     "LEAF",
     "NeighborPolicy",
     "Ping",

@@ -40,7 +40,6 @@ from repro.rng import SeedLike, ensure_rng
 from repro.sim.engine import Simulation
 from repro.sim.messages import MessageBus
 from repro.sim.queryplane import QUERY_AUTO_NODE_THRESHOLD, SeenFilter
-from repro.sim.shard import ShardedScheduler, sharded_scheduling_enabled
 from repro.underlay.hosts import Host
 from repro.underlay.network import Underlay
 
@@ -89,7 +88,6 @@ class GnutellaNetwork:
         biased_download: bool = False,
         external_quota: int = 1,
         rng: SeedLike = None,
-        use_peerstate: bool = True,
         query_backend: str = "auto",
         search_retention: Optional[int] = None,
     ) -> None:
@@ -115,16 +113,8 @@ class GnutellaNetwork:
         self.external_quota = external_quota
         self._rng = ensure_rng(rng)
         self.nodes: dict[int, GnutellaNode] = {}
-        #: struct-of-arrays hot state: neighbor/leaf sets, the ultrapeer
-        #: bitmap, and per-host regions (for AS-sharded scheduling) live
-        #: here; ``use_peerstate=False`` keeps the object-based reference
-        #: path (plain Python sets on each node)
-        self.peerstate: Optional[PeerState] = PeerState() if use_peerstate else None
-        self._roles = (
-            self.peerstate.bitmap("gnutella_roles", 1)
-            if self.peerstate is not None
-            else None
-        )
+        #: slot space of the population, for the seen filter's bit columns
+        self.peerstate = PeerState()
         #: bounded network-wide (GUID, host) duplicate-suppression window
         #: shared by the per-message handlers and the batch flood kernel
         self.seen = SeenFilter(
@@ -138,6 +128,7 @@ class GnutellaNetwork:
         self.query_backend = query_backend
         self.search_retention = search_retention
         self._flood_kernel = None
+        self._maintenance: list = []  # running PeriodicProcess batch
         self._guid_counter = 0
         self.searches: dict[int, SearchRecord] = {}
         #: optional hook invoked with the :class:`SearchRecord` when its
@@ -182,10 +173,7 @@ class GnutellaNetwork:
     def add_node(self, host: Host, role: str) -> GnutellaNode:
         if host.host_id in self.nodes:
             raise OverlayError(f"host {host.host_id} already in network")
-        if self.peerstate is not None:
-            slot = self.peerstate.admit(host.host_id, region=host.asn)
-            if role == ULTRAPEER:
-                self._roles.set(slot, 0)
+        self.peerstate.admit(host.host_id)
         node = GnutellaNode(host, self.sim, self.bus, self, role, self.config)
         if self._registry is not None:
             node.instrument(self._registry, "gnutella")
@@ -216,9 +204,6 @@ class GnutellaNetwork:
             self.add_node(h, ULTRAPEER if h.host_id in ups else LEAF)
 
     def role_of(self, host_id: int) -> str:
-        if self.peerstate is not None and host_id in self.peerstate:
-            slot = self.peerstate.slot_of(host_id)
-            return ULTRAPEER if self._roles.test(slot, 0) else LEAF
         node = self.nodes.get(host_id)
         if node is None:
             raise OverlayError(f"unknown gnutella node {host_id}")
@@ -281,31 +266,16 @@ class GnutellaNetwork:
         rest = [c for c in ranked if c not in keep and c not in tail_externals]
         return keep + tail_externals + rest
 
-    def join_all(
-        self, stagger_ms: float = 2000.0, *, sharded: Optional[bool] = None
-    ) -> None:
-        """Schedule every node's join, ultrapeers first so that leaves find
-        an ultrapeer mesh to attach to.
-
-        ``sharded`` (default: the process-wide setting) batches the join
-        events per AS through a :class:`ShardedScheduler` — one
-        ``schedule_many`` heapify instead of one ``heappush`` per host —
-        and is bit-identical to the serial path (same RNG draws, same
-        sequence numbers, same trace events)."""
-        if sharded is None:
-            sharded = sharded_scheduling_enabled()
-        ordered = self.ultrapeers() + self.leaves()
-        scheduler = ShardedScheduler(self.sim) if sharded else None
-        for node in ordered:
+    def join_all(self, stagger_ms: float = 2000.0) -> None:
+        """Schedule every node's join (one batched insert), ultrapeers
+        first so that leaves find an ultrapeer mesh to attach to."""
+        items = []
+        for node in self.ultrapeers() + self.leaves():
             delay = float(self._rng.uniform(0, stagger_ms)) if stagger_ms > 0 else 0.0
             if node.role == LEAF:
                 delay += stagger_ms  # leaves join after the UP mesh settles
-            if scheduler is not None:
-                scheduler.defer(node.asn, delay, self._join_node, node)
-            else:
-                self.sim.schedule(delay, self._join_node, node)
-        if scheduler is not None:
-            scheduler.flush()
+            items.append((delay, self._join_node, (node,)))
+        self.sim.schedule_many(items)
 
     def _join_node(self, node: GnutellaNode) -> None:
         node.join(self.ranked_candidates(node))
@@ -363,24 +333,26 @@ class GnutellaNetwork:
 
     def start_auto_maintenance(self, *, ping_period_ms: float = 30_000.0) -> None:
         """Periodic per-node PINGs (jittered): keeps hostcaches and pong
-        caches fresh so churn repair has candidates to work with."""
+        caches fresh so churn repair has candidates to work with.  A
+        second call replaces the running batch."""
         from repro.sim.process import PeriodicProcess
 
-        self._maintenance: list[PeriodicProcess] = []
-        for node in self.nodes.values():
-            self._maintenance.append(
-                PeriodicProcess(
-                    self.sim,
-                    ping_period_ms,
-                    lambda n=node: n.online and n.start_ping(),
-                    jitter=0.4,
-                    rng=self._rng,
-                )
+        self.stop_auto_maintenance()
+        self._maintenance = [
+            PeriodicProcess(
+                self.sim,
+                ping_period_ms,
+                lambda n=node: n.online and n.start_ping(),
+                jitter=0.4,
+                rng=self._rng,
             )
+            for node in self.nodes.values()
+        ]
 
     def stop_auto_maintenance(self) -> None:
-        for p in getattr(self, "_maintenance", []):
+        for p in self._maintenance:
             p.stop()
+        self._maintenance = []
 
     # -- guid / search bookkeeping ---------------------------------------------------
     def next_guid(self) -> int:

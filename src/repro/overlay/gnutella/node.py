@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.peerstate import ArrayNeighborSet
 from repro.errors import OverlayError
 from repro.overlay.base import OverlayNode
 from repro.overlay.gnutella.hostcache import HostCache
@@ -115,22 +114,8 @@ class GnutellaNode(OverlayNode):
         self.role = role
         self.config = config
         self.hostcache = HostCache(config.hostcache_capacity)
-        # Neighbor/leaf sets live in the network's struct-of-arrays
-        # PeerState when this host is admitted there (the scale path);
-        # otherwise plain Python sets (the retained reference path).
-        peerstate = getattr(network, "peerstate", None)
-        if peerstate is not None and host.host_id in peerstate:
-            slot = peerstate.slot_of(host.host_id)
-            self.neighbors = ArrayNeighborSet(
-                peerstate.table("gnutella_neighbors", 2 * config.max_up_neighbors),
-                slot,
-            )  # UP-UP links, or leaf's ultrapeers
-            self.leaves = ArrayNeighborSet(
-                peerstate.table("gnutella_leaves", max(1, config.max_leaves)), slot
-            )  # UP only
-        else:
-            self.neighbors = set()      # UP-UP links, or leaf's ultrapeers
-            self.leaves = set()         # UP only
+        self.neighbors: set[int] = set()  # UP-UP links, or leaf's ultrapeers
+        self.leaves: set[int] = set()     # UP only
         self.leaf_index: dict[int, set[int]] = {}  # keyword -> leaf host ids
         self.shared: set[int] = set()
         # duplicate suppression lives in the network-wide bounded
@@ -284,9 +269,8 @@ class GnutellaNode(OverlayNode):
         self.send_many(list(self._connected_peers()), "PING", ping, PING_SIZE)
 
     def _connected_peers(self) -> list[int]:
-        """All connected peer ids, ascending (deterministic fan-out order
-        regardless of which backend holds the sets)."""
-        return sorted(set(self.neighbors) | set(self.leaves))
+        """All connected peer ids, ascending (deterministic fan-out)."""
+        return sorted(self.neighbors | self.leaves)
 
     def on_ping(self, msg: Message) -> None:
         ping: Ping = msg.payload

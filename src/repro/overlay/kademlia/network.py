@@ -16,7 +16,6 @@ from repro.overlay.kademlia.node import KademliaConfig, KademliaNode, LookupResu
 from repro.rng import SeedLike, ensure_rng
 from repro.sim.engine import Simulation
 from repro.sim.messages import MessageBus
-from repro.sim.shard import ShardedScheduler, sharded_scheduling_enabled
 from repro.underlay.network import Underlay
 
 
@@ -70,6 +69,7 @@ class KademliaNetwork:
         self._rng = ensure_rng(rng)
         self.nodes: dict[int, KademliaNode] = {}
         self._registry: Optional[MetricRegistry] = active_registry()
+        self._maintenance: list = []  # running PeriodicProcess batch
         # When a proximity technique is on, nodes estimate the RTT of
         # heard-of contacts from network coordinates (§3.2 prediction);
         # modelled as the true RTT with multiplicative coordinate error.
@@ -107,61 +107,48 @@ class KademliaNetwork:
             self.nodes[h.host_id] = node
 
     def bootstrap_all(
-        self,
-        *,
-        seeds_per_node: int = 3,
-        stagger_ms: float = 500.0,
-        sharded: Optional[bool] = None,
+        self, *, seeds_per_node: int = 3, stagger_ms: float = 500.0
     ) -> None:
         """Every node seeds its table from a few random already-known nodes
-        and performs a self-lookup; staggered so the mesh forms gradually.
-
-        ``sharded`` (default: the process-wide setting) routes the
-        per-node bootstrap events through an AS-sharded
-        :class:`ShardedScheduler` — one batched ``schedule_many`` insert
-        for the whole population, bit-identical to the serial path."""
+        and performs a self-lookup; staggered so the mesh forms gradually
+        (one batched insert for the whole population)."""
         ids = list(self.nodes)
         if len(ids) < 2:
             raise OverlayError("need at least two nodes to bootstrap")
-        if sharded is None:
-            sharded = sharded_scheduling_enabled()
-        scheduler = ShardedScheduler(self.sim) if sharded else None
+        items = []
         for i, hid in enumerate(ids):
-            node = self.nodes[hid]
             pool = [x for x in ids if x != hid]
             k = min(seeds_per_node, len(pool))
             chosen = self._rng.choice(len(pool), size=k, replace=False)
             seeds = [self.nodes[pool[int(c)]].contact() for c in chosen]
             delay = float(self._rng.uniform(0, stagger_ms)) + i * 2.0
-            if scheduler is not None:
-                scheduler.defer(self.underlay.asn_of(hid), delay, node.bootstrap, seeds)
-            else:
-                self.sim.schedule(delay, node.bootstrap, seeds)
-        if scheduler is not None:
-            scheduler.flush()
+            items.append((delay, self.nodes[hid].bootstrap, (seeds,)))
+        self.sim.schedule_many(items)
 
     # -- maintenance ---------------------------------------------------------------
     def start_maintenance(
         self, *, refresh_period_ms: float = 60_000.0
     ) -> None:
-        """Periodic bucket refreshes for every online node (staggered)."""
+        """Periodic bucket refreshes for every online node (staggered).
+        A second call replaces the running batch."""
         from repro.sim.process import PeriodicProcess
 
-        self._maintenance: list[PeriodicProcess] = []
-        for node in self.nodes.values():
-            self._maintenance.append(
-                PeriodicProcess(
-                    self.sim,
-                    refresh_period_ms,
-                    lambda n=node: n.online and n.refresh_buckets(self._rng),
-                    jitter=0.4,
-                    rng=self._rng,
-                )
+        self.stop_maintenance()
+        self._maintenance = [
+            PeriodicProcess(
+                self.sim,
+                refresh_period_ms,
+                lambda n=node: n.online and n.refresh_buckets(self._rng),
+                jitter=0.4,
+                rng=self._rng,
             )
+            for node in self.nodes.values()
+        ]
 
     def stop_maintenance(self) -> None:
-        for p in getattr(self, "_maintenance", []):
+        for p in self._maintenance:
             p.stop()
+        self._maintenance = []
 
     def republish(self, key: int) -> int:
         """Re-publish a key from every current holder to the (possibly

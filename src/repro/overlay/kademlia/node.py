@@ -59,11 +59,6 @@ class KademliaConfig:
     rpc_backoff_factor: float = 2.0
     rpc_max_timeout_ms: Optional[float] = None
     max_rounds: int = 32
-    #: dispatch a lookup round's alpha RPCs as one batch (single timeout
-    #: heap insert via ``RequestManager.issue_many``) instead of one
-    #: issue per RPC; transmits still happen in per-RPC order, so bus
-    #: accounting and loss draws are unchanged
-    round_batching: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.alpha < 1:
@@ -174,13 +169,10 @@ class _Lookup:
         for nid in dispatch:
             self.state[nid] = self._INFLIGHT
         self.result.rpcs_sent += len(dispatch)
-        if cfg.round_batching and len(dispatch) > 1:
+        if dispatch:
             self.node._send_lookup_rpcs(
                 self, [self.contact_of[nid] for nid in dispatch]
             )
-        else:
-            for nid in dispatch:
-                self.node._send_lookup_rpc(self, self.contact_of[nid])
 
     def on_reply(
         self, responder: Contact, contacts: list[Contact], values: set[int]
@@ -296,37 +288,15 @@ class KademliaNode(OverlayNode):
             Contact(node_id=node_id, host_id=host_id, rtt_ms=rtt_ms)
         )
 
-    def _send_lookup_rpc(self, lookup: _Lookup, target_contact: Contact) -> None:
-        if not self.online:
-            # a crashed node's lookup cannot transmit; fail the candidate
-            # asynchronously so the lookup machine unwinds without sending
-            self.sim.schedule(0.0, lookup.on_timeout, target_contact.node_id)
-            return
-        rpc_id = next(self._rpc_seq)
-        kind = "FIND_VALUE" if lookup.find_value else "FIND_NODE"
-        payload = {
-            "rpc_id": rpc_id,
-            "target": lookup.target,
-            "sender_id": self.node_id,
-        }
-        self._pending[rpc_id] = (lookup, target_contact, self.sim.now)
-
-        def transmit() -> None:
-            if self.online:
-                self.send(target_contact.host_id, kind, payload, RPC_REQUEST_SIZE)
-
-        self.requests.issue(
-            rpc_id, transmit, on_fail=lambda: self._rpc_failed(rpc_id)
-        )
-
     def _send_lookup_rpcs(
         self, lookup: _Lookup, target_contacts: "list[Contact]"
     ) -> None:
-        """Round-batched form of :meth:`_send_lookup_rpc`: the round's
-        alpha RPCs transmit in contact order (identical sends and loss
-        draws), then all first-attempt timeouts are armed with a single
-        heap insert through :meth:`RequestManager.issue_many`."""
+        """Dispatch one lookup round: its RPCs transmit in contact order,
+        then all first-attempt timeouts are armed with a single heap
+        insert through :meth:`RequestManager.issue_many`."""
         if not self.online:
+            # a crashed node's lookup cannot transmit; fail the candidates
+            # asynchronously so the lookup machine unwinds without sending
             self.sim.schedule_many(
                 (0.0, lookup.on_timeout, (c.node_id,)) for c in target_contacts
             )
@@ -510,10 +480,11 @@ class KademliaNode(OverlayNode):
         routing state lost to churn.  Returns lookups started."""
         from repro.overlay.kademlia.id_space import random_id_in_bucket
 
+        table = self.routing_table
         candidates = sorted(
-            (i for i, b in enumerate(self.routing_table.buckets)
-             if 0 < len(b) < self.config.k),
-            key=lambda i: len(self.routing_table.buckets[i]),
+            (i for i in table.nonempty_buckets()
+             if len(table.buckets[i]) < self.config.k),
+            key=lambda i: len(table.buckets[i]),
         )
         started = 0
         for bucket in candidates[:max_buckets]:

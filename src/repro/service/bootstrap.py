@@ -64,10 +64,6 @@ class ServiceConfig:
     #: gnutella: shared files per node
     files_per_host: int = 6
     ultrapeer_fraction: float = 1 / 3
-    #: gnutella flood expansion path: "auto" switches to the
-    #: frontier-batched kernel above the population threshold (mirrors
-    #: ``delay_backend="auto"``); "batch"/"reference" force one side
-    query_backend: str = "auto"
     #: gnutella: keep at most this many search records (None = unbounded;
     #: long-lived services should bound it so bookkeeping stays flat)
     search_retention: Optional[int] = None
@@ -81,11 +77,6 @@ class ServiceConfig:
             raise ConfigurationError("service needs at least 4 hosts")
         if self.settle_ms <= 0:
             raise ConfigurationError("settle window must be positive")
-        if self.query_backend not in ("auto", "batch", "reference"):
-            raise ConfigurationError(
-                f"query_backend must be 'auto', 'batch' or 'reference', "
-                f"got {self.query_backend!r}"
-            )
 
 
 class Bootstrapper:
@@ -129,7 +120,6 @@ class Bootstrapper:
         else:
             net = GnutellaNetwork(
                 self.underlay, self.sim, bus, rng=rng,
-                query_backend=cfg.query_backend,
                 search_retention=cfg.search_retention,
             )
             net.add_population(

@@ -33,11 +33,6 @@ from repro.sim.queryplane import (
     flood_trace_digest,
 )
 from repro.sim.requests import RequestManager, RequestStats, RetryPolicy
-from repro.sim.shard import (
-    ShardedScheduler,
-    configure_sharded_scheduling,
-    sharded_scheduling_enabled,
-)
 
 __all__ = [
     "BoundedRouteTable",
@@ -55,13 +50,10 @@ __all__ = [
     "RetryPolicy",
     "SeenFilter",
     "SendLog",
-    "ShardedScheduler",
     "Simulation",
     "call_after",
-    "configure_sharded_scheduling",
     "draw_duration",
     "flood_trace_digest",
     "max_min_rates",
-    "sharded_scheduling_enabled",
     "single_link_waterfill",
 ]

@@ -10,15 +10,13 @@ literature — exponential, Pareto (heavy-tailed), and Weibull — plus a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
-from repro.core.peerstate import PeerState
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, ensure_rng
 from repro.sim.engine import EventHandle, Simulation
-from repro.sim.shard import ShardedScheduler, sharded_scheduling_enabled
 
 
 @dataclass(frozen=True)
@@ -75,14 +73,9 @@ class ChurnProcess:
     join within ``warmup`` using a uniform stagger so the network does not
     flash-crowd at t=0.
 
-    Liveness is tracked in a struct-of-arrays status column
-    (:class:`~repro.core.peerstate.PeerState`): pass ``peerstate=`` to
-    share the overlay's instance (peers not yet admitted are admitted,
-    with ``region_of(peer)`` as their shard region when given), or leave
-    it ``None`` to use a private one.  ``reference=True`` selects the
-    retained object-based path (a Python set), kept only so the
-    equivalence tests can pin the column semantics to the seed
-    behaviour.
+    :meth:`start` may be called once; a second call raises
+    :class:`~repro.errors.ConfigurationError` (it would orphan the first
+    batch's event handles, which :meth:`stop` could then never cancel).
     """
 
     def __init__(
@@ -94,9 +87,6 @@ class ChurnProcess:
         on_leave: Callable[[Hashable], None],
         *,
         rng: SeedLike = None,
-        peerstate: Optional[PeerState] = None,
-        region_of: Optional[Callable[[Hashable], int]] = None,
-        reference: bool = False,
     ) -> None:
         self._sim = sim
         self._peers = list(peers)
@@ -104,19 +94,8 @@ class ChurnProcess:
         self._on_join = on_join
         self._on_leave = on_leave
         self._rng = ensure_rng(rng)
-        self._region_of = region_of
-        if reference:
-            self._state: Optional[PeerState] = None
-            self._online: set[Hashable] = set()
-        else:
-            self._state = peerstate if peerstate is not None else PeerState(
-                initial_capacity=max(64, len(self._peers))
-            )
-            for peer in self._peers:
-                if peer not in self._state:
-                    self._state.admit(
-                        peer, region=region_of(peer) if region_of else 0
-                    )
+        self._online: set[Hashable] = set()
+        self._started = False
         self._stopped = False
         #: each peer has at most one scheduled transition; retaining the
         #: handle lets stop()/crash() cancel it instead of leaking dead
@@ -126,66 +105,30 @@ class ChurnProcess:
         self.leaves = 0
         self.crashes = 0
 
-    # -- liveness column accessors ---------------------------------------------
-    def _is_online(self, peer: Hashable) -> bool:
-        if self._state is None:
-            return peer in self._online
-        return peer in self._state and self._state.is_online(peer)
-
-    def _mark_online(self, peer: Hashable) -> None:
-        if self._state is None:
-            self._online.add(peer)
-        else:
-            self._state.set_online(peer)
-
-    def _mark_offline(self, peer: Hashable, *, crashed: bool = False) -> None:
-        if self._state is None:
-            self._online.discard(peer)
-        elif crashed:
-            self._state.set_crashed(peer)
-        else:
-            self._state.set_offline(peer)
-
     @property
     def online(self) -> frozenset:
-        if self._state is None:
-            return frozenset(self._online)
-        return frozenset(p for p in self._peers if self._is_online(p))
+        return frozenset(self._online)
 
-    @property
-    def peerstate(self) -> Optional[PeerState]:
-        """The liveness column store (None on the reference path)."""
-        return self._state
-
-    def start(self, warmup: float = 60.0, *, sharded: Optional[bool] = None) -> None:
-        """Schedule every peer's first join within ``warmup``.
-
-        ``sharded`` (default: the process-wide setting) groups the
-        staggered joins by the peer's region and batch-inserts them with
-        one ``schedule_many`` — bit-identical to the serial path."""
+    def start(self, warmup: float = 60.0) -> None:
+        """Schedule every peer's first join within ``warmup`` (one
+        batched insert)."""
         if warmup < 0:
             raise ConfigurationError("warmup must be non-negative")
-        if sharded is None:
-            sharded = sharded_scheduling_enabled()
-        scheduler = (
-            ShardedScheduler(self._sim)
-            if sharded and len(self._peers) > 1
-            else None
-        )
-        for peer in self._peers:
-            stagger = float(self._rng.uniform(0.0, warmup)) if warmup > 0 else 0.0
-            if scheduler is not None:
-                shard = (
-                    self._state.region_of(peer)
-                    if self._state is not None and peer in self._state
-                    else 0
+        if self._started:
+            raise ConfigurationError("churn process already started")
+        self._started = True
+        rng = self._rng
+        handles = self._sim.schedule_many(
+            [
+                (
+                    float(rng.uniform(0.0, warmup)) if warmup > 0 else 0.0,
+                    self._join,
+                    (peer,),
                 )
-                scheduler.defer(shard, stagger, self._join, peer)
-            else:
-                self._handles[peer] = self._sim.schedule(stagger, self._join, peer)
-        if scheduler is not None:
-            for peer, handle in zip(self._peers, scheduler.flush()):
-                self._handles[peer] = handle
+                for peer in self._peers
+            ]
+        )
+        self._handles.update(zip(self._peers, handles))
 
     def stop(self) -> None:
         """Freeze the process: no further joins/leaves are generated and
@@ -203,33 +146,22 @@ class ChurnProcess:
         handle = self._handles.pop(peer, None)
         if handle is not None:
             handle.cancel()
-        if self._is_online(peer):
-            self._mark_offline(peer, crashed=True)
+        if peer in self._online:
+            self._online.remove(peer)
             self.crashes += 1
 
     def revive(self, peer: Hashable, delay: float = 0.0) -> None:
         """Schedule a crashed (or never-started) peer's next join after
-        ``delay``; a no-op for a peer that is online or already scheduled.
-
-        Safe across slot recycling: a peer that was evicted from a shared
-        :class:`PeerState` and re-admitted lands in a freshly cleared
-        slot (never its predecessor's stale row), so the online check
-        here cannot be fooled by a recycled slot's old status."""
-        if self._stopped or self._is_online(peer) or peer in self._handles:
+        ``delay``; a no-op for a peer that is online or already scheduled."""
+        if self._stopped or peer in self._online or peer in self._handles:
             return
-        if self._state is not None and peer not in self._state:
-            # the peer was evicted from a shared PeerState while dead;
-            # re-admit it so the liveness column has a (clean) row again
-            self._state.admit(
-                peer, region=self._region_of(peer) if self._region_of else 0
-            )
         self._handles[peer] = self._sim.schedule(delay, self._join, peer)
 
     def _join(self, peer: Hashable) -> None:
         self._handles.pop(peer, None)
-        if self._stopped or self._is_online(peer):
+        if self._stopped or peer in self._online:
             return
-        self._mark_online(peer)
+        self._online.add(peer)
         self.joins += 1
         self._on_join(peer)
         session = draw_duration(
@@ -239,9 +171,9 @@ class ChurnProcess:
 
     def _leave(self, peer: Hashable) -> None:
         self._handles.pop(peer, None)
-        if self._stopped or not self._is_online(peer):
+        if self._stopped or peer not in self._online:
             return
-        self._mark_offline(peer)
+        self._online.discard(peer)
         self.leaves += 1
         self._on_leave(peer)
         offline = draw_duration(

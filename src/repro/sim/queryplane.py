@@ -10,12 +10,11 @@ the import graph):
 
 - :class:`SeenFilter` — the bounded (GUID, host) duplicate-suppression
   window shared by the per-message reference handlers and the batch
-  kernel.  Backed by a :class:`~repro.core.peerstate.Bitmap2D` column per
-  active key when a ``PeerState`` is available (one bit per host per key,
-  vectorised mark/test), or a dict-of-sets fallback otherwise; either
-  way, keys expire FIFO once ``window`` distinct keys are live, so the
-  suppression state of a long-running service stays flat instead of
-  growing with every query ever issued.
+  kernel.  Backed by one :class:`~repro.core.peerstate.Bitmap2D` column
+  per active key (one bit per host per key, vectorised mark/test); keys
+  expire FIFO once ``window`` distinct keys are live, so the suppression
+  state of a long-running service stays flat instead of growing with
+  every query ever issued.
 - :class:`BoundedRouteTable` — FIFO-bounded reverse-path routing state
   (``key -> previous hop``); an evicted route behaves exactly like the
   protocols' existing "route evaporated" case.
@@ -58,52 +57,40 @@ class SeenFilter:
     is deliverable again — the bounded-memory trade every real servent
     makes.
 
-    With a :class:`~repro.core.peerstate.PeerState`, per-key membership is
-    one bit column of a packed bitmap over the population's slots
-    (``window/8`` bytes per host, total); without one, a dict of host
-    sets.  Both backends implement the identical window policy, so object
-    and struct-of-arrays networks stay behaviourally equivalent.
+    Per-key membership is one bit column of a packed bitmap over the
+    slots of ``peerstate`` (``window/8`` bytes per host in total, whatever
+    a flood's reach); every host tested or marked must be admitted there.
     """
 
     def __init__(
         self,
         window: int = 4096,
         *,
-        peerstate: Optional["PeerState"] = None,
+        peerstate: "PeerState",
         bitmap_name: str = "seen",
     ) -> None:
         if window < 1:
             raise SimulationError(f"seen window must be >= 1, got {window}")
         self.window = int(window)
         self._ps = peerstate
-        self._bitmap = (
-            peerstate.bitmap(bitmap_name, self.window)
-            if peerstate is not None
-            else None
-        )
+        self._bitmap = peerstate.bitmap(bitmap_name, self.window)
         #: key -> bit column (insertion-ordered: FIFO expiry order)
         self._key_bit: dict[Hashable, int] = {}
-        self._free_bits: list[int] = []
-        self._sets: dict[Hashable, set] = {}
         self.expired_keys = 0
 
     def __len__(self) -> int:
-        return len(self._key_bit) if self._bitmap is not None else len(self._sets)
+        return len(self._key_bit)
 
     def known(self, key: Hashable) -> bool:
         """Whether any host is (still) marked for ``key`` — ``False``
         means a whole-population test can be skipped (fresh GUID)."""
-        if self._bitmap is not None:
-            return key in self._key_bit
-        return key in self._sets
+        return key in self._key_bit
 
     def _admit(self, key: Hashable) -> int:
         bit = self._key_bit.get(key)
         if bit is not None:
             return bit
-        if self._free_bits:
-            bit = self._free_bits.pop()
-        elif len(self._key_bit) < self.window:
+        if len(self._key_bit) < self.window:
             bit = len(self._key_bit)
         else:  # window full: expire the oldest key, recycle its column
             oldest = next(iter(self._key_bit))
@@ -113,44 +100,24 @@ class SeenFilter:
         self._key_bit[key] = bit
         return bit
 
-    def _admit_set(self, key: Hashable) -> set:
-        entry = self._sets.get(key)
-        if entry is None:
-            if len(self._sets) >= self.window:
-                del self._sets[next(iter(self._sets))]
-                self.expired_keys += 1
-            entry = self._sets[key] = set()
-        return entry
-
     def test(self, host: Hashable, key: Hashable) -> bool:
-        if self._bitmap is not None:
-            bit = self._key_bit.get(key)
-            if bit is None:
-                return False
-            return self._bitmap.test(self._ps.slot_of(host), bit)
-        entry = self._sets.get(key)
-        return entry is not None and host in entry
+        bit = self._key_bit.get(key)
+        if bit is None:
+            return False
+        return self._bitmap.test(self._ps.slot_of(host), bit)
 
     def mark(self, host: Hashable, key: Hashable) -> None:
-        if self._bitmap is not None:
-            self._bitmap.set(self._ps.slot_of(host), self._admit(key))
-        else:
-            self._admit_set(key).add(host)
+        self._bitmap.set(self._ps.slot_of(host), self._admit(key))
 
     def mark_many(self, hosts: Sequence[Hashable], key: Hashable) -> None:
-        """Batch :meth:`mark` — one vectorised ``set_slots`` on the bitmap
-        backend (how a flood kernel commits a whole expansion's accepts)."""
-        if not hosts:
-            # still admit the key: an empty flood reserves its window slot
-            # exactly like the per-message path marking only the origin
-            (self._admit if self._bitmap is not None else self._admit_set)(key)
-            return
-        if self._bitmap is not None:
-            bit = self._admit(key)
+        """Batch :meth:`mark` — one vectorised ``set_slots`` (how a flood
+        kernel commits a whole expansion's accepts).  An empty flood
+        still reserves its window slot, exactly like the per-message
+        path marking only the origin."""
+        bit = self._admit(key)
+        if hosts:
             slot_of = self._ps.slot_of
             self._bitmap.set_slots([slot_of(h) for h in hosts], bit)
-        else:
-            self._admit_set(key).update(hosts)
 
     def membership(self, key: Hashable) -> Optional[Callable[[Hashable], bool]]:
         """A fast membership predicate for ``key``, or ``None`` when no
@@ -162,9 +129,7 @@ class SeenFilter:
     def memory_bytes(self) -> int:
         """Approximate resident size of the suppression state — constant
         once the window has filled, whatever the query count."""
-        if self._bitmap is not None:
-            return int(self._bitmap._bits.nbytes) + 64 * len(self._key_bit)
-        return sum(112 + 32 * len(s) for s in self._sets.values())
+        return int(self._bitmap._bits.nbytes) + 64 * len(self._key_bit)
 
 
 class BoundedRouteTable:

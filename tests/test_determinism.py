@@ -49,52 +49,53 @@ def test_different_seeds_differ():
 
 @pytest.mark.scale
 def test_scale_smoke_100k_hosts_no_slot_leak():
-    """10^5-host churn smoke: the free-list allocator must not leak host
-    slots across crash/evict/revive cycles, and the run must stay inside
-    a bounded memory envelope (deselect with ``-m 'not scale'`` on
-    memory-limited CI runners)."""
+    """10^5-peer churn smoke: an overlay that admits a peer's slot when
+    it joins and evicts it when it crashes must not leak slots across
+    crash/revive cycles, churn's own ledger must balance, and the run
+    must stay inside a bounded memory envelope (deselect with ``-m 'not
+    scale'`` on memory-limited CI runners)."""
     import resource
 
     from repro.core.peerstate import PeerState
     from repro.sim import ChurnConfig, ChurnProcess, Simulation
 
     n = 100_000
-    peers = list(range(n))
     state = PeerState(initial_capacity=n)
+    state.bitmap("seen", 256)
     sim = Simulation()
     churn = ChurnProcess(
-        sim, peers, ChurnConfig(mean_session=1e7, mean_offline=1e7),
-        lambda p: None, lambda p: None,
-        rng=17, peerstate=state, region_of=lambda p: p % 64,
+        sim, list(range(n)), ChurnConfig(mean_session=1e7, mean_offline=1e7),
+        state.admit, state.evict, rng=17,
     )
     churn.start(warmup=600.0)
     sim.run(until=700.0)
-    # a few peers may draw (rare) short sessions; the column count must
+    # a few peers may draw (rare) short sessions; the slot count must
     # track the join/leave ledger exactly either way
-    assert state.online_count() == churn.joins - churn.leaves
-    assert state.online_count() > 0.99 * n
-    assert state.slots.high_water == n
+    assert len(state) == len(churn.online) == churn.joins - churn.leaves
+    assert len(state) > 0.99 * n
 
-    # churn revive cycles over a rotating subset: every crash/evict frees
-    # a slot and every revive must recycle one, never allocate fresh
+    # crash/revive cycles over a rotating subset: every crash frees a
+    # slot and every revive must recycle one, never allocate fresh
     rng = np.random.default_rng(17)
     for cycle in range(5):
-        victims = rng.choice(n, size=2000, replace=False)
+        victims = [int(v) for v in rng.choice(n, size=2000, replace=False)]
         for v in victims:
-            v = int(v)
+            if v in churn.online:
+                state.evict(v)
             churn.crash(v)
-            state.evict(v)
         for v in victims:
-            churn.revive(int(v), delay=1.0)
+            churn.revive(v, delay=1.0)
         sim.run(until=sim.now + 10.0)
         state.slots.check_invariants()
-    assert state.slots.high_water == n  # zero leaked slots
-    assert state.slots.recycles >= 5 * 2000
+    assert state.slots.high_water <= n  # zero leaked slots
+    assert state.slots.recycles >= 5 * 1900
     # every join put a peer online, every leave/crash took one offline
-    assert state.online_count() == churn.joins - churn.leaves - churn.crashes
-    assert state.online_count() > 0.99 * n
+    assert len(churn.online) == churn.joins - churn.leaves - churn.crashes
+    assert len(state) == len(churn.online) > 0.99 * n
 
-    # bounded memory: the columns themselves are a few MB, and the whole
+    churn.stop()
+    assert sim.pending() == 0
+    # bounded memory: the bit columns are a few MB, and the whole
     # process (arrays + sim heap + interpreter) stays well under 2 GiB
     assert state.memory_bytes() < 64 * 2**20
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -2,7 +2,7 @@
 
 Same underlay, torrent, tracker policy and seeds — the flow plane
 (:class:`FlowSwarmSimulation`) must reproduce the reference
-(:class:`SwarmSimulationReference`) up to the fluid abstraction:
+(the time-stepped :class:`SwarmSimulation`) up to the fluid abstraction:
 
 - everyone who completes in the reference completes on the flow plane;
 - traffic-class byte fractions (intra-AS / transit) agree within a few
@@ -27,7 +27,7 @@ import pytest
 from repro.overlay.bittorrent import (
     FlowPlaneConfig,
     FlowSwarmSimulation,
-    SwarmSimulationReference,
+    SwarmSimulation,
     Torrent,
     Tracker,
     TrackerPolicy,
@@ -52,7 +52,7 @@ def _swarm_setup(seed: int, *, n_hosts: int = 60, n_seeds: int = 3):
 
 def _run_pair(seed: int):
     underlay, torrent, seeds, leechers = _swarm_setup(seed)
-    ref = SwarmSimulationReference(
+    ref = SwarmSimulation(
         underlay, torrent, Tracker(underlay, rng=seed), rng=seed
     )
     ref.populate(leechers, seeds)

@@ -65,3 +65,16 @@ def test_offline_nodes_do_not_ping(net):
     sim.run(until=sim.now + 30_000)
     network.stop_auto_maintenance()
     assert victim.sent_counts.get("PING", 0) == sent_before
+
+
+def test_second_start_replaces_the_running_batch(net):
+    """Regression: a second start_auto_maintenance() used to leave the
+    first batch of ping processes running beside the new one, out of
+    stop_auto_maintenance()'s reach — every PING doubled, for ever."""
+    _u, sim, network = net
+    quiet = sim.pending()
+    network.start_auto_maintenance(ping_period_ms=5_000.0)
+    network.start_auto_maintenance(ping_period_ms=5_000.0)
+    assert sim.pending() == quiet + len(network.nodes)  # one process per node
+    network.stop_auto_maintenance()
+    assert sim.pending() == quiet

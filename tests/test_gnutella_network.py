@@ -159,3 +159,37 @@ def test_query_ttl_limits_flooding():
         return network.message_counts().get("QUERY", 0)
 
     assert run_with_ttl(1) < run_with_ttl(4)
+
+
+def test_join_all_matches_one_rejoin_per_node():
+    """join_all inserts the population's joins as one batch; the event
+    trace is the one that scheduling them one node at a time leaves —
+    same sequence numbers, same handshakes, same digest."""
+    import numpy as np
+
+    from repro import obs
+
+    def run(batched: bool):
+        tracer = obs.Tracer(capacity=64)
+        with obs.observe(tracer=tracer):
+            u = Underlay.generate(UnderlayConfig(n_hosts=45, seed=13))
+            sim = Simulation()
+            bus, _acct = u.message_bus(sim)
+            rng = np.random.default_rng(2)
+            network = GnutellaNetwork(u, sim, bus, rng=rng)
+            network.add_population(u.hosts, ultrapeer_fraction=1 / 3)
+            network.bootstrap(cache_fill=30)
+            if batched:
+                network.join_all(stagger_ms=2000.0)
+            else:
+                for node in network.ultrapeers() + network.leaves():
+                    delay = float(rng.uniform(0, 2000.0))
+                    if node.role == LEAF:
+                        delay += 2000.0
+                    network.rejoin(node.host_id, delay)
+            sim.run()
+        return tracer.digest(), tracer.emitted
+
+    batched, serial = run(True), run(False)
+    assert batched[1] > 1_000
+    assert batched == serial

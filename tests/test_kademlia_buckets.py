@@ -93,6 +93,16 @@ class TestRoutingTable:
         assert rt.get(9) is None
         assert rt.get(0) is None  # self lookup
 
+    def test_reads_allocate_no_bucket(self):
+        rt = RoutingTable(own_id=0, k=4)
+        assert rt.get(9) is None
+        assert rt.closest(7, 3) == []
+        rt.remove(9)
+        assert rt.size() == 0 and rt.nonempty_buckets() == []
+        assert rt.buckets == {}  # only a write allocates
+        rt.update(c(9))
+        assert list(rt.buckets) == [3]
+
     def test_nonempty_buckets(self):
         rt = RoutingTable(own_id=0, k=2)
         rt.update(c(1))        # bucket 0

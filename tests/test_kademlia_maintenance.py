@@ -82,3 +82,29 @@ def test_stop_maintenance_halts_refreshes():
     sim.run(until=sim.now + 100_000)
     # no runaway event production once maintenance stops
     assert sim.pending() <= pending_after_stop
+
+
+def test_second_start_replaces_the_running_batch():
+    """Regression: a second start_maintenance() used to leave the first
+    batch of refresh processes running beside the new one, out of
+    stop_maintenance()'s reach."""
+    _u, sim, net = _build(n_hosts=20)
+    sim.run()
+    assert sim.pending() == 0
+    net.start_maintenance(refresh_period_ms=30_000.0)
+    net.start_maintenance(refresh_period_ms=30_000.0)
+    assert sim.pending() == len(net.nodes)  # one process per node, not two
+    net.stop_maintenance()
+    assert sim.pending() == 0
+
+
+def test_refresh_on_a_fresh_table_allocates_no_bucket():
+    from repro.overlay.kademlia import KademliaNode
+    from repro.overlay.kademlia.id_space import random_id
+
+    u = Underlay.generate(UnderlayConfig(n_hosts=4, seed=61))
+    sim = Simulation()
+    bus, _ = u.message_bus(sim, with_accounting=False)
+    node = KademliaNode(u.hosts[0], sim, bus, random_id(1), KademliaConfig())
+    assert node.refresh_buckets(rng=1) == 0
+    assert node.routing_table.buckets == {}

@@ -123,3 +123,18 @@ def test_pns_reduces_contact_rtt():
     )
     pns.run_value_workload(15, 40)
     assert pns.mean_contact_rtt() < base.mean_contact_rtt()
+
+
+def test_event_trace_keeps_its_recorded_digest():
+    """The event-level digest ``tests/test_golden_traces.py`` takes of a
+    30-node bootstrap plus lookups, as recorded at f8cfdc7 — where the
+    array and KBucket routing tables, the serial and sharded bootstrap
+    inserts and the per-RPC and batched round dispatch all produced it.
+    One of each survives; the schedule, fire, send and deliver stream
+    (sequence numbers included) must not have moved."""
+    from tests.test_golden_traces import _kademlia_trace
+
+    assert _kademlia_trace(seed=3) == (
+        "421612d235eee1970127b442e8763e22522a9915c90d40d1351261ebd063a4ee",
+        2164,
+    )

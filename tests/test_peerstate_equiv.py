@@ -1,12 +1,12 @@
-"""Equivalence harness: SoA columns vs the retained object references.
+"""Model-equivalence harness for the plain per-peer structures.
 
-Every struct-of-arrays data structure introduced by the scale refactor
-keeps its object-based predecessor as a ``_reference`` implementation.
-These tests drive both arms with identical operation sequences — random
-admit/evict/churn/table/bitmap ops from hypothesis, plus seeded numpy
-streams for the overlay structures — and assert the observable state is
-identical.  Any divergence is a semantics change the refactor smuggled
-in, not an optimisation.
+Each structure is driven with random operation sequences — hypothesis
+op lists plus long seeded numpy streams — next to a few-line model of
+its contract written with builtins, and the observable state must agree
+after every step: the bitmap columns against a dict of bit sets, the
+hostcache against a most-recent-last list, the routing table against a
+brute-force XOR sort over per-bucket :class:`KBucket` models, and the
+churn process against a replay of its own join/leave/crash log.
 """
 
 from __future__ import annotations
@@ -16,96 +16,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.peerstate import (
-    CRASHED,
-    OFFLINE,
-    ONLINE,
-    PeerState,
-    PeerStateReference,
-)
-from repro.overlay.gnutella.hostcache import HostCache, HostCacheReference
-from repro.overlay.kademlia.id_space import ID_BITS
-from repro.overlay.kademlia.kbucket import Contact
+from repro.core.peerstate import PeerState
+from repro.overlay.gnutella.hostcache import HostCache
+from repro.overlay.kademlia.id_space import ID_BITS, bucket_index, xor_distance
+from repro.overlay.kademlia.kbucket import Contact, KBucket
 from repro.overlay.kademlia.routing_table import RoutingTable
 from repro.sim import ChurnConfig, ChurnProcess, Simulation
 
 SEEDS = (101, 202, 303)
 
 
-# -- PeerState vs PeerStateReference -------------------------------------------------
+# -- PeerState bitmaps vs a dict of bit sets ----------------------------------------
 HOSTS = st.integers(min_value=0, max_value=15)
 _op = st.one_of(
-    st.tuples(st.just("admit"), HOSTS, st.integers(0, 5)),
+    st.tuples(st.just("admit"), HOSTS),
     st.tuples(st.just("evict"), HOSTS),
-    st.tuples(st.just("status"), HOSTS, st.sampled_from([OFFLINE, ONLINE, CRASHED])),
-    st.tuples(st.just("tadd"), HOSTS, st.integers(0, 30)),
-    st.tuples(st.just("tdel"), HOSTS, st.integers(0, 30)),
-    st.tuples(st.just("bset"), HOSTS, st.integers(0, 63)),
-    st.tuples(st.just("bclr"), HOSTS, st.integers(0, 63)),
+    st.tuples(st.just("bset"), HOSTS, st.integers(0, 69)),
+    st.tuples(st.just("bclr"), HOSTS, st.integers(0, 69)),
 )
 
 
 def _apply_peerstate_ops(ops):
-    """Run one op sequence through both arms, returning them for comparison."""
-    soa = PeerState(initial_capacity=2, max_degree=2)
-    ref = PeerStateReference()
-    table = soa.table("nbrs")
-    bitmap = soa.bitmap("bits", 64)
-    ref.declare_bitmap("bits", 64)
-    for op in ops:
-        kind, host = op[0], op[1]
-        present = host in soa
-        assert present == (host in ref)
-        if kind == "admit" and not present:
-            soa.admit(host, region=op[2])
-            ref.admit(host, region=op[2])
-        elif kind == "evict" and present:
-            soa.evict(host)
-            ref.evict(host)
-        elif not present:
+    """Run one op sequence through the columns and the model."""
+    state = PeerState(initial_capacity=2)
+    bitmap = state.bitmap("bits", 70)  # spans two uint64 words
+    model: dict[int, set[int]] = {}
+    for kind, host, *arg in ops:
+        assert (host in state) == (host in model)
+        if kind == "admit" and host not in model:
+            state.admit(host)
+            model[host] = set()
+        elif host not in model:
             continue
-        elif kind == "status":
-            soa.set_status_many([host], op[2])
-            ref.set_status_many([host], op[2])
-        elif kind == "tadd":
-            assert table.add(soa.slot_of(host), op[2]) == ref.table_add(
-                host, "nbrs", op[2]
-            )
-        elif kind == "tdel":
-            assert table.discard(soa.slot_of(host), op[2]) == ref.table_discard(
-                host, "nbrs", op[2]
-            )
+        elif kind == "evict":
+            state.evict(host)
+            del model[host]
         elif kind == "bset":
-            bitmap.set(soa.slot_of(host), op[2])
-            ref.bitmap_set(host, "bits", op[2])
+            bitmap.set(state.slot_of(host), arg[0])
+            model[host].add(arg[0])
         elif kind == "bclr":
-            bitmap.clear(soa.slot_of(host), op[2])
-            ref.bitmap_clear(host, "bits", op[2])
-    return soa, table, bitmap, ref
+            bitmap.clear(state.slot_of(host), arg[0])
+            model[host].discard(arg[0])
+    return state, bitmap, model
 
 
-def _assert_peerstate_equal(soa, table, bitmap, ref):
-    assert sorted(soa.hosts(), key=repr) == sorted(ref.hosts(), key=repr)
-    assert len(soa) == len(ref)
-    assert soa.online_count() == ref.online_count()
-    assert sorted(soa.online_hosts()) == sorted(ref.online_hosts())
-    for host in ref.hosts():
-        slot = soa.slot_of(host)
-        assert soa.status_of(host) == ref.status_of(host)
-        assert soa.region_of(host) == ref.region_of(host)
-        assert soa.shard_of(host, 3) == ref.shard_of(host, 3)
-        assert table.row(slot).tolist() == ref.table_row(host, "nbrs")
-        assert table.degree(slot) == ref.table_degree(host, "nbrs")
-        assert bitmap.bits(slot) == ref.bitmap_bits(host, "bits")
-        assert bitmap.count(slot) == ref.bitmap_count(host, "bits")
+def _assert_peerstate_equal(state, bitmap, model):
+    state.slots.check_invariants()
+    assert len(state) == len(model)
+    assert sorted(state.slots.hosts()) == sorted(model)
+    slots = [state.slot_of(h) for h in model]
+    assert len(set(slots)) == len(slots)  # no two hosts share a slot
+    for host, bits in model.items():
+        slot = state.slot_of(host)
+        assert bitmap.bits(slot) == sorted(bits)
+        assert bitmap.count(slot) == len(bits)
+    for bit in (0, 63, 64, 69):
+        want = [bit in model[h] for h in model]
+        assert bitmap.test_slots(slots, bit).tolist() == want
 
 
 @settings(max_examples=120, deadline=None)
 @given(ops=st.lists(_op, max_size=120))
 def test_peerstate_equivalent_under_random_ops(ops):
-    soa, table, bitmap, ref = _apply_peerstate_ops(ops)
-    soa.slots.check_invariants()
-    _assert_peerstate_equal(soa, table, bitmap, ref)
+    _assert_peerstate_equal(*_apply_peerstate_ops(ops))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -117,49 +90,26 @@ def test_peerstate_equivalent_under_seeded_churn(seed):
     for _ in range(2500):
         r = rng.random()
         host = int(rng.integers(40))
-        if r < 0.30:
-            ops.append(("admit", host, int(rng.integers(6))))
-        elif r < 0.50:
+        if r < 0.35:
+            ops.append(("admit", host))
+        elif r < 0.60:
             ops.append(("evict", host))
-        elif r < 0.65:
-            ops.append(("status", host, int(rng.integers(3))))
-        elif r < 0.80:
-            ops.append(("tadd", host, int(rng.integers(64))))
-        elif r < 0.88:
-            ops.append(("tdel", host, int(rng.integers(64))))
-        elif r < 0.96:
-            ops.append(("bset", host, int(rng.integers(64))))
+        elif r < 0.90:
+            ops.append(("bset", host, int(rng.integers(70))))
         else:
-            ops.append(("bclr", host, int(rng.integers(64))))
-    soa, table, bitmap, ref = _apply_peerstate_ops(ops)
-    soa.slots.check_invariants()
-    assert soa.slots.recycles > 100  # the stress actually recycled slots
-    _assert_peerstate_equal(soa, table, bitmap, ref)
+            ops.append(("bclr", host, int(rng.integers(70))))
+    state, bitmap, model = _apply_peerstate_ops(ops)
+    assert state.slots.recycles > 100  # the stress actually recycled slots
+    _assert_peerstate_equal(state, bitmap, model)
 
 
-# -- RoutingTable: array vs object backend ------------------------------------------
-def _random_contacts(rng, n, id_pool):
-    for _ in range(n):
-        node_id = id_pool[int(rng.integers(len(id_pool)))]
-        yield Contact(
-            node_id=node_id,
-            host_id=node_id % 1000,
-            rtt_ms=float(rng.uniform(1.0, 300.0)),
-        )
-
-
-def _assert_tables_equal(arr: RoutingTable, obj: RoutingTable):
-    assert arr.size() == obj.size()
-    assert arr.nonempty_buckets() == obj.nonempty_buckets()
-    for b in obj.nonempty_buckets():
-        # bucket-for-bucket, in LRU slot order
-        assert arr.buckets[b].contacts() == obj.buckets[b].contacts()
-    assert arr.all_contacts() == obj.all_contacts()
-
-
+# -- RoutingTable vs brute force over per-bucket KBucket models ---------------------
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("proximity", [False, True])
-def test_routing_table_backends_equivalent(seed, proximity):
+def test_routing_table_matches_bruteforce(seed, proximity):
+    """``closest`` is a brute-force XOR sort of the live contacts, and
+    which contacts are live is decided bucket by bucket exactly as a
+    standalone :class:`KBucket` (LRU or proximity eviction) decides it."""
     rng = np.random.default_rng(seed)
 
     def rand_id():
@@ -171,60 +121,89 @@ def test_routing_table_backends_equivalent(seed, proximity):
     id_pool = [own_id ^ (1 << int(b)) for b in rng.integers(0, ID_BITS, size=30)]
     id_pool += [rand_id() for _ in range(30)]
     id_pool = [i for i in id_pool if i != own_id] or [own_id ^ 1]
-    arr = RoutingTable(own_id, k=4, proximity=proximity, backend="array")
-    obj = RoutingTable(own_id, k=4, proximity=proximity, backend="object")
-    for i, contact in enumerate(_random_contacts(rng, 400, id_pool)):
-        assert arr.update(contact) == obj.update(contact)
+    k = 4
+    table = RoutingTable(own_id, k=k, proximity=proximity)
+    model: dict[int, KBucket] = {}
+
+    def live():
+        return [c for b in sorted(model) for c in model[b].contacts()]
+
+    def brute_closest(target, n):
+        return sorted(live(), key=lambda c: xor_distance(c.node_id, target))[:n]
+
+    for i in range(400):
+        node_id = id_pool[int(rng.integers(len(id_pool)))]
+        contact = Contact(node_id, node_id % 1000, float(rng.uniform(1.0, 300.0)))
+        bucket = model.setdefault(
+            bucket_index(own_id, node_id), KBucket(k=k, proximity=proximity)
+        )
+        assert table.update(contact) == bucket.update(contact)
         if i % 10 == 0:
             victim = id_pool[int(rng.integers(len(id_pool)))]
-            arr.remove(victim)
-            obj.remove(victim)
+            table.remove(victim)
+            if bucket_index(own_id, victim) in model:
+                model[bucket_index(own_id, victim)].remove(victim)
         if i % 25 == 0:
             target = rand_id()
-            assert arr.closest(target, 8) == obj.closest(target, 8)
+            assert table.closest(target, 8) == brute_closest(target, 8)
             probe = id_pool[int(rng.integers(len(id_pool)))]
-            assert arr.get(probe) == obj.get(probe)
-    _assert_tables_equal(arr, obj)
+            want = [c for c in live() if c.node_id == probe]
+            assert table.get(probe) == (want[0] if want else None)
+        assert all(len(b) <= k for b in table.buckets.values())
+    assert table.all_contacts() == live()
+    assert table.size() == len(live())
+    assert table.nonempty_buckets() == sorted(b for b in model if len(model[b]))
     target = rand_id()
-    assert arr.closest(target) == obj.closest(target)
+    assert table.closest(target) == brute_closest(target, k)
 
 
-def test_routing_table_rejects_unknown_backend():
-    from repro.errors import OverlayError
+# -- HostCache vs a most-recent-last list -------------------------------------------
+def _model_add(model: list, peer: int, capacity: int) -> None:
+    if peer in model:
+        model.remove(peer)
+    model.append(peer)
+    del model[:-capacity]  # oldest evicted
 
-    with pytest.raises(OverlayError):
-        RoutingTable(1, backend="quantum")
+
+def _assert_hostcache_equal(cache: HostCache, model: list) -> None:
+    snapshot = cache.snapshot()
+    assert snapshot == model[::-1]  # most recent first
+    assert len(set(snapshot)) == len(snapshot) == len(cache) <= cache.capacity
 
 
-# -- HostCache vs HostCacheReference -------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hostcache_equivalent_under_seeded_ops(seed):
     rng = np.random.default_rng(seed)
-    arr, ref = HostCache(capacity=20), HostCacheReference(capacity=20)
+    cache, model = HostCache(capacity=20), []
     for _ in range(1500):
         r = rng.random()
         peer = int(rng.integers(60))
         if r < 0.70:
-            arr.add(peer)
-            ref.add(peer)
+            cache.add(peer)
+            _model_add(model, peer, 20)
         elif r < 0.85:
-            arr.remove(peer)
-            ref.remove(peer)
+            cache.remove(peer)
+            if peer in model:
+                model.remove(peer)
         else:
             limit = int(rng.integers(1, 25))
-            assert arr.snapshot(limit) == ref.snapshot(limit)
-        assert (peer in arr) == (peer in ref)
-        assert len(arr) == len(ref)
-    assert arr.snapshot() == ref.snapshot()
+            assert cache.snapshot(limit) == model[::-1][:limit]
+        assert (peer in cache) == (peer in model)
+        assert len(cache) == len(model)
+    _assert_hostcache_equal(cache, model)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hostcache_fill_random_equivalent(seed):
-    arr, ref = HostCache(capacity=30), HostCacheReference(capacity=30)
+    """Same seed, same fill; and the fill is an n-subset of the pool."""
+    a, b = HostCache(capacity=30), HostCache(capacity=30)
     population = list(range(200, 300))
-    arr.fill_random(population, 25, rng=seed)
-    ref.fill_random(population, 25, rng=seed)
-    assert arr.snapshot() == ref.snapshot()
+    a.fill_random(population, 25, rng=seed)
+    b.fill_random(population, 25, rng=seed)
+    assert a.snapshot() == b.snapshot()
+    assert len(set(a.snapshot())) == 25 and set(a.snapshot()) <= set(population)
+    b.fill_random(population, 40, rng=seed)  # clipped to capacity
+    assert len(b) == 30
 
 
 @given(
@@ -235,42 +214,46 @@ def test_hostcache_fill_random_equivalent(seed):
 )
 @settings(max_examples=80, deadline=None)
 def test_hostcache_equivalent_property(ops):
-    arr, ref = HostCache(capacity=8), HostCacheReference(capacity=8)
+    cache, model = HostCache(capacity=8), []
     for kind, peer in ops:
-        getattr(arr, kind)(peer)
-        getattr(ref, kind)(peer)
-    assert len(arr) == len(ref)
-    assert arr.snapshot() == ref.snapshot()
-    assert arr.snapshot(3) == ref.snapshot(3)
+        getattr(cache, kind)(peer)
+        if kind == "add":
+            _model_add(model, peer, 8)
+        elif peer in model:
+            model.remove(peer)
+    _assert_hostcache_equal(cache, model)
+    assert cache.snapshot(3) == model[::-1][:3]
 
 
-# -- ChurnProcess: SoA liveness vs reference set ------------------------------------
+# -- ChurnProcess vs a replay of its own log ----------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_churn_liveness_column_equivalent(seed):
-    """Same seed, same peers: the SoA status column and the reference
-    Python set agree on the online population at every sampled time."""
+def test_churn_online_equals_log_replay(seed):
+    """At every snapshot ``online`` is what replaying the join/leave
+    callbacks and the crashes gives, and the counters match the log."""
     peers = [f"p{i}" for i in range(30)]
-    cfg = ChurnConfig(mean_session=600.0, mean_offline=300.0)
-
-    def run(reference: bool):
-        sim = Simulation()
-        log = []
-        churn = ChurnProcess(
-            sim, peers, cfg,
-            lambda p: log.append(("j", p)),
-            lambda p: log.append(("l", p)),
-            rng=seed, reference=reference,
-        )
-        churn.start(warmup=120.0)
-        snapshots = []
-        for t in (200.0, 1000.0, 3000.0):
-            sim.run(until=t)
-            snapshots.append((churn.online, churn.joins, churn.leaves))
-        churn.stop()
-        return log, snapshots
-
-    log_soa, snaps_soa = run(reference=False)
-    log_ref, snaps_ref = run(reference=True)
-    assert log_soa == log_ref
-    assert snaps_soa == snaps_ref
-    assert snaps_soa[-1][1] > 0  # the scenario actually churned
+    sim, log = Simulation(), []
+    churn = ChurnProcess(
+        sim, peers, ChurnConfig(mean_session=600.0, mean_offline=300.0),
+        lambda p: log.append(("j", p)),
+        lambda p: log.append(("l", p)),
+        rng=seed,
+    )
+    churn.start(warmup=120.0)
+    rng = np.random.default_rng(seed)
+    for t in (200.0, 1000.0, 3000.0):
+        sim.run(until=t)
+        for victim in map(str, rng.choice(peers, size=5, replace=False)):
+            if victim in churn.online:
+                log.append(("c", victim))
+            churn.crash(victim)
+            churn.revive(victim, delay=50.0)
+        replay: set[str] = set()
+        for kind, peer in log:
+            (replay.add if kind == "j" else replay.discard)(peer)
+        assert churn.online == replay
+        assert churn.joins == sum(1 for kind, _ in log if kind == "j")
+        assert churn.leaves == sum(1 for kind, _ in log if kind == "l")
+        assert churn.crashes == sum(1 for kind, _ in log if kind == "c")
+    assert churn.leaves > 0 and churn.crashes > 0  # the scenario churned
+    churn.stop()
+    assert sim.pending() == 0

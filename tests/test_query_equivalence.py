@@ -28,7 +28,6 @@ from repro.overlay.gnutella import (
     ULTRAPEER,
 )
 from repro.overlay.kademlia.network import KademliaNetwork
-from repro.overlay.kademlia.node import KademliaConfig
 from repro.sim import Simulation
 from repro.sim.messages import MessageBus
 from repro.sim.queryplane import SendLog
@@ -287,16 +286,13 @@ def test_flood_equivalence_property(seed, ttl, lossy):
 
 
 # ------------------------------------------------------------------ kademlia
-def _run_kademlia(batching, *, seed, loss=0.0):
+def _run_kademlia(*, seed, loss=0.0):
     u = _underlay(40)
     sim = Simulation()
     bus = MessageBus(sim, u, loss_rate=loss, loss_seed=seed)
     log = SendLog(sim)
     bus.add_observer(log)
-    net = KademliaNetwork(
-        u, sim, bus,
-        config=KademliaConfig(round_batching=batching), rng=seed,
-    )
+    net = KademliaNetwork(u, sim, bus, rng=seed)
     net.add_all_hosts()
     net.bootstrap_all()
     sim.run()
@@ -305,16 +301,36 @@ def _run_kademlia(batching, *, seed, loss=0.0):
     sim.run()
     return {
         "digest": log.digest(),
-        "bus": (bus.stats.sent, bus.stats.delivered, bus.stats.dropped_loss,
-                dict(sorted(bus.stats.by_kind.items()))),
-        "lookups": (stats.n, stats.success_rate, stats.mean_latency_ms,
-                    stats.median_latency_ms, stats.mean_rpcs),
+        "bus": (bus.stats.sent, bus.stats.delivered, bus.stats.dropped_loss),
+        "lookups": (stats.n, stats.success_rate, stats.mean_rpcs),
     }
+
+
+# Recorded at f8cfdc7, where dispatching a lookup round per RPC and as one
+# batch were both in the tree and this fingerprint was equal between them
+# (and between the array and KBucket routing tables).  Only the batch
+# survives; it must keep sending the same messages at the same times.
+_KADEMLIA_GOLDEN = {
+    (7, 0.0): {
+        "digest": "325f6bc7b9cee0017d6f724ecc21420a2da3c2f9a93eda78cec9d2452ac9f57c",
+        "bus": (1360, 1360, 0), "lookups": (20, 1.0, 2.2),
+    },
+    (7, 0.05): {
+        "digest": "b1d2afa61e430dcd7e1d8f0c308fea99df52fa750b95e7274b10211ec2df0a76",
+        "bus": (1441, 1375, 66), "lookups": (20, 1.0, 2.2),
+    },
+    (11, 0.0): {
+        "digest": "7d8de9bba333dc07957cb00a725b80fc7f0ca5da98c49137d54dd854036a2265",
+        "bus": (1378, 1378, 0), "lookups": (20, 1.0, 2.8),
+    },
+    (11, 0.05): {
+        "digest": "f942da73232490027712053787d84dd7483c0753c88555163b1aca2bca92623e",
+        "bus": (1512, 1433, 79), "lookups": (20, 1.0, 2.8),
+    },
+}
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
 @pytest.mark.parametrize("loss", [0.0, 0.05])
 def test_kademlia_round_batching_bit_identical(seed, loss):
-    assert _run_kademlia(False, seed=seed, loss=loss) == _run_kademlia(
-        True, seed=seed, loss=loss
-    )
+    assert _run_kademlia(seed=seed, loss=loss) == _KADEMLIA_GOLDEN[seed, loss]

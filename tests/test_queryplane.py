@@ -18,8 +18,16 @@ from repro.sim.queryplane import (
 from repro.underlay import Underlay, UnderlayConfig
 
 
-def _peerstate(hosts):
+def _peerstate(hosts, recycled=False):
+    """A population's slot space; with ``recycled`` every host lands in a
+    slot a previous tenant has already used and vacated."""
     ps = PeerState()
+    if recycled:
+        tenants = [("old", h) for h in hosts]
+        for t in tenants:
+            ps.admit(t)
+        for t in tenants:
+            ps.evict(t)
     for h in hosts:
         ps.admit(h)
     return ps
@@ -51,10 +59,9 @@ def test_bitmap_batch_ops_match_scalar():
 
 
 # ---------------------------------------------------------------- SeenFilter
-@pytest.mark.parametrize("backed", [True, False])
-def test_seen_filter_mark_and_window_expiry(backed):
-    ps = _peerstate(range(8)) if backed else None
-    sf = SeenFilter(2, peerstate=ps)
+@pytest.mark.parametrize("recycled", [True, False])
+def test_seen_filter_mark_and_window_expiry(recycled):
+    sf = SeenFilter(2, peerstate=_peerstate(range(8), recycled))
     sf.mark(1, "k1")
     sf.mark_many([2, 3], "k2")
     assert sf.test(1, "k1") and sf.test(2, "k2") and sf.test(3, "k2")
@@ -70,10 +77,9 @@ def test_seen_filter_mark_and_window_expiry(backed):
     assert sf.test(5, "k1") and not sf.test(1, "k1")
 
 
-@pytest.mark.parametrize("backed", [True, False])
-def test_seen_filter_membership_and_empty_mark(backed):
-    ps = _peerstate(range(4)) if backed else None
-    sf = SeenFilter(4, peerstate=ps)
+@pytest.mark.parametrize("recycled", [True, False])
+def test_seen_filter_membership_and_empty_mark(recycled):
+    sf = SeenFilter(4, peerstate=_peerstate(range(4), recycled))
     assert sf.membership("fresh") is None
     sf.mark_many([], "reserved")  # an empty flood still claims its slot
     assert sf.known("reserved") and len(sf) == 1
@@ -82,25 +88,42 @@ def test_seen_filter_membership_and_empty_mark(backed):
     assert member is not None and member(2) and not member(3)
 
 
-def test_seen_filter_backends_agree():
-    hosts = list(range(10))
-    bitmap_sf = SeenFilter(3, peerstate=_peerstate(hosts))
-    set_sf = SeenFilter(3)
+def test_seen_filter_agrees_with_window_model():
+    """Against the window policy written with builtins: an insertion-
+    ordered dict of host sets that forgets its oldest key when full.  A
+    host evicted mid-run hands its slot, and none of its marks, to the
+    host admitted next."""
+    ps = _peerstate(range(10))
+    sf = SeenFilter(3, peerstate=ps)
+    model: dict[str, set] = {}
+    expired = 0
     rng = np.random.default_rng(7)
-    for _ in range(300):
-        host = int(rng.integers(10))
+    hosts = list(range(10))
+    for step in range(600):
+        host = hosts[int(rng.integers(10))]
         key = f"k{int(rng.integers(6))}"
         if rng.random() < 0.5:
-            bitmap_sf.mark(host, key)
-            set_sf.mark(host, key)
-        assert bitmap_sf.test(host, key) == set_sf.test(host, key)
-        assert bitmap_sf.known(key) == set_sf.known(key)
-    assert bitmap_sf.expired_keys == set_sf.expired_keys
+            sf.mark(host, key)
+            if key not in model and len(model) == 3:
+                del model[next(iter(model))]
+                expired += 1
+            model.setdefault(key, set()).add(host)
+        if step % 50 == 49:  # churn: the host's slot changes hands
+            ps.evict(host)
+            newcomer = ("new", step)
+            ps.admit(newcomer)
+            hosts[hosts.index(host)] = newcomer
+            for marked in model.values():
+                marked.discard(host)
+        for h in hosts:
+            assert sf.test(h, key) == (h in model.get(key, ()))
+        assert sf.known(key) == (key in model)
+    assert len(sf) == len(model) and sf.expired_keys == expired > 0
 
 
 def test_seen_filter_rejects_bad_window():
     with pytest.raises(SimulationError):
-        SeenFilter(0)
+        SeenFilter(0, peerstate=PeerState())
 
 
 # ---------------------------------------------------------- BoundedRouteTable

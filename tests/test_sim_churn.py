@@ -158,3 +158,54 @@ def test_negative_warmup_rejected():
     )
     with pytest.raises(ConfigurationError):
         proc.start(warmup=-1.0)
+
+
+def test_second_start_is_rejected_and_stop_still_drains():
+    """Regression: a second start() used to overwrite the first batch's
+    handles, so stop() cancelled only the newer events and the first
+    batch kept the heap alive."""
+    sim = Simulation()
+    proc = ChurnProcess(
+        sim,
+        peers=list(range(10)),
+        config=ChurnConfig(mean_session=50.0, mean_offline=50.0),
+        on_join=lambda p: None,
+        on_leave=lambda p: None,
+        rng=6,
+    )
+    proc.start(warmup=5.0)
+    with pytest.raises(ConfigurationError):
+        proc.start(warmup=5.0)
+    assert sim.pending() == 10  # one transition per peer, not two
+    proc.stop()
+    assert sim.pending() == 0
+
+
+def test_start_matches_one_revive_per_peer():
+    """start() inserts the whole population's first joins as one batch;
+    the result is what scheduling them one at a time gives — same join
+    times, same later transitions, event for event."""
+    peers = [f"p{i}" for i in range(50)]
+    config = ChurnConfig(mean_session=300.0, mean_offline=200.0)
+
+    def run(batched: bool):
+        sim, log = Simulation(), []
+        rng = np.random.default_rng(5)
+        proc = ChurnProcess(
+            sim, peers, config,
+            lambda p: log.append(("j", p, sim.now)),
+            lambda p: log.append(("l", p, sim.now)),
+            rng=rng,
+        )
+        if batched:
+            proc.start(warmup=60.0)
+        else:
+            for peer in peers:
+                proc.revive(peer, delay=float(rng.uniform(0.0, 60.0)))
+        sim.run(until=2000.0)
+        proc.stop()
+        return log
+
+    batched, serial = run(True), run(False)
+    assert len(batched) > 50
+    assert batched == serial
