@@ -11,15 +11,16 @@ bucket works) while making every hop cheaper for the underlay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from repro.errors import OverlayError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contact:
     """A routing-table entry: overlay id + transport address (+ measured
-    proximity, used only by the PNS policy)."""
+    proximity, used only by the PNS policy).  Immutable, so one object
+    may sit in a table and in any number of lookups at once."""
 
     node_id: int
     host_id: int
@@ -49,6 +50,9 @@ class KBucket:
 
     def __contains__(self, node_id: int) -> bool:
         return any(c.node_id == node_id for c in self._contacts)
+
+    def __iter__(self) -> Iterator[Contact]:
+        return iter(self._contacts)
 
     def contacts(self) -> list[Contact]:
         return list(self._contacts)

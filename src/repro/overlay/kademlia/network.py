@@ -116,11 +116,13 @@ class KademliaNetwork:
         if len(ids) < 2:
             raise OverlayError("need at least two nodes to bootstrap")
         items = []
+        others = len(ids) - 1
+        k = min(seeds_per_node, others)
         for i, hid in enumerate(ids):
-            pool = [x for x in ids if x != hid]
-            k = min(seeds_per_node, len(pool))
-            chosen = self._rng.choice(len(pool), size=k, replace=False)
-            seeds = [self.nodes[pool[int(c)]].contact() for c in chosen]
+            # draw among everyone but node i without building that list:
+            # index c of it is ids[c], or ids[c + 1] from position i on
+            chosen = self._rng.choice(others, size=k, replace=False).tolist()
+            seeds = [self.nodes[ids[c + (c >= i)]].contact() for c in chosen]
             delay = float(self._rng.uniform(0, stagger_ms)) + i * 2.0
             items.append((delay, self.nodes[hid].bootstrap, (seeds,)))
         self.sim.schedule_many(items)

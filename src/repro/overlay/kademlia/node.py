@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.errors import OverlayError
 from repro.obs.registry import Histogram, MetricRegistry
 from repro.overlay.base import OverlayNode
-from repro.overlay.kademlia.id_space import validate_id, xor_distance
+from repro.overlay.kademlia.id_space import validate_id
 from repro.overlay.kademlia.kbucket import Contact
 from repro.overlay.kademlia.routing_table import RoutingTable
 from repro.sim.engine import Simulation
@@ -104,7 +103,12 @@ class LookupResult:
 
 
 class _Lookup:
-    """One iterative lookup in flight."""
+    """One iterative lookup in flight.
+
+    ``target`` is validated by the constructor and every candidate id
+    when it first enters ``state``, so distances inside the lookup are
+    plain ``^`` between checked ids.
+    """
 
     _NEW, _INFLIGHT, _DONE, _FAILED = range(4)
 
@@ -128,17 +132,18 @@ class _Lookup:
             self._add_candidate(c)
 
     def _add_candidate(self, contact: Contact) -> None:
-        if contact.node_id == self.node.node_id:
+        node_id = contact.node_id
+        if node_id == self.node.node_id:
             return
-        if contact.node_id not in self.state:
-            self.state[contact.node_id] = self._NEW
-            self.contact_of[contact.node_id] = contact
-        elif contact.rtt_ms < self.contact_of[contact.node_id].rtt_ms:
-            self.contact_of[contact.node_id] = contact
+        if node_id not in self.state:
+            self.state[validate_id(node_id)] = self._NEW
+            self.contact_of[node_id] = contact
+        elif contact.rtt_ms < self.contact_of[node_id].rtt_ms:
+            self.contact_of[node_id] = contact
 
     def _k_closest_ids(self) -> list[int]:
         ids = [i for i, s in self.state.items() if s != self._FAILED]
-        ids.sort(key=lambda i: xor_distance(i, self.target))
+        ids.sort(key=self.target.__xor__)
         return ids[: self.node.config.k]
 
     def start(self) -> None:
@@ -147,8 +152,7 @@ class _Lookup:
 
     def _launch_queries(self) -> None:
         cfg = self.node.config
-        inflight = sum(1 for s in self.state.values() if s == self._INFLIGHT)
-        budget = cfg.alpha - inflight
+        budget = cfg.alpha - list(self.state.values()).count(self._INFLIGHT)
         if budget <= 0:
             return
         candidates = [
@@ -162,8 +166,7 @@ class _Lookup:
             candidates = heapq.nsmallest(
                 budget,
                 candidates,
-                key=lambda i: (self.contact_of[i].rtt_ms,
-                               xor_distance(i, self.target)),
+                key=lambda i: (self.contact_of[i].rtt_ms, i ^ self.target),
             )
         dispatch = candidates[:budget]
         for nid in dispatch:
@@ -175,13 +178,25 @@ class _Lookup:
             )
 
     def on_reply(
-        self, responder: Contact, contacts: list[Contact], values: set[int]
+        self,
+        queried_id: int,
+        responder: Contact,
+        contacts: list[Contact],
+        values: set[int],
     ) -> None:
+        """``responder`` answered the RPC that was sent to ``queried_id``."""
         if self.finished:
             return
-        if self.state.get(responder.node_id) == self._INFLIGHT:
-            self.state[responder.node_id] = self._DONE
-        self.contact_of[responder.node_id] = responder
+        if responder.node_id == queried_id:
+            if self.state.get(queried_id) == self._INFLIGHT:
+                self.state[queried_id] = self._DONE
+            self.contact_of[queried_id] = responder
+        else:
+            # the host rejoined under a fresh id: the id we queried is
+            # gone for good, the id it answers under is one more candidate
+            if self.state.get(queried_id) == self._INFLIGHT:
+                self.state[queried_id] = self._FAILED
+            self._add_candidate(responder)
         if self.find_value and values:
             self.result.values |= values
             self.result.found_value = True
@@ -202,12 +217,10 @@ class _Lookup:
         self._check_done()
 
     def _check_done(self) -> None:
-        if self.finished:
+        if self.finished or self._INFLIGHT in self.state.values():
             return
-        k_closest = self._k_closest_ids()
-        pending = [i for i in k_closest if self.state[i] in (self._NEW, self._INFLIGHT)]
-        inflight_any = any(s == self._INFLIGHT for s in self.state.values())
-        if not pending and not inflight_any:
+        # nothing in flight: done once none of the k closest is still new
+        if all(self.state[i] != self._NEW for i in self._k_closest_ids()):
             self._finish()
 
     def _finish(self) -> None:
@@ -281,12 +294,15 @@ class KademliaNode(OverlayNode):
     def contact(self) -> Contact:
         return Contact(node_id=self.node_id, host_id=self.host_id)
 
-    def _observe(self, node_id: int, host_id: int, rtt_ms: float) -> None:
-        if not np.isfinite(rtt_ms) and self.rtt_estimator is not None:
-            rtt_ms = float(self.rtt_estimator(self.host_id, host_id))
-        self.routing_table.update(
-            Contact(node_id=node_id, host_id=host_id, rtt_ms=rtt_ms)
-        )
+    def _observe(self, contact: Contact) -> None:
+        """Learn ``contact``; an unmeasured one enters the table with the
+        estimator's RTT when there is an estimator."""
+        if self.rtt_estimator is not None and not math.isfinite(contact.rtt_ms):
+            contact = replace(
+                contact,
+                rtt_ms=float(self.rtt_estimator(self.host_id, contact.host_id)),
+            )
+        self.routing_table.update(contact)
 
     def _send_lookup_rpcs(
         self, lookup: _Lookup, target_contacts: "list[Contact]"
@@ -355,7 +371,7 @@ class KademliaNode(OverlayNode):
             RPC_REPLY_BASE + CONTACT_WIRE_SIZE * len(closest) + 8 * len(values),
         )
         # learn the requester
-        self._observe(req["sender_id"], msg.src, rtt_ms=float("inf"))
+        self._observe(Contact(req["sender_id"], msg.src))
 
     def on_find_node(self, msg: Message) -> None:
         self._reply_contacts(msg, with_values=False)
@@ -366,7 +382,7 @@ class KademliaNode(OverlayNode):
     def on_store(self, msg: Message) -> None:
         req = msg.payload
         self.storage.setdefault(req["key"], set()).add(req["value"])
-        self._observe(req["sender_id"], msg.src, rtt_ms=float("inf"))
+        self._observe(Contact(req["sender_id"], msg.src))
         self.send(
             msg.src,
             "STORE_ACK",
@@ -377,7 +393,7 @@ class KademliaNode(OverlayNode):
     def on_store_ack(self, msg: Message) -> None:
         # acks carry no lookup state; just refresh the contact
         rep = msg.payload
-        self._observe(rep["sender_id"], msg.src, rtt_ms=float("inf"))
+        self._observe(Contact(rep["sender_id"], msg.src))
 
     # -- client side --------------------------------------------------------------------
     def _on_lookup_reply(self, msg: Message) -> None:
@@ -385,22 +401,20 @@ class KademliaNode(OverlayNode):
         entry = self._pending.pop(rep["rpc_id"], None)
         if entry is None:
             return  # reply after final failure
-        lookup, contact, sent_at = entry
+        lookup, queried, sent_at = entry
         self.requests.resolve(rep["rpc_id"])
-        rtt = self.sim.now - sent_at
-        responder = Contact(
-            node_id=rep["sender_id"], host_id=msg.src, rtt_ms=rtt
-        )
-        self._observe(responder.node_id, responder.host_id, rtt)
-        contacts = [
-            Contact(node_id=nid, host_id=hid)
-            for nid, hid in rep["contacts"]
-        ]
+        responder = Contact(rep["sender_id"], msg.src, self.sim.now - sent_at)
+        self._observe(responder)
+        if responder.node_id != queried.node_id:
+            self.routing_table.remove(queried.node_id)
+        contacts = [Contact(nid, hid) for nid, hid in rep["contacts"]]
         for c in contacts:
             # heard-of (not measured) contacts enter the lookup, and the
             # routing table only if there is room / they win on proximity
-            self._observe(c.node_id, c.host_id, rtt_ms=float("inf"))
-        lookup.on_reply(responder, contacts, set(rep.get("values", ())))
+            self._observe(c)
+        lookup.on_reply(
+            queried.node_id, responder, contacts, set(rep.get("values", ()))
+        )
 
     def on_find_node_reply(self, msg: Message) -> None:
         self._on_lookup_reply(msg)

@@ -8,20 +8,22 @@ bucket (``get``, ``closest``, bucket refresh) allocate nothing.
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 from repro.errors import OverlayError
-from repro.overlay.kademlia.id_space import (
-    bucket_index,
-    validate_id,
-    xor_distance,
-)
+from repro.overlay.kademlia.id_space import validate_id
 from repro.overlay.kademlia.kbucket import Contact, KBucket
 
 
 class RoutingTable:
-    """K-buckets indexed by shared-prefix length with the owner id."""
+    """K-buckets indexed by shared-prefix length with the owner id.
+
+    Every id is validated once, where it enters (``own_id`` by the
+    constructor, a contact's by :meth:`update`, a probe's by ``get`` /
+    ``remove`` / ``closest``); distances between ids that passed are
+    plain ``^``.  The bucket of ``x`` is the top bit of ``own_id ^ x``,
+    -1 for the owner's own id, which no bucket holds.
+    """
 
     def __init__(
         self,
@@ -40,25 +42,23 @@ class RoutingTable:
 
     def update(self, contact: Contact) -> bool:
         """Record that we heard from ``contact``; returns True if retained."""
-        if contact.node_id == self.own_id:
+        b = (validate_id(contact.node_id) ^ self.own_id).bit_length() - 1
+        if b < 0:
             return False
-        b = bucket_index(self.own_id, contact.node_id)
         bucket = self.buckets.get(b)
         if bucket is None:
             bucket = self.buckets[b] = KBucket(k=self.k, proximity=self.proximity)
         return bucket.update(contact)
 
     def remove(self, node_id: int) -> None:
-        if node_id == self.own_id:
-            return
-        bucket = self.buckets.get(bucket_index(self.own_id, node_id))
+        b = (validate_id(node_id) ^ self.own_id).bit_length() - 1
+        bucket = self.buckets.get(b)
         if bucket is not None:
             bucket.remove(node_id)
 
     def get(self, node_id: int) -> Optional[Contact]:
-        if node_id == self.own_id:
-            return None
-        bucket = self.buckets.get(bucket_index(self.own_id, node_id))
+        b = (validate_id(node_id) ^ self.own_id).bit_length() - 1
+        bucket = self.buckets.get(b)
         return None if bucket is None else bucket.get(node_id)
 
     def all_contacts(self) -> list[Contact]:
@@ -69,14 +69,30 @@ class RoutingTable:
         return out
 
     def closest(self, target: int, count: Optional[int] = None) -> list[Contact]:
-        """The ``count`` contacts closest to ``target`` by XOR distance."""
+        """The ``count`` contacts closest to ``target`` by XOR distance.
+
+        Buckets are visited outward from the target's.  With ``d = own_id
+        ^ target``, a contact of bucket ``j`` lies at distance ``d ^ x``
+        for some ``x`` in ``[2**j, 2**(j+1))``: bits above ``j`` are
+        ``d``'s, bit ``j`` is flipped, so bucket ``j`` covers exactly the
+        distances ``[m, m + 2**j)`` with ``m = ((d >> j) ^ 1) << j``.
+        Those ranges are disjoint, hence ascending ``m`` is nearest
+        bucket first — the bucket of ``d``'s top bit, then the lower
+        buckets where ``d`` has a 1 (high to low), then those where it
+        has a 0 (low to high), then the higher buckets ascending — and
+        only the buckets needed to reach ``count`` are ranked.
+        """
         count = self.k if count is None else count
-        target = validate_id(target)
-        return heapq.nsmallest(
-            count,
-            self.all_contacts(),
-            key=lambda c: xor_distance(c.node_id, target),
-        )
+        d = self.own_id ^ validate_id(target)
+        buckets = self.buckets
+        out: list[Contact] = []
+        for j in sorted(buckets, key=lambda j: ((d >> j) ^ 1) << j):
+            if len(out) >= count:
+                break
+            ranked = [(c.node_id ^ target, c) for c in buckets[j]]
+            ranked.sort()  # ids in one table are distinct: no tie reaches c
+            out += [c for _distance, c in ranked]
+        return out[: max(count, 0)]
 
     def size(self) -> int:
         return sum(len(b) for b in self.buckets.values())

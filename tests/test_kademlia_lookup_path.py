@@ -1,0 +1,480 @@
+"""Contracts of the Kademlia lookup path: where ids are checked, what
+``closest`` returns, and which RPCs a lookup dispatches when.
+
+The orderings the fast path must reproduce live here, not in ``src/``:
+``closest`` against a brute-force XOR sort, and :class:`ReferenceLookup`
+— the lookup's bookkeeping with a full ``xor_distance`` re-sort at every
+decision — against the real :class:`_Lookup` driven reply by reply.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import OverlayError
+from repro.overlay.kademlia import (
+    Contact,
+    KademliaConfig,
+    KademliaNetwork,
+    RoutingTable,
+    xor_distance,
+)
+from repro.overlay.kademlia.id_space import ID_BITS
+from repro.overlay.kademlia.node import KademliaNode
+from repro.sim import Simulation
+from repro.sim.messages import Message
+from repro.underlay import Underlay, UnderlayConfig
+
+#: a non-int, a negative and the first id past the 160-bit space
+BAD_IDS = ["7", -1, 2**ID_BITS]
+
+
+def _node(underlay, node_id=5, host_index=0, **cfg):
+    sim = Simulation()
+    bus, _acct = underlay.message_bus(sim, with_accounting=False)
+    node = KademliaNode(
+        underlay.hosts[host_index], sim, bus, node_id, KademliaConfig(**cfg)
+    )
+    node.go_online()
+    return node
+
+
+def _reply(node, rpc_id, contact, contacts=(), *, sender_id=None, values=()):
+    """Deliver the FIND_NODE reply to ``rpc_id`` as ``contact`` sends it."""
+    node.on_find_node_reply(
+        Message(
+            src=contact.host_id,
+            dst=node.host_id,
+            kind="FIND_NODE_REPLY",
+            payload={
+                "rpc_id": rpc_id,
+                "sender_id": contact.node_id if sender_id is None else sender_id,
+                "contacts": [(c.node_id, c.host_id) for c in contacts],
+                "values": set(values),
+            },
+        )
+    )
+
+
+# -- (a) every id is checked where it enters ----------------------------------------
+@pytest.mark.parametrize("bad", BAD_IDS)
+def test_routing_table_rejects_bad_ids_at_every_entry(bad):
+    with pytest.raises(OverlayError):
+        RoutingTable(own_id=bad)
+    table = RoutingTable(own_id=5, k=4)
+    table.update(Contact(9, 9))
+    for call in (
+        lambda: table.update(Contact(bad, 1)),
+        lambda: table.closest(bad),
+        lambda: table.closest(bad, 3),
+        lambda: table.get(bad),
+        lambda: table.remove(bad),
+    ):
+        with pytest.raises(OverlayError):
+            call()
+    assert table.all_contacts() == [Contact(9, 9)]
+    assert list(table.buckets) == [3]  # 5 ^ 9 == 0b1100
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+def test_lookup_rejects_bad_target(small_underlay, bad):
+    node = _node(small_underlay)
+    node.routing_table.update(Contact(9, small_underlay.hosts[1].host_id))
+    done = []
+    with pytest.raises(OverlayError):
+        node.iterative_find_node(bad, done.append)
+    with pytest.raises(OverlayError):
+        node.iterative_find_value(bad, done.append)
+    with pytest.raises(OverlayError):
+        node.store_value(bad, 1, done.append)
+    assert done == [] and node._pending == {}
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+@pytest.mark.parametrize("where", ["contacts", "sender_id"])
+def test_reply_carrying_bad_id_is_rejected(small_underlay, bad, where):
+    hosts = small_underlay.hosts
+    node = _node(small_underlay)
+    queried = Contact(9, hosts[1].host_id)
+    node.routing_table.update(queried)
+    lookup = node.iterative_find_node(200, lambda result: None)
+    (rpc_id,) = node._pending
+    heard = [Contact(12, hosts[2].host_id)]
+    with pytest.raises(OverlayError):
+        if where == "contacts":
+            _reply(node, rpc_id, queried, heard + [Contact(bad, hosts[3].host_id)])
+        else:
+            _reply(node, rpc_id, queried, heard, sender_id=bad)
+    assert all(isinstance(i, int) and 0 <= i < 2**ID_BITS for i in lookup.state)
+    assert bad not in lookup.state
+    assert bad not in [c.node_id for c in node.routing_table.all_contacts()]
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+def test_request_carrying_bad_sender_id_is_rejected(small_underlay, bad):
+    node = _node(small_underlay)
+    src = small_underlay.hosts[1].host_id
+    for kind, payload in (
+        ("FIND_NODE", {"rpc_id": 0, "target": 9, "sender_id": bad}),
+        ("FIND_VALUE", {"rpc_id": 1, "target": 9, "sender_id": bad}),
+        ("STORE", {"rpc_id": 2, "key": 9, "value": 1, "sender_id": bad}),
+        ("STORE_ACK", {"rpc_id": 3, "sender_id": bad}),
+    ):
+        with pytest.raises(OverlayError):
+            node._dispatch(Message(src, node.host_id, kind, payload))
+    assert node.routing_table.buckets == {}
+
+
+def test_contact_is_slotted_and_still_pickles():
+    """Contacts cross process boundaries inside ``run_arms`` result rows."""
+    contact = Contact(9, 4, 12.5)
+    assert not hasattr(contact, "__dict__")
+    assert pickle.loads(pickle.dumps(contact)) == contact
+    assert replace(contact, rtt_ms=3.0) == Contact(9, 4, 3.0)
+    with pytest.raises(AttributeError):
+        contact.rtt_ms = 1.0
+
+
+# -- (b) closest == brute-force XOR sort --------------------------------------------
+def _brute_closest(table, target, n):
+    live = [c for bucket in table.buckets.values() for c in bucket.contacts()]
+    return sorted(live, key=lambda c: xor_distance(c.node_id, target))[: max(n, 0)]
+
+
+@st.composite
+def _table_histories(draw):
+    """(bits, own_id, k, proximity, ops): an 8-bit space fills every
+    bucket densely, the 160-bit one mixes near ids (single low bits
+    flipped) with uniform ones that crowd the far buckets."""
+    bits = draw(st.sampled_from([8, ID_BITS]))
+    ids = st.integers(0, 2**bits - 1)
+    own_id = draw(ids)
+    if bits == ID_BITS:
+        near = st.builds(
+            lambda b, low: own_id ^ (1 << b) ^ low,
+            st.integers(0, ID_BITS - 1),
+            st.integers(0, 15),
+        )
+        ids = st.one_of(ids, near)
+    rtts = st.one_of(st.just(float("inf")), st.floats(1.0, 500.0))
+    op = st.one_of(
+        st.tuples(st.just("update"), ids, rtts),
+        st.tuples(st.just("update"), ids, rtts),
+        st.tuples(st.just("remove"), ids, st.none()),
+    )
+    return (
+        bits,
+        own_id,
+        draw(st.integers(1, 5)),
+        draw(st.booleans()),
+        draw(st.lists(op, min_size=1, max_size=80)),
+        draw(st.lists(ids, min_size=1, max_size=6)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_table_histories())
+def test_closest_equals_bruteforce_xor_sort(history):
+    _bits, own_id, k, proximity, ops, probes = history
+    table = RoutingTable(own_id, k=k, proximity=proximity)
+    removed = []
+    for name, node_id, rtt in ops:
+        if name == "update":
+            table.update(Contact(node_id, node_id % 97, rtt))
+        else:
+            table.remove(node_id)
+            removed.append(node_id)
+    stored = [c.node_id for c in table.all_contacts()]
+    # the owner's id, stored contacts, ids just removed, and fresh probes
+    targets = [own_id] + stored[:3] + stored[-1:] + removed[-2:] + probes
+    for target in targets:
+        assert table.closest(target) == _brute_closest(table, target, k)
+        for n in (0, 1, k, len(stored), len(stored) + 3):
+            assert table.closest(target, n) == _brute_closest(table, target, n)
+    assert all(len(bucket) <= k for bucket in table.buckets.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**ID_BITS - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["closest", "get", "remove"]),
+            st.integers(0, 2**ID_BITS - 1),
+            st.integers(0, 20),
+        ),
+        max_size=30,
+    ),
+)
+def test_reads_of_a_fresh_table_allocate_nothing(own_id, reads):
+    table = RoutingTable(own_id, k=4)
+    for name, node_id, n in reads:
+        if name == "closest":
+            assert table.closest(node_id, n) == []
+        elif name == "get":
+            assert table.get(node_id) is None
+        else:
+            table.remove(node_id)
+    assert table.closest(own_id) == []
+    assert table.buckets == {}
+
+
+# -- (c) _Lookup against its reference bookkeeping ----------------------------------
+class ReferenceLookup:
+    """The lookup's decisions with nothing remembered between them: every
+    choice re-sorts every live candidate with ``xor_distance``."""
+
+    NEW, INFLIGHT, DONE, FAILED = range(4)
+
+    def __init__(self, own_id, target, seeds, *, k, alpha, proximity_routing,
+                 find_value):
+        self.own_id, self.target = own_id, target
+        self.k, self.alpha = k, alpha
+        self.proximity_routing, self.find_value = proximity_routing, find_value
+        self.state: dict[int, int] = {}
+        self.rtt: dict[int, float] = {}
+        self.dispatched: list[int] = []
+        self.timeouts = 0
+        self.finished = False
+        self.closest: list[int] = []
+        for c in seeds:
+            self._add(c)
+        self._launch()
+        self._check_done()
+
+    def _distance(self, node_id):
+        return xor_distance(node_id, self.target)
+
+    def _add(self, contact):
+        if contact.node_id == self.own_id:
+            return
+        if contact.node_id not in self.state:
+            self.state[contact.node_id] = self.NEW
+            self.rtt[contact.node_id] = contact.rtt_ms
+        else:
+            self.rtt[contact.node_id] = min(self.rtt[contact.node_id], contact.rtt_ms)
+
+    def _k_closest(self):
+        live = [i for i, s in self.state.items() if s != self.FAILED]
+        return sorted(live, key=self._distance)[: self.k]
+
+    def _launch(self):
+        inflight = sum(1 for s in self.state.values() if s == self.INFLIGHT)
+        budget = self.alpha - inflight
+        if budget <= 0:
+            return
+        candidates = [i for i in self._k_closest() if self.state[i] == self.NEW]
+        if self.proximity_routing:
+            candidates.sort(key=lambda i: (self.rtt[i], self._distance(i)))
+        for node_id in candidates[:budget]:
+            self.state[node_id] = self.INFLIGHT
+            self.dispatched.append(node_id)
+
+    def _check_done(self):
+        if self.finished:
+            return
+        pending = [
+            i for i in self._k_closest()
+            if self.state[i] in (self.NEW, self.INFLIGHT)
+        ]
+        if not pending and self.INFLIGHT not in self.state.values():
+            self._finish()
+
+    def _finish(self):
+        self.finished = True
+        self.closest = [i for i in self._k_closest() if self.state[i] == self.DONE]
+
+    def reply(self, node_id, rtt_ms, contacts, values):
+        if self.finished:
+            return
+        if self.state.get(node_id) == self.INFLIGHT:
+            self.state[node_id] = self.DONE
+        self.rtt[node_id] = rtt_ms
+        if self.find_value and values:
+            self._finish()
+            return
+        for c in contacts:
+            self._add(c)
+        self._launch()
+        self._check_done()
+
+    def timeout(self, node_id):
+        if self.finished:
+            return
+        if self.state.get(node_id) == self.INFLIGHT:
+            self.state[node_id] = self.FAILED
+            self.timeouts += 1
+        self._launch()
+        self._check_done()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    proximity_routing=st.booleans(),
+    find_value=st.booleans(),
+    k=st.integers(1, 4),
+    alpha=st.integers(1, 3),
+)
+def test_lookup_dispatches_like_its_reference(
+    small_underlay, data, proximity_routing, find_value, k, alpha
+):
+    # a 6-bit space: replies keep naming ids the lookup already holds
+    ids = st.integers(0, 63)
+    own_id, target = data.draw(ids), data.draw(ids)
+    hosts = small_underlay.hosts[1:]
+
+    def contact(node_id, rtt=float("inf")):
+        return Contact(node_id, hosts[node_id % len(hosts)].host_id, rtt)
+
+    node = _node(
+        small_underlay, own_id, k=k, alpha=alpha,
+        proximity_routing=proximity_routing,
+    )
+    rtts = st.one_of(st.just(float("inf")), st.sampled_from([5.0, 40.0, 300.0]))
+    for node_id in data.draw(st.lists(ids, max_size=12, unique=True)):
+        node.routing_table.update(contact(node_id, data.draw(rtts)))
+    seeds = node.routing_table.closest(target, k)
+
+    done = []
+    start = node.iterative_find_value if find_value else node.iterative_find_node
+    lookup = start(target, done.append)
+    ref = ReferenceLookup(
+        own_id, target, seeds, k=k, alpha=alpha,
+        proximity_routing=proximity_routing, find_value=find_value,
+    )
+
+    def dispatched():  # rpc ids count up in dispatch order
+        return [c.node_id for _rpc, (_l, c, _t) in sorted(sent.items())]
+
+    sent = dict(node._pending)
+    for _step in range(60):
+        assert dispatched() == ref.dispatched
+        assert lookup.result.rpcs_sent == len(ref.dispatched)
+        assert lookup.result.timeouts == ref.timeouts
+        assert lookup.finished == ref.finished
+        assert len(done) == int(ref.finished)
+        if not node._pending:
+            break
+        rpc_id = data.draw(st.sampled_from(sorted(node._pending)))
+        queried = node._pending[rpc_id][1]
+        if data.draw(st.booleans()):
+            node._rpc_failed(rpc_id)
+            ref.timeout(queried.node_id)
+        else:
+            heard = [contact(i) for i in data.draw(st.lists(ids, max_size=5))]
+            values = data.draw(st.sets(st.integers(0, 3), max_size=1))
+            _reply(node, rpc_id, queried, heard, values=values)
+            ref.reply(queried.node_id, 0.0, heard, values)  # the clock stands still
+        sent.update(node._pending)
+    if ref.finished:
+        assert [c.node_id for c in done[0].closest] == ref.closest
+        assert done[0].found_value == bool(done[0].values)
+    assert lookup.finished or node._pending  # never idle and unfinished
+
+
+# -- a responder that changed its id ------------------------------------------------
+def test_reply_under_a_fresh_id_settles_the_queried_id(small_underlay):
+    """The RPC to a stale id is answered under another one: the queried
+    id fails and leaves the table, the claimed id is learnt and queried
+    in its place, and the lookup ends with one callback."""
+    hosts = small_underlay.hosts
+    node = _node(small_underlay)
+    stale = Contact(9, hosts[1].host_id)
+    node.routing_table.update(stale)
+    done = []
+    lookup = node.iterative_find_node(9, done.append)
+    (rpc_id,) = node._pending
+    _reply(node, rpc_id, stale, sender_id=77)
+    assert lookup.state[9] == lookup._FAILED and not lookup.finished
+    assert node.routing_table.get(9) is None
+    assert node.routing_table.get(77).host_id == stale.host_id
+    (rpc_id,) = node._pending  # the responder, under the id it claims
+    fresh = node._pending[rpc_id][1]
+    assert fresh.node_id == 77
+    _reply(node, rpc_id, fresh)
+    assert lookup.finished and len(done) == 1 and node._pending == {}
+    assert [c.node_id for c in done[0].closest] == [77]
+    assert done[0].rpcs_sent == 2 and done[0].timeouts == 0
+
+
+def test_lookup_finishes_when_a_peer_rejoined_under_a_fresh_id():
+    """Ordinary churn, end to end: a host leaves and rejoins under a
+    fresh random id; a lookup that still holds its stale contact gets an
+    answer signed with the new id and must not wait for it forever."""
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=20, seed=15))
+    sim = Simulation()
+    bus, _acct = underlay.message_bus(sim)
+    net = KademliaNetwork(underlay, sim, bus, config=KademliaConfig(k=20), rng=15)
+    net.add_all_hosts()
+    net.bootstrap_all()
+    sim.run(until=60_000)
+
+    leaver = net.nodes[underlay.hosts[4].host_id]
+    old_id = leaver.node_id
+    leaver.go_offline()
+    net.add_hosts([leaver.host])
+    new_id = net.nodes[leaver.host_id].node_id
+    assert new_id != old_id
+    origin = next(
+        n for n in net.nodes.values()
+        if n.host_id != leaver.host_id and n.routing_table.get(old_id) is not None
+    )
+
+    done = []
+    lookup = origin.iterative_find_node(old_id, done.append)
+    sim.run(until=sim.now + 120_000)
+    assert sim.pending() == 0
+    assert lookup.finished and len(done) == 1
+    assert old_id not in [c.node_id for c in done[0].closest]
+    assert new_id in [c.node_id for c in done[0].closest]
+    assert origin.routing_table.get(new_id) is not None
+
+
+# -- counted work, not a timing floor -----------------------------------------------
+#: validate_id calls per bus message on the workload below: twice the 5.59
+#: the lookup path makes today (re-validating both ids inside every
+#: comparison key made it 54.65)
+MAX_VALIDATIONS_PER_MESSAGE = 11.2
+
+
+def test_validations_per_message_stay_bounded(monkeypatch, capsys):
+    """Ids are validated where they enter a table or a lookup, not once
+    per comparison: the count per bus message is a property of the code,
+    the same on every machine."""
+    calls = [0]
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("repro.overlay.kademlia"):
+            continue
+        original = getattr(module, "validate_id", None)
+        if original is None:
+            continue
+
+        def counting(node_id, _original=original):
+            calls[0] += 1
+            return _original(node_id)
+
+        monkeypatch.setattr(module, "validate_id", counting)
+
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=48, seed=21))
+    sim = Simulation()
+    bus, _acct = underlay.message_bus(sim, with_accounting=False)
+    net = KademliaNetwork(underlay, sim, bus, rng=21)
+    net.add_all_hosts()
+    net.bootstrap_all()
+    sim.run()
+    stats = net.run_value_workload(n_publishes=24, n_lookups=96)
+    assert stats.success_rate == 1.0
+    per_message = calls[0] / bus.stats.sent
+    with capsys.disabled():
+        print(
+            f"\nvalidate_id calls per bus message: {per_message:.2f} "
+            f"({calls[0]} / {bus.stats.sent})"
+        )
+    assert per_message <= MAX_VALIDATIONS_PER_MESSAGE
