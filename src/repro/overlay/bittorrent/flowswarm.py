@@ -30,10 +30,18 @@ last piece while faster unchokers sit idle.
 Peers, flows and the incidence structure live in struct-of-arrays
 columns (PR 6 style): one ``bincount`` sweep advances every flow, and a
 thousand-peer swarm costs a handful of numpy kernels per epoch.  The
+flow table is compiled **once per rechoke** — endpoints, AS-pair ids and
+the piece bindings carried over by ``(up, down)`` pair — and between two
+rechokes its rows only die, so a **completion epoch** pays for what
+moved: bindings are a bool column, a downloader whose bindings already
+fill its piece allowance is not re-ranked, the rest are ordered by one
+:func:`~repro.sim.flows.grouped_order`, and teardown is a mask gather.
+Every epoch still draws the same numbers from the same RNG streams.  The
 fluid byte-level abstraction is what makes thousands-of-peer locality
 sweeps (Cuevas et al., *Deep Diving into BitTorrent Locality*)
 tractable; distributional equivalence against the exact time-stepped
-twin is asserted on small swarms in ``tests/test_flowswarm_equiv.py``.
+twin is asserted on small swarms in ``tests/test_flowswarm_equiv.py``,
+which also pins the plane bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from repro.overlay.bittorrent.torrent import Torrent
 from repro.overlay.bittorrent.tracker import Tracker
 from repro.rng import SeedLike, ensure_rng, spawn
 from repro.sim.engine import EventHandle, Simulation
-from repro.sim.flows import max_min_rates, single_link_waterfill
+from repro.sim.flows import grouped_order, max_min_rates, single_link_waterfill
 from repro.underlay.autonomous_system import LinkType
 from repro.underlay.cost import TransitBillingLedger
 from repro.underlay.network import Underlay
@@ -171,10 +179,9 @@ class FlowSwarmSimulation:
         self._f_bytes = np.zeros(0)
         self._f_alive = np.zeros(0, dtype=bool)
         self._f_parked = np.zeros(0, dtype=bool)
-        # sticky piece bindings: (up_row << 32 | down_row) keys of the
-        # flows kept transferring the last time piece-granularity
-        # parking was applied
-        self._bound_keys = np.zeros(0, dtype=np.int64)
+        # sticky piece bindings: the rows kept transferring the last time
+        # piece-granularity parking cut anything
+        self._f_bound = np.zeros(0, dtype=bool)
 
         # AS-pair classification registry (grows to at most |AS|^2)
         self._pair_id: dict[tuple[int, int], int] = {}
@@ -362,6 +369,19 @@ class FlowSwarmSimulation:
         self._pp_dirty = True
         return pid
 
+    def _pairs(self, src_asns: np.ndarray, dst_asns: np.ndarray) -> np.ndarray:
+        """:meth:`_pair` for a whole flow table.  Unseen pairs are
+        classified in order of first appearance: pair ids order the float
+        sums of the byte accounting, so they are part of the result."""
+        stride = int(max(src_asns.max(initial=0), dst_asns.max(initial=0))) + 1
+        keys, first, inverse = np.unique(
+            src_asns * stride + dst_asns, return_index=True, return_inverse=True
+        )
+        ids = np.empty(keys.size, dtype=np.int64)
+        for j in np.argsort(first):
+            ids[j] = self._pair(*divmod(int(keys[j]), stride))
+        return ids[inverse]
+
     def _payer_members(self) -> tuple[np.ndarray, np.ndarray]:
         """Pair → paying-AS incidence arrays for vectorised billing."""
         if self._pp_dirty:
@@ -416,8 +436,6 @@ class FlowSwarmSimulation:
         optimistic = cfg.optimistic_slots
         ups: list[int] = []
         downs: list[int] = []
-        pairs: list[int] = []
-        pair_of = self._pair
         for peer in self._peer_rows:
             if not has_data[peer.row]:
                 peer.unchoked_rows = []
@@ -453,16 +471,16 @@ class FlowSwarmSimulation:
             peer.unchoked_rows = chosen
             peer.recv_from.clear()
             peer.sent_to.clear()
-            up_row = peer.row
-            up_asn = peer.asn
-            for r in chosen:
-                ups.append(up_row)
-                downs.append(r)
-                pairs.append(pair_of(up_asn, int(asn_col[r])))
+            ups += [peer.row] * len(chosen)
+            downs += chosen
+        # rows are renumbered here and nowhere else, so this is the one
+        # place a binding has to be found again by its (up, down) pair
+        was_bound = (self._f_up[self._f_bound] << 32) | self._f_down[self._f_bound]
         nf = len(ups)
         self._f_up = np.asarray(ups, dtype=np.int64)
         self._f_down = np.asarray(downs, dtype=np.int64)
-        self._f_pair = np.asarray(pairs, dtype=np.int64)
+        self._f_pair = self._pairs(asn_col[self._f_up], asn_col[self._f_down])
+        self._f_bound = np.isin((self._f_up << 32) | self._f_down, was_bound)
         self._f_rate = np.zeros(nf)
         self._f_bytes = np.zeros(nf)
         self._f_alive = np.ones(nf, dtype=bool)
@@ -493,46 +511,60 @@ class FlowSwarmSimulation:
         can fetch from at most ``m`` uploaders concurrently — each piece
         is bound to one uploader, and the extra unchoke slots sit idle
         rather than duplicating a piece in flight.  Bindings are sticky
-        (``self._bound_keys``): a slow uploader keeps its piece until
+        (``self._f_bound``): a slow uploader keeps its piece until
         done, which is exactly what stretches the reference's endgame
-        tail.  One lexsort over the affected flows ranks existing
-        bindings first, then flows mid-transfer, then fresh ones (random
-        within each tier); a segment-rank cut keeps the top ``m`` per
-        downloader.
+        tail.  Within a downloader existing bindings rank first, then
+        flows mid-transfer, then fresh ones (random within each tier),
+        and a segment-rank cut keeps the top ``m``.
+
+        Per epoch this draws one random key per affected row and ranks,
+        with one :func:`~repro.sim.flows.grouped_order`, only the rows of
+        downloaders whose bindings do not already number ``m`` — a piece
+        finished, or a rechoke changed who serves them.  Rows are stable
+        between rechokes, so "was kept last time" is a column written
+        here; it is re-keyed by ``(up, down)`` only where the table is
+        rebuilt.
         """
         self._f_parked[:] = False
         alive = np.flatnonzero(self._f_alive)
         if alive.size == 0:
             return
         n = len(self._peer_rows)
-        k = np.bincount(self._f_down[alive], minlength=n)
+        down_a = self._f_down[alive]
+        k = np.bincount(down_a, minlength=n)
         total = float(self.torrent.total_bytes)
         piece = float(self.torrent.piece_size_bytes)
         m = np.ceil((total - self._bytes[:n]) / piece)
-        down_a = self._f_down[alive]
-        sub = alive[(~self._complete_col[down_a]) & (k[down_a] > m[down_a])]
+        over = ((~self._complete_col[:n]) & (k > m))[down_a]
+        sub = alive[over]
         if sub.size == 0:
-            self._bound_keys = np.zeros(0, dtype=np.int64)
+            self._f_bound[:] = False
             return
-        keys = (self._f_up[sub] << 32) | self._f_down[sub]
-        bound = np.isin(keys, self._bound_keys)
-        order = np.lexsort((
-            self._rng.random(sub.size),
-            self._f_bytes[sub] <= 0.0,
-            ~bound,
-            self._f_down[sub],
-        ))
-        srows = sub[order]
-        d_sorted = self._f_down[srows]
-        change = np.empty(srows.size, dtype=bool)
-        change[0] = True
-        np.not_equal(d_sorted[1:], d_sorted[:-1], out=change[1:])
-        gstart = np.flatnonzero(change)
-        pos = np.arange(srows.size) - gstart[np.cumsum(change) - 1]
-        keep = pos < m[d_sorted]
-        self._f_parked[srows[~keep]] = True
-        kept = srows[keep]
-        self._bound_keys = (self._f_up[kept] << 32) | self._f_down[kept]
+        down_s = down_a[over]
+        bound = self._f_bound[sub]
+        draw = self._rng.random(sub.size)
+        # a downloader holding exactly ``m`` bindings keeps exactly those
+        # whatever it drew, so only the others' rows are ranked
+        held = np.bincount(down_s, weights=bound, minlength=n)
+        moved = (held != m)[down_s]
+        kept = sub[bound & ~moved]
+        if moved.any():
+            rows = sub[moved]
+            d = down_s[moved]
+            # within a downloader: bound rows, then mid-transfer, then fresh
+            tier = (~bound[moved]) * 2 + (self._f_bytes[rows] <= 0.0)
+            order = grouped_order((d << 2) | tier, draw[moved])
+            d_sorted = d[order]
+            change = np.empty(rows.size, dtype=bool)
+            change[0] = True
+            np.not_equal(d_sorted[1:], d_sorted[:-1], out=change[1:])
+            gstart = np.flatnonzero(change)
+            pos = np.arange(rows.size) - gstart[np.cumsum(change) - 1]
+            kept = np.concatenate([kept, rows[order[pos < m[d_sorted]]]])
+        self._f_parked[sub] = True
+        self._f_parked[kept] = False
+        self._f_bound[:] = False
+        self._f_bound[kept] = True
 
     def _reallocate(self) -> None:
         """Max-min rates for the live, unparked flow rows."""
@@ -683,8 +715,9 @@ class FlowSwarmSimulation:
             if self._dltime_hist is not None:
                 self._dltime_hist.observe(now - peer.join_time)
         # tear down the completed peers' inbound flows
-        dead = self._f_alive & np.isin(self._f_down, done_rows)
-        rows = np.flatnonzero(dead)
+        done = np.zeros(n, dtype=bool)
+        done[done_rows] = True
+        rows = np.flatnonzero(self._f_alive & done[self._f_down])
         if rows.size:
             self._fold_flow_bytes(rows)
             self._f_alive[rows] = False

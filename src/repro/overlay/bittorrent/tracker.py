@@ -13,9 +13,8 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.collection.oracle import ISPOracle
 from repro.errors import OverlayError
@@ -55,15 +54,19 @@ class Tracker:
         self.external_quota = external_quota
         self.oracle = oracle
         self._rng = ensure_rng(rng)
-        # Insertion-ordered registry: iteration order is the announce
-        # order, never the interpreter's hash order, so the seeded RNG is
-        # the only source of list-order variation.
-        self._swarm: dict[int, None] = {}
+        # Announce-ordered registry: id -> position.  Samples are drawn
+        # over positions, never over the interpreter's hash order, so the
+        # seeded RNG is the only source of list-order variation.
+        self._swarm: dict[int, int] = {}
+        self._order: list[int] = []  # position -> id
+        self._asns: list[int] = []  # position -> ASN
+        self._by_as: dict[int, list[int]] = {}  # ASN -> ascending positions
         self.announces = 0
 
     @property
-    def swarm(self) -> dict[int, None]:
-        """Registered peers (insertion-ordered; supports ``in``/``len``)."""
+    def swarm(self) -> dict[int, int]:
+        """Registered peers in announce order (supports ``in``/``len``/
+        iteration; the values are the tracker's own bookkeeping)."""
         return self._swarm
 
     def announce(self, host_id: int) -> list[int]:
@@ -74,43 +77,93 @@ class Tracker:
         BIASED the AS composition, not the position of same-AS entries,
         carries the locality bias), while ORACLE keeps the oracle's rank
         order — ranking is that policy's entire point.
+
+        RANDOM and BIASED cost O(list size): the sample is drawn over
+        the positions of everyone else, found by stepping over the
+        requester's own position (for outside peers, over its whole
+        AS's).  ORACLE stays O(swarm) — the oracle ranks the whole list.
+        An id the underlay does not know raises before anything is
+        registered, counted or drawn.
         """
+        my_asn = self.underlay.asn_of(host_id)
         self.announces += 1
-        others = [p for p in self._swarm if p != host_id]
-        self._swarm[host_id] = None
-        if not others:
+        me = self._swarm.get(host_id)
+        if me is None:
+            me = self._swarm[host_id] = len(self._order)
+            self._order.append(host_id)
+            self._asns.append(my_asn)
+            self._by_as.setdefault(my_asn, []).append(me)
+        n_others = len(self._order) - 1
+        if not n_others:
             return []
         if self.policy is TrackerPolicy.RANDOM:
-            return self._sample(others, self.peer_list_size)
+            order = self._order
+            return [
+                order[i + (i >= me)]
+                for i in self._draw(n_others, self.peer_list_size)
+            ]
         if self.policy is TrackerPolicy.ORACLE:
             assert self.oracle is not None
-            ranked = self.oracle.rank(host_id, others)
-            return ranked[: self.peer_list_size]
-        return self._biased_list(host_id, others)
+            others = self._order[:me] + self._order[me + 1:]
+            return self.oracle.rank(host_id, others)[: self.peer_list_size]
+        return self._biased_list(me, n_others)
 
-    def _sample(self, pool: Sequence[int], n: int) -> list[int]:
-        n = min(n, len(pool))
-        idx = self._rng.choice(len(pool), size=n, replace=False)
-        return [pool[int(i)] for i in idx]
+    def _draw(self, pool_size: int, n: int) -> list[int]:
+        """``min(n, pool_size)`` distinct indices into a pool."""
+        return self._rng.choice(
+            pool_size, size=min(n, pool_size), replace=False
+        ).tolist()
 
-    def _biased_list(self, host_id: int, others: Sequence[int]) -> list[int]:
-        my_asn = self.underlay.asn_of(host_id)
-        internal = [p for p in others if self.underlay.asn_of(p) == my_asn]
-        external = [p for p in others if self.underlay.asn_of(p) != my_asn]
-        take_internal = self._sample(internal, self.peer_list_size - self.external_quota)
-        take_external = self._sample(external, min(self.external_quota,
-                                                   self.peer_list_size))
-        combined = take_internal + take_external
+    def _biased_list(self, me: int, n_others: int) -> list[int]:
+        order = self._order
+        mine = self._by_as[self._asns[me]]  # same-AS positions, ``me`` among them
+        my_rank = bisect_left(mine, me)
+        n_internal = len(mine) - 1
+
+        def internal(j: int) -> int:
+            return order[mine[j + (j >= my_rank)]]
+
+        picked = self._draw(
+            n_internal, max(0, self.peer_list_size - self.external_quota)
+        )
+        combined = [internal(j) for j in picked]
+        combined += [
+            order[_nth_absent(mine, i)]
+            for i in self._draw(
+                n_others - n_internal,
+                min(self.external_quota, self.peer_list_size),
+            )
+        ]
         # External peers are capped by the quota; when the external pool
         # is short, top the list back up from unused same-AS peers so the
         # returned degree does not depend on AS population splits.
-        short = min(self.peer_list_size, len(others)) - len(combined)
+        short = min(self.peer_list_size, n_others) - len(combined)
         if short > 0:
-            chosen = set(combined)
-            spare = [p for p in internal if p not in chosen]
-            combined += self._sample(spare, short)
+            picked.sort()
+            combined += [
+                internal(_nth_absent(picked, j))
+                for j in self._draw(n_internal - len(picked), short)
+            ]
         self._rng.shuffle(combined)
         return combined
 
     def depart(self, host_id: int) -> None:
-        self._swarm.pop(host_id, None)
+        at = self._swarm.pop(host_id, None)
+        if at is None:
+            return
+        del self._order[at]
+        del self._asns[at]
+        for i in range(at, len(self._order)):
+            self._swarm[self._order[i]] = i
+        self._by_as = {}
+        for i, asn in enumerate(self._asns):
+            self._by_as.setdefault(asn, []).append(i)
+
+
+def _nth_absent(taken: Sequence[int], i: int) -> int:
+    """The ``i``-th (from 0) non-negative integer not in the ascending
+    ``taken``: ``taken[j] - j`` integers are absent below ``taken[j]``,
+    so it lies past every ``j`` where that count is at most ``i``."""
+    return i + bisect_right(
+        range(len(taken)), i, key=lambda j: taken[j] - j
+    )

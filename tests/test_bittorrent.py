@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import OverlayError
+from repro.collection.oracle import ISPOracle
+from repro.errors import OverlayError, TopologyError
 from repro.overlay.bittorrent import (
     Bitfield,
+    FlowSwarmSimulation,
     SwarmConfig,
     SwarmSimulation,
     Torrent,
@@ -13,6 +17,56 @@ from repro.overlay.bittorrent import (
     TrackerPolicy,
 )
 from repro.underlay import Underlay, UnderlayConfig
+
+
+class _ScanningTracker:
+    """The tracker as it stood up to commit 944e555: every announce
+    rebuilds the list of everyone else and, when biased, splits it by two
+    ``asn_of`` calls per member.  Kept as the oracle the indexed tracker
+    must match list for list and draw for draw."""
+
+    def __init__(self, underlay, *, policy, peer_list_size, external_quota,
+                 oracle=None, rng=None):
+        self.underlay = underlay
+        self.policy = policy
+        self.peer_list_size = peer_list_size
+        self.external_quota = external_quota
+        self.oracle = oracle
+        self.rng = rng
+        self.swarm: dict[int, None] = {}
+
+    def announce(self, host_id):
+        others = [p for p in self.swarm if p != host_id]
+        self.swarm[host_id] = None
+        if not others:
+            return []
+        if self.policy is TrackerPolicy.RANDOM:
+            return self._sample(others, self.peer_list_size)
+        if self.policy is TrackerPolicy.ORACLE:
+            return self.oracle.rank(host_id, others)[: self.peer_list_size]
+        my_asn = self.underlay.asn_of(host_id)
+        internal = [p for p in others if self.underlay.asn_of(p) == my_asn]
+        external = [p for p in others if self.underlay.asn_of(p) != my_asn]
+        combined = self._sample(
+            internal, self.peer_list_size - self.external_quota
+        ) + self._sample(
+            external, min(self.external_quota, self.peer_list_size)
+        )
+        short = min(self.peer_list_size, len(others)) - len(combined)
+        if short > 0:
+            chosen = set(combined)
+            spare = [p for p in internal if p not in chosen]
+            combined += self._sample(spare, short)
+        self.rng.shuffle(combined)
+        return combined
+
+    def _sample(self, pool, n):
+        n = min(n, len(pool))
+        idx = self.rng.choice(len(pool), size=n, replace=False)
+        return [pool[int(i)] for i in idx]
+
+    def depart(self, host_id):
+        self.swarm.pop(host_id, None)
 
 
 class TestTorrentAndBitfield:
@@ -124,6 +178,136 @@ class TestTracker:
         assert 0 < n_internal < len(flags)
         # internal entries scattered, not a prefix block
         assert flags != sorted(flags, reverse=True)
+
+
+    @pytest.mark.parametrize("policy", list(TrackerPolicy))
+    def test_failed_announce_leaves_no_trace(self, underlay, policy):
+        """An id the underlay does not know is refused before it is
+        registered, counted or drawn for (it used to stay in the swarm:
+        under BIASED it broke every later announce, under RANDOM it was
+        handed out to other peers)."""
+        rng = np.random.default_rng(4)
+        tr = Tracker(underlay, policy=policy, oracle=ISPOracle(underlay), rng=rng)
+        ids = underlay.host_ids()
+        for h in ids[:10]:
+            tr.announce(h)
+        before = rng.bit_generator.state
+        with pytest.raises(TopologyError):
+            tr.announce(10**9)
+        assert 10**9 not in tr.swarm
+        assert list(tr.swarm) == ids[:10]
+        assert tr.announces == 10
+        assert rng.bit_generator.state == before
+        got = tr.announce(ids[10])
+        assert got and set(got) <= set(ids[:10])
+
+    @pytest.mark.parametrize("peer_list_size", [1, 2, 3])
+    @pytest.mark.parametrize("external_quota", [1, 2, 3, 4])
+    def test_biased_quota_above_list_size(
+        self, underlay, peer_list_size, external_quota
+    ):
+        """A quota above the list size leaves no same-AS share (it used
+        to ask numpy for a negative one and die on the second announce);
+        the list is as long as the quota and the swarm allow."""
+        tr = Tracker(
+            underlay, policy=TrackerPolicy.BIASED,
+            peer_list_size=peer_list_size, external_quota=external_quota,
+            rng=6,
+        )
+        seen: list[int] = []
+        for h in underlay.host_ids():
+            got = tr.announce(h)
+            same_as = sum(underlay.asn_of(p) == underlay.asn_of(h) for p in seen)
+            outside = min(external_quota, len(seen) - same_as)
+            assert len(got) == min(peer_list_size, same_as + outside)
+            assert len(set(got)) == len(got) and set(got) <= set(seen)
+            seen.append(h)
+
+    def test_biased_announce_resolves_an_asn_once(self, monkeypatch, capsys):
+        """Counted work, the same on every machine: the tracker indexes
+        the swarm by AS, so an announce looks one ASN up — not two per
+        member already registered (≈ 2 × 300 by the last announce)."""
+        underlay = Underlay.generate(UnderlayConfig(n_hosts=300, seed=23))
+        calls = [0]
+        original = Underlay.asn_of
+
+        def counting(self, host_id):
+            calls[0] += 1
+            return original(self, host_id)
+
+        monkeypatch.setattr(Underlay, "asn_of", counting)
+        tracker = Tracker(
+            underlay, policy=TrackerPolicy.BIASED, external_quota=7, rng=23
+        )
+        swarm = FlowSwarmSimulation(
+            underlay, Torrent(0, n_pieces=4), tracker, rng=23
+        )
+        ids = underlay.host_ids()
+        swarm.populate(ids[3:], ids[:3])
+        swarm.engine.run()
+        assert tracker.announces == len(tracker.swarm) == 300
+        per_announce = calls[0] / tracker.announces
+        with capsys.disabled():
+            print(f"\nasn_of calls per biased announce: {per_announce:.2f}")
+        assert per_announce <= 2.0
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["announce", "announce", "reannounce", "depart"]),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@pytest.fixture(scope="module")
+def small_underlay():
+    return Underlay.generate(UnderlayConfig(n_hosts=40, seed=19))
+
+
+@given(
+    ops=_OPS,
+    policy=st.sampled_from(list(TrackerPolicy)),
+    peer_list_size=st.integers(min_value=1, max_value=8),
+    quota_share=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_indexed_tracker_matches_scanning_tracker(
+    small_underlay, ops, policy, peer_list_size, quota_share, seed
+):
+    """Any sequence of first announces, re-announces, departures and
+    announces after a departure: the same lists in the same order, and
+    the tracker RNG left in the same state, as the full scan gave."""
+    ids = small_underlay.host_ids()
+    config = dict(
+        policy=policy,
+        peer_list_size=peer_list_size,
+        external_quota=1 + round(quota_share * (peer_list_size - 1)),
+    )
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tracker = Tracker(
+        small_underlay, oracle=ISPOracle(small_underlay), rng=rng, **config
+    )
+    ref = _ScanningTracker(
+        small_underlay, oracle=ISPOracle(small_underlay), rng=ref_rng, **config
+    )
+    for op, pick in ops:
+        members = list(ref.swarm)
+        if op == "announce" or not members:
+            # never-seen ids and departed ones alike
+            host = ids[pick % len(ids)]
+        else:
+            host = members[pick % len(members)]
+        if op == "depart":
+            tracker.depart(host)
+            ref.depart(host)
+        else:
+            assert tracker.announce(host) == ref.announce(host)
+        assert list(tracker.swarm) == list(ref.swarm)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSwarm:
