@@ -1,6 +1,6 @@
 """Benchmark-suite configuration.
 
-Each benchmark runs its experiment once (rounds=1) — these are
+Each benchmark runs its experiment once — these are
 experiment-regeneration harnesses, not micro-benchmarks — prints the same
 rows the paper's figure/table reports, and asserts the qualitative shape.
 
@@ -54,16 +54,12 @@ def pytest_configure(config):
         configure_default_workers(workers)
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under the benchmark clock and return its
-    result (pytest-benchmark re-runs callables by default; experiments are
-    deterministic and expensive, one round is the right cost/precision)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
 @pytest.fixture()
-def once(benchmark):
+def once():
+    """Run an experiment once and return its result: the experiments are
+    deterministic and expensive, and nothing here is timed — "did it get
+    slower" is answered by ``bench/run.py`` + ``bench/compare.py``."""
     def _run(fn, *args, **kwargs):
-        return run_once(benchmark, fn, *args, **kwargs)
+        return fn(*args, **kwargs)
 
     return _run

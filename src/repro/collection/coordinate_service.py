@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class VivaldiGossipService(InfoSource):
         self._pending: dict[int, tuple[int, float]] = {}  # probe id -> (host, t0)
         self._probe_seq = itertools.count()
         self.samples_processed = 0
-        self._update_listeners: list[Callable[[int], None]] = []
         for hid in self.participants:
             self.nodes[hid] = VivaldiNode(self.config, self._rng)
             bus.register(("viv", hid), self._on_message)
@@ -137,14 +136,6 @@ class VivaldiGossipService(InfoSource):
             remote.error = msg.payload["error"]
             self.nodes[me].update(rtt, remote)
             self.samples_processed += 1
-            for listener in self._update_listeners:
-                listener(me)
-
-    def add_update_listener(self, listener: Callable[[int], None]) -> None:
-        """Call ``listener(host_id)`` after every coordinate update —
-        the invalidation signal for score caches built on these
-        estimates (a moved coordinate re-ranks every list it scored)."""
-        self._update_listeners.append(listener)
 
     # -- queries ------------------------------------------------------------------
     def estimate(self, host_a: int, host_b: int) -> float:

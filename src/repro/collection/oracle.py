@@ -99,8 +99,8 @@ class ISPOracle(InfoSource):
         instead of a routing call per candidate, and the policy branch is
         taken once per list, not once per candidate.  Key values, tie
         order, overhead charge, counters, and the jitter draw (one
-        ``rng.random(len(cand))`` call) are identical to the retained
-        :meth:`rank_reference` path.
+        ``rng.random(len(cand))`` call) are identical to keying each
+        candidate by its own ``routing.hops`` call.
         """
         if limit is not None and limit < 1:
             raise CollectionError("limit must be >= 1 when given")
@@ -198,49 +198,6 @@ class ISPOracle(InfoSource):
         through the keyed list via :meth:`top_k`, never a full sort."""
         top = self.top_k(querying_host, candidates, 1)
         return top[0] if top else None
-
-    def rank_reference(
-        self,
-        querying_host: int,
-        candidates: Sequence[int],
-        *,
-        limit: Optional[int] = None,
-    ) -> list[int]:
-        """Retained per-candidate reference ranking (one routing call per
-        candidate, full sort) — the equivalence baseline for the batch
-        path.  Charges and counts exactly like :meth:`rank`."""
-        if limit is not None and limit < 1:
-            raise CollectionError("limit must be >= 1 when given")
-        cand = list(candidates)
-        if limit is not None:
-            cand = cand[:limit]
-        my_asn = self.underlay.asn_of(querying_host)
-        self.lists_ranked += 1
-        self.candidates_ranked += len(cand)
-        if self._lists_ctr is not None:
-            self._lists_ctr.inc()
-            self._candidates_ctr.inc(len(cand))
-        self.overhead.charge(
-            queries=1, messages=2, bytes_on_wire=64 + 8 * len(cand)
-        )
-        keyed = []
-        for idx, c in enumerate(cand):
-            hops = self.underlay.routing.hops(my_asn, self.underlay.asn_of(c))
-            if self.policy is OraclePolicy.COOPERATIVE:
-                capacity = self.underlay.host(c).resources.capacity_score()
-                key = (hops, -capacity)
-            elif self.policy is OraclePolicy.HONEST:
-                key = (hops,)
-            else:  # MALICIOUS: farthest first
-                key = (-hops,)
-            keyed.append((key, idx, c))
-        if self._rng is not None:
-            jitter = self._rng.random(len(keyed))
-            keyed = [
-                (key, float(j), c) for (key, _idx, c), j in zip(keyed, jitter)
-            ]
-        keyed.sort(key=lambda t: (t[0], t[1]))
-        return [c for _k, _i, c in keyed]
 
     def same_as_candidates(
         self, querying_host: int, candidates: Sequence[int]

@@ -11,7 +11,6 @@ from repro.core.qos import (
     QoSProfile,
 )
 from repro.core.peerstate import Bitmap2D, PeerState, SlotAllocator
-from repro.core.score_cache import CachedSelection, ScoreCache
 from repro.core.selection import (
     CompositeSelection,
     GeoSelection,
@@ -33,7 +32,6 @@ from repro.core.taxonomy import (
 __all__ = [
     "BUILTIN_PROFILES",
     "Bitmap2D",
-    "CachedSelection",
     "CompositeSelection",
     "FILE_SHARING",
     "GeoSelection",
@@ -48,7 +46,6 @@ __all__ = [
     "REAL_TIME",
     "RandomSelection",
     "ResourceSelection",
-    "ScoreCache",
     "ScoredSelection",
     "SlotAllocator",
     "SystemEntry",

@@ -171,15 +171,6 @@ class UnderlayAwarenessFramework:
         """The framework's single entry point for overlays."""
         return self.selector_for(profile).select(querying_host, candidates, k)
 
-    def cached_selector_for(self, profile: QoSProfile, cache=None):
-        """A profile's composite selector wrapped in a
-        :class:`~repro.core.score_cache.CachedSelection`.  Hold on to the
-        returned selector (each call builds a fresh wrapper) and wire the
-        cache's ``watch_*`` hooks to whatever moves the underlay."""
-        from repro.core.score_cache import CachedSelection
-
-        return CachedSelection(self.selector_for(profile), cache)
-
     def baseline_selector(self, rng=None) -> NeighborSelection:
         """Underlay-oblivious control."""
         return RandomSelection(rng)

@@ -36,10 +36,9 @@ proximity experiment, so each strategy exposes two protocols on top of
   ``heapq.nsmallest`` over scalar ones), so top-1/top-k callers (source
   selection, ``select``) never pay ``O(n log n)``.
 
-Orderings are bit-identical to the per-candidate reference path, which
-every strategy retains as ``rank_scalar`` — the equivalence is asserted
-over multiple seeds by ``tests/test_selection_batch.py`` and timed by
-``benchmarks/test_microbench_selection.py``.
+Orderings are bit-identical to a stable sort by one scalar score per
+candidate; ``tests/test_selection_batch.py`` holds that sort as its
+oracle and asserts the equivalence over several seeds.
 """
 
 from __future__ import annotations
@@ -188,14 +187,6 @@ class RandomSelection(ScoredSelection):
             scores[int(i)] = float(position)
         return scores
 
-    def rank_scalar(
-        self, querying_host: int, candidates: Sequence[int]
-    ) -> list[int]:
-        """Retained per-candidate reference path (identical draws)."""
-        cand = _dedup(candidates)
-        perm = self._rng.permutation(len(cand))
-        return [cand[int(i)] for i in perm]
-
 
 class ISPLocalitySelection(NeighborSelection):
     """Biased neighbor selection via the ISP oracle, or — without ISP
@@ -271,23 +262,6 @@ class ISPLocalitySelection(NeighborSelection):
         )
         return [cand[i] for i in best]
 
-    def rank_scalar(
-        self, querying_host: int, candidates: Sequence[int]
-    ) -> list[int]:
-        """Retained per-candidate reference path (one lookup per
-        candidate, full sort; oracle path uses the oracle's reference)."""
-        cand = _dedup(candidates)
-        if self.oracle is not None:
-            return self.oracle.rank_reference(querying_host, cand)
-        assert self.mapping is not None
-        my_asn = self.mapping.lookup(querying_host)
-        keyed = [
-            (0 if self.mapping.lookup(c) == my_asn else 1, i, c)
-            for i, c in enumerate(cand)
-        ]
-        keyed.sort()
-        return [c for _k, _i, c in keyed]
-
 
 class LatencySelection(ScoredSelection):
     """Lowest predicted RTT first.
@@ -336,19 +310,6 @@ class LatencySelection(ScoredSelection):
             )
         return [float(self.rtt_predictor(querying_host, c)) for c in cand]
 
-    def rank_scalar(
-        self, querying_host: int, candidates: Sequence[int]
-    ) -> list[int]:
-        """Retained per-candidate reference path (one predictor call per
-        candidate, full sort)."""
-        cand = _dedup(candidates)
-        keyed = [
-            (float(self.rtt_predictor(querying_host, c)), i, c)
-            for i, c in enumerate(cand)
-        ]
-        keyed.sort()
-        return [c for _d, _i, c in keyed]
-
 
 class GeoSelection(ScoredSelection):
     """Geographically closest first; candidates without a position (e.g.
@@ -377,23 +338,6 @@ class GeoSelection(ScoredSelection):
             # elementwise hypot matches Position.distance_to bit-for-bit
             scores[have] = np.hypot(my_pos.x - xs, my_pos.y - ys)
         return scores
-
-    def rank_scalar(
-        self, querying_host: int, candidates: Sequence[int]
-    ) -> list[int]:
-        """Retained per-candidate reference path (one ``distance_to`` per
-        candidate, full sort)."""
-        cand = _dedup(candidates)
-        my_pos = self.position_source(querying_host)
-        if my_pos is None:
-            return cand
-        keyed = []
-        for i, c in enumerate(cand):
-            pos = self.position_source(c)
-            d = my_pos.distance_to(pos) if pos is not None else float("inf")
-            keyed.append((d, i, c))
-        keyed.sort()
-        return [c for _d, _i, c in keyed]
 
 
 class ResourceSelection(ScoredSelection):
@@ -425,15 +369,6 @@ class ResourceSelection(ScoredSelection):
     ) -> list[float]:
         cand = _dedup(candidates)
         return [-float(self.capacity_of(c)) for c in cand]
-
-    def rank_scalar(
-        self, querying_host: int, candidates: Sequence[int]
-    ) -> list[int]:
-        """Retained per-candidate reference path (full sort)."""
-        cand = _dedup(candidates)
-        keyed = [(-float(self.capacity_of(c)), i, c) for i, c in enumerate(cand)]
-        keyed.sort()
-        return [c for _s, _i, c in keyed]
 
 
 class CompositeSelection(NeighborSelection):
@@ -510,19 +445,3 @@ class CompositeSelection(NeighborSelection):
         chosen = np.concatenate((strict, tied))
         order = chosen[np.lexsort((ids[chosen], scores[chosen]))]
         return [cand[i] for i in order]
-
-    def rank_scalar(
-        self, querying_host: int, candidates: Sequence[int]
-    ) -> list[int]:
-        """Retained reference path: dict-accumulated fusion over the
-        components' own scalar reference rankings."""
-        cand = _dedup(candidates)
-        if len(cand) <= 1:
-            return cand
-        scores = {c: 0.0 for c in cand}
-        denom = len(cand) - 1
-        for strategy, weight in self.components:
-            ranker = getattr(strategy, "rank_scalar", strategy.rank)
-            for pos, c in enumerate(ranker(querying_host, cand)):
-                scores[c] += weight * (pos / denom)
-        return sorted(cand, key=lambda c: (scores[c], c))

@@ -6,11 +6,10 @@ bus delivery, and a Python handler dispatch.  :class:`FloodKernel`
 expands the *entire* flood (or a whole network-wide ping round) inside
 one call instead: arrivals are processed from a kernel-local
 ``(time, seq)`` heap in exactly the order the simulator would have
-delivered them, per-edge delivery times come from the bus's latency
-provider (memoised scalar reads, or an
-:meth:`~repro.underlay.network.Underlay.one_way_delay_row` gather for
-wide fan-outs), and duplicate suppression runs against the network's
-bounded :class:`~repro.sim.queryplane.SeenFilter` plus a flood-local set.
+delivered them, per-edge delivery times are memoised scalar reads of
+the bus's latency provider, and duplicate suppression runs against the
+network's bounded :class:`~repro.sim.queryplane.SeenFilter` plus a
+flood-local set.
 Per-message semantics are preserved exactly — loss draws from the bus's
 own RNG in per-destination send order, fault-hook interposition with
 in-flight drops, TTL decrement, duplicate and TTL-expiry drops, traffic
@@ -73,10 +72,6 @@ _SENT, _DELIV, _LOSS, _FAULT, _NH = range(5)
 # kernel-heap event codes (first message of each expansion kind)
 _FWD = 0   # QUERY or PING propagating outward
 _BACK = 1  # QUERYHIT or PONG routing back
-
-#: gather delivery times with one ``one_way_delay_row`` read instead of
-#: per-destination scalar calls above this fan-out
-_ROW_GATHER_MIN = 64
 
 #: the src -> {dst -> delay} memo is cleared past this many source rows
 #: (each row is bounded by node degree; delays are deterministic per
@@ -143,15 +138,13 @@ class _Emitter:
         kind: str,
         code: int,
         aux,
-        d: float | None = None,
     ) -> None:
         size = _SIZES[kind]
         a = self._acc[kind]
         a[_SENT] += 1
         self._sent_by[kind][src] += 1
         if self.fast:
-            if d is None:
-                d = self._delay(src, dst)
+            d = self._delay(src, dst)
             heapq.heappush(
                 self._heap, (t + d, next(self._seq), code, src, dst, aux)
             )
@@ -171,8 +164,7 @@ class _Emitter:
                 "bus", "send", time=t, src=src, dst=dst, kind=kind, size=size
             )
         bus = self._bus
-        if d is None:
-            d = self._delay(src, dst)
+        d = self._delay(src, dst)
         if bus._fault_hook is not None:
             penalty = bus._fault_hook(src, dst, kind)
             if penalty == math.inf:
@@ -213,7 +205,6 @@ class FloodKernel:
     def __init__(self, net: "GnutellaNetwork") -> None:
         self.net = net
         self._lat = net.bus.latency
-        self._row = getattr(self._lat, "one_way_delay_row", None)
         self._memo: dict[Hashable, dict[Hashable, float]] = {}
 
     def _memo_row(self, src: int) -> dict:
@@ -395,11 +386,7 @@ class FloodKernel:
                     emit(t, dst, src, "QUERYHIT", _BACK, responder)
                 if ttl > 1 and node.role == ULTRAPEER:
                     fts = [nb for nb in node.neighbors if nb != src]
-                    if len(fts) >= _ROW_GATHER_MIN and self._row is not None:
-                        for nb, dd in zip(fts, self._row(dst, fts)):
-                            emit(t, dst, nb, "QUERY", _FWD, ttl - 1,
-                                 d=float(dd))
-                    elif fast:
+                    if fast:
                         # inlined emit: forwards are the bulk of a flood
                         ttl1 = ttl - 1
                         n_fts = len(fts)

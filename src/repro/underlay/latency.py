@@ -289,34 +289,6 @@ class LatencyModel:
         )
         return float(base * mult)
 
-    def one_way_delay_reference(self, host_a: Host, host_b: Host) -> float:
-        """Retained seed implementation of the scalar delay path.
-
-        Constructs a fresh per-pair ``np.random.default_rng`` for the
-        jitter draw — the per-message cost the streaming kernel removes.
-        Kept as the wall-cost baseline for ``benchmarks/
-        test_microbench_bus.py``; its jitter differs from the canonical
-        kernel (that disagreement between the scalar and matrix paths is
-        the seed bug PR 9 fixed), so nothing but the benchmark should
-        call it.
-        """
-        if host_a.host_id == host_b.host_id:
-            return 0.05  # loopback-ish
-        cfg = self.config
-        base = (
-            host_a.access_latency_ms
-            + host_b.access_latency_ms
-            + self.as_pair_delay(host_a.asn, host_b.asn)
-        )
-        if host_a.asn == host_b.asn:
-            base += host_a.position.distance_to(host_b.position) * cfg.propagation_ms_per_km
-        lo, hi = sorted((host_a.host_id, host_b.host_id))
-        pair_rng = np.random.default_rng(
-            (cfg.jitter_seed * 1_000_003 + lo) * 1_000_003 + hi
-        )
-        mult = float(np.clip(pair_rng.normal(1.0, cfg.jitter_std_frac), 0.5, 2.0))
-        return base * mult
-
     def delay_kernel(
         self,
         hosts: Sequence[Host],

@@ -23,8 +23,6 @@ def test_every_benchmark_is_documented():
     docs = _read("DESIGN.md") + _read("EXPERIMENTS.md") + _read("README.md")
     for bench in (ROOT / "benchmarks").glob("test_*.py"):
         stem = bench.stem
-        if stem == "test_microbench_core":
-            continue  # perf-regression guards, not paper artefacts
         assert stem in docs, f"benchmark {stem} is not referenced in the docs"
 
 
@@ -40,6 +38,33 @@ def test_every_documented_module_exists():
             (ROOT / "src" / pathlib.Path(*parts[:-1])).with_suffix(".py"),
         ]
         assert any(c.exists() for c in candidates), f"{match} referenced in docs but missing"
+
+
+def test_every_documented_path_exists():
+    # CHANGES.md and ROADMAP.md are history and may name what is gone
+    docs = [ROOT / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    docs += sorted((ROOT / "docs").glob("*.md")) + [ROOT / "bench" / "README.md"]
+    # the lookbehind skips package-relative paths (`underlay/cache.py`)
+    in_tree = re.compile(
+        r"(?<![\w/])(?:benchmarks|tests|bench|docs|examples|src)/[\w.*/-]*"
+    )
+    result_file = re.compile(r"\bBENCH_\w+\.json|\b\w+_floor\.json")
+    missing = []
+    for doc in docs:
+        text = doc.read_text()
+        for span in re.findall(r"`([^`\n]+)`", text):
+            for path in in_tree.findall(span):
+                path = path.rstrip(".")
+                if path.startswith("bench/out/"):
+                    continue  # generated
+                if not ((ROOT / path).exists() or any(ROOT.glob(path))):
+                    missing.append(f"{doc.relative_to(ROOT)}: {path}")
+        for name in result_file.findall(text):
+            if not ((ROOT / name).exists() or (ROOT / "benchmarks" / name).exists()):
+                missing.append(f"{doc.relative_to(ROOT)}: {name}")
+    assert not missing, "docs name files that do not exist:\n" + "\n".join(
+        sorted(set(missing))
+    )
 
 
 def test_api_doc_generator_runs():

@@ -5,7 +5,8 @@ The equivalence currency is the message-level send log: the sorted
 :func:`flood_trace_digest`.  Both backends must be bit-identical on it —
 and on bus stats, ``message_counts()`` (including the drop counters),
 per-node counters, search hits, and first-hit latencies — across seeds,
-loss rates (serial floods), whole-run fault windows, and TTL edge cases.
+loss rates (serial floods), whole-run fault windows, TTL edge cases, and
+both delay backends (matrix and stream).
 
 A :class:`TrafficAccountant` rides on the same bus ahead of the
 ``SendLog``: the batch kernel hands it one aggregate per ``(src, dst,
@@ -41,18 +42,20 @@ SEEDS = (7, 11, 23)
 _UNDERLAYS: dict = {}
 
 
-def _underlay(n_hosts, seed=13):
-    key = (n_hosts, seed)
+def _underlay(n_hosts, seed=13, delay_backend="matrix"):
+    key = (n_hosts, seed, delay_backend)
     if key not in _UNDERLAYS:
         _UNDERLAYS[key] = Underlay.generate(
-            UnderlayConfig(n_hosts=n_hosts, seed=seed)
+            UnderlayConfig(
+                n_hosts=n_hosts, seed=seed, delay_backend=delay_backend
+            )
         )
     return _UNDERLAYS[key]
 
 
 def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5, seen_window=4096,
-           fault_schedule=None, accounting=True):
-    u = _underlay(n_hosts)
+           fault_schedule=None, accounting=True, delay_backend="matrix"):
+    u = _underlay(n_hosts, delay_backend=delay_backend)
     sim = Simulation()
     bus = MessageBus(sim, u, loss_rate=loss, loss_seed=seed)
     acct = None
@@ -140,6 +143,13 @@ def test_flood_workload_bit_identical(seed):
     ref = _run_workload("reference", seed=seed)
     bat = _run_workload("batch", seed=seed)
     assert ref == bat
+    # the delay backends are value-identical (test_delay_stream), so the
+    # bus and the kernel must not be able to tell them apart either
+    for backend in ("reference", "batch"):
+        streamed = _run_workload(backend, seed=seed, delay_backend="stream")
+        assert streamed == ref
+    kernel = _underlay(45, delay_backend="stream").delay_kernel
+    assert kernel.memo_info().hits > 0  # the sends did read the pair memo
     # the accountant saw every send, once, and some of it left its AS
     seen, logged = bat["observed"]
     assert seen == logged > 0

@@ -1,11 +1,11 @@
 """Batch-vs-scalar equivalence for the selection engine.
 
-Every built-in strategy and the ISP oracle keep a per-candidate
-reference path (``rank_scalar`` / ``rank_reference``); these tests
-assert the batched ``rank``/``top_k``/``score_many`` paths reproduce it
-**bit-identically** — same orderings, same tie-breaks, same RNG draw
-order — across multiple seeds, candidate sizes, and edge cases
-(duplicates, empty lists, singletons).
+The per-candidate rankers the batch paths replaced live here as oracles
+(``rank_scalar`` for the strategies, ``rank_reference`` for the ISP
+oracle); these tests assert the batched ``rank``/``top_k``/``score_many``
+paths reproduce them **bit-identically** — same orderings, same
+tie-breaks, same RNG draw order — across multiple seeds, candidate
+sizes, and edge cases (duplicates, empty lists, singletons).
 """
 
 from __future__ import annotations
@@ -28,6 +28,77 @@ from repro.core.selection import (
 from repro.errors import ConfigurationError
 
 SEEDS = [0, 11, 42]
+
+
+def _scalar_score(sel, querier):
+    """``candidate -> score`` for one strategy, one Python call per
+    candidate and nothing batched."""
+    if isinstance(sel, LatencySelection):
+        return lambda c: float(sel.rtt_predictor(querier, c))
+    if isinstance(sel, ResourceSelection):
+        return lambda c: -float(sel.capacity_of(c))
+    if isinstance(sel, GeoSelection):
+        me = sel.position_source(querier)
+        if me is None:
+            return lambda c: 0.0
+
+        def distance(c):
+            pos = sel.position_source(c)
+            return me.distance_to(pos) if pos is not None else float("inf")
+
+        return distance
+    assert isinstance(sel, ISPLocalitySelection) and sel.mapping is not None
+    my_asn = sel.mapping.lookup(querier)
+    return lambda c: 0 if sel.mapping.lookup(c) == my_asn else 1
+
+
+def rank_scalar(sel, querier, candidates):
+    """Stable sort of the de-duplicated candidates by ``(scalar score,
+    input position)``; ``(fused score, host id)`` for the composite."""
+    cand = list(dict.fromkeys(candidates))
+    if isinstance(sel, RandomSelection):
+        # the score is the position in one permutation draw
+        return [cand[int(i)] for i in sel._rng.permutation(len(cand))]
+    if isinstance(sel, ISPLocalitySelection) and sel.oracle is not None:
+        return rank_reference(sel.oracle, querier, cand)
+    if isinstance(sel, CompositeSelection):
+        if len(cand) <= 1:
+            return cand
+        fused = dict.fromkeys(cand, 0.0)
+        for strategy, weight in sel.components:
+            for pos, c in enumerate(rank_scalar(strategy, querier, cand)):
+                fused[c] += weight * (pos / (len(cand) - 1))
+        return sorted(cand, key=lambda c: (fused[c], c))
+    score = _scalar_score(sel, querier)
+    keyed = sorted((score(c), i, c) for i, c in enumerate(cand))
+    return [c for _s, _i, c in keyed]
+
+
+def rank_reference(oracle, querier, candidates):
+    """``ISPOracle.rank`` with one ``routing.hops`` call per candidate:
+    same charge, same counters, same single jitter draw."""
+    u = oracle.underlay
+    cand = list(candidates)
+    my_asn = u.asn_of(querier)
+    oracle.lists_ranked += 1
+    oracle.candidates_ranked += len(cand)
+    oracle.overhead.charge(
+        queries=1, messages=2, bytes_on_wire=64 + 8 * len(cand)
+    )
+    keys = []
+    for c in cand:
+        hops = u.routing.hops(my_asn, u.asn_of(c))
+        if oracle.policy is OraclePolicy.COOPERATIVE:
+            keys.append((hops, -u.host(c).resources.capacity_score()))
+        elif oracle.policy is OraclePolicy.HONEST:
+            keys.append((hops,))
+        else:  # MALICIOUS: farthest first
+            keys.append((-hops,))
+    ties = range(len(cand))
+    if oracle._rng is not None:
+        ties = [float(j) for j in oracle._rng.random(len(cand))]
+    keyed = sorted(zip(keys, ties, cand), key=lambda t: t[:2])
+    return [c for _k, _t, c in keyed]
 
 
 def _candidates(underlay, seed, size=40, dupes=True):
@@ -88,7 +159,7 @@ def test_rank_matches_scalar_reference(small_underlay, name, seed):
     factories = _builtin_selectors(small_underlay)
     batch = factories[name]()
     reference = factories[name]()
-    assert batch.rank(querier, cand) == reference.rank_scalar(querier, cand)
+    assert batch.rank(querier, cand) == rank_scalar(reference, querier, cand)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -125,7 +196,7 @@ def test_edge_cases_empty_single_duplicates(small_underlay, name):
     # duplicates collapse to first occurrence, identically on both paths
     dupes = [ids[1], ids[2], ids[1], ids[3], ids[2], ids[1]]
     assert factories[name]().rank(q, dupes) == \
-        factories[name]().rank_scalar(q, dupes)
+        rank_scalar(factories[name](), q, dupes)
     with pytest.raises(ConfigurationError):
         factories[name]().top_k(q, dupes, -1)
 
@@ -160,9 +231,12 @@ def test_oracle_rank_matches_reference(small_underlay, seed, policy, jitter):
     querier, cand = _candidates(small_underlay, seed)
     batch = ISPOracle(small_underlay, policy=policy, rng=jitter)
     reference = ISPOracle(small_underlay, policy=policy, rng=jitter)
-    assert batch.rank(querier, cand) == reference.rank_reference(querier, cand)
+    assert batch.rank(querier, cand) == rank_reference(reference, querier, cand)
     # identical RNG draw order: a second ranking still agrees
-    assert batch.rank(querier, cand) == reference.rank_reference(querier, cand)
+    assert batch.rank(querier, cand) == rank_reference(reference, querier, cand)
+    assert batch.overhead == reference.overhead
+    assert (batch.lists_ranked, batch.candidates_ranked) == \
+        (reference.lists_ranked, reference.candidates_ranked)
 
 
 @pytest.mark.parametrize("policy", list(OraclePolicy))
@@ -249,7 +323,7 @@ def test_composite_ties_break_by_candidate_id(small_underlay):
     cand = [ids[5], ids[2], ids[9], ids[1]]
     expected = sorted(cand)
     assert comp.rank(ids[0], cand) == expected
-    assert comp.rank_scalar(ids[0], cand) == expected
+    assert rank_scalar(comp, ids[0], cand) == expected
     assert comp.top_k(ids[0], cand, 2) == expected[:2]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import run_service_slo
 from repro.experiments.service_slo import OVERLAY_ARMS, PROCESS_ARMS
+from repro.service import Bootstrapper, ServiceConfig
 
 REQUIRED_COLUMNS = {
     "overlay", "mode", "process", "rate_per_s", "offered", "offered_per_s",
@@ -63,3 +64,31 @@ def test_rows_identical_at_any_worker_count():
     serial = run_service_slo(workers=1, **kwargs)
     parallel = run_service_slo(workers=2, **kwargs)
     assert serial.rows == parallel.rows
+
+
+def test_saturation_knee_is_visible():
+    # EXPERIMENTS.md §SERVICE's headline, in simulated ms: one in-flight
+    # op per origin gives the population a service capacity, and latency
+    # is measured from the scheduled arrival, so offered load beyond it
+    # shows up as queue wait in the tail (p99 157.6 ms at 20 ops/s,
+    # 11,870.5 ms at 480 ops/s: 75x)
+    boot = Bootstrapper(
+        ServiceConfig(
+            overlay="kademlia", n_hosts=16, seed=13,
+            settle_ms=20_000.0, n_seed_keys=24,
+        )
+    )
+    boot.build()
+    # retrieve-only: near-constant service time makes the knee sharp
+    boot.default_mix = lambda: [boot.ops.retrieve_spec()]
+    low, high = (
+        boot.drive_sync(
+            process="poisson", rate_per_s=rate, duration_ms=15_000.0,
+            drain_ms=120_000.0, timeout_ms=None, concurrency_per_origin=1,
+        ).as_dict()
+        for rate in (20.0, 480.0)
+    )
+    boot.stop_sync()
+    assert low["success_rate"] == 1.0
+    assert low["throughput_per_s"] >= 0.9 * low["offered_per_s"]
+    assert high["latency_ms"]["p99"] >= 5.0 * low["latency_ms"]["p99"]
