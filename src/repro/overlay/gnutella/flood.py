@@ -19,6 +19,20 @@ aggregate-capable traffic observers (one call per ``(src, dst, kind)``,
 see :class:`~repro.sim.messages.TrafficObserver`) are committed in
 aggregate at the end (:meth:`MessageBus.account_external`).
 
+The PONGs that answer one PING arrival (the node's own address plus
+cached ones) travel as one *run* — one heap entry ``(guid, addresses)``
+per hop instead of one per PONG.  The run invariant: messages share a
+heap entry only if the per-message path would have popped them
+back to back — same edge, same send time, same delivery time, and
+consecutive sequence numbers, so they are adjacent in ``(time, seq)``
+order; a fault-hook penalty that differs between two of them, or a
+drop, ends the run and the next survivor starts another.  A relay
+forwards a whole run before it learns from it (learn-after-forward),
+which reorders nothing observable: forwarding reads ``online``, the
+bus handlers and ``_route_back``, learning writes only the pong cache
+and the hostcache.  Observers, trace events, the fault hook and the
+loss draw still see every PONG, in send order.
+
 Equivalence with the reference path is message-level: the sorted
 ``(time, src, dst, kind, size)`` send set (see
 :func:`~repro.sim.queryplane.flood_trace_digest`) is bit-identical, as
@@ -38,11 +52,11 @@ caches — keeping ``sim`` below ``overlay`` in the import graph.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
+from heapq import heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, Optional, Sequence
 
 from repro.errors import OverlayError, SimulationError
 from repro.overlay.gnutella.messages import (
@@ -86,14 +100,16 @@ def _quiesce() -> None:
 
 
 class _Emitter:
-    """The send half of the kernel loop: one :meth:`emit` per message,
-    replicating ``MessageBus._send_one`` — accounting, observers, trace
-    events, fault hook, delay validation, loss draw — against the
-    *virtual* send time, pushing survivors onto the kernel heap."""
+    """The send half of the kernel loop: :meth:`emit` for one message,
+    :meth:`emit_run` for a burst over one edge, both replicating
+    ``MessageBus._send_one`` — accounting, observers, trace events,
+    fault hook, delay validation, loss draw — against the *virtual* send
+    time, pushing survivors onto the kernel heap."""
 
     __slots__ = (
         "_bus", "_heap", "_acc", "_sent_by", "_seq", "_delay",
-        "_per_message", "_aggregating", "_edge_sends", "_tracer", "fast",
+        "_per_message", "_aggregating", "_edge_sends", "_tracer",
+        "uniform", "fast",
     )
 
     def __init__(self, kernel: "FloodKernel", heap: list, acc: dict,
@@ -121,38 +137,25 @@ class _Emitter:
         #: (src, dst, kind) -> sends, in first-send order
         self._edge_sends: dict[tuple[int, int, str], int] = {}
         self._tracer = self._bus._tracer
-        #: nothing per-message beyond accounting + delay + heap push:
-        #: no observers, tracer, fault hook, or loss draws to interleave
-        self.fast = (
-            not self._bus._observers
+        #: no per-message observer, tracer, fault hook or loss draw:
+        #: every send over an edge meets the same fate, the edge's delay
+        self.uniform = (
+            not self._per_message
             and self._tracer is None
             and self._bus._fault_hook is None
             and not self._bus._loss_rate
         )
+        #: and nothing to hand an aggregate to either — accounting,
+        #: delay and heap push are all a send is (inlined by the query
+        #: loop)
+        self.fast = self.uniform and not self._aggregating
 
-    def emit(
-        self,
-        t: float,
-        src: int,
-        dst: int,
-        kind: str,
-        code: int,
-        aux,
-    ) -> None:
+    def _offer(
+        self, t: float, src: int, dst: int, kind: str
+    ) -> Optional[float]:
+        """Everything the bus does to one message between accounting and
+        scheduling; its delay, or ``None`` when it is dropped."""
         size = _SIZES[kind]
-        a = self._acc[kind]
-        a[_SENT] += 1
-        self._sent_by[kind][src] += 1
-        if self.fast:
-            d = self._delay(src, dst)
-            heapq.heappush(
-                self._heap, (t + d, next(self._seq), code, src, dst, aux)
-            )
-            return
-        if self._aggregating:
-            edge = (src, dst, kind)
-            sends = self._edge_sends
-            sends[edge] = sends.get(edge, 0) + 1
         for timed, call in self._per_message:
             if timed:
                 call(t, src, dst, kind, size)
@@ -168,13 +171,13 @@ class _Emitter:
         if bus._fault_hook is not None:
             penalty = bus._fault_hook(src, dst, kind)
             if penalty == math.inf:
-                a[_FAULT] += 1
+                self._acc[kind][_FAULT] += 1
                 if tracer is not None:
                     tracer.emit(
                         "bus", "drop", time=t,
                         src=src, dst=dst, kind=kind, reason="fault",
                     )
-                return
+                return None
             d += penalty
         if d < 0.0:
             raise SimulationError(
@@ -182,14 +185,80 @@ class _Emitter:
                 f"(extra_delay/fault penalty exceeds the underlay latency)"
             )
         if bus._loss_rate and bus._loss_rng.random() < bus._loss_rate:
-            a[_LOSS] += 1
+            self._acc[kind][_LOSS] += 1
             if tracer is not None:
                 tracer.emit(
                     "bus", "drop", time=t,
                     src=src, dst=dst, kind=kind, reason="loss",
                 )
+            return None
+        return d
+
+    def emit(
+        self,
+        t: float,
+        src: int,
+        dst: int,
+        kind: str,
+        code: int,
+        aux,
+    ) -> None:
+        self._acc[kind][_SENT] += 1
+        self._sent_by[kind][src] += 1
+        if self._aggregating:
+            edge = (src, dst, kind)
+            sends = self._edge_sends
+            sends[edge] = sends.get(edge, 0) + 1
+        if self.uniform:
+            d = self._delay(src, dst)
+        else:
+            d = self._offer(t, src, dst, kind)
+            if d is None:
+                return
+        heappush(self._heap, (t + d, next(self._seq), code, src, dst, aux))
+
+    def emit_run(
+        self,
+        t: float,
+        src: int,
+        dst: int,
+        kind: str,
+        code: int,
+        guid: int,
+        items: Sequence,
+    ) -> None:
+        """Send ``items`` (one message each, in order) over one edge at
+        one time as heap entries ``(guid, run)``: one entry when the
+        sends are :attr:`uniform`, else one per stretch of consecutive
+        survivors that share a delivery time."""
+        n = len(items)
+        self._acc[kind][_SENT] += n
+        self._sent_by[kind][src] += n
+        if self._aggregating:
+            edge = (src, dst, kind)
+            sends = self._edge_sends
+            sends[edge] = sends.get(edge, 0) + n
+        heap = self._heap
+        if self.uniform:
+            d = self._delay(src, dst)
+            heappush(
+                heap, (t + d, next(self._seq), code, src, dst, (guid, items))
+            )
             return
-        heapq.heappush(self._heap, (t + d, next(self._seq), code, src, dst, aux))
+        # a run is pushed when its first survivor is known and filled
+        # in place: (time, seq) are all the heap orders on
+        run_d = None
+        for item in items:
+            d = self._offer(t, src, dst, kind)
+            if d is None:
+                continue
+            if d != run_d:
+                run_d = d
+                run: list = []
+                heappush(
+                    heap, (t + d, next(self._seq), code, src, dst, (guid, run))
+                )
+            run.append(item)
 
     def hand_over_aggregates(self) -> None:
         """One ``observe(..., count=n)`` per distinct ``(src, dst, kind)``
@@ -350,8 +419,6 @@ class FloodKernel:
         fast = em.fast
         memo_row = self._memo_row
         one_way = self._lat.one_way_delay
-        heappush = heapq.heappush
-        heappop = heapq.heappop
         seq = em._seq
         nodes_get = nodes.get
         last_t = t0
@@ -454,9 +521,11 @@ class FloodKernel:
         """Expand one network-wide PING round (every online node pings
         its connected peers at the current time) to quiescence.
 
-        Pong-cache and hostcache learning (``_learn_address``) is applied
-        eagerly in arrival order, so the cached-pong answers of later
-        arrivals see exactly the state the reference path would have.
+        The PONGs answering one PING arrival travel as one run per hop
+        (see the module docstring); pong-cache and hostcache learning
+        (``learn_addresses``) is applied eagerly in arrival order, so the
+        cached-pong answers of later arrivals see exactly the state the
+        reference path would have.
         """
         net = self.net
         bus = net.bus
@@ -472,6 +541,7 @@ class FloodKernel:
         heap: list = []
         em = _Emitter(self, heap, acc, sent_by)
         emit = em.emit
+        emit_run = em.emit_run
         dup_drops = 0
         ttl_drops = 0
         flood_seen: dict[int, set[int]] = {}
@@ -499,7 +569,6 @@ class FloodKernel:
         recv_ping = recv_by["PING"]
         recv_pong = recv_by["PONG"]
         ping_ttl = cfg.ping_ttl
-        heappop = heapq.heappop
         nodes_get = nodes.get
         seen_test = seen.test
         last_t = t0
@@ -526,36 +595,33 @@ class FloodKernel:
                 ttl = arg
                 level_counts[(guid, ping_ttl - ttl)] += 1
                 # answer: own pong + cached addresses (skip the origin)
-                emit(t, dst, src, "PONG", _BACK, (guid, dst))
                 origin = origin_of[guid]
-                for cached in node._pong_cache[:pongs_head]:
-                    if cached != origin:
-                        emit(t, dst, src, "PONG", _BACK, (guid, cached))
+                burst = [dst] + [
+                    c for c in node._pong_cache[:pongs_head] if c != origin
+                ]
+                emit_run(t, dst, src, "PONG", _BACK, guid, burst)
                 if ttl > 1 and node.role == ULTRAPEER:
                     for nb in node._connected_peers():
                         if nb != src:
                             emit(t, dst, nb, "PING", _FWD, (guid, ttl - 1))
                 elif node.role == ULTRAPEER:
                     ttl_drops += 1
-            else:  # PONG arrival (arg = advertised peer address)
+            else:  # PONG run arrival (arg = advertised peer addresses)
+                n = len(arg)
                 if dst not in handlers:
-                    acc_pong[_NH] += 1
+                    acc_pong[_NH] += n
                     continue
-                acc_pong[_DELIV] += 1
+                acc_pong[_DELIV] += n
                 node = nodes_get(dst)
                 if node is None or not node.online:
                     continue
-                recv_pong[dst] += 1
-                key = ("PING", guid)
-                saw = dst in flood_seen[guid] or seen_test(dst, key)
-                if saw and key not in node._route_back:
-                    # originator: consume
-                    node._learn_address(arg)
-                    continue
-                back = node._route_back.get(key)
+                recv_pong[dst] += n
+                # forward first, learn after: a relay reads nothing that
+                # learning writes (the originator has no route back)
+                back = node._route_back.get(("PING", guid))
                 if back is not None:
-                    emit(t, dst, back, "PONG", _BACK, (guid, arg))
-                node._learn_address(arg)
+                    emit_run(t, dst, back, "PONG", _BACK, guid, arg)
+                node.learn_addresses(arg)
 
         self._commit(em, acc, sent_by, recv_by)
         net.drop_counts["duplicate"] += dup_drops

@@ -31,16 +31,18 @@ class HostCache:
 
     def add(self, peer: int) -> None:
         """Insert (move-to-back on re-add); evicts the oldest when full."""
-        if peer in self._entries:
-            del self._entries[peer]
-        self._entries[peer] = None
-        while len(self._entries) > self.capacity:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
+        self.add_all((peer,))
 
     def add_all(self, peers: Iterable[int]) -> None:
+        """:meth:`add` each of ``peers`` in order, evicting once at the
+        end: an entry only ever ages between its re-adds, so whatever
+        adding one by one would have evicted is still the oldest."""
+        entries = self._entries
         for p in peers:
-            self.add(p)
+            entries.pop(p, None)
+            entries[p] = None
+        while len(entries) > self.capacity:
+            del entries[next(iter(entries))]
 
     def remove(self, peer: int) -> None:
         self._entries.pop(peer, None)
@@ -60,5 +62,4 @@ class HostCache:
         if n == 0:
             return
         idx = rng.choice(len(pop), size=n, replace=False)
-        for i in idx:
-            self.add(pop[int(i)])
+        self.add_all(pop[int(i)] for i in idx)

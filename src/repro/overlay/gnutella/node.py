@@ -20,7 +20,7 @@ sees every hop of every descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import OverlayError
 from repro.overlay.base import OverlayNode
@@ -298,25 +298,30 @@ class GnutellaNode(OverlayNode):
 
     def on_pong(self, msg: Message) -> None:
         pong: Pong = msg.payload
-        key = ("PING", pong.guid)
-        if self._saw(key) and key not in self._route_back:
-            # we originated the ping: consume
-            self._learn_address(pong.peer)
-            return
-        back = self._route_back.get(key)
+        # forward along the ping's reverse path (its originator has no
+        # route back and consumes), then learn the address passing through
+        back = self._route_back.get(("PING", pong.guid))
         if back is not None:
             self.send(back, "PONG", pong, PONG_SIZE)
-        # opportunistically learn addresses that pass through
-        self._learn_address(pong.peer)
+        self.learn_addresses((pong.peer,))
 
-    def _learn_address(self, peer: int) -> None:
-        if peer == self.host_id:
+    def learn_addresses(self, peers: Iterable[int]) -> None:
+        """Take PONG-advertised addresses, oldest first, into the
+        hostcache and the most-recent-first pong cache.
+
+        Same state as learning them one at a time: an address's final
+        rank depends only on what was learned after its last mention,
+        and ranks only grow between mentions, so one trim at the end
+        cuts exactly what trimming after every address would have.
+        """
+        # last mention of each address, most recent first
+        fresh = dict.fromkeys(reversed(tuple(peers)))
+        fresh.pop(self.host_id, None)
+        if not fresh:
             return
-        self.hostcache.add(peer)
-        if peer in self._pong_cache:
-            self._pong_cache.remove(peer)
-        self._pong_cache.insert(0, peer)
-        del self._pong_cache[self.config.pong_cache_size :]
+        self.hostcache.add_all(reversed(fresh))
+        kept = [p for p in self._pong_cache if p not in fresh]
+        self._pong_cache = (list(fresh) + kept)[: self.config.pong_cache_size]
 
     # ------------------------------------------------------------------ search
     def start_query(self, keyword: int) -> int:

@@ -44,6 +44,7 @@ def test_every_documented_path_exists():
     # CHANGES.md and ROADMAP.md are history and may name what is gone
     docs = [ROOT / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
     docs += sorted((ROOT / "docs").glob("*.md")) + [ROOT / "bench" / "README.md"]
+    docs += sorted((ROOT / "docs" / "perf-log").glob("*.md"))
     # the lookbehind skips package-relative paths (`underlay/cache.py`)
     in_tree = re.compile(
         r"(?<![\w/])(?:benchmarks|tests|bench|docs|examples|src)/[\w.*/-]*"

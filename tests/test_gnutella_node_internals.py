@@ -1,20 +1,24 @@
 """Unit tests for Gnutella node message-handling edge cases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OverlayError
 from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, LEAF, ULTRAPEER
+from repro.overlay.gnutella.hostcache import HostCache
 from repro.overlay.gnutella.messages import Ping, Query
 from repro.sim import Simulation
 from repro.underlay import Underlay, UnderlayConfig
 
 
-@pytest.fixture()
-def tiny_net():
+def _tiny_net(config=GnutellaConfig(query_ttl=3), query_backend="auto"):
     u = Underlay.generate(UnderlayConfig(n_hosts=12, seed=51))
     sim = Simulation()
     bus, _ = u.message_bus(sim, with_accounting=False)
-    net = GnutellaNetwork(u, sim, bus, config=GnutellaConfig(query_ttl=3), rng=1)
+    net = GnutellaNetwork(
+        u, sim, bus, config=config, rng=1, query_backend=query_backend
+    )
     # deterministic roles: first 4 ultrapeers, rest leaves
     for i, h in enumerate(u.hosts):
         net.add_node(h, ULTRAPEER if i < 4 else LEAF)
@@ -22,6 +26,11 @@ def tiny_net():
     net.join_all()
     sim.run()
     return u, sim, net
+
+
+@pytest.fixture()
+def tiny_net():
+    return _tiny_net()
 
 
 def test_duplicate_query_not_reflooded(tiny_net):
@@ -59,9 +68,7 @@ def test_ping_answered_with_pong_burst(tiny_net):
     ups = net.ultrapeers()
     a, b = ups[0], ups[1]
     # prime b's pong cache
-    for hid in list(net.nodes)[:6]:
-        if hid != b.host_id:
-            b._learn_address(hid)
+    b.learn_addresses(list(net.nodes)[:6])
     from repro.sim.messages import Message
 
     before = b.sent_counts.get("PONG", 0)
@@ -141,3 +148,99 @@ def test_leaf_does_not_accept_connections(tiny_net):
     sim.run()
     assert leaf.neighbors == before
     assert other.host_id not in leaf.leaves
+
+
+# ------------------------------------------------------------ pong learning
+_LEARNER = []
+
+
+def _learner():
+    # one node with caches small enough for a batch to overflow both
+    if not _LEARNER:
+        config = GnutellaConfig(pong_cache_size=4, hostcache_capacity=6)
+        _LEARNER.append(_tiny_net(config)[2].ultrapeers()[0])
+    return _LEARNER[0]
+
+
+def _learn_one_by_one(own, hostcache, pong_cache, config, peers):
+    """What ``GnutellaNode._learn_address`` did per PONG before learning
+    was batched: hostcache oldest first, pong cache most recent first."""
+    for peer in peers:
+        if peer == own:
+            continue
+        if peer in hostcache:
+            hostcache.remove(peer)
+        hostcache.append(peer)
+        del hostcache[: -config.hostcache_capacity]
+        if peer in pong_cache:
+            pong_cache.remove(peer)
+        pong_cache.insert(0, peer)
+        del pong_cache[config.pong_cache_size:]
+
+
+_addresses = st.integers(min_value=0, max_value=11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    known=st.lists(_addresses, unique=True, max_size=6),
+    cached=st.lists(_addresses, unique=True, max_size=4),
+    batch=st.lists(_addresses, max_size=16),
+)
+def test_learning_a_batch_equals_learning_one_by_one(known, cached, batch):
+    node = _learner()
+    own = node.host_id
+    cached = [p for p in cached if p != own]
+    want_known, want_cached = list(known), list(cached)
+    _learn_one_by_one(own, want_known, want_cached, node.config, batch)
+
+    def learned_by(learn):
+        node.hostcache = HostCache(node.config.hostcache_capacity)
+        node.hostcache.add_all(known)
+        node._pong_cache = list(cached)
+        learn()
+        return node._pong_cache, node.hostcache.snapshot()[::-1]
+
+    assert learned_by(lambda: node.learn_addresses(batch)) == (
+        want_cached, want_known
+    )
+    # and a batch of one is the per-PONG path (on_pong passes a 1-tuple)
+    assert learned_by(
+        lambda: [node.learn_addresses((peer,)) for peer in batch]
+    ) == (want_cached, want_known)
+
+
+def _ping_round_state(config, query_backend):
+    _u, sim, net = _tiny_net(config, query_backend)
+    net.ping_round()
+    sim.run()
+    return {
+        "counts": net.message_counts(),
+        "now": sim.now,
+        "nodes": {
+            hid: (
+                dict(node.sent_counts), dict(node.received_counts),
+                list(node._pong_cache), node.hostcache.snapshot(),
+            )
+            for hid, node in net.nodes.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("knob", ["pongs_per_ping", "ping_ttl"])
+def test_ping_round_edge_cases_batch_equals_reference(knob):
+    # pongs_per_ping=1: every PONG run is a run of one (own address
+    # only); ping_ttl=1: no PING is relayed, so no run is forwarded
+    config = GnutellaConfig(**{knob: 1})
+    bat = _ping_round_state(config, "batch")
+    assert bat == _ping_round_state(config, "reference")
+    counts = bat["counts"]
+    accepted = counts["PING"] - counts["dropped_duplicate"]
+    assert accepted > 0
+    if knob == "ping_ttl":
+        # each PING is a first arrival, answered over its own link only
+        assert counts["dropped_duplicate"] == 0
+        assert accepted <= counts["PONG"] <= config.pongs_per_ping * accepted
+    else:
+        # own address only: one PONG per accepted PING per hop back
+        assert accepted <= counts["PONG"] <= config.ping_ttl * accepted

@@ -4,7 +4,9 @@ The equivalence currency is the message-level send log: the sorted
 ``(time, src, dst, kind, size)`` tuple set of every bus send, hashed by
 :func:`flood_trace_digest`.  Both backends must be bit-identical on it —
 and on bus stats, ``message_counts()`` (including the drop counters),
-per-node counters, search hits, and first-hit latencies — across seeds,
+per-node counters, what every node learned from the ping round (pong
+cache and hostcache, in order), search hits, and first-hit latencies —
+across seeds,
 loss rates (serial floods), whole-run fault windows, TTL edge cases, and
 both delay backends (matrix and stream).
 
@@ -14,7 +16,10 @@ kind)`` at commit while the reference path calls it per message, and
 every table it keeps must come out the same.
 """
 
+import heapq
 import math
+from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +27,13 @@ from hypothesis import strategies as st
 
 from repro.errors import OverlayError
 from repro.faults import DelayFault, FaultInjector, FaultSchedule, LossFault
+from repro.obs import Tracer
 from repro.overlay.gnutella import (
     GnutellaConfig,
     GnutellaNetwork,
     Query,
     ULTRAPEER,
+    flood,
 )
 from repro.overlay.kademlia.network import KademliaNetwork
 from repro.sim import Simulation
@@ -105,6 +112,14 @@ def _fingerprint(u, bus, net, log, acct, guids):
             h.host_id: (
                 dict(net.nodes[h.host_id].sent_counts),
                 dict(net.nodes[h.host_id].received_counts),
+            )
+            for h in u.hosts
+        },
+        # what a ping round is for: a mis-ordered batch learn shows here
+        "learned": {
+            h.host_id: (
+                list(net.nodes[h.host_id]._pong_cache),
+                net.nodes[h.host_id].hostcache.snapshot(),
             )
             for h in u.hosts
         },
@@ -196,6 +211,88 @@ def test_whole_run_fault_window_bit_identical():
         assert bat["observed"][0] == bat["observed"][1]
         fault_drops += bat["stats"][4]
     assert fault_drops > 0  # the 0<->1 blackhole did drop sends
+
+
+def _ping_round_under_splitting_faults(backend, seed):
+    """One ping round where PONG runs must split: a fault hook whose
+    penalty changes on every call (0 ms, 5 ms, a drop every 7th), 30%
+    loss, a per-message observer and a tracer all attached."""
+    u, sim, bus, net, log, acct = _build(backend, seed=seed)
+    calls = count(1)
+
+    def hook(src, dst, kind):
+        i = next(calls)
+        return math.inf if i % 7 == 0 else 5.0 * (i % 2)
+
+    bus_events = []
+
+    def on_event(ev):
+        if ev.component == "bus" and ev.kind in ("send", "drop"):
+            bus_events.append((
+                ev.time, ev.kind, ev.attrs.get("reason"),
+                ev.attrs["src"], ev.attrs["dst"], ev.attrs["kind"],
+            ))
+
+    tracer = Tracer()
+    tracer.subscribe(on_event)
+    bus.instrument(tracer=tracer)
+    bus.set_fault_hook(hook)
+    bus.loss_rate = 0.3
+    log.clear()
+    acct.reset()
+    net.ping_round()
+    sim.run()
+    fp = _fingerprint(u, bus, net, log, acct, [])
+    fp["bus_events"] = bus_events
+    return fp
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ping_round_runs_split_by_faults_bit_identical(seed):
+    ref = _ping_round_under_splitting_faults("reference", seed)
+    bat = _ping_round_under_splitting_faults("batch", seed)
+    assert ref == bat
+    # every send was traced and logged once, and all three fates happened,
+    # so runs were cut both by drops and by differing penalties
+    fates = Counter((kind, reason) for _t, kind, reason, *_ in bat["bus_events"])
+    assert set(fates) == {("send", None), ("drop", "loss"), ("drop", "fault")}
+    assert fates["send", None] == bat["observed"][1]
+
+
+def test_ping_round_heap_pushes_are_per_run_not_per_pong(monkeypatch):
+    # counted work, no timing: the PONGs answering one PING arrival ride
+    # one heap entry per hop, so a loss-free round pushes one entry per
+    # PING sent plus, per accepted PING arrival, one per hop back to the
+    # origin — whatever pongs_per_ping is
+    u, sim, bus, net, log, _acct = _build(
+        "batch", seed=11, n_hosts=200, accounting=False
+    )
+    assert net.config.pongs_per_ping == 10
+    pushes = []
+
+    def counting_push(heap, entry):
+        pushes.append(entry)
+        heapq.heappush(heap, entry)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(flood, "heappush", counting_push)
+        net.ping_round()
+    sim.run()
+    pings, pongs = bus.stats.by_kind["PING"], bus.stats.by_kind["PONG"]
+
+    def hops_to_origin(host, key):
+        back = net.nodes[host]._route_back.get(key)
+        return 0 if back is None else 1 + hops_to_origin(back, key)
+
+    # a node holds a reverse route for exactly the PINGs it accepted
+    hops = sum(
+        hops_to_origin(host, key)
+        for host, node in net.nodes.items()
+        for key in node._route_back._routes
+    )
+    assert hops > pings / 2  # most arrivals were accepted, some at depth 2
+    assert len(pushes) == pings + hops
+    assert len(pushes) < pings + pongs / 4
 
 
 @pytest.mark.parametrize("ttl", [1, 2])
