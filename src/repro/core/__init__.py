@@ -10,7 +10,6 @@ from repro.core.qos import (
     REAL_TIME,
     QoSProfile,
 )
-from repro.core.peerstate import Bitmap2D, PeerState, SlotAllocator
 from repro.core.selection import (
     CompositeSelection,
     GeoSelection,
@@ -31,7 +30,6 @@ from repro.core.taxonomy import (
 
 __all__ = [
     "BUILTIN_PROFILES",
-    "Bitmap2D",
     "CompositeSelection",
     "FILE_SHARING",
     "GeoSelection",
@@ -41,13 +39,11 @@ __all__ = [
     "LTMStats",
     "LatencySelection",
     "NeighborSelection",
-    "PeerState",
     "QoSProfile",
     "REAL_TIME",
     "RandomSelection",
     "ResourceSelection",
     "ScoredSelection",
-    "SlotAllocator",
     "SystemEntry",
     "TABLE1_SYSTEMS",
     "UnderlayAwarenessFramework",

@@ -5,10 +5,7 @@ from repro.overlay.gnutella.hostcache import HostCache
 from repro.overlay.gnutella.messages import (
     ConnectReply,
     ConnectRequest,
-    Ping,
-    Pong,
     Query,
-    QueryHit,
 )
 from repro.overlay.gnutella.network import (
     GnutellaNetwork,
@@ -27,10 +24,7 @@ __all__ = [
     "HostCache",
     "LEAF",
     "NeighborPolicy",
-    "Ping",
-    "Pong",
     "Query",
-    "QueryHit",
     "SearchRecord",
     "ULTRAPEER",
 ]

@@ -1,49 +1,46 @@
-"""Frontier-batched Gnutella flood expansion.
+"""Gnutella flood expansion.
 
-The per-message reference path expands a TTL flood one simulator event at
-a time: every QUERY hop costs a heap push, a ``Message`` allocation, a
-bus delivery, and a Python handler dispatch.  :class:`FloodKernel`
-expands the *entire* flood (or a whole network-wide ping round) inside
-one call instead: arrivals are processed from a kernel-local
-``(time, seq)`` heap in exactly the order the simulator would have
-delivered them, per-edge delivery times are memoised scalar reads of
-the bus's latency provider, and duplicate suppression runs against the
-network's bounded :class:`~repro.sim.queryplane.SeenFilter` plus a
-flood-local set.
-Per-message semantics are preserved exactly — loss draws from the bus's
+A TTL flood — one QUERY, or the PINGs of a ping round — is expanded to
+quiescence in one call, at the moment it is issued.  :class:`FloodKernel`
+pops arrivals from a kernel-local ``(time, seq)`` heap, which is the
+order the simulator would deliver them in; per-edge delivery times are
+memoised scalar reads of the bus's latency provider; the set of hosts a
+flood has reached and the reverse routes its QUERYHITs or PONGs follow
+are one flood-local dict (``host -> previous hop``), so nothing a flood
+needed outlives it.
+Every message keeps per-message semantics — loss draws from the bus's
 own RNG in per-destination send order, fault-hook interposition with
 in-flight drops, TTL decrement, duplicate and TTL-expiry drops, traffic
 observers and trace events per send — while stats, per-kind metric
-cells, per-node counters, seen-filter marks, and the sends owed to
-aggregate-capable traffic observers (one call per ``(src, dst, kind)``,
-see :class:`~repro.sim.messages.TrafficObserver`) are committed in
+cells, per-node counters, and the sends owed to aggregate-capable
+traffic observers (one call per ``(src, dst, kind)``, see
+:class:`~repro.sim.messages.TrafficObserver`) are committed in
 aggregate at the end (:meth:`MessageBus.account_external`).
 
 The PONGs that answer one PING arrival (the node's own address plus
 cached ones) travel as one *run* — one heap entry ``(guid, addresses)``
 per hop instead of one per PONG.  The run invariant: messages share a
-heap entry only if the per-message path would have popped them
-back to back — same edge, same send time, same delivery time, and
+heap entry only if delivering them one at a time would pop them back
+to back — same edge, same send time, same delivery time, and
 consecutive sequence numbers, so they are adjacent in ``(time, seq)``
 order; a fault-hook penalty that differs between two of them, or a
 drop, ends the run and the next survivor starts another.  A relay
 forwards a whole run before it learns from it (learn-after-forward),
 which reorders nothing observable: forwarding reads ``online``, the
-bus handlers and ``_route_back``, learning writes only the pong cache
-and the hostcache.  Observers, trace events, the fault hook and the
-loss draw still see every PONG, in send order.
+bus handlers and the flood's routes, learning writes only the pong
+cache and the hostcache.  Observers, trace events, the fault hook and
+the loss draw still see every PONG, in send order.
 
-Equivalence with the reference path is message-level: the sorted
-``(time, src, dst, kind, size)`` send set (see
-:func:`~repro.sim.queryplane.flood_trace_digest`) is bit-identical, as
-are all counters.  Known, documented divergences: loss-RNG draw order
-differs when *lossy* floods overlap in simulated time (aggregate drop
-counts still match in distribution, and serial floods match bit-for-bit);
-fault hooks are invoked at expansion time (``sim.now`` = issue time)
-with the virtual send time unavailable to them, so hooks whose behaviour
-changes *mid-flood* diverge; and state mutated by other actors mid-flood
-(churn) is not seen, since the expansion runs to quiescence at issue
-time.
+What "at the moment it is issued" means for everything else that moves
+(DESIGN.md, "A flood is atomic"): the fault hook is called at expansion
+time, with ``sim.now`` the issue time; membership changes, fault-hook
+changes and other floods' loss draws that fall inside the flood's
+simulated span are not seen by it.  ``tests/gnutella_reference.py``
+keeps the one-event-per-message servent; on serial floods it sends the
+same sorted ``(time, src, dst, kind, size)`` set (see
+:func:`~repro.sim.queryplane.flood_trace_digest`) bit for bit and ends
+with the same counters, which ``tests/test_query_equivalence.py``
+asserts.
 
 This module lives in ``overlay`` (not ``sim``) because the kernel reads
 protocol state — roles, neighbor sets, shared-content indexes, pong
@@ -56,7 +53,14 @@ import math
 from collections import defaultdict
 from heapq import heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Callable, Hashable, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Optional,
+    Sequence,
+)
 
 from repro.errors import OverlayError, SimulationError
 from repro.overlay.gnutella.messages import (
@@ -95,8 +99,7 @@ _MEMO_CAP = 1 << 17
 
 def _quiesce() -> None:
     """No-op scheduled at an expansion's last virtual delivery time, so
-    ``sim.run()`` advances the clock exactly as far as the per-message
-    path's final delivery event would have."""
+    ``sim.run()`` advances the clock to the flood's final delivery."""
 
 
 class _Emitter:
@@ -269,7 +272,7 @@ class _Emitter:
 
 
 class FloodKernel:
-    """Batched expansion of Gnutella descriptor floods for one network."""
+    """Expansion of Gnutella descriptor floods for one network."""
 
     def __init__(self, net: "GnutellaNetwork") -> None:
         self.net = net
@@ -333,11 +336,9 @@ class FloodKernel:
     def expand_query(self, origin: "GnutellaNode", query: "Query") -> None:
         """Expand one QUERY flood (issued by ``origin``) to quiescence.
 
-        Equivalent to the per-message path: same sends at the same
-        virtual times, same drops, same counters, same hit records (hits
-        arriving at the origin are committed through
-        ``sim.schedule_many`` at their virtual delivery times, so
-        first-hit latencies match bit-for-bit).
+        Hits arriving at the origin are committed through
+        ``sim.schedule_many`` at their virtual delivery times, so a
+        search's first-hit latency is the simulated one.
         """
         net = self.net
         bus = net.bus
@@ -346,16 +347,13 @@ class FloodKernel:
         handlers = bus._handlers
         t0 = sim.now
         guid = query.guid
-        key = ("QUERY", guid)
         keyword = query.keyword
         init_ttl = query.ttl
         origin_host = origin.host_id
 
-        # marks surviving from an earlier flood of this GUID (None for a
-        # fresh GUID — the overwhelmingly common case)
-        prev = net.seen.membership(key)
-        flood_seen = {origin_host}
-        accepted = [origin_host]
+        #: host -> the peer its first copy came from: membership is
+        #: duplicate suppression, the value is the QUERYHIT route back
+        route: dict[int, Optional[int]] = {origin_host: None}
         acc = {"QUERY": [0] * 5, "QUERYHIT": [0] * 5}
         sent_by: dict = {
             "QUERY": defaultdict(int), "QUERYHIT": defaultdict(int)
@@ -382,7 +380,6 @@ class FloodKernel:
             if responders:
                 hops_depths.append(0)
             for responder in responders:
-                # via=None on the reference path: recorded directly
                 net.record_hit(guid, responder)
             if init_ttl > 1:
                 targets = list(origin.neighbors)
@@ -396,9 +393,6 @@ class FloodKernel:
             targets = list(origin.neighbors)
             fwd_ttl = init_ttl
         if targets and not origin.online:
-            # the reference path marks the flood seen, then the first
-            # outbound send raises
-            net.seen.mark_many([origin_host], key)
             hh = net.query_hops_hist
             if hh is not None:
                 for d in hops_depths:
@@ -434,12 +428,10 @@ class FloodKernel:
                 if node is None or not node.online:
                     continue
                 recv_q[dst] += 1
-                if dst in flood_seen or (prev is not None and prev(dst)):
+                if dst in route:
                     dup_drops += 1
                     continue
-                flood_seen.add(dst)
-                accepted.append(dst)
-                node._route_back[key] = src
+                route[dst] = src
                 ttl = aux
                 depth = init_ttl - ttl
                 level_counts[depth] += 1
@@ -482,13 +474,10 @@ class FloodKernel:
                 if node is None or not node.online:
                     continue
                 recv_h[dst] += 1
-                if net.query_origin(guid) == dst:
+                if dst == origin_host:
                     hit_commits.append((t, aux))
                     continue
-                back = node._route_back.get(key)
-                if back is None:
-                    continue  # route evaporated; drop silently
-                emit(t, dst, back, "QUERYHIT", _BACK, aux)
+                emit(t, dst, route[dst], "QUERYHIT", _BACK, aux)
 
         # -- commit ------------------------------------------------------------
         self._commit(em, acc, sent_by, recv_by)
@@ -498,7 +487,6 @@ class FloodKernel:
         if hh is not None:
             for d in hops_depths:
                 hh.observe(d)
-        net.seen.mark_many(accepted, key)
         ctr = net.queries_expanded_ctr
         if ctr is not None:
             ctr.inc(kind="QUERY")
@@ -517,15 +505,15 @@ class FloodKernel:
             sim.schedule(last_t - t0, _quiesce)
 
     # ------------------------------------------------------------------ pings
-    def expand_ping_round(self) -> None:
-        """Expand one network-wide PING round (every online node pings
+    def expand_ping_round(self, origins: Iterable["GnutellaNode"]) -> None:
+        """Expand one PING round (every online node of ``origins`` pings
         its connected peers at the current time) to quiescence.
 
         The PONGs answering one PING arrival travel as one run per hop
         (see the module docstring); pong-cache and hostcache learning
         (``learn_addresses``) is applied eagerly in arrival order, so the
-        cached-pong answers of later arrivals see exactly the state the
-        reference path would have.
+        cached-pong answers of later arrivals see what earlier ones
+        taught.
         """
         net = self.net
         bus = net.bus
@@ -544,21 +532,20 @@ class FloodKernel:
         emit_run = em.emit_run
         dup_drops = 0
         ttl_drops = 0
-        flood_seen: dict[int, set[int]] = {}
+        #: per PING guid, host -> the peer its first copy came from:
+        #: membership is duplicate suppression, the value is the PONG
+        #: route back (``None`` at the originator, which consumes)
+        routes: dict[int, dict[int, Optional[int]]] = {}
         origin_of: dict[int, int] = {}
         level_counts: dict[tuple[int, int], int] = defaultdict(int)
-        seen = net.seen
 
-        # all pings are issued synchronously at t0 in node order, exactly
-        # like the reference loop over start_ping(); origins are marked
-        # eagerly so seen-window key admission order matches
-        for node in nodes.values():
+        # all pings are issued synchronously at t0, in the order given
+        for node in origins:
             if not node.online:
                 continue
             guid = net.next_guid()
             origin_of[guid] = node.host_id
-            flood_seen[guid] = {node.host_id}
-            seen.mark(node.host_id, ("PING", guid))
+            routes[guid] = {node.host_id: None}
             level_counts[(guid, 0)] += 1
             for dst in node._connected_peers():
                 emit(t0, node.host_id, dst, "PING", _FWD, (guid, cfg.ping_ttl))
@@ -570,12 +557,12 @@ class FloodKernel:
         recv_pong = recv_by["PONG"]
         ping_ttl = cfg.ping_ttl
         nodes_get = nodes.get
-        seen_test = seen.test
         last_t = t0
         while heap:
             t, _s, code, src, dst, aux = heappop(heap)
             last_t = t
             guid, arg = aux
+            route = routes[guid]
             if code == _FWD:  # PING arrival
                 if dst not in handlers:
                     acc_ping[_NH] += 1
@@ -585,13 +572,10 @@ class FloodKernel:
                 if node is None or not node.online:
                     continue
                 recv_ping[dst] += 1
-                key = ("PING", guid)
-                local = flood_seen[guid]
-                if dst in local or seen_test(dst, key):
+                if dst in route:
                     dup_drops += 1
                     continue
-                local.add(dst)
-                node._route_back[key] = src
+                route[dst] = src
                 ttl = arg
                 level_counts[(guid, ping_ttl - ttl)] += 1
                 # answer: own pong + cached addresses (skip the origin)
@@ -618,7 +602,7 @@ class FloodKernel:
                 recv_pong[dst] += n
                 # forward first, learn after: a relay reads nothing that
                 # learning writes (the originator has no route back)
-                back = node._route_back.get(("PING", guid))
+                back = route[dst]
                 if back is not None:
                     emit_run(t, dst, back, "PONG", _BACK, guid, arg)
                 node.learn_addresses(arg)
@@ -626,8 +610,6 @@ class FloodKernel:
         self._commit(em, acc, sent_by, recv_by)
         net.drop_counts["duplicate"] += dup_drops
         net.drop_counts["ttl"] += ttl_drops
-        for guid, hosts in flood_seen.items():
-            seen.mark_many(list(hosts), ("PING", guid))
         ctr = net.queries_expanded_ctr
         if ctr is not None and origin_of:
             ctr.inc(len(origin_of), kind="PING")

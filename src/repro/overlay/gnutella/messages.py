@@ -1,14 +1,17 @@
 """Gnutella 0.6 message payloads.
 
-GUIDs are plain integers issued by a per-network counter; ``ttl`` and
-``hops`` follow the Gnutella descriptor header semantics (ttl decremented
-and hops incremented at every forward).  Sizes approximate the on-wire
-descriptor sizes so traffic accounting is meaningful.
+GUIDs are plain integers issued by a per-network counter.  Sizes
+approximate the on-wire descriptor sizes so traffic accounting is
+meaningful.  PING, PONG, QUERY and QUERYHIT never exist as objects in
+flight: a flood is expanded by
+:class:`~repro.overlay.gnutella.flood.FloodKernel`, which carries a
+descriptor as a heap entry, so only the QUERY a search is issued with
+and the connect handshake have payload classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 #: Approximate descriptor sizes in bytes (header + typical body).
 PING_SIZE = 23
@@ -19,44 +22,12 @@ CONNECT_SIZE = 48
 
 
 @dataclass(frozen=True)
-class Ping:
-    """PING descriptor: discovers peers; forwarded with decremented TTL."""
-    guid: int
-    ttl: int
-    hops: int = 0
-    origin: int = -1  # host id of the originator
-
-    def forwarded(self) -> "Ping":
-        return replace(self, ttl=self.ttl - 1, hops=self.hops + 1)
-
-
-@dataclass(frozen=True)
-class Pong:
-    """PONG descriptor: advertises a peer address back along the ping path."""
-    guid: int           # matches the Ping it answers
-    peer: int           # advertised peer address (host id)
-    shared_files: int = 0
-
-
-@dataclass(frozen=True)
 class Query:
     """QUERY descriptor: a keyword search flooded through the ultrapeer mesh."""
     guid: int
     ttl: int
     keyword: int        # content id being searched
     origin: int
-    hops: int = 0
-
-    def forwarded(self) -> "Query":
-        return replace(self, ttl=self.ttl - 1, hops=self.hops + 1)
-
-
-@dataclass(frozen=True)
-class QueryHit:
-    """QUERYHIT descriptor: a responder for a query, routed back to the origin."""
-    guid: int           # matches the Query it answers
-    responder: int      # host id that has the content
-    keyword: int
 
 
 @dataclass(frozen=True)

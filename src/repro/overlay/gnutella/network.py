@@ -26,10 +26,10 @@ import networkx as nx
 import numpy as np
 
 from repro.collection.oracle import ISPOracle
-from repro.core.peerstate import PeerState
 from repro.errors import OverlayError
 from repro.obs import active_registry
 from repro.obs.registry import Counter, Histogram, MetricRegistry
+from repro.overlay.gnutella.flood import FloodKernel
 from repro.overlay.gnutella.node import (
     LEAF,
     ULTRAPEER,
@@ -39,7 +39,6 @@ from repro.overlay.gnutella.node import (
 from repro.rng import SeedLike, ensure_rng
 from repro.sim.engine import Simulation
 from repro.sim.messages import MessageBus
-from repro.sim.queryplane import QUERY_AUTO_NODE_THRESHOLD, SeenFilter
 from repro.underlay.hosts import Host
 from repro.underlay.network import Underlay
 
@@ -88,18 +87,12 @@ class GnutellaNetwork:
         biased_download: bool = False,
         external_quota: int = 1,
         rng: SeedLike = None,
-        query_backend: str = "auto",
         search_retention: Optional[int] = None,
     ) -> None:
         if policy is NeighborPolicy.BIASED and oracle is None:
             raise OverlayError("BIASED policy requires an oracle")
         if external_quota < 0:
             raise OverlayError("external_quota must be non-negative")
-        if query_backend not in ("auto", "batch", "reference"):
-            raise OverlayError(
-                f"query_backend must be 'auto', 'batch' or 'reference', "
-                f"got {query_backend!r}"
-            )
         if search_retention is not None and search_retention < 1:
             raise OverlayError("search_retention must be >= 1")
         self.underlay = underlay
@@ -113,21 +106,12 @@ class GnutellaNetwork:
         self.external_quota = external_quota
         self._rng = ensure_rng(rng)
         self.nodes: dict[int, GnutellaNode] = {}
-        #: slot space of the population, for the seen filter's bit columns
-        self.peerstate = PeerState()
-        #: bounded network-wide (GUID, host) duplicate-suppression window
-        #: shared by the per-message handlers and the batch flood kernel
-        self.seen = SeenFilter(
-            self.config.seen_window,
-            peerstate=self.peerstate,
-            bitmap_name="gnutella_seen",
-        )
         #: protocol-level drops (surfaced through :meth:`message_counts`):
         #: duplicate descriptors suppressed, TTL-expired non-forwards
         self.drop_counts: dict[str, int] = {"duplicate": 0, "ttl": 0}
-        self.query_backend = query_backend
         self.search_retention = search_retention
-        self._flood_kernel = None
+        #: how every PING, PONG, QUERY and QUERYHIT travels
+        self.flood_kernel = FloodKernel(self)
         self._maintenance: list = []  # running PeriodicProcess batch
         self._guid_counter = 0
         self.searches: dict[int, SearchRecord] = {}
@@ -156,14 +140,14 @@ class GnutellaNetwork:
         )
         self.queries_expanded_ctr = registry.counter(
             "queries_expanded_total",
-            "Descriptor floods expanded by the frontier-batched query "
-            "plane, by descriptor kind.",
+            "Descriptor floods expanded by the flood kernel, by "
+            "descriptor kind.",
             ("kind",),
         )
         self.query_frontier_hist = registry.histogram(
             "query_frontier_size",
             "Per-hop frontier width (accepted hosts per TTL level) of "
-            "batch-expanded floods.",
+            "expanded floods.",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096),
         )
         for node in self.nodes.values():
@@ -173,7 +157,6 @@ class GnutellaNetwork:
     def add_node(self, host: Host, role: str) -> GnutellaNode:
         if host.host_id in self.nodes:
             raise OverlayError(f"host {host.host_id} already in network")
-        self.peerstate.admit(host.host_id)
         node = GnutellaNode(host, self.sim, self.bus, self, role, self.config)
         if self._registry is not None:
             node.instrument(self._registry, "gnutella")
@@ -191,6 +174,12 @@ class GnutellaNetwork:
         """Add hosts, assigning the ultrapeer role to a fraction of them —
         randomly, or to the highest-capacity hosts when ``by_capacity``."""
         hosts = list(hosts)
+        if not hosts:
+            raise OverlayError("cannot add an empty population")
+        if not 0.0 < ultrapeer_fraction <= 1.0:  # also rejects nan
+            raise OverlayError(
+                f"ultrapeer_fraction must be in (0, 1], got {ultrapeer_fraction}"
+            )
         n_up = max(1, round(len(hosts) * ultrapeer_fraction))
         if by_capacity:
             ranked = sorted(
@@ -302,34 +291,15 @@ class GnutellaNetwork:
         if node.online and len(node.neighbors) < node.desired_connections():
             node.join(self.ranked_candidates(node))
 
-    # -- query plane backend ------------------------------------------------------
+    # -- floods -------------------------------------------------------------------
     def query_plane_active(self) -> bool:
-        """Whether floods expand through the batch kernel: forced by
-        ``query_backend="batch"``/``"reference"``, or (``"auto"``) on once
-        the population reaches ``QUERY_AUTO_NODE_THRESHOLD`` hosts."""
-        if self.query_backend == "batch":
-            return True
-        if self.query_backend == "reference":
-            return False
-        return len(self.nodes) >= QUERY_AUTO_NODE_THRESHOLD
-
-    @property
-    def flood_kernel(self):
-        """The frontier-batched expansion kernel (built on first use)."""
-        if self._flood_kernel is None:
-            from repro.overlay.gnutella.flood import FloodKernel
-
-            self._flood_kernel = FloodKernel(self)
-        return self._flood_kernel
+        """Always ``True``: every flood goes through the kernel."""
+        # kept only because bench/workloads.py still asks
+        return True
 
     def ping_round(self) -> None:
         """Every node emits one PING round (call after joins settle)."""
-        if self.query_plane_active():
-            self.flood_kernel.expand_ping_round()
-            return
-        for node in self.nodes.values():
-            if node.online:
-                node.start_ping()
+        self.flood_kernel.expand_ping_round(self.nodes.values())
 
     def start_auto_maintenance(self, *, ping_period_ms: float = 30_000.0) -> None:
         """Periodic per-node PINGs (jittered): keeps hostcaches and pong
@@ -365,13 +335,9 @@ class GnutellaNetwork:
         )
         if self.search_retention is not None:
             # bounded bookkeeping for open-ended service runs: drop the
-            # oldest records (FIFO, matching the seen-window expiry model)
+            # oldest records (FIFO)
             while len(self.searches) > self.search_retention:
                 del self.searches[next(iter(self.searches))]
-
-    def query_origin(self, guid: int) -> Optional[int]:
-        rec = self.searches.get(guid)
-        return rec.origin if rec else None
 
     def record_hit(self, guid: int, responder: int) -> None:
         rec = self.searches.get(guid)
@@ -455,9 +421,10 @@ class GnutellaNetwork:
 
     def message_counts(self) -> dict[str, int]:
         """Bus-level per-kind counts (every forwarded hop counts once),
-        plus protocol-level drop totals: ``dropped_duplicate`` (descriptor
-        copies suppressed by the seen filter) and ``dropped_ttl``
-        (descriptors an ultrapeer declined to forward at TTL expiry)."""
+        plus protocol-level drop totals: ``dropped_duplicate`` (copies of
+        a descriptor arriving at a host its flood already reached) and
+        ``dropped_ttl`` (descriptors an ultrapeer declined to forward at
+        TTL expiry)."""
         counts = dict(self.bus.stats.by_kind)
         counts["dropped_duplicate"] = self.drop_counts["duplicate"]
         counts["dropped_ttl"] = self.drop_counts["ttl"]

@@ -12,35 +12,32 @@ locality experiments of Aggarwal et al. [1]):
 - QUERY flooding among ultrapeers with duplicate suppression, QUERYHIT
   routed back hop-by-hop along the reverse query path.
 
-The node is transport-agnostic: everything goes through the
-:class:`~repro.sim.messages.MessageBus`, so underlay traffic accounting
-sees every hop of every descriptor.
+The handshake, SHARE, BYE and the HTTP download are messages on the
+:class:`~repro.sim.messages.MessageBus`, handled here.  The two floods
+are not: :meth:`GnutellaNode.start_ping` and
+:meth:`GnutellaNode.start_query` hand the descriptor to the network's
+:class:`~repro.overlay.gnutella.flood.FloodKernel`, which expands the
+whole flood against this node's state (roles, neighbor sets, content
+index, pong cache) and accounts every hop on the bus, so underlay
+traffic accounting still sees every hop of every descriptor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import OverlayError
 from repro.overlay.base import OverlayNode
 from repro.overlay.gnutella.hostcache import HostCache
 from repro.overlay.gnutella.messages import (
     CONNECT_SIZE,
-    PING_SIZE,
-    PONG_SIZE,
-    QUERY_SIZE,
-    QUERYHIT_SIZE,
     ConnectReply,
     ConnectRequest,
-    Ping,
-    Pong,
     Query,
-    QueryHit,
 )
 from repro.sim.engine import Simulation
 from repro.sim.messages import Message, MessageBus
-from repro.sim.queryplane import BoundedRouteTable
 from repro.sim.requests import RequestManager, RetryPolicy
 from repro.underlay.hosts import Host
 
@@ -72,14 +69,6 @@ class GnutellaConfig:
     pong_cache_size: int = 20
     connect_timeout_ms: float = 4000.0
     connect_max_retries: int = 1
-    #: duplicate-suppression window: at most this many distinct in-flight
-    #: descriptor GUIDs are remembered network-wide (FIFO expiry; see
-    #: :class:`repro.sim.queryplane.SeenFilter`) — long service runs stay
-    #: memory-flat instead of accreting every GUID ever flooded
-    seen_window: int = 4096
-    #: per-node reverse-route window (QUERYHIT/PONG back-routing); an
-    #: expired route is the existing "route evaporated" drop case
-    route_cache_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.query_ttl < 1 or self.ping_ttl < 1:
@@ -92,12 +81,10 @@ class GnutellaConfig:
             raise OverlayError("pong parameters must be >= 1")
         if self.connect_timeout_ms <= 0 or self.connect_max_retries < 0:
             raise OverlayError("invalid connect retry configuration")
-        if self.seen_window < 1 or self.route_cache_size < 1:
-            raise OverlayError("suppression windows must be >= 1")
 
 
 class GnutellaNode(OverlayNode):
-    """One servent: connections, content index, and descriptor handling."""
+    """One servent: connections, content index, pong cache."""
     def __init__(
         self,
         host: Host,
@@ -118,10 +105,6 @@ class GnutellaNode(OverlayNode):
         self.leaves: set[int] = set()     # UP only
         self.leaf_index: dict[int, set[int]] = {}  # keyword -> leaf host ids
         self.shared: set[int] = set()
-        # duplicate suppression lives in the network-wide bounded
-        # SeenFilter (one bit per host per live GUID); reverse routes are
-        # FIFO-bounded so neither grows with total queries ever issued
-        self._route_back = BoundedRouteTable(config.route_cache_size)
         self._pong_cache: list[int] = []
         self._pending_candidates: list[int] = []
         self.requests = RequestManager(
@@ -252,58 +235,14 @@ class GnutellaNode(OverlayNode):
         if self.role == LEAF and len(self.neighbors) < self.desired_connections():
             self.network.schedule_repair(self)
 
-    # ---------------------------------------------------------- dup suppression
-    def _saw(self, key: tuple[str, int]) -> bool:
-        """Whether this host already handled the descriptor ``key``."""
-        return self.network.seen.test(self.host_id, key)
-
-    def _mark_seen(self, key: tuple[str, int]) -> None:
-        self.network.seen.mark(self.host_id, key)
-
     # ------------------------------------------------------------------ ping/pong
     def start_ping(self) -> None:
-        """Emit one PING round to all connected peers."""
-        guid = self.network.next_guid()
-        self._mark_seen(("PING", guid))
-        ping = Ping(guid=guid, ttl=self.config.ping_ttl, origin=self.host_id)
-        self.send_many(list(self._connected_peers()), "PING", ping, PING_SIZE)
+        """Flood one PING to all connected peers (none while offline)."""
+        self.network.flood_kernel.expand_ping_round((self,))
 
     def _connected_peers(self) -> list[int]:
         """All connected peer ids, ascending (deterministic fan-out)."""
         return sorted(self.neighbors | self.leaves)
-
-    def on_ping(self, msg: Message) -> None:
-        ping: Ping = msg.payload
-        key = ("PING", ping.guid)
-        if self._saw(key):
-            self.network.drop_counts["duplicate"] += 1
-            return
-        self._mark_seen(key)
-        self._route_back[key] = msg.src
-        # answer: own pong + cached addresses
-        self.send(msg.src, "PONG", Pong(ping.guid, self.host_id, len(self.shared)),
-                  PONG_SIZE)
-        for cached in self._pong_cache[: self.config.pongs_per_ping - 1]:
-            if cached != ping.origin:
-                self.send(msg.src, "PONG", Pong(ping.guid, cached), PONG_SIZE)
-        # forward with decremented TTL (ultrapeers relay; leaves are edges)
-        if ping.ttl > 1 and self.role == ULTRAPEER:
-            fwd = ping.forwarded()
-            self.send_many(
-                [nb for nb in self._connected_peers() if nb != msg.src],
-                "PING", fwd, PING_SIZE,
-            )
-        elif self.role == ULTRAPEER:
-            self.network.drop_counts["ttl"] += 1
-
-    def on_pong(self, msg: Message) -> None:
-        pong: Pong = msg.payload
-        # forward along the ping's reverse path (its originator has no
-        # route back and consumes), then learn the address passing through
-        back = self._route_back.get(("PING", pong.guid))
-        if back is not None:
-            self.send(back, "PONG", pong, PONG_SIZE)
-        self.learn_addresses((pong.peer,))
 
     def learn_addresses(self, peers: Iterable[int]) -> None:
         """Take PONG-advertised addresses, oldest first, into the
@@ -331,69 +270,8 @@ class GnutellaNode(OverlayNode):
             guid=guid, ttl=self.config.query_ttl, keyword=keyword, origin=self.host_id
         )
         self.network.register_query(guid, self.host_id, keyword)
-        if self.network.query_plane_active():
-            # frontier-batched expansion: the whole flood is computed as
-            # array operations at issue time (same messages, same times)
-            self.network.flood_kernel.expand_query(self, query)
-            return guid
-        self._mark_seen(("QUERY", guid))
-        if self.role == LEAF:
-            # leaves hand the query to their ultrapeers
-            for up in self.neighbors:
-                self.send(up, "QUERY", query, QUERY_SIZE)
-        else:
-            self._answer_and_flood(query, from_peer=None)
+        self.network.flood_kernel.expand_query(self, query)
         return guid
-
-    def on_query(self, msg: Message) -> None:
-        query: Query = msg.payload
-        key = ("QUERY", query.guid)
-        if self._saw(key):
-            self.network.drop_counts["duplicate"] += 1
-            return
-        self._mark_seen(key)
-        self._route_back[key] = msg.src
-        self._answer_and_flood(query, from_peer=msg.src)
-
-    def _answer_and_flood(self, query: Query, from_peer: Optional[int]) -> None:
-        # answer from own shared content
-        responders: list[int] = []
-        if query.keyword in self.shared:
-            responders.append(self.host_id)
-        # and on behalf of leaves
-        responders.extend(sorted(self.leaf_index.get(query.keyword, ())))
-        hops_hist = self.network.query_hops_hist
-        if hops_hist is not None and responders:
-            hops_hist.observe(self.config.query_ttl - query.ttl)
-        for responder in responders:
-            hit = QueryHit(guid=query.guid, responder=responder, keyword=query.keyword)
-            self._route_hit(hit, via=from_peer)
-        if query.ttl > 1 and self.role == ULTRAPEER:
-            fwd = query.forwarded()
-            self.send_many(
-                [nb for nb in self.neighbors if nb != from_peer],
-                "QUERY", fwd, QUERY_SIZE,
-            )
-        elif self.role == ULTRAPEER:
-            self.network.drop_counts["ttl"] += 1
-
-    def _route_hit(self, hit: QueryHit, via: Optional[int]) -> None:
-        if via is None:
-            # we are the originator's node itself
-            self.network.record_hit(hit.guid, hit.responder)
-            return
-        self.send(via, "QUERYHIT", hit, QUERYHIT_SIZE)
-
-    def on_queryhit(self, msg: Message) -> None:
-        hit: QueryHit = msg.payload
-        key = ("QUERY", hit.guid)
-        if self.network.query_origin(hit.guid) == self.host_id:
-            self.network.record_hit(hit.guid, hit.responder)
-            return
-        back = self._route_back.get(key)
-        if back is None:
-            return  # route evaporated (origin gone); drop silently
-        self.send(back, "QUERYHIT", hit, QUERYHIT_SIZE)
 
     # ------------------------------------------------------------------ download
     def on_http_download(self, msg: Message) -> None:

@@ -77,6 +77,15 @@ class ServiceConfig:
             raise ConfigurationError("service needs at least 4 hosts")
         if self.settle_ms <= 0:
             raise ConfigurationError("settle window must be positive")
+        # comparisons written so that nan fails them
+        if not 0.0 <= self.store_fraction <= 1.0:
+            raise ConfigurationError("store_fraction must be in [0, 1]")
+        if not 0.0 < self.ultrapeer_fraction <= 1.0:
+            raise ConfigurationError("ultrapeer_fraction must be in (0, 1]")
+        if self.files_per_host < 1:
+            raise ConfigurationError("files_per_host must be >= 1")
+        if self.search_retention is not None and self.search_retention < 1:
+            raise ConfigurationError("search_retention must be >= 1")
 
 
 class Bootstrapper:

@@ -13,11 +13,9 @@ Public surface:
 - :class:`~repro.sim.flows.FlowNetwork` / :func:`~repro.sim.flows.max_min_rates`
   / :func:`~repro.sim.flows.single_link_waterfill` — flow-level max-min
   fair bandwidth sharing over capacitated links.
-- :class:`~repro.sim.queryplane.SeenFilter` /
-  :class:`~repro.sim.queryplane.BoundedRouteTable` /
-  :class:`~repro.sim.queryplane.SendLog` — bounded duplicate
-  suppression, reverse-path routing state, and the message-level
-  trace digest behind the frontier-batched query plane.
+- :class:`~repro.sim.queryplane.SendLog` /
+  :func:`~repro.sim.queryplane.flood_trace_digest` — the message-level
+  send log and its digest.
 """
 
 from repro.sim.churn import ChurnConfig, ChurnProcess, draw_duration
@@ -25,17 +23,10 @@ from repro.sim.engine import EventHandle, Simulation
 from repro.sim.flows import FlowNetwork, max_min_rates, single_link_waterfill
 from repro.sim.messages import BusStats, Message, MessageBus
 from repro.sim.process import PeriodicProcess, call_after
-from repro.sim.queryplane import (
-    QUERY_AUTO_NODE_THRESHOLD,
-    BoundedRouteTable,
-    SeenFilter,
-    SendLog,
-    flood_trace_digest,
-)
+from repro.sim.queryplane import SendLog, flood_trace_digest
 from repro.sim.requests import RequestManager, RequestStats, RetryPolicy
 
 __all__ = [
-    "BoundedRouteTable",
     "BusStats",
     "ChurnConfig",
     "ChurnProcess",
@@ -44,11 +35,9 @@ __all__ = [
     "Message",
     "MessageBus",
     "PeriodicProcess",
-    "QUERY_AUTO_NODE_THRESHOLD",
     "RequestManager",
     "RequestStats",
     "RetryPolicy",
-    "SeenFilter",
     "SendLog",
     "Simulation",
     "call_after",

@@ -39,8 +39,8 @@ class TrafficObserver(Protocol):
     The bus calls :meth:`observe` once per send, at send time, whether
     or not the message is later lost or dropped by a fault.
 
-    Batch kernels that simulate sends outside the bus
-    (:class:`~repro.overlay.gnutella.flood.FloodKernel`) also call every
+    A kernel that simulates sends outside the bus
+    (:class:`~repro.overlay.gnutella.flood.FloodKernel`) also calls every
     observer once per send, in send order — ``record(time, src, dst,
     kind, size_bytes)`` with the virtual send time if the observer has
     one, else :meth:`observe` — *unless* the observer sets the class
@@ -210,9 +210,9 @@ class MessageBus:
 
     @property
     def latency(self) -> LatencyProvider:
-        """The delay provider messages are scheduled against — batch
-        expansion kernels read it to compute virtual delivery times with
-        the exact per-pair values the per-message path would use."""
+        """The delay provider messages are scheduled against — the flood
+        kernel reads it to compute virtual delivery times with the exact
+        per-pair values a message on the bus gets."""
         return self._latency
 
     def account_external(
@@ -227,14 +227,14 @@ class MessageBus:
         dropped_no_handler: int = 0,
     ) -> None:
         """Fold a batch of *externally simulated* traffic into the bus
-        counters — the commit half of a frontier-batched flood expansion
-        (:mod:`repro.sim.queryplane`), which delivers messages inside its
-        own kernel loop without touching the event heap.  One call per
-        kind updates :class:`BusStats` and the bound metric cells exactly
-        as ``sent``/``delivered`` individual messages would have; traffic
-        observers are *not* notified here (kernels call them themselves,
-        per message or per aggregate — see :class:`TrafficObserver` — so
-        accounting totals match the reference path).
+        counters — the commit half of a flood expansion
+        (:mod:`repro.overlay.gnutella.flood`), which delivers messages
+        inside its own kernel loop without touching the event heap.  One
+        call per kind updates :class:`BusStats` and the bound metric
+        cells exactly as ``sent``/``delivered`` individual messages would
+        have; traffic observers are *not* notified here (the kernel calls
+        them itself, per message or per aggregate — see
+        :class:`TrafficObserver`).
         """
         stats = self.stats
         if sent:

@@ -5,12 +5,15 @@ indexed and every indexed module exists; these tests keep the docs from
 rotting as the code moves.
 """
 
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
 
-import pytest
+import repro
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -26,24 +29,113 @@ def test_every_benchmark_is_documented():
         assert stem in docs, f"benchmark {stem} is not referenced in the docs"
 
 
+def _living_docs() -> list[pathlib.Path]:
+    """The docs that describe the tree as it is.  CHANGES.md, ROADMAP.md
+    and docs/perf-log/ are history and may name what is gone."""
+    docs = [ROOT / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    return docs + sorted((ROOT / "docs").glob("*.md"))
+
+
+def _code_spans(doc: pathlib.Path) -> list[str]:
+    """Back-quoted spans (they may wrap over a line end), fenced blocks
+    left out."""
+    text = re.sub(r"```.*?```", "", doc.read_text(), flags=re.DOTALL)
+    return re.findall(r"`([^`]+)`", text)
+
+
+def _resolve(dotted: str):
+    """``repro.a.b.Name.attr`` -> the object, importing the longest
+    module prefix and walking attributes from there."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)  # AttributeError: the name is gone
+        return obj
+    raise ImportError(dotted)
+
+
 def test_every_documented_module_exists():
-    text = _read("docs/paper_map.md") + _read("DESIGN.md")
-    for match in set(re.findall(r"`(repro(?:\.[a-z_0-9]+)+)`", text)):
-        # module path -> file path (module or attribute of a module)
-        parts = match.split(".")
-        candidates = [
-            ROOT / "src" / pathlib.Path(*parts) / "__init__.py",
-            (ROOT / "src" / pathlib.Path(*parts)).with_suffix(".py"),
-            ROOT / "src" / pathlib.Path(*parts[:-1]) / "__init__.py",
-            (ROOT / "src" / pathlib.Path(*parts[:-1])).with_suffix(".py"),
-        ]
-        assert any(c.exists() for c in candidates), f"{match} referenced in docs but missing"
+    """Every back-quoted dotted ``repro.…`` name — module, class,
+    function or method — resolves by import."""
+    missing = []
+    for doc in _living_docs():
+        for span in _code_spans(doc):
+            for dotted in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", span):
+                try:
+                    _resolve(dotted)
+                except (ImportError, AttributeError):
+                    missing.append(f"{doc.relative_to(ROOT)}: {dotted}")
+    assert not missing, "docs name what cannot be imported:\n" + "\n".join(
+        sorted(set(missing))
+    )
+
+
+#: callables the docs mention that are numpy's or the standard library's
+_FOREIGN = {"np.unique", "dataclass", "bisect_right", "choice"}
+
+
+def _public_callables() -> dict[str, list]:
+    """Bare name -> every public class, function and method of that name
+    anywhere under ``repro``."""
+    index: dict[str, list] = {}
+    for modinfo in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if any(p.startswith("_") for p in modinfo.name.split(".")):
+            continue
+        mod = importlib.import_module(modinfo.name)
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", "") != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                index.setdefault(name, []).append(obj)
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and not attr.startswith("_"):
+                        index.setdefault(attr, []).append(member)
+            elif inspect.isfunction(obj):
+                index.setdefault(name, []).append(obj)
+    return index
+
+
+def _accepts(obj, keyword: str) -> bool:
+    params = inspect.signature(obj).parameters
+    return keyword in params or any(
+        p.kind is p.VAR_KEYWORD for p in params.values()
+    )
+
+
+def test_every_documented_keyword_exists():
+    """Every back-quoted ``Name(keyword=`` names a callable under
+    ``repro`` that takes that keyword: a deleted option, or one renamed
+    without its paragraph, fails here."""
+    index = _public_callables()
+    call = re.compile(r"([A-Za-z_][\w.]*)\(([^()]*)")
+    wrong = []
+    for doc in _living_docs():
+        for span in _code_spans(doc):
+            for name, args in call.findall(span):
+                keywords = re.findall(r"(?<![\w.])([a-z_]\w*)=(?!=)", args)
+                if not keywords or name in _FOREIGN:
+                    continue
+                if name.startswith("repro."):
+                    candidates = [_resolve(name)]
+                else:
+                    candidates = index.get(name.rsplit(".", 1)[-1], [])
+                for keyword in keywords:
+                    if not any(_accepts(c, keyword) for c in candidates):
+                        wrong.append(
+                            f"{doc.relative_to(ROOT)}: {name}({keyword}=)"
+                        )
+    assert not wrong, "docs name keywords nothing takes:\n" + "\n".join(
+        sorted(set(wrong))
+    )
 
 
 def test_every_documented_path_exists():
-    # CHANGES.md and ROADMAP.md are history and may name what is gone
-    docs = [ROOT / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
-    docs += sorted((ROOT / "docs").glob("*.md")) + [ROOT / "bench" / "README.md"]
+    # the perf log is history, but the files it points at must exist
+    docs = _living_docs() + [ROOT / "bench" / "README.md"]
     docs += sorted((ROOT / "docs" / "perf-log").glob("*.md"))
     # the lookbehind skips package-relative paths (`underlay/cache.py`)
     in_tree = re.compile(

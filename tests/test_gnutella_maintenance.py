@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.overlay.gnutella import GnutellaNetwork
-from repro.sim import Simulation
+from repro.overlay.gnutella import FloodKernel, GnutellaNetwork, GnutellaNode
+from repro.sim import ChurnConfig, ChurnProcess, Simulation
+from repro.sim.messages import MessageBus
 from repro.underlay import Underlay, UnderlayConfig
 
 
@@ -78,3 +79,57 @@ def test_second_start_replaces_the_running_batch(net):
     assert sim.pending() == quiet + len(network.nodes)  # one process per node
     network.stop_auto_maintenance()
     assert sim.pending() == quiet
+
+
+def test_maintenance_pings_under_churn_go_through_the_kernel_only(
+    net, monkeypatch
+):
+    """Spy: no flood descriptor is ever a message on the bus, and each
+    maintenance firing of an online node is one kernel expansion of that
+    node's PING alone."""
+    _u, sim, network = net
+    delivered, fired, expanded = set(), [], []
+    deliver = MessageBus._deliver
+    start_ping = GnutellaNode.start_ping
+    expand = FloodKernel.expand_ping_round
+
+    def spy_deliver(bus, msg):
+        delivered.add(msg.kind)
+        deliver(bus, msg)
+
+    def spy_start_ping(node):
+        fired.append(node.host_id)
+        start_ping(node)
+
+    def spy_expand(kernel, origins):
+        origins = list(origins)
+        expanded.append([n.host_id for n in origins])
+        expand(kernel, origins)
+
+    monkeypatch.setattr(MessageBus, "_deliver", spy_deliver)
+    monkeypatch.setattr(GnutellaNode, "start_ping", spy_start_ping)
+    monkeypatch.setattr(FloodKernel, "expand_ping_round", spy_expand)
+
+    churn = ChurnProcess(
+        sim,
+        peers=[n.host_id for n in network.leaves()],
+        config=ChurnConfig(mean_session=20_000.0, mean_offline=10_000.0),
+        on_join=lambda hid: network.rejoin(hid)
+        if not network.nodes[hid].online
+        else None,
+        on_leave=network.part,
+        rng=5,
+    )
+    pings = network.message_counts().get("PING", 0)
+    churn.start(warmup=2_000.0)
+    network.start_auto_maintenance(ping_period_ms=5_000.0)
+    sim.run(until=sim.now + 60_000.0)
+    ticks = sum(p.ticks for p in network._maintenance)
+    network.stop_auto_maintenance()
+    churn.stop()
+
+    assert churn.leaves > 0 and network.message_counts()["PING"] > pings
+    assert expanded == [[hid] for hid in fired]
+    assert 0 < len(fired) < ticks  # offline nodes' timers fired and sent nothing
+    assert {"BYE", "CONNECT_REQUEST"} <= delivered  # the bus did carry the rest
+    assert not delivered & {"PING", "PONG", "QUERY", "QUERYHIT"}

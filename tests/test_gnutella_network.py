@@ -135,6 +135,30 @@ def test_duplicate_node_rejected(net):
         network.add_node(u.hosts[0], ULTRAPEER)
 
 
+def _empty_network():
+    u = Underlay.generate(UnderlayConfig(n_hosts=10, seed=1))
+    sim = Simulation()
+    bus, _ = u.message_bus(sim)
+    return u, GnutellaNetwork(u, sim, bus, rng=1)
+
+
+@pytest.mark.parametrize("fraction", [1.5, 0.0, -0.2, float("nan")])
+def test_add_population_rejects_bad_ultrapeer_fraction(fraction):
+    # 1.5 and nan used to die inside numpy; -0.2 silently made one ultrapeer
+    u, network = _empty_network()
+    with pytest.raises(OverlayError, match="ultrapeer_fraction"):
+        network.add_population(u.hosts, ultrapeer_fraction=fraction)
+    assert not network.nodes
+
+
+def test_add_population_rejects_empty_and_accepts_all_ultrapeers():
+    u, network = _empty_network()
+    with pytest.raises(OverlayError, match="empty population"):
+        network.add_population([])
+    network.add_population(u.hosts, ultrapeer_fraction=1.0)
+    assert len(network.ultrapeers()) == 10
+
+
 def test_role_of_unknown_rejected(net):
     _u, _sim, network, _a = net
     with pytest.raises(OverlayError):

@@ -1,4 +1,9 @@
-"""Unit tests for Gnutella node message-handling edge cases."""
+"""Unit tests for Gnutella node message-handling edge cases.
+
+The descriptor-handler cases dispatch by hand to the per-message servent
+of ``tests/gnutella_reference.py`` — they pin down the oracle the flood
+kernel is compared with.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +12,17 @@ from hypothesis import strategies as st
 from repro.errors import OverlayError
 from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, LEAF, ULTRAPEER
 from repro.overlay.gnutella.hostcache import HostCache
-from repro.overlay.gnutella.messages import Ping, Query
+from repro.overlay.gnutella.messages import Query
 from repro.sim import Simulation
 from repro.underlay import Underlay, UnderlayConfig
+from tests.gnutella_reference import Ping, QueryHit, ReferenceGnutellaNetwork
 
 
-def _tiny_net(config=GnutellaConfig(query_ttl=3), query_backend="auto"):
+def _tiny_net(config=GnutellaConfig(query_ttl=3), network=GnutellaNetwork):
     u = Underlay.generate(UnderlayConfig(n_hosts=12, seed=51))
     sim = Simulation()
     bus, _ = u.message_bus(sim, with_accounting=False)
-    net = GnutellaNetwork(
-        u, sim, bus, config=config, rng=1, query_backend=query_backend
-    )
+    net = network(u, sim, bus, config=config, rng=1)
     # deterministic roles: first 4 ultrapeers, rest leaves
     for i, h in enumerate(u.hosts):
         net.add_node(h, ULTRAPEER if i < 4 else LEAF)
@@ -30,7 +34,7 @@ def _tiny_net(config=GnutellaConfig(query_ttl=3), query_backend="auto"):
 
 @pytest.fixture()
 def tiny_net():
-    return _tiny_net()
+    return _tiny_net(network=ReferenceGnutellaNetwork)
 
 
 def test_duplicate_query_not_reflooded(tiny_net):
@@ -119,7 +123,6 @@ def test_share_before_connect_announced_at_connect():
 
 def test_queryhit_route_evaporation_dropped_silently(tiny_net):
     _u, sim, net = tiny_net
-    from repro.overlay.gnutella.messages import QueryHit
     from repro.sim.messages import Message
 
     node = net.ultrapeers()[0]
@@ -204,14 +207,15 @@ def test_learning_a_batch_equals_learning_one_by_one(known, cached, batch):
     assert learned_by(lambda: node.learn_addresses(batch)) == (
         want_cached, want_known
     )
-    # and a batch of one is the per-PONG path (on_pong passes a 1-tuple)
+    # and a batch of one is the per-PONG path (the reference servent's
+    # on_pong passes a 1-tuple)
     assert learned_by(
         lambda: [node.learn_addresses((peer,)) for peer in batch]
     ) == (want_cached, want_known)
 
 
-def _ping_round_state(config, query_backend):
-    _u, sim, net = _tiny_net(config, query_backend)
+def _ping_round_state(config, network):
+    _u, sim, net = _tiny_net(config, network)
     net.ping_round()
     sim.run()
     return {
@@ -232,8 +236,8 @@ def test_ping_round_edge_cases_batch_equals_reference(knob):
     # pongs_per_ping=1: every PONG run is a run of one (own address
     # only); ping_ttl=1: no PING is relayed, so no run is forwarded
     config = GnutellaConfig(**{knob: 1})
-    bat = _ping_round_state(config, "batch")
-    assert bat == _ping_round_state(config, "reference")
+    bat = _ping_round_state(config, GnutellaNetwork)
+    assert bat == _ping_round_state(config, ReferenceGnutellaNetwork)
     counts = bat["counts"]
     accepted = counts["PING"] - counts["dropped_duplicate"]
     assert accepted > 0

@@ -1,8 +1,9 @@
-"""Frontier-batched query plane vs the per-message reference path.
+"""The flood kernel vs the per-message reference servent
+(``tests/gnutella_reference.py``).
 
 The equivalence currency is the message-level send log: the sorted
 ``(time, src, dst, kind, size)`` tuple set of every bus send, hashed by
-:func:`flood_trace_digest`.  Both backends must be bit-identical on it —
+:func:`flood_trace_digest`.  Both must be bit-identical on it —
 and on bus stats, ``message_counts()`` (including the drop counters),
 per-node counters, what every node learned from the ping round (pong
 cache and hostcache, in order), search hits, and first-hit latencies —
@@ -11,9 +12,9 @@ loss rates (serial floods), whole-run fault windows, TTL edge cases, and
 both delay backends (matrix and stream).
 
 A :class:`TrafficAccountant` rides on the same bus ahead of the
-``SendLog``: the batch kernel hands it one aggregate per ``(src, dst,
-kind)`` at commit while the reference path calls it per message, and
-every table it keeps must come out the same.
+``SendLog``: the kernel hands it one aggregate per ``(src, dst, kind)``
+at commit while the reference calls it per message, and every table it
+keeps must come out the same.
 """
 
 import heapq
@@ -28,21 +29,18 @@ from hypothesis import strategies as st
 from repro.errors import OverlayError
 from repro.faults import DelayFault, FaultInjector, FaultSchedule, LossFault
 from repro.obs import Tracer
-from repro.overlay.gnutella import (
-    GnutellaConfig,
-    GnutellaNetwork,
-    Query,
-    ULTRAPEER,
-    flood,
-)
+from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, flood
 from repro.overlay.kademlia.network import KademliaNetwork
 from repro.sim import Simulation
 from repro.sim.messages import MessageBus
 from repro.sim.queryplane import SendLog
 from repro.underlay import TrafficAccountant, Underlay, UnderlayConfig
+from tests.gnutella_reference import ReferenceGnutellaNetwork
 from tests.test_traffic_oracle import state as traffic_state
 
 SEEDS = (7, 11, 23)
+
+_NETWORKS = {"batch": GnutellaNetwork, "reference": ReferenceGnutellaNetwork}
 
 # one shared (read-only) underlay per population size keeps these tests
 # from re-running topology generation for every arm
@@ -60,7 +58,7 @@ def _underlay(n_hosts, seed=13, delay_backend="matrix"):
     return _UNDERLAYS[key]
 
 
-def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5, seen_window=4096,
+def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5,
            fault_schedule=None, accounting=True, delay_backend="matrix"):
     u = _underlay(n_hosts, delay_backend=delay_backend)
     sim = Simulation()
@@ -75,10 +73,8 @@ def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5, seen_window=4096,
         bus.add_observer(acct)
     log = SendLog(sim)
     bus.add_observer(log)
-    net = GnutellaNetwork(
-        u, sim, bus,
-        config=GnutellaConfig(query_ttl=ttl, seen_window=seen_window),
-        rng=seed, query_backend=backend,
+    net = _NETWORKS[backend](
+        u, sim, bus, config=GnutellaConfig(query_ttl=ttl), rng=seed,
     )
     injector = None
     if fault_schedule is not None:
@@ -280,15 +276,23 @@ def test_ping_round_heap_pushes_are_per_run_not_per_pong(monkeypatch):
     sim.run()
     pings, pongs = bus.stats.by_kind["PING"], bus.stats.by_kind["PONG"]
 
+    # the same round on reference servents, which keep their routes
+    *_, ref, _log, _acct = _build(
+        "reference", seed=11, n_hosts=200, accounting=False
+    )
+    ref.ping_round()
+    ref.sim.run()
+    assert ref.bus.stats.by_kind["PING"] == pings
+
     def hops_to_origin(host, key):
-        back = net.nodes[host]._route_back.get(key)
+        back = ref.nodes[host]._routes.get(key)
         return 0 if back is None else 1 + hops_to_origin(back, key)
 
     # a node holds a reverse route for exactly the PINGs it accepted
     hops = sum(
         hops_to_origin(host, key)
-        for host, node in net.nodes.items()
-        for key in node._route_back._routes
+        for host, node in ref.nodes.items()
+        for key in node._routes
     )
     assert hops > pings / 2  # most arrivals were accepted, some at depth 2
     assert len(pushes) == pings + hops
@@ -306,73 +310,11 @@ def test_ttl_edge_cases_bit_identical(ttl):
         assert bat["message_counts"]["dropped_ttl"] > 0
 
 
-def test_config_rejects_invalid_ttl_and_windows():
+def test_config_rejects_invalid_ttl():
     with pytest.raises(OverlayError):
         GnutellaConfig(query_ttl=0)
     with pytest.raises(OverlayError):
         GnutellaConfig(ping_ttl=0)
-    with pytest.raises(OverlayError):
-        GnutellaConfig(seen_window=0)
-    with pytest.raises(OverlayError):
-        GnutellaConfig(route_cache_size=0)
-
-
-def test_backend_toggle_validation_and_auto_threshold():
-    u = _underlay(8)
-    sim = Simulation()
-    bus = MessageBus(sim, u)
-    with pytest.raises(OverlayError):
-        GnutellaNetwork(u, sim, bus, query_backend="turbo")
-    net = GnutellaNetwork(u, sim, bus, query_backend="auto")
-    net.add_population(u.hosts)
-    assert not net.query_plane_active()  # tiny population stays reference
-    net.query_backend = "batch"
-    assert net.query_plane_active()
-
-
-def test_reflood_suppressed_then_deliverable_after_window_expiry():
-    u = _underlay(30)
-    sim = Simulation()
-    bus = MessageBus(sim, u)
-    net = GnutellaNetwork(
-        u, sim, bus,
-        config=GnutellaConfig(query_ttl=5, seen_window=2),
-        rng=5, query_backend="batch",
-    )
-    net.add_population(u.hosts, ultrapeer_fraction=1.0)
-    net.bootstrap(cache_fill=20)
-    net.join_all()
-    sim.run()
-    origin = next(n for n in net.nodes.values() if n.role == ULTRAPEER)
-
-    g1 = net.search(origin.host_id, 3)
-    sim.run()
-    first = bus.stats.by_kind["QUERY"]
-    assert first > 0
-
-    # immediate re-flood of the same GUID: every arrival is a duplicate,
-    # so only the origin's own fan-out is sent and nothing propagates
-    dup_before = net.drop_counts["duplicate"]
-    q = Query(guid=g1, ttl=net.config.query_ttl, keyword=3,
-              origin=origin.host_id)
-    net.flood_kernel.expand_query(origin, q)
-    sim.run()
-    refanout = bus.stats.by_kind["QUERY"] - first
-    assert refanout == len(origin.neighbors)
-    assert net.drop_counts["duplicate"] - dup_before == refanout
-
-    # two fresh floods push g1's key out of the window=2 seen filter ...
-    net.search(origin.host_id, 4)
-    sim.run()
-    net.search(origin.host_id, 5)
-    sim.run()
-    assert net.seen.expired_keys >= 1 and not net.seen.known(("QUERY", g1))
-
-    # ... after which the expired GUID floods the full mesh again
-    before = bus.stats.by_kind["QUERY"]
-    net.flood_kernel.expand_query(origin, q)
-    sim.run()
-    assert bus.stats.by_kind["QUERY"] - before == first
 
 
 @settings(max_examples=10, deadline=None)

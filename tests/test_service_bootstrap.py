@@ -29,6 +29,26 @@ def test_service_config_validation():
         ServiceConfig(settle_ms=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ultrapeer_fraction", 1.5), ("ultrapeer_fraction", 0.0),
+    ("ultrapeer_fraction", -0.2), ("ultrapeer_fraction", float("nan")),
+    ("store_fraction", 1.01), ("store_fraction", -0.1),
+    ("store_fraction", float("nan")),
+    ("files_per_host", 0), ("search_retention", 0),
+])
+def test_service_config_rejects_out_of_range(field, value):
+    # used to be accepted here and fail deep inside build() (numpy's
+    # "Cannot take a larger sample than population" for the fraction)
+    with pytest.raises(ConfigurationError, match=field):
+        ServiceConfig(overlay="gnutella", **{field: value})
+
+
+def test_service_config_accepts_range_ends():
+    ServiceConfig(overlay="gnutella", ultrapeer_fraction=1.0,
+                  store_fraction=0.0, files_per_host=1, search_retention=1)
+    ServiceConfig(store_fraction=1.0)
+
+
 def test_lifecycle_guards():
     boot = Bootstrapper(ServiceConfig(**SMALL))
     with pytest.raises(ConfigurationError):

@@ -3,10 +3,10 @@
 Each structure is driven with random operation sequences — hypothesis
 op lists plus long seeded numpy streams — next to a few-line model of
 its contract written with builtins, and the observable state must agree
-after every step: the bitmap columns against a dict of bit sets, the
-hostcache against a most-recent-last list, the routing table against a
-brute-force XOR sort over per-bucket :class:`KBucket` models, and the
-churn process against a replay of its own join/leave/crash log.
+after every step: the hostcache against a most-recent-last list, the
+routing table against a brute-force XOR sort over per-bucket
+:class:`KBucket` models, and the churn process against a replay of its
+own join/leave/crash log.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.peerstate import PeerState
 from repro.overlay.gnutella.hostcache import HostCache
 from repro.overlay.kademlia.id_space import ID_BITS, bucket_index, xor_distance
 from repro.overlay.kademlia.kbucket import Contact, KBucket
@@ -24,83 +23,6 @@ from repro.overlay.kademlia.routing_table import RoutingTable
 from repro.sim import ChurnConfig, ChurnProcess, Simulation
 
 SEEDS = (101, 202, 303)
-
-
-# -- PeerState bitmaps vs a dict of bit sets ----------------------------------------
-HOSTS = st.integers(min_value=0, max_value=15)
-_op = st.one_of(
-    st.tuples(st.just("admit"), HOSTS),
-    st.tuples(st.just("evict"), HOSTS),
-    st.tuples(st.just("bset"), HOSTS, st.integers(0, 69)),
-    st.tuples(st.just("bclr"), HOSTS, st.integers(0, 69)),
-)
-
-
-def _apply_peerstate_ops(ops):
-    """Run one op sequence through the columns and the model."""
-    state = PeerState(initial_capacity=2)
-    bitmap = state.bitmap("bits", 70)  # spans two uint64 words
-    model: dict[int, set[int]] = {}
-    for kind, host, *arg in ops:
-        assert (host in state) == (host in model)
-        if kind == "admit" and host not in model:
-            state.admit(host)
-            model[host] = set()
-        elif host not in model:
-            continue
-        elif kind == "evict":
-            state.evict(host)
-            del model[host]
-        elif kind == "bset":
-            bitmap.set(state.slot_of(host), arg[0])
-            model[host].add(arg[0])
-        elif kind == "bclr":
-            bitmap.clear(state.slot_of(host), arg[0])
-            model[host].discard(arg[0])
-    return state, bitmap, model
-
-
-def _assert_peerstate_equal(state, bitmap, model):
-    state.slots.check_invariants()
-    assert len(state) == len(model)
-    assert sorted(state.slots.hosts()) == sorted(model)
-    slots = [state.slot_of(h) for h in model]
-    assert len(set(slots)) == len(slots)  # no two hosts share a slot
-    for host, bits in model.items():
-        slot = state.slot_of(host)
-        assert bitmap.bits(slot) == sorted(bits)
-        assert bitmap.count(slot) == len(bits)
-    for bit in (0, 63, 64, 69):
-        want = [bit in model[h] for h in model]
-        assert bitmap.test_slots(slots, bit).tolist() == want
-
-
-@settings(max_examples=120, deadline=None)
-@given(ops=st.lists(_op, max_size=120))
-def test_peerstate_equivalent_under_random_ops(ops):
-    _assert_peerstate_equal(*_apply_peerstate_ops(ops))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_peerstate_equivalent_under_seeded_churn(seed):
-    """Long seeded sequence with heavy slot recycling (beyond what
-    hypothesis shrinks to) — the free-list stress version."""
-    rng = np.random.default_rng(seed)
-    ops = []
-    for _ in range(2500):
-        r = rng.random()
-        host = int(rng.integers(40))
-        if r < 0.35:
-            ops.append(("admit", host))
-        elif r < 0.60:
-            ops.append(("evict", host))
-        elif r < 0.90:
-            ops.append(("bset", host, int(rng.integers(70))))
-        else:
-            ops.append(("bclr", host, int(rng.integers(70))))
-    state, bitmap, model = _apply_peerstate_ops(ops)
-    assert state.slots.recycles > 100  # the stress actually recycled slots
-    _assert_peerstate_equal(state, bitmap, model)
 
 
 # -- RoutingTable vs brute force over per-bucket KBucket models ---------------------
