@@ -84,10 +84,14 @@ class ICS(CoordinateSystem):
     def _fit(self) -> None:
         u, s, _vt = np.linalg.svd(self.distances)
         self.singular_values = s
-        total = float(np.sum(s**2))
+        # normalise by the cumulative sum's own last entry (``np.sum``
+        # adds pairwise and can differ from it in the last bit), so the
+        # full-dimension entry is exactly 1.0
+        cum = np.cumsum(s**2)
+        total = float(cum[-1])
         if total <= 0:
             raise CoordinateError("degenerate distance matrix (all zeros)")
-        self.cumulative_variation = np.cumsum(s**2) / total
+        self.cumulative_variation = cum / total
         if self.config.dim is not None:
             n = min(self.config.dim, self.m)
         else:

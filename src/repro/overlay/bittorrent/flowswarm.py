@@ -28,7 +28,7 @@ reproduces the reference's endgame tail, where a slow uploader holds the
 last piece while faster unchokers sit idle.
 
 Peers, flows and the incidence structure live in struct-of-arrays
-columns (PR 6 style): one ``bincount`` sweep advances every flow, and a
+columns: one ``bincount`` sweep advances every flow, and a
 thousand-peer swarm costs a handful of numpy kernels per epoch.  The
 flow table is compiled **once per rechoke** — endpoints, AS-pair ids and
 the piece bindings carried over by ``(up, down)`` pair — and between two
@@ -36,6 +36,12 @@ rechokes its rows only die, so a **completion epoch** pays for what
 moved: bindings are a bool column, a downloader whose bindings already
 fill its piece allowance is not re-ranked, the rest are ordered by one
 :func:`~repro.sim.flows.grouped_order`, and teardown is a mask gather.
+The **rechoke** is one array pass too: a neighbor index (owner row →
+neighbor rows, in each peer's neighbor-set order) rebuilt only after a
+join, tit-for-tat counters held as two columns of the flow table
+(bytes received, bytes sent) plus the carried counters of downloaders
+that have no piece yet, one stable ``grouped_order`` ranking every
+owner's candidates, and Python entered only for the optimistic draws.
 Every epoch still draws the same numbers from the same RNG streams.  The
 fluid byte-level abstraction is what makes thousands-of-peer locality
 sweeps (Cuevas et al., *Deep Diving into BitTorrent Locality*)
@@ -47,6 +53,7 @@ which also pins the plane bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -107,8 +114,7 @@ class _FlowPeer:
 
     __slots__ = (
         "host_id", "row", "asn", "is_initial_seed", "complete",
-        "neighbors", "unchoked_rows", "recv_from", "sent_to",
-        "join_time", "finish_time", "_rng", "_nbr_rows", "_nbr_len",
+        "neighbors", "join_time", "finish_time", "_rng",
     )
 
     def __init__(
@@ -120,14 +126,9 @@ class _FlowPeer:
         self.is_initial_seed = is_seed
         self.complete = is_seed
         self.neighbors: set[int] = set()
-        self.unchoked_rows: list[int] = []
-        self.recv_from: dict[int, float] = {}
-        self.sent_to: dict[int, float] = {}
         self.join_time = 0.0
         self.finish_time: Optional[float] = None
         self._rng = rng
-        self._nbr_rows = np.zeros(0, dtype=np.int64)
-        self._nbr_len = 0
 
 
 class FlowSwarmSimulation:
@@ -182,6 +183,21 @@ class FlowSwarmSimulation:
         # sticky piece bindings: the rows kept transferring the last time
         # piece-granularity parking cut anything
         self._f_bound = np.zeros(0, dtype=bool)
+        # tit-for-tat counters of each row: bytes ``down`` received from
+        # ``up`` and bytes ``up`` sent to ``down`` since the endpoint's
+        # last rechoke with data
+        self._f_recv = np.zeros(0)
+        self._f_sent = np.zeros(0)
+        # received-bytes counters of downloaders still without data whose
+        # (up, down) pair is not in the table, keyed ``down << 32 | up``
+        self._carry_keys = np.zeros(0, dtype=np.int64)
+        self._carry_vals = np.zeros(0)
+        # neighbor index: owner row and neighbor row of every slot whose
+        # neighbor was still leeching at the last rechoke, owners
+        # ascending, each owner's slots in its neighbor-set order
+        self._nbr_owner = np.zeros(0, dtype=np.int32)
+        self._nbr_row = np.zeros(0, dtype=np.int32)
+        self._nbr_stale = False
 
         # AS-pair classification registry (grows to at most |AS|^2)
         self._pair_id: dict[tuple[int, int], int] = {}
@@ -297,6 +313,7 @@ class FlowSwarmSimulation:
             other = self.peers.get(p)
             if other is not None:
                 other.neighbors.add(host_id)
+        self._nbr_stale = True
         return peer
 
     def populate(
@@ -402,16 +419,90 @@ class FlowSwarmSimulation:
         return self._pp_pair, self._pp_payer
 
     # -- control plane: rechoke + flow table -------------------------------------
-    def _nbr_rows(self, peer: _FlowPeer) -> np.ndarray:
-        """Neighbor rows of a peer, cached until its neighbor set grows."""
-        if len(peer.neighbors) != peer._nbr_len:
-            peers = self.peers
-            peer._nbr_rows = np.fromiter(
-                (peers[nid].row for nid in peer.neighbors if nid in peers),
-                dtype=np.int64,
-            )
-            peer._nbr_len = len(peer.neighbors)
-        return peer._nbr_rows
+    def _index_neighbors(self) -> None:
+        """Rebuild the neighbor index: one slot per (peer, neighbor) that
+        is a swarm member, owners in row order, each owner's slots in the
+        iteration order of its ``neighbors`` set — that order breaks
+        ranking ties and indexes the optimistic pick, so it is part of
+        the result.  Sets only change on a join."""
+        # drop the old buffers before the new ones are allocated
+        self._nbr_owner = self._nbr_row = None
+        sets = [p.neighbors for p in self._peer_rows]
+        n = len(sets)
+        counts = np.fromiter(map(len, sets), dtype=np.int64, count=n)
+        hosts = np.fromiter(
+            chain.from_iterable(sets), dtype=np.int64, count=int(counts.sum())
+        )
+        host_ids = np.asarray(self._host_ids, dtype=np.int64)
+        row_of = np.full(
+            int(max(hosts.max(initial=-1), host_ids.max(initial=-1))) + 1,
+            -1, dtype=np.int32,
+        )
+        row_of[host_ids] = np.arange(n, dtype=np.int32)
+        rows = row_of[hosts]
+        owner = np.repeat(np.arange(n, dtype=np.int32), counts)
+        member = rows >= 0  # the tracker may know hosts this swarm does not
+        if not member.all():
+            rows, owner = rows[member], owner[member]
+        self._nbr_owner, self._nbr_row = owner, rows
+        self._nbr_stale = False
+
+    def _tft_values(
+        self, owner: np.ndarray, cand: np.ndarray, wants: np.ndarray
+    ) -> np.ndarray:
+        """Each candidate's tit-for-tat counter as its owner ranks it:
+        a leecher by the bytes it received from the candidate, a complete
+        peer by the bytes it sent to it (serve fast downloaders).  Read
+        from the last table's counter columns and the carried counters."""
+        up, down = self._f_up, self._f_down
+        recv = wants[down]  # still leeching: ranks by bytes received
+        sent = ~wants[up]  # complete: ranks by bytes sent
+        carried = wants[self._carry_keys >> 32]
+        keys = np.concatenate([
+            (down[recv] << 32) | up[recv],
+            (up[sent] << 32) | down[sent],
+            self._carry_keys[carried],
+        ])
+        if keys.size == 0:
+            return np.zeros(cand.size)
+        vals = np.concatenate([
+            self._f_recv[recv], self._f_sent[sent], self._carry_vals[carried],
+        ])
+        by_key = np.argsort(keys)
+        keys, vals = keys[by_key], vals[by_key]
+        want = (owner.astype(np.int64) << 32) | cand
+        at = np.searchsorted(keys, want)
+        np.minimum(at, keys.size - 1, out=at)
+        return np.where(keys[at] == want, vals[at], 0.0)
+
+    def _restart_counters(
+        self, has_data: np.ndarray, up: np.ndarray, down: np.ndarray
+    ) -> None:
+        """Counter columns for the new table ``(up, down)``.  A peer with
+        data restarts from zero; a downloader still without data keeps
+        what it received — in the new row's column when its pair is back
+        in the table (so later folds add to it exactly as a dict entry
+        would), carried by ``(down, up)`` pair when it is not."""
+        old_up, old_down = self._f_up, self._f_down
+        held = ~has_data[old_down] & (self._f_recv > 0.0)
+        carried = ~has_data[self._carry_keys >> 32]
+        keys = np.concatenate([
+            (old_down[held] << 32) | old_up[held], self._carry_keys[carried]
+        ])
+        vals = np.concatenate([self._f_recv[held], self._carry_vals[carried]])
+        self._f_recv = np.zeros(up.size)
+        self._f_sent = np.zeros(up.size)
+        if keys.size:
+            by_key = np.argsort(keys)
+            keys, vals = keys[by_key], vals[by_key]
+            row_keys = (down << 32) | up
+            at = np.minimum(np.searchsorted(keys, row_keys), keys.size - 1)
+            back = keys[at] == row_keys
+            self._f_recv[back] = vals[at[back]]
+            still_out = np.ones(keys.size, dtype=bool)
+            still_out[at[back]] = False
+            keys, vals = keys[still_out], vals[still_out]
+        self._carry_keys, self._carry_vals = keys, vals
 
     def _rechoke_and_rebuild(self) -> None:
         """Recompute every peer's unchoke set (tit-for-tat; CAT same-AS
@@ -420,67 +511,84 @@ class FlowSwarmSimulation:
         Fluid interest: an incomplete peer wants data from anyone who has
         any bytes (the piece-level overlap of the reference twin averages
         out at flow granularity).
+
+        One array pass over every owner's candidates: a peer with data
+        ranks its interested neighbors by counter, descending — a stable
+        :func:`~repro.sim.flows.grouped_order`, so ties stay in
+        neighbor-set order — and unchokes the first ``regular_slots``
+        plus ``optimistic_slots`` drawn from the rest with its own RNG;
+        only owners with a rest enter Python.  Rows come out owner by
+        owner, regular slots in rank order, then optimistic ones in draw
+        order.  A peer with data starts from zero counters; one without
+        keeps what it received, carried by ``(down, up)`` pair.
         """
         n = len(self._peer_rows)
+        complete = self._complete_col[:n]
         # a leecher can only serve *complete* pieces, so it needs at
         # least one piece's worth of bytes before it can upload
-        has_data = self._complete_col[:n] | (
+        has_data = complete | (
             self._bytes[:n] >= float(self.torrent.piece_size_bytes)
         )
-        wants = ~self._complete_col[:n]
-        host_ids = self._host_ids
+        wants = ~complete
         asn_col = self._asn_col
         cfg = self.config
-        cost_aware = cfg.cost_aware
         regular = cfg.regular_slots
         optimistic = cfg.optimistic_slots
-        ups: list[int] = []
-        downs: list[int] = []
-        for peer in self._peer_rows:
-            if not has_data[peer.row]:
-                peer.unchoked_rows = []
-                continue
-            nbr = self._nbr_rows(peer)
-            cand = nbr[wants[nbr]]
-            if cand.size == 0:
-                peer.unchoked_rows = []
-                peer.recv_from.clear()
-                peer.sent_to.clear()
-                continue
-            # leechers rank by bytes received from the peer (tit-for-tat),
-            # seeds by bytes recently sent (serve fast downloaders)
-            ranking = peer.recv_from if not peer.complete else peer.sent_to
-            if cost_aware:
-                my_asn = peer.asn
+        if self._nbr_stale:
+            self._index_neighbors()
+        # a neighbor that completed never wants again: it leaves the
+        # index until the next join rebuilds it
+        live = wants[self._nbr_row]
+        owner = self._nbr_owner = self._nbr_owner[live]
+        cand = self._nbr_row = self._nbr_row[live]
+        take = has_data[owner]
+        owner, cand = owner[take], cand[take]
+        # candidate-sized temporaries are dropped as soon as they are
+        # used: at ramp-up they would otherwise set the peak RSS
+        del live, take
+        key = self._tft_values(owner, cand, wants)
+        np.negative(key, out=key)  # descending counters
+        if cfg.cost_aware:
+            # same-AS candidates first
+            same_as = asn_col[cand] == asn_col[owner]
+            group = owner.astype(np.int64) * 2 + ~same_as
+        else:
+            group = owner
+        ranked = cand[grouped_order(group, key)]
+        del key, group, cand
+        count = np.bincount(owner, minlength=n)
+        start = np.cumsum(count) - count
+        top = ranked[np.arange(ranked.size) - start[owner] < regular]
+        del owner
+        drawn: list[int] = []
+        if optimistic:
+            peers = self._peer_rows
+            for o in np.flatnonzero(count > regular).tolist():
+                s = int(start[o]) + regular
+                rest = ranked[s : s + int(count[o]) - regular].tolist()
+                draw = peers[o]._rng.integers
+                for _ in range(min(optimistic, len(rest))):
+                    drawn.append(rest.pop(int(draw(len(rest)))))
+        del ranked
+        # each owner's rows: its top ``regular`` by rank, then its draws
+        n_top = np.minimum(count, regular)
+        per = n_top + np.clip(count - regular, 0, optimistic)
+        nf = int(per.sum())
+        up = np.repeat(np.arange(n, dtype=np.int64), per)
+        slot = np.arange(nf) - np.repeat(np.cumsum(per) - per, per)
+        is_drawn = slot >= np.repeat(n_top, per)
+        down = np.empty(nf, dtype=np.int64)
+        down[~is_drawn] = top
+        down[is_drawn] = drawn
+        self._restart_counters(has_data, up, down)
 
-                def tft_key(r: int) -> tuple:
-                    return (
-                        asn_col[r] == my_asn,
-                        ranking.get(host_ids[r], 0.0),
-                    )
-            else:
-                def tft_key(r: int) -> float:
-                    return ranking.get(host_ids[r], 0.0)
-            ranked = sorted(cand.tolist(), key=tft_key, reverse=True)
-            chosen = ranked[:regular]
-            rest = ranked[regular:]
-            for _ in range(optimistic):
-                if not rest:
-                    break
-                chosen.append(rest.pop(int(peer._rng.integers(len(rest)))))
-            peer.unchoked_rows = chosen
-            peer.recv_from.clear()
-            peer.sent_to.clear()
-            ups += [peer.row] * len(chosen)
-            downs += chosen
         # rows are renumbered here and nowhere else, so this is the one
         # place a binding has to be found again by its (up, down) pair
         was_bound = (self._f_up[self._f_bound] << 32) | self._f_down[self._f_bound]
-        nf = len(ups)
-        self._f_up = np.asarray(ups, dtype=np.int64)
-        self._f_down = np.asarray(downs, dtype=np.int64)
-        self._f_pair = self._pairs(asn_col[self._f_up], asn_col[self._f_down])
-        self._f_bound = np.isin((self._f_up << 32) | self._f_down, was_bound)
+        self._f_up = up
+        self._f_down = down
+        self._f_pair = self._pairs(asn_col[up], asn_col[down])
+        self._f_bound = np.isin((up << 32) | down, was_bound)
         self._f_rate = np.zeros(nf)
         self._f_bytes = np.zeros(nf)
         self._f_alive = np.ones(nf, dtype=bool)
@@ -490,20 +598,10 @@ class FlowSwarmSimulation:
     def _fold_flow_bytes(self, rows: np.ndarray) -> None:
         """Credit accumulated per-flow bytes to the tit-for-tat counters
         of the endpoints (on teardown, and before each rechoke ranks)."""
-        rows = rows[self._f_bytes[rows] > 0.0]
-        peers_by_row = self._peer_rows
-        f_up, f_down, f_bytes = self._f_up, self._f_down, self._f_bytes
-        for k in rows:
-            moved = f_bytes[k]
-            up = peers_by_row[f_up[k]]
-            down = peers_by_row[f_down[k]]
-            down.recv_from[up.host_id] = (
-                down.recv_from.get(up.host_id, 0.0) + moved
-            )
-            up.sent_to[down.host_id] = (
-                up.sent_to.get(down.host_id, 0.0) + moved
-            )
-            f_bytes[k] = 0.0
+        moved = self._f_bytes[rows]
+        self._f_recv[rows] += moved
+        self._f_sent[rows] += moved
+        self._f_bytes[rows] = 0.0
 
     def _apply_parking(self) -> None:
         """Piece-granularity parallelism cap (the fluid analogue of the

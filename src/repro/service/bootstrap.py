@@ -140,6 +140,9 @@ class Bootstrapper:
             catalog = ContentCatalog(rng=ensure_rng(cfg.seed + 3))
             ops = GnutellaServiceOps(net, catalog, rng=ensure_rng(cfg.seed + 2))
             ops.seed_content(files_per_host=cfg.files_per_host)
+            # let the leaves' SHARE announcements land, as the Kademlia
+            # arm lets its STOREs settle
+            self.sim.run(until=self.sim.now + cfg.settle_ms)
         self.network = net
         self.ops = ops
         self.state = "ready"

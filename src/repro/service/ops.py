@@ -115,8 +115,9 @@ class GnutellaServiceOps:
     """Keyword-search operations over a joined Gnutella network.
 
     Installs itself as the network's ``search_listener``; a search
-    completes successfully at its first hit and otherwise runs into the
-    driver's timeout.
+    completes successfully at its first hit — at issue time, latency 0,
+    when the origin ultrapeer answers it from its own index — and
+    otherwise runs into the op timeout.
     """
 
     def __init__(
@@ -158,7 +159,14 @@ class GnutellaServiceOps:
     def _issue_search(self, origin: Hashable, on_done: DoneFn) -> None:
         keyword = self.catalog.draw_query(self.net.underlay.asn_of(origin))
         guid = self.net.search(int(origin), keyword)
-        self._pending[guid] = on_done
+        record = self.net.searches.get(guid)
+        if record is not None and record.hits:
+            # an ultrapeer holding the keyword itself or through a leaf
+            # answers inside ``search()``, before the guid is known here:
+            # the search completed at issue time
+            on_done(True)
+        else:
+            self._pending[guid] = on_done
 
     def _on_first_hit(self, record: SearchRecord) -> None:
         done = self._pending.pop(record.guid, None)

@@ -86,6 +86,18 @@ class TestICSGeneral:
         assert np.all(np.diff(cv) >= -1e-12)
         assert cv[-1] == pytest.approx(1.0)
 
+    def test_full_dimension_carries_exactly_all_variation(self):
+        # 14 beacons of a generated underlay: np.sum(s**2) and the
+        # cumulative sum's last entry differ in the last bit there, so
+        # dividing by the former read 1.0000000000000002
+        from repro.underlay import Underlay, UnderlayConfig
+
+        rtt = Underlay.generate(UnderlayConfig(n_hosts=40, seed=3)).rtt_matrix()
+        for nb in range(2, 15):
+            cv = ICS(rtt[:nb, :nb]).cumulative_variation
+            assert cv[-1] == 1.0
+            assert np.all(np.diff(cv) >= 0.0)
+
     def test_vectorised_host_coordinates(self, ics2):
         both = np.vstack([PAPER_EXAMPLE_HOST_A, PAPER_EXAMPLE_HOST_B])
         coords = ics2.host_coordinates(both)

@@ -98,6 +98,22 @@ def test_gnutella_closed_loop_drive():
     boot.stop_sync()
 
 
+def test_gnutella_ready_only_after_the_shares_landed():
+    # build() used to report ready with the leaves' SHARE messages still
+    # on the wire, so the first searches could not find leaf content
+    from repro.overlay.gnutella.node import LEAF
+
+    boot = Bootstrapper(ServiceConfig(overlay="gnutella", **SMALL))
+    boot.build()
+    assert boot.sim.pending() == 0
+    leaves = [n for n in boot.network.nodes.values() if n.role == LEAF]
+    assert leaves and all(leaf.shared and leaf.neighbors for leaf in leaves)
+    for leaf in leaves:
+        for up in leaf.neighbors:
+            index = boot.network.nodes[up].leaf_index
+            assert all(leaf.host_id in index.get(kw, ()) for kw in leaf.shared)
+
+
 def test_unknown_drive_mode_rejected():
     boot = Bootstrapper(ServiceConfig(**SMALL))
     boot.build()

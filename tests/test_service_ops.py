@@ -112,3 +112,79 @@ class TestGnutellaOps:
         ops = GnutellaServiceOps(net, ContentCatalog(rng=2), rng=1)
         (spec,) = ops.mix()
         assert spec.name == "gnu_search"
+
+
+class _FixedQuery:
+    """A catalogue stand-in whose every query is one keyword."""
+
+    def __init__(self, keyword):
+        self.keyword = keyword
+
+    def draw_query(self, asn):
+        return self.keyword
+
+
+class _FixedArrivals:
+    def __init__(self, times):
+        self._times = times
+
+    def times(self, duration_ms):
+        return list(self._times)
+
+
+class TestGnutellaOriginAnswers:
+    """An ultrapeer that holds the keyword itself, or through one of its
+    leaves, answers inside ``net.search()``.  That hit used to reach the
+    listener before the op had registered, and the search ran into its
+    timeout instead of completing."""
+
+    KEYWORD = 987_654
+
+    def _origin_and_ops(self):
+        from repro.overlay.gnutella.node import ULTRAPEER
+
+        net = _gnutella_net()
+        ops = GnutellaServiceOps(net, _FixedQuery(self.KEYWORD), rng=1)
+        origin = next(
+            hid for hid, node in net.nodes.items()
+            if node.role == ULTRAPEER and node.leaves
+        )
+        return net, ops, origin
+
+    def _issue(self, net, ops, origin):
+        outcomes = []
+        ops._issue_search(origin, outcomes.append)
+        assert outcomes == [True]  # before the clock moves
+        assert ops._pending == {}
+        (record,) = net.searches.values()
+        assert record.first_hit_latency_ms == 0.0
+        net.sim.run(until=net.sim.now + 20_000.0)
+        assert outcomes == [True]  # completed exactly once
+
+    def test_origin_holds_the_keyword(self):
+        net, ops, origin = self._origin_and_ops()
+        net.share_content(origin, [self.KEYWORD])
+        self._issue(net, ops, origin)
+
+    def test_origin_holds_it_through_a_leaf(self):
+        net, ops, origin = self._origin_and_ops()
+        leaf = next(iter(net.nodes[origin].leaves))
+        net.share_content(leaf, [self.KEYWORD])
+        net.sim.run(until=net.sim.now + 5_000.0)  # the SHARE lands
+        assert leaf in net.nodes[origin].leaf_index[self.KEYWORD]
+        self._issue(net, ops, origin)
+
+    def test_open_loop_latency_is_zero(self):
+        from repro.service import OpenLoopDriver
+
+        net, ops, origin = self._origin_and_ops()
+        net.share_content(origin, [self.KEYWORD])
+        ops.pick_origin = lambda rng: origin
+        load = OpenLoopDriver(
+            net.sim, ops.mix(), _FixedArrivals([0.0, 10.0, 20.0]),
+            duration_ms=100.0, timeout_ms=5_000.0, rng=1,
+        )
+        report = load.run(drain_ms=1_000.0)
+        assert report.timed_out == 0
+        assert [r.status for r in load.records] == ["ok"] * 3
+        assert all(r.latency_ms == 0.0 for r in load.records)
