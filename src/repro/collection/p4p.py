@@ -140,7 +140,12 @@ class P4PService(InfoSource):
         row = self.pdistance_map(my)
         d = np.array([row[self.my_pid(c)] for c in cand])
         scale = max(float(np.median(d)), 1e-9)
-        w = np.exp(-d / (softness * scale))
+        z = -d / (softness * scale)
+        w = np.exp(z)
+        if not w.all():
+            # the far candidates underflowed to 0: shift so the nearest
+            # weighs 1, and floor the rest at the smallest normal float
+            w = np.maximum(np.exp(z - z.max()), np.finfo(float).tiny)
         return w / w.sum()
 
     def pick_peers(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.coords.base import (
     CoordinateSystem,
@@ -74,6 +73,8 @@ class GNPSystem(CoordinateSystem):
         self.landmark_coords = self._embed_landmarks()
 
     def _embed_landmarks(self) -> np.ndarray:
+        from scipy import optimize
+
         m, dim = self.m, self.config.dim
         iu = np.triu_indices(m, k=1)
         measured = self.rtts[iu]
@@ -101,6 +102,8 @@ class GNPSystem(CoordinateSystem):
 
     def host_coordinate(self, rtt_to_landmarks: Sequence[float]) -> np.ndarray:
         """Solve the host-side optimisation against the fixed landmarks."""
+        from scipy import optimize
+
         la = np.asarray(list(rtt_to_landmarks), dtype=float)
         if la.shape != (self.m,):
             raise CoordinateError(f"expected {self.m} landmark RTTs, got {la.shape}")

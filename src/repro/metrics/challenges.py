@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from repro.coords.base import validate_distance_matrix
 from repro.errors import ReproError
@@ -57,6 +56,8 @@ def knn_asymmetry(distance_matrix: np.ndarray, k: int = 5) -> float:
 def hop_delay_correlation(underlay: Underlay, max_pairs: int = 2000) -> float:
     """Spearman correlation between AS-hop count and delay over host pairs
     (how much signal a hop-based proximity system actually has)."""
+    from scipy import stats
+
     hosts = underlay.hosts
     hops, delays = [], []
     count = 0
@@ -71,7 +72,7 @@ def hop_delay_correlation(underlay: Underlay, max_pairs: int = 2000) -> float:
             break
     if len(set(hops)) < 2:
         raise ReproError("hop counts are constant; correlation undefined")
-    rho, _p = sstats.spearmanr(hops, delays)
+    rho, _p = stats.spearmanr(hops, delays)
     return float(rho)
 
 

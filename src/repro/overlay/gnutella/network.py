@@ -209,9 +209,16 @@ class GnutellaNetwork:
         """Fill every node's hostcache with a random subset of all
         addresses, as in the testlab setup of [1]."""
         population = list(self.nodes)
-        for node in self.nodes.values():
-            others = [p for p in population if p != node.host_id]
-            node.hostcache.fill_random(others, cache_fill, self._rng)
+        others = len(population) - 1
+        for i, node in enumerate(self.nodes.values()):
+            # HostCache.fill_random over everyone but node i without
+            # building that list: index c of it is population[c], or
+            # population[c + 1] from position i on
+            n = min(cache_fill, others, node.hostcache.capacity)
+            if n == 0:
+                continue
+            chosen = self._rng.choice(others, size=n, replace=False).tolist()
+            node.hostcache.add_all(population[c + (c >= i)] for c in chosen)
 
     def ranked_candidates(self, node: GnutellaNode) -> list[int]:
         """Apply the neighbor-selection policy to the node's hostcache.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.collection import P4PService
@@ -18,6 +18,8 @@ _IDS = _UNDERLAY.host_ids()
     st.lists(st.sampled_from(_IDS), min_size=1, max_size=25),
     st.floats(min_value=0.1, max_value=10.0),
 )
+# exp(-80 / 0.1015625) underflowed: the far candidate weighed exactly 0
+@example(cands=[1, 25, 25], softness=0.1015625)
 def test_p4p_weights_form_distribution(cands, softness):
     q = _IDS[0]
     cands = [c for c in cands if c != q]
@@ -27,6 +29,17 @@ def test_p4p_weights_form_distribution(cands, softness):
     assert w.shape == (len(cands),)
     assert (w > 0).all()
     assert w.sum() == pytest.approx(1.0)
+
+
+def test_p4p_pick_peers_takes_every_candidate_when_far_ones_underflow():
+    """k = len(candidates) must not fail on a candidate whose weight
+    would underflow: numpy refuses to draw more peers than nonzero
+    weights."""
+    q, cands = _IDS[0], [1, 25, 25]
+    w = _P4P.selection_weights(q, cands, softness=0.1015625)
+    assert (w > 0).all() and w[1] == w[2]
+    picked = _P4P.pick_peers(q, cands, len(cands), softness=0.1015625, rng=3)
+    assert sorted(picked) == sorted(cands)
 
 
 @given(st.lists(st.sampled_from(_IDS), min_size=2, max_size=25, unique=True))
