@@ -12,8 +12,7 @@ Run:  python examples/isp_friendly_swarm.py
 from repro import Underlay, UnderlayConfig
 from repro.collection import ISPOracle
 from repro.overlay.bittorrent import (
-    SwarmConfig,
-    SwarmSimulation,
+    FlowSwarmSimulation,
     Torrent,
     Tracker,
     TrackerPolicy,
@@ -32,10 +31,10 @@ def run_swarm(underlay: Underlay, policy: TrackerPolicy):
         oracle=ISPOracle(underlay) if policy is TrackerPolicy.ORACLE else None,
         rng=7,
     )
-    swarm = SwarmSimulation(underlay, torrent, tracker, config=SwarmConfig(), rng=8)
+    swarm = FlowSwarmSimulation(underlay, torrent, tracker, rng=8)
     ids = underlay.host_ids()
     swarm.populate(leechers=ids[3:], seeds=ids[:3])
-    report = swarm.run(max_time_s=2400.0, dt=2.0)
+    report = swarm.run(max_time_s=2400.0)
     return swarm, report
 
 

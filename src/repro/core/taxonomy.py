@@ -47,7 +47,7 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "CAT (cost-aware BitTorrent)", UnderlayInfoType.ISP_LOCATION, "[32]",
         "choking prefers low-cost (same-AS) peers",
-        "repro.overlay.bittorrent.peer",
+        "repro.overlay.bittorrent.flowswarm",
     ),
     SystemEntry(
         "TSO / LSH hierarchy", UnderlayInfoType.ISP_LOCATION, "[31]",

@@ -23,7 +23,7 @@ from repro.coords import (
 )
 from repro.core.taxonomy import TABLE1_SYSTEMS
 from repro.experiments.common import ExperimentResult
-from repro.overlay.bittorrent import SwarmConfig, SwarmSimulation, Torrent, Tracker, TrackerPolicy
+from repro.overlay.bittorrent import FlowSwarmSimulation, Torrent, Tracker, TrackerPolicy
 from repro.overlay.geo import GlobaseOverlay
 from repro.overlay.kademlia import KademliaConfig, KademliaNetwork
 from repro.overlay.superpeer import ElectionPolicy, SuperPeerOverlay
@@ -56,10 +56,9 @@ def run_table1(n_hosts: int = 80, seed: int = 23) -> ExperimentResult:
     reports = {}
     for policy in (TrackerPolicy.RANDOM, TrackerPolicy.BIASED):
         tracker = Tracker(underlay, policy=policy, rng=seed)
-        swarm = SwarmSimulation(underlay, torrent, tracker,
-                                config=SwarmConfig(), rng=seed + 1)
+        swarm = FlowSwarmSimulation(underlay, torrent, tracker, rng=seed + 1)
         swarm.populate(leechers=ids[2:50], seeds=ids[:2])
-        reports[policy] = swarm.run(max_time_s=1200, dt=2.0)
+        reports[policy] = swarm.run(max_time_s=1200)
     bns_gain = (
         reports[TrackerPolicy.RANDOM].transit_fraction
         - reports[TrackerPolicy.BIASED].transit_fraction

@@ -1,12 +1,10 @@
 """Flow-level BitTorrent swarm: event-driven control plane over a
 max-min fair data plane.
 
-The time-stepped :class:`~repro.overlay.bittorrent.swarm.SwarmSimulation`
-models every piece of every transfer and caps out at a few hundred
-peers.  This module replaces the *data plane* with the flow-level model
-of :mod:`repro.sim.flows` while keeping the *control plane* — tracker
-announces, tit-for-tat rechoke, biased neighbor selection — event-driven
-on the simulation engine:
+The swarm's *data plane* is the flow-level model of
+:mod:`repro.sim.flows`; its *control plane* — tracker announces,
+tit-for-tat rechoke, biased neighbor selection — is event-driven on the
+simulation engine:
 
 - each unchoked (uploader → downloader) relationship is a **flow**
   ceilinged by the uploader's per-slot share and crossing the
@@ -24,8 +22,8 @@ on the simulation engine:
 Piece granularity is modeled as a *parallelism cap*: a downloader with
 ``m`` pieces left fetches from at most ``m`` uploaders at once (each
 piece is bound to one uploader), and bindings are sticky — which is what
-reproduces the reference's endgame tail, where a slow uploader holds the
-last piece while faster unchokers sit idle.
+reproduces a piece-level swarm's endgame tail, where a slow uploader
+holds the last piece while faster unchokers sit idle.
 
 Peers, flows and the incidence structure live in struct-of-arrays
 columns: one ``bincount`` sweep advances every flow, and a
@@ -45,9 +43,10 @@ owner's candidates, and Python entered only for the optimistic draws.
 Every epoch still draws the same numbers from the same RNG streams.  The
 fluid byte-level abstraction is what makes thousands-of-peer locality
 sweeps (Cuevas et al., *Deep Diving into BitTorrent Locality*)
-tractable; distributional equivalence against the exact time-stepped
-twin is asserted on small swarms in ``tests/test_flowswarm_equiv.py``,
-which also pins the plane bit for bit.
+tractable.  ``tests/bittorrent_reference.py`` keeps an exact
+piece-level, time-stepped swarm as the oracle:
+``tests/test_flowswarm_equiv.py`` asserts distributional equivalence
+against it on small swarms and pins this plane bit for bit.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ import numpy as np
 from repro.errors import OverlayError
 from repro.obs import active_registry
 from repro.obs.registry import MetricRegistry
-from repro.overlay.bittorrent.peer import SwarmConfig
-from repro.overlay.bittorrent.swarm import SwarmReport
 from repro.overlay.bittorrent.torrent import Torrent
 from repro.overlay.bittorrent.tracker import Tracker
 from repro.rng import SeedLike, ensure_rng, spawn
@@ -76,6 +73,56 @@ from repro.underlay.network import Underlay
 _INTRA, _PEERING, _TRANSIT = 0, 1, 2
 _CLASS_NAMES = ("intra_as", "peering", "transit")
 
+#: sampling width of the per-AS transit billing ledger, in seconds
+BILLING_BUCKET_S = 300.0
+
+
+@dataclass(frozen=True)
+class SwarmConfig:
+    """Choking parameters: unchoke slots, rechoke interval, CAT mode."""
+    regular_slots: int = 4
+    optimistic_slots: int = 1
+    rechoke_interval_s: float = 10.0
+    cost_aware: bool = False          # CAT-style same-AS preference
+
+    def __post_init__(self) -> None:
+        if self.regular_slots < 1 or self.optimistic_slots < 0:
+            raise OverlayError("invalid unchoke slot configuration")
+        if self.rechoke_interval_s <= 0:
+            raise OverlayError("rechoke interval must be positive")
+
+
+@dataclass
+class SwarmReport:
+    """Outcome of one swarm run."""
+
+    completed: int
+    total_leechers: int
+    mean_download_time_s: float
+    median_download_time_s: float
+    intra_as_bytes: float
+    peering_bytes: float
+    transit_bytes: float
+    duration_s: float
+
+    @property
+    def completion_rate(self) -> float:
+        return self.completed / self.total_leechers if self.total_leechers else 0.0
+
+    @property
+    def total_bytes(self) -> float:
+        return self.intra_as_bytes + self.peering_bytes + self.transit_bytes
+
+    @property
+    def intra_as_fraction(self) -> float:
+        t = self.total_bytes
+        return self.intra_as_bytes / t if t else 0.0
+
+    @property
+    def transit_fraction(self) -> float:
+        t = self.total_bytes
+        return self.transit_bytes / t if t else 0.0
+
 
 @dataclass(frozen=True)
 class FlowPlaneConfig:
@@ -83,11 +130,10 @@ class FlowPlaneConfig:
 
     ``transit_capacity_mbps`` caps each paying AS's transit trunk; the
     default ``None`` leaves transit uncapacitated (access links are then
-    the only bottlenecks, matching the time-stepped reference).
-    ``billing_bucket_s`` is the sampling width for percentile billing.
+    the only bottlenecks).
 
     ``work_conserving`` selects the sender model.  ``False`` (default)
-    mirrors real BitTorrent — and the time-stepped reference — where an
+    mirrors real BitTorrent, where an
     uploader splits its capacity *equally* across its unchoke slots and a
     share left unclaimed by a slow receiver is not redistributed: each
     flow gets a rate ceiling of ``up_bps / n_slots``.  ``True`` drops the
@@ -96,7 +142,6 @@ class FlowPlaneConfig:
     """
 
     transit_capacity_mbps: Optional[float] = None
-    billing_bucket_s: float = 300.0
     work_conserving: bool = False
 
     def __post_init__(self) -> None:
@@ -105,8 +150,6 @@ class FlowPlaneConfig:
             and self.transit_capacity_mbps <= 0
         ):
             raise OverlayError("transit capacity must be positive")
-        if self.billing_bucket_s <= 0:
-            raise OverlayError("billing bucket must be positive")
 
 
 class _FlowPeer:
@@ -134,10 +177,9 @@ class _FlowPeer:
 class FlowSwarmSimulation:
     """Single-torrent swarm on the flow-level data plane.
 
-    Drop-in counterpart of :class:`SwarmSimulation` (same constructor
-    shape, same :class:`SwarmReport`), but ``run`` drives a discrete-
-    event control plane whose epochs reallocate max-min fair flow rates
-    instead of stepping wall-clock seconds.
+    ``run`` drives a discrete-event control plane whose epochs
+    reallocate max-min fair flow rates, and returns a
+    :class:`SwarmReport`.
     """
 
     def __init__(
@@ -221,9 +263,7 @@ class FlowSwarmSimulation:
         self.peering_bytes = 0.0
         self.transit_bytes = 0.0
         self.paid_transit: dict[int, float] = {}
-        self.billing = TransitBillingLedger(
-            bucket_seconds=self.flow_config.billing_bucket_s
-        )
+        self.billing = TransitBillingLedger(bucket_seconds=BILLING_BUCKET_S)
         self.reallocs_total = 0
 
         self._last_adv = self.engine.now
@@ -241,8 +281,8 @@ class FlowSwarmSimulation:
             self.instrument(registry)
 
     def instrument(self, registry: MetricRegistry) -> None:
-        """Same instruments as the time-stepped twin, plus reallocation
-        epochs of the flow plane."""
+        """Count tracker announces, transferred bytes by traffic class
+        and reallocation epochs; histogram leecher download times."""
         self._announce_ctr = registry.counter(
             "bittorrent_messages_sent_total",
             "BitTorrent control messages sent, by kind.",
@@ -509,8 +549,8 @@ class FlowSwarmSimulation:
         preference when configured) and materialise the flow table.
 
         Fluid interest: an incomplete peer wants data from anyone who has
-        any bytes (the piece-level overlap of the reference twin averages
-        out at flow granularity).
+        any bytes (piece-level overlap averages out at flow
+        granularity).
 
         One array pass over every owner's candidates: a peer with data
         ranks its interested neighbors by counter, descending — a stable

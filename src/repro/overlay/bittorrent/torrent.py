@@ -1,4 +1,4 @@
-"""Torrent metadata and piece bookkeeping."""
+"""Torrent metadata."""
 
 from __future__ import annotations
 
@@ -25,35 +25,3 @@ class Torrent:
     def total_bytes(self) -> int:
         return self.n_pieces * self.piece_size_bytes
 
-
-class Bitfield:
-    """Set of pieces a peer holds."""
-
-    def __init__(self, n_pieces: int, complete: bool = False) -> None:
-        self.n_pieces = n_pieces
-        self._have: set[int] = set(range(n_pieces)) if complete else set()
-
-    def __len__(self) -> int:
-        return len(self._have)
-
-    def __contains__(self, piece: int) -> bool:
-        return piece in self._have
-
-    def add(self, piece: int) -> None:
-        if not (0 <= piece < self.n_pieces):
-            raise OverlayError(f"piece index out of range: {piece}")
-        self._have.add(piece)
-
-    def missing(self) -> set[int]:
-        return set(range(self.n_pieces)) - self._have
-
-    def have(self) -> set[int]:
-        return set(self._have)
-
-    @property
-    def complete(self) -> bool:
-        return len(self._have) == self.n_pieces
-
-    @property
-    def completion(self) -> float:
-        return len(self._have) / self.n_pieces

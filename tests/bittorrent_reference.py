@@ -1,7 +1,6 @@
-"""Time-stepped BitTorrent swarm simulation.
+"""Piece-level, time-stepped BitTorrent swarm: the flow plane's oracle.
 
-A fluid, per-second model of a single-torrent swarm — the standard
-abstraction for studying neighbor-selection policies (Bindal et al. [3]
+A fluid, per-second model of a single-torrent swarm (Bindal et al. [3]
 used a comparable discrete simulator).  Each step:
 
 1. every peer partitions its upload capacity equally across its unchoked
@@ -9,71 +8,164 @@ used a comparable discrete simulator).  Each step:
 2. transfers are capped by the receiver's remaining download capacity;
 3. bytes accrue toward the rarest-first piece chosen per (uploader,
    downloader) pair; completed pieces update bitfields;
-4. every ``rechoke_interval`` the tit-for-tat unchoke sets are recomputed.
+4. every ``rechoke_interval`` the tit-for-tat unchoke sets are recomputed
+   (leechers rank by bytes received, seeds by bytes sent; CAT mode puts
+   same-AS neighbours first) plus one optimistic random unchoke.
 
-Every transferred byte is attributed to intra-AS / peering / transit via
-the underlay routing, which yields the ISP-cost side of the Bindal result;
-per-peer completion times yield the user side.
-
-This time-stepped model is the **reference twin** of the flow-level data
-plane in :mod:`repro.overlay.bittorrent.flowswarm`: it caps out at a few
-hundred peers but models pieces exactly, so the flow plane's completion
-times and traffic splits are equivalence-tested against it on small
-swarms (``tests/test_flowswarm_equiv.py``).
+It models every piece exactly and caps out at a few hundred peers, so it
+lives here rather than in ``src/``: ``test_flowswarm_equiv`` checks
+:class:`~repro.overlay.bittorrent.FlowSwarmSimulation` against it on
+small swarms, and ``test_bittorrent_peer_unit`` pins its choking and
+piece selection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import OverlayError
-from repro.obs import active_registry
-from repro.obs.registry import MetricRegistry
-from repro.overlay.bittorrent.peer import SwarmConfig, SwarmPeer
-from repro.overlay.bittorrent.torrent import Torrent
-from repro.overlay.bittorrent.tracker import Tracker
+from repro.overlay.bittorrent import SwarmConfig, SwarmReport, Torrent, Tracker
 from repro.rng import SeedLike, ensure_rng, spawn
 from repro.underlay.autonomous_system import LinkType
+from repro.underlay.hosts import Host
 from repro.underlay.network import Underlay
 
 
-@dataclass
-class SwarmReport:
-    """Outcome of one swarm run."""
+class Bitfield:
+    """Set of pieces a peer holds."""
 
-    completed: int
-    total_leechers: int
-    mean_download_time_s: float
-    median_download_time_s: float
-    intra_as_bytes: float
-    peering_bytes: float
-    transit_bytes: float
-    duration_s: float
+    def __init__(self, n_pieces: int, complete: bool = False) -> None:
+        self.n_pieces = n_pieces
+        self._have: set[int] = set(range(n_pieces)) if complete else set()
 
-    @property
-    def completion_rate(self) -> float:
-        return self.completed / self.total_leechers if self.total_leechers else 0.0
+    def __len__(self) -> int:
+        return len(self._have)
 
-    @property
-    def total_bytes(self) -> float:
-        return self.intra_as_bytes + self.peering_bytes + self.transit_bytes
+    def __contains__(self, piece: int) -> bool:
+        return piece in self._have
 
-    @property
-    def intra_as_fraction(self) -> float:
-        t = self.total_bytes
-        return self.intra_as_bytes / t if t else 0.0
+    def add(self, piece: int) -> None:
+        if not (0 <= piece < self.n_pieces):
+            raise OverlayError(f"piece index out of range: {piece}")
+        self._have.add(piece)
+
+    def missing(self) -> set[int]:
+        return set(range(self.n_pieces)) - self._have
+
+    def have(self) -> set[int]:
+        return set(self._have)
 
     @property
-    def transit_fraction(self) -> float:
-        t = self.total_bytes
-        return self.transit_bytes / t if t else 0.0
+    def complete(self) -> bool:
+        return len(self._have) == self.n_pieces
+
+    @property
+    def completion(self) -> float:
+        return len(self._have) / self.n_pieces
+
+
+class SwarmPeer:
+    """A swarm participant: bitfield, neighbours, tit-for-tat state."""
+
+    def __init__(
+        self,
+        host: Host,
+        torrent: Torrent,
+        config: SwarmConfig,
+        *,
+        is_seed: bool = False,
+        rng: SeedLike = None,
+    ) -> None:
+        self.host = host
+        self.torrent = torrent
+        self.config = config
+        self.bitfield = Bitfield(torrent.n_pieces, complete=is_seed)
+        self.is_initial_seed = is_seed
+        self.neighbors: set[int] = set()
+        self.unchoked: set[int] = set()   # whom *we* are uploading to
+        self._rng = ensure_rng(rng)
+        # rolling byte counters for tit-for-tat (reset each rechoke)
+        self.recv_from: dict[int, float] = {}
+        self.sent_to: dict[int, float] = {}
+        # per-uploader progress toward the piece currently fetched from them
+        self.partial: dict[int, tuple[int, float]] = {}  # uploader -> (piece, bytes)
+        self.finish_time: Optional[float] = None
+        self.join_time: float = 0.0
+        self.uploaded_bytes: float = 0.0
+        self.downloaded_bytes: float = 0.0
+
+    @property
+    def host_id(self) -> int:
+        return self.host.host_id
+
+    @property
+    def asn(self) -> int:
+        return self.host.asn
+
+    @property
+    def up_bps(self) -> float:
+        return self.host.resources.bandwidth_up_kbps * 1000.0 / 8.0
+
+    @property
+    def down_bps(self) -> float:
+        return self.host.resources.bandwidth_down_kbps * 1000.0 / 8.0
+
+    @property
+    def complete(self) -> bool:
+        return self.bitfield.complete
+
+    def rechoke(self, interested: dict[int, "SwarmPeer"]) -> None:
+        """Recompute the unchoke set from the interested neighbours."""
+        if not interested:
+            self.unchoked = set()
+            return
+        cfg = self.config
+
+        def tft_key(pid: int) -> tuple:
+            rate = (
+                self.sent_to.get(pid, 0.0)
+                if self.complete
+                else self.recv_from.get(pid, 0.0)
+            )
+            if cfg.cost_aware:
+                return (interested[pid].asn == self.asn, rate)
+            return (rate,)
+
+        ranked = sorted(interested, key=tft_key, reverse=True)
+        chosen = set(ranked[: cfg.regular_slots])
+        rest = [p for p in ranked if p not in chosen]
+        for _ in range(cfg.optimistic_slots):
+            if not rest:
+                break
+            chosen.add(rest.pop(int(self._rng.integers(len(rest)))))
+        self.unchoked = chosen
+        self.recv_from.clear()
+        self.sent_to.clear()
+
+    def pick_piece(
+        self, uploader: "SwarmPeer", availability: np.ndarray, in_flight: set[int]
+    ) -> Optional[int]:
+        """Rarest-first among pieces the uploader has and we lack, avoiding
+        pieces already being fetched from someone else."""
+        wanted = (uploader.bitfield.have() - self.bitfield.have()) - in_flight
+        if not wanted:
+            return None
+        wanted_list = sorted(wanted)
+        avail = availability[wanted_list]
+        best = int(np.argmin(avail))
+        # random tie-break among equal-rarity pieces
+        ties = [p for p, a in zip(wanted_list, avail) if a == avail[best]]
+        return int(ties[int(self._rng.integers(len(ties)))])
+
+    def interested_in(self, other: "SwarmPeer") -> bool:
+        return bool(other.bitfield.have() - self.bitfield.have())
 
 
 class SwarmSimulation:
     """Time-stepped single-torrent swarm with per-class traffic accounting."""
+
     def __init__(
         self,
         underlay: Underlay,
@@ -96,36 +188,7 @@ class SwarmSimulation:
         self.transit_bytes = 0.0
         #: transit bytes charged to each paying AS
         self.paid_transit: dict[int, float] = {}
-        self._bytes_ctr = None
-        self._announce_ctr = None
-        self._pieces_ctr = None
-        self._dltime_hist = None
-        registry = active_registry()
-        if registry is not None:
-            self.instrument(registry)
 
-    def instrument(self, registry: MetricRegistry) -> None:
-        """Count tracker announces, transferred bytes by traffic class,
-        and completed pieces; histogram leecher download times."""
-        self._announce_ctr = registry.counter(
-            "bittorrent_messages_sent_total",
-            "BitTorrent control messages sent, by kind.",
-            ("kind",),
-        )
-        self._bytes_ctr = registry.counter(
-            "bittorrent_bytes_total",
-            "Payload bytes transferred, by underlay traffic class.",
-            ("traffic_class",),
-        )
-        self._pieces_ctr = registry.counter(
-            "bittorrent_pieces_completed_total", "Pieces fully downloaded."
-        )
-        self._dltime_hist = registry.histogram(
-            "bittorrent_download_time_s",
-            "Per-leecher time to complete the torrent (simulated seconds).",
-        )
-
-    # -- population -------------------------------------------------------------
     def add_peer(self, host_id: int, *, is_seed: bool = False) -> SwarmPeer:
         if host_id in self.peers:
             raise OverlayError(f"peer {host_id} already in swarm")
@@ -137,11 +200,7 @@ class SwarmSimulation:
         peer.join_time = self.time_s
         self.peers[host_id] = peer
         if self._avail is not None and is_seed:
-            # keep the hoisted availability current: a joining seed adds
-            # one copy of every piece, a joining leecher adds none
             self._avail += 1.0
-        if self._announce_ctr is not None:
-            self._announce_ctr.inc(kind="TRACKER_ANNOUNCE")
         peer_list = self.tracker.announce(host_id)
         peer.neighbors.update(peer_list)
         # connections are bidirectional
@@ -150,44 +209,28 @@ class SwarmSimulation:
                 self.peers[p].neighbors.add(host_id)
         return peer
 
-    def populate(
-        self,
-        leechers: Sequence[int],
-        seeds: Sequence[int],
-    ) -> None:
+    def populate(self, leechers: Sequence[int], seeds: Sequence[int]) -> None:
         for s in seeds:
             self.add_peer(s, is_seed=True)
         for l in leechers:
             self.add_peer(l, is_seed=False)
 
-    # -- accounting ----------------------------------------------------------------
     def _account(self, src_asn: int, dst_asn: int, nbytes: float) -> None:
         if src_asn == dst_asn:
             self.intra_as_bytes += nbytes
-            if self._bytes_ctr is not None:
-                self._bytes_ctr.inc(nbytes, traffic_class="intra_as")
             return
         plan = self.underlay.routing.route_plan(src_asn, dst_asn)
-        crossed_transit = plan.link_class is LinkType.TRANSIT
         for _key, payer in plan.links:
             if payer is not None:
                 self.paid_transit[payer] = self.paid_transit.get(payer, 0.0) + nbytes
-        if crossed_transit:
+        if plan.link_class is LinkType.TRANSIT:
             self.transit_bytes += nbytes
         else:
             self.peering_bytes += nbytes
-        if self._bytes_ctr is not None:
-            self._bytes_ctr.inc(
-                nbytes,
-                traffic_class="transit" if crossed_transit else "peering",
-            )
 
-    # -- core loop ----------------------------------------------------------------------
     def _availability(self) -> np.ndarray:
-        """Piece availability, hoisted: built once, then updated in place
-        on the only two events that change it (a piece completing inside
-        :meth:`step`, a seed joining in :meth:`add_peer`) instead of being
-        rebuilt from every bitfield each step/rechoke round."""
+        """Piece availability, built once and then updated in place when a
+        piece completes or a seed joins."""
         if self._avail is None:
             avail = np.zeros(self.torrent.n_pieces)
             for p in self.peers.values():
@@ -204,6 +247,9 @@ class SwarmSimulation:
                 if nid in self.peers and self.peers[nid].interested_in(peer)
             }
             peer.rechoke(interested)
+
+    def _in_flight(self, dl: SwarmPeer, uploader: SwarmPeer) -> set[int]:
+        return {pc for up, (pc, _b) in dl.partial.items() if up != uploader.host_id}
 
     def step(self, dt: float = 1.0) -> None:
         """Advance the swarm by ``dt`` seconds."""
@@ -229,11 +275,9 @@ class SwarmSimulation:
                     continue
                 piece, progress = dl.partial.get(uploader.host_id, (None, 0.0))
                 if piece is None or piece in dl.bitfield:
-                    in_flight = {
-                        pc for up, (pc, _b) in dl.partial.items()
-                        if up != uploader.host_id
-                    }
-                    piece = dl.pick_piece(uploader, availability, in_flight)
+                    piece = dl.pick_piece(
+                        uploader, availability, self._in_flight(dl, uploader)
+                    )
                     progress = 0.0
                     if piece is None:
                         continue
@@ -252,30 +296,20 @@ class SwarmSimulation:
                     progress -= piece_size
                     dl.bitfield.add(piece)
                     availability[piece] += 1
-                    if self._pieces_ctr is not None:
-                        self._pieces_ctr.inc()
                     if dl.complete:
                         dl.finish_time = self.time_s + dt
-                        if self._dltime_hist is not None:
-                            self._dltime_hist.observe(
-                                dl.finish_time - dl.join_time
-                            )
                         piece = None
                         break
-                    in_flight = {
-                        pc for up, (pc, _b) in dl.partial.items()
-                        if up != uploader.host_id
-                    }
-                    piece = dl.pick_piece(uploader, availability, in_flight)
+                    piece = dl.pick_piece(
+                        uploader, availability, self._in_flight(dl, uploader)
+                    )
                 if piece is None:
                     dl.partial.pop(uploader.host_id, None)
                 else:
                     dl.partial[uploader.host_id] = (piece, progress)
         self.time_s += dt
 
-    def run(
-        self, *, max_time_s: float = 3600.0, dt: float = 1.0
-    ) -> SwarmReport:
+    def run(self, *, max_time_s: float = 3600.0, dt: float = 1.0) -> SwarmReport:
         """Run until every leecher finishes or ``max_time_s`` elapses."""
         if dt <= 0:
             raise OverlayError("dt must be positive")
@@ -292,12 +326,12 @@ class SwarmSimulation:
     def report(self) -> SwarmReport:
         leechers = [p for p in self.peers.values() if not p.is_initial_seed]
         done = [p for p in leechers if p.finish_time is not None]
-        times = np.array([p.finish_time - p.join_time for p in done]) if done else np.array([])
+        times = np.array([p.finish_time - p.join_time for p in done])
         return SwarmReport(
             completed=len(done),
             total_leechers=len(leechers),
-            mean_download_time_s=float(times.mean()) if times.size else float("nan"),
-            median_download_time_s=float(np.median(times)) if times.size else float("nan"),
+            mean_download_time_s=float(times.mean()) if done else float("nan"),
+            median_download_time_s=float(np.median(times)) if done else float("nan"),
             intra_as_bytes=self.intra_as_bytes,
             peering_bytes=self.peering_bytes,
             transit_bytes=self.transit_bytes,

@@ -1,4 +1,5 @@
-"""Unit and integration tests for the BitTorrent swarm."""
+"""Unit and integration tests for the BitTorrent tracker and swarms
+(``TestSwarm`` runs the piece-level oracle in ``tests/``)."""
 
 import numpy as np
 import pytest
@@ -8,15 +9,14 @@ from hypothesis import strategies as st
 from repro.collection.oracle import ISPOracle
 from repro.errors import OverlayError, TopologyError
 from repro.overlay.bittorrent import (
-    Bitfield,
     FlowSwarmSimulation,
     SwarmConfig,
-    SwarmSimulation,
     Torrent,
     Tracker,
     TrackerPolicy,
 )
 from repro.underlay import Underlay, UnderlayConfig
+from tests.bittorrent_reference import Bitfield, SwarmSimulation
 
 
 class _ScanningTracker:

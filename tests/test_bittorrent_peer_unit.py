@@ -1,11 +1,12 @@
-"""Unit tests for SwarmPeer choking and piece selection (isolated from
-the full swarm loop)."""
+"""Unit tests for the reference swarm's SwarmPeer choking and piece
+selection (isolated from the full swarm loop)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import OverlayError
-from repro.overlay.bittorrent import SwarmConfig, SwarmPeer, Torrent
+from repro.overlay.bittorrent import SwarmConfig, Torrent
+from tests.bittorrent_reference import SwarmPeer
 
 
 @pytest.fixture()

@@ -35,6 +35,18 @@ def test_superpeer_directory(capsys):
     assert "random" in out and "capacity" in out
 
 
+def test_isp_friendly_swarm(capsys):
+    out = _run("isp_friendly_swarm.py", capsys)
+    rows = {
+        line.split()[0]: line.split()
+        for line in out.splitlines()
+        if line.split()[:1] in (["random"], ["biased"], ["oracle"])
+    }
+    assert set(rows) == {"random", "biased", "oracle"}
+    transit = {k: float(v[4].rstrip("%")) for k, v in rows.items()}
+    assert transit["biased"] < transit["random"]
+
+
 def test_examples_directory_is_complete():
     expected = {
         "quickstart.py",

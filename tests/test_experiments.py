@@ -150,39 +150,11 @@ class TestTable1:
     def test_representative_metrics_sensible(self):
         res = run_table1(n_hosts=50, seed=6)
         rows = {r["system"]: r for r in res.rows}
-        assert rows["BNS [3]"]["value"] > 0.1          # transit cut
+        # transit cut on the flow-level swarm (0.1902 here, 0.1853 at the
+        # default 80 hosts / seed 23)
+        assert rows["BNS [3]"]["value"] > 0.1
         assert rows["Ono [5]"]["value"] > 0.2          # similarity gap
         assert rows["Vivaldi [7]"]["value"] < 0.4      # embedding error
         assert rows["SkyEye.KOM [11]"]["value"] >= 0.9  # top-k recall
         assert rows["Globase.KOM [19]"]["value"] < 0.8  # coherence ratio
         assert rows["Proximity in Kademlia [17][4]"]["value"] > 0.0
-
-    def test_bns_row_holds_on_the_flow_plane(self):
-        """run_table1's BitTorrent recipe at its default size (80 hosts,
-        seed 23, 48 pieces, 2 seeds + 48 leechers) on the flow-level
-        swarm: the biased tracker still cuts the transit fraction by
-        more than the 0.1 the row is asserted at (0.1853 when recorded;
-        0.1347 on the time-stepped swarm the experiment runs) — the
-        number ROADMAP asks for before that swarm can leave ``src/``."""
-        from repro.experiments.common import generate_underlay
-        from repro.overlay.bittorrent import (
-            FlowSwarmSimulation,
-            Torrent,
-            Tracker,
-            TrackerPolicy,
-        )
-        from repro.underlay.network import UnderlayConfig
-
-        seed = 23
-        underlay = generate_underlay(UnderlayConfig(n_hosts=80, seed=seed))
-        ids = underlay.host_ids()
-        transit = {}
-        for policy in (TrackerPolicy.RANDOM, TrackerPolicy.BIASED):
-            swarm = FlowSwarmSimulation(
-                underlay, Torrent(0, n_pieces=48),
-                Tracker(underlay, policy=policy, rng=seed), rng=seed + 1,
-            )
-            swarm.populate(leechers=ids[2:50], seeds=ids[:2])
-            transit[policy] = swarm.run(max_time_s=1200).transit_fraction
-        cut = transit[TrackerPolicy.RANDOM] - transit[TrackerPolicy.BIASED]
-        assert cut > 0.1

@@ -2,7 +2,8 @@
 
 Same underlay, torrent, tracker policy and seeds — the flow plane
 (:class:`FlowSwarmSimulation`) must reproduce the reference
-(the time-stepped :class:`SwarmSimulation`) up to the fluid abstraction:
+(the piece-level, time-stepped :class:`SwarmSimulation` oracle in
+``tests/bittorrent_reference.py``) up to the fluid abstraction:
 
 - everyone who completes in the reference completes on the flow plane;
 - traffic-class byte fractions (intra-AS / transit) agree within a few
@@ -35,12 +36,12 @@ from repro.overlay.bittorrent import (
     FlowPlaneConfig,
     FlowSwarmSimulation,
     SwarmConfig,
-    SwarmSimulation,
     Torrent,
     Tracker,
     TrackerPolicy,
 )
 from repro.underlay import Underlay, UnderlayConfig
+from tests.bittorrent_reference import SwarmSimulation
 
 MEDIAN_RATIO_BAND = (0.15, 1.25)
 MEAN_RATIO_BAND = (0.30, 1.10)

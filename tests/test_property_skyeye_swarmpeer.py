@@ -1,4 +1,4 @@
-"""Property tests: SkyEye aggregation correctness and SwarmPeer choking."""
+"""Property tests: SkyEye aggregation correctness."""
 
 import numpy as np
 from hypothesis import given, settings
