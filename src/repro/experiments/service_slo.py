@@ -16,10 +16,9 @@ each under three open-loop arrival processes at equal mean offered load
 :mod:`repro.service.arrivals`) plus one closed-loop arm (fixed worker
 pool) as the contrast case that *cannot* exhibit coordinated omission
 by construction.  Every cell stands its own population up through
-:class:`~repro.service.bootstrap.Bootstrapper` — the same control plane
-the socket front end drives — and reports offered vs achieved
-throughput, success rate, and p50/p95/p99 latency measured from the
-*scheduled arrival time* (client queue wait included, so open-loop
+:class:`~repro.service.bootstrap.Bootstrapper` and reports offered vs
+achieved throughput, success rate, and p50/p95/p99 latency measured
+from the *scheduled arrival time* (client queue wait included, so open-loop
 percentiles are coordinated-omission-free).
 
 Expected shape: at equal mean rate the heavy-tail and diurnal arms show

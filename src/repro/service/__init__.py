@@ -4,8 +4,8 @@ Everything experiments and operators need to treat a simulated overlay
 as a running *service*: seeded arrival-process generators
 (:mod:`~repro.service.arrivals`), open-/closed-loop load drivers with
 SLO percentile reports (:mod:`~repro.service.load`), per-protocol
-operation adapters (:mod:`~repro.service.ops`), and the asyncio
-control-plane front end (:mod:`~repro.service.bootstrap`).
+operation adapters (:mod:`~repro.service.ops`), and the bootstrapper
+control plane (:mod:`~repro.service.bootstrap`).
 """
 
 from repro.service.arrivals import (
@@ -17,7 +17,7 @@ from repro.service.arrivals import (
     exponential_interarrival_times,
     make_arrivals,
 )
-from repro.service.bootstrap import Bootstrapper, ControlServer, ServiceConfig
+from repro.service.bootstrap import Bootstrapper, ServiceConfig
 from repro.service.load import (
     ClosedLoopDriver,
     LoadReport,
@@ -32,7 +32,6 @@ __all__ = [
     "ArrivalProcess",
     "Bootstrapper",
     "ClosedLoopDriver",
-    "ControlServer",
     "DiurnalArrivals",
     "GnutellaServiceOps",
     "KademliaServiceOps",

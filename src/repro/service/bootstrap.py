@@ -1,37 +1,23 @@
-"""Asyncio bootstrapper: stand a node population up as a *service*.
+"""Bootstrapper: stand a node population up as a *service*.
 
 Batch experiments construct an underlay, an overlay, and a workload in
 one script and tear everything down at the end.  A deployed P2P service
 is operated differently: a control plane stands the population up,
 traffic is driven against it, percentiles are read off, more traffic is
 driven, and eventually the service is drained and stopped.
-:class:`Bootstrapper` is that control plane — an asyncio front end over
-the synchronous simulator, so an operator (or a test harness, or a CI
-job) can do::
+:class:`Bootstrapper` is that control plane over the synchronous
+simulator::
 
     boot = Bootstrapper(ServiceConfig(overlay="kademlia", n_hosts=64))
-    await boot.start()                       # build + bootstrap + settle
-    report = await boot.drive(process="poisson", rate_per_s=40.0)
+    boot.build()                             # build + bootstrap + settle
+    report = boot.drive_sync(process="poisson", rate_per_s=40.0)
     print(report.latency_ms["p99"])
-    await boot.drain()
-    await boot.stop()
-
-Simulator work (population build, load drives) runs in the event loop's
-default executor, keeping the loop responsive for control traffic; a
-lock serialises access to the single-threaded simulation.
-
-:class:`ControlServer` exposes the same lifecycle over two TCP sockets
-in the classic bootstrapper split (control + data planes, cf. the ESR
-bootstrapper's 7777/7778 pair): newline-delimited JSON commands on the
-*control* socket (``{"cmd": "start"}``, ``{"cmd": "drive", ...}``), and
-a broadcast-only *data* socket streaming lifecycle events and
-:class:`~repro.service.load.LoadReport` payloads to every subscriber.
+    boot.drain_sync()
+    boot.stop_sync()
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -89,11 +75,12 @@ class ServiceConfig:
 
 
 class Bootstrapper:
-    """Async control plane over one simulated overlay population.
+    """Control plane over one simulated overlay population.
 
-    States: ``new`` → :meth:`start` → ``ready`` → (:meth:`drive` |
-    :meth:`drain`)* → :meth:`stop` → ``stopped``.  All methods are
-    idempotence-checked; driving before starting raises.
+    States: ``new`` → :meth:`build` → ``ready`` → (:meth:`drive_sync` |
+    :meth:`drain_sync`)* → :meth:`stop_sync` → ``stopped``.  Every call
+    checks the state; driving before building raises.  A rejected call
+    changes nothing.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
@@ -105,9 +92,7 @@ class Bootstrapper:
         self.ops: Any = None
         self.reports: list[LoadReport] = []
         self._drives = 0
-        self._lock = asyncio.Lock()
 
-    # -- synchronous core (also usable without an event loop) ----------------
     def build(self) -> dict[str, Any]:
         """Construct underlay + overlay, bootstrap, settle, seed content."""
         if self.state != "new":
@@ -170,8 +155,10 @@ class Bootstrapper:
         """One load drive against the running population (blocking)."""
         if self.state != "ready":
             raise ConfigurationError(f"cannot drive in state {self.state!r}")
-        self._drives += 1
-        drive_seed = self.config.seed + 1000 * self._drives
+        # the driver is built before the drive is counted, so a rejected
+        # mode or arrival process leaves the count and every later seed
+        # as they were
+        drive_seed = self.config.seed + 1000 * (self._drives + 1)
         if mode == "open":
             driver = OpenLoopDriver(
                 self.sim,
@@ -200,6 +187,7 @@ class Bootstrapper:
                 f"unknown drive mode {mode!r} (want 'open' or 'closed')"
             )
         report = driver.run(drain_ms=drain_ms)
+        self._drives += 1
         self.reports.append(report)
         return report
 
@@ -238,152 +226,3 @@ class Bootstrapper:
                 stop()
         self.state = "stopped"
         return self.stats()
-
-    # -- asyncio façade ------------------------------------------------------
-    async def _in_executor(self, fn, *args, **kwargs):
-        loop = asyncio.get_running_loop()
-        async with self._lock:  # one simulator, one driver at a time
-            return await loop.run_in_executor(None, lambda: fn(*args, **kwargs))
-
-    async def start(self) -> dict[str, Any]:
-        return await self._in_executor(self.build)
-
-    async def drive(self, **spec: Any) -> LoadReport:
-        return await self._in_executor(lambda: self.drive_sync(**spec))
-
-    async def drain(self, *, drain_ms: float = 60_000.0) -> dict[str, Any]:
-        return await self._in_executor(
-            lambda: self.drain_sync(drain_ms=drain_ms)
-        )
-
-    async def stop(self) -> dict[str, Any]:
-        return await self._in_executor(self.stop_sync)
-
-
-class ControlServer:
-    """Control/data TCP front end for a :class:`Bootstrapper`.
-
-    Control socket: one JSON object per line in, one per line out —
-    ``{"cmd": "ping" | "start" | "drive" | "drain" | "stats" | "stop"}``
-    (extra keys are forwarded as keyword arguments, e.g. ``{"cmd":
-    "drive", "process": "pareto", "rate_per_s": 50}``).  Replies are
-    ``{"ok": true, "result": ...}`` or ``{"ok": false, "error": ...}``.
-
-    Data socket: subscribers receive every lifecycle event as a JSON
-    line (``{"event": "ready" | "report" | "stopped", ...}``) — the
-    streaming side of the control/data split, so dashboards tail
-    percentiles without polling the control plane.
-    """
-
-    def __init__(
-        self,
-        bootstrapper: Bootstrapper,
-        *,
-        host: str = "127.0.0.1",
-        control_port: int = 0,
-        data_port: int = 0,
-    ) -> None:
-        self.bootstrapper = bootstrapper
-        self.host = host
-        self._want_ports = (control_port, data_port)
-        self._control_server: Optional[asyncio.AbstractServer] = None
-        self._data_server: Optional[asyncio.AbstractServer] = None
-        self._subscribers: set[asyncio.Queue] = set()
-
-    async def start(self) -> None:
-        control_port, data_port = self._want_ports
-        self._control_server = await asyncio.start_server(
-            self._handle_control, self.host, control_port
-        )
-        self._data_server = await asyncio.start_server(
-            self._handle_data, self.host, data_port
-        )
-
-    @property
-    def control_address(self) -> tuple[str, int]:
-        sock = self._control_server.sockets[0]
-        return sock.getsockname()[:2]
-
-    @property
-    def data_address(self) -> tuple[str, int]:
-        sock = self._data_server.sockets[0]
-        return sock.getsockname()[:2]
-
-    async def stop(self) -> None:
-        for server in (self._control_server, self._data_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        for queue in list(self._subscribers):
-            queue.put_nowait(None)  # unblock data handlers so they exit
-
-    # -- data plane ----------------------------------------------------------
-    def publish(self, event: dict[str, Any]) -> None:
-        for queue in list(self._subscribers):
-            queue.put_nowait(event)
-
-    async def _handle_data(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        queue: asyncio.Queue = asyncio.Queue()
-        self._subscribers.add(queue)
-        try:
-            while True:
-                event = await queue.get()
-                if event is None:
-                    break
-                writer.write((json.dumps(event) + "\n").encode())
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._subscribers.discard(queue)
-            writer.close()
-
-    # -- control plane -------------------------------------------------------
-    async def _dispatch(self, cmd: str, kwargs: dict[str, Any]) -> Any:
-        boot = self.bootstrapper
-        if cmd == "ping":
-            return "pong"
-        if cmd == "start":
-            result = await boot.start()
-            self.publish({"event": "ready", "stats": result})
-            return result
-        if cmd == "drive":
-            report = await boot.drive(**kwargs)
-            payload = report.as_dict()
-            self.publish({"event": "report", "report": payload})
-            return payload
-        if cmd == "drain":
-            return await boot.drain(**kwargs)
-        if cmd == "stats":
-            return boot.stats()
-        if cmd == "stop":
-            result = await boot.stop()
-            self.publish({"event": "stopped", "stats": result})
-            return result
-        raise ConfigurationError(f"unknown command {cmd!r}")
-
-    async def _handle_control(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                    cmd = request.pop("cmd")
-                    result = await self._dispatch(cmd, request)
-                    reply = {"ok": True, "result": result}
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 — wire boundary
-                    reply = {"ok": False, "error": str(exc)}
-                writer.write((json.dumps(reply) + "\n").encode())
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()

@@ -126,7 +126,7 @@ class LoadReport:
         return self.offered / (self.duration_ms / 1000.0)
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-safe dict (the data-socket wire format)."""
+        """JSON-safe dict (what ``Bootstrapper.stats`` embeds)."""
         return {
             "mode": self.mode,
             "duration_ms": self.duration_ms,

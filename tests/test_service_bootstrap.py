@@ -1,18 +1,10 @@
-"""Bootstrapper lifecycle and the control/data socket front end.
-
-The async paths run through ``asyncio.run`` inside synchronous tests
-(no pytest-asyncio dependency).
-"""
-
-import asyncio
-import json
+"""Bootstrapper lifecycle: build, drive, drain, stop."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.service import (
     Bootstrapper,
-    ControlServer,
     LoadReport,
     ServiceConfig,
 )
@@ -121,64 +113,20 @@ def test_unknown_drive_mode_rejected():
         boot.drive_sync(mode="ajar")
 
 
-def test_async_facade_runs_in_executor():
-    async def main():
-        boot = Bootstrapper(ServiceConfig(**SMALL))
-        stats = await boot.start()
-        assert stats["state"] == "ready"
-        report = await boot.drive(
-            process="pareto", rate_per_s=8.0,
-            duration_ms=2_000.0, drain_ms=4_000.0,
-        )
-        assert report.issued > 0
-        assert (await boot.drain(drain_ms=500.0))["pending_after"] >= 0
-        assert (await boot.stop())["state"] == "stopped"
-
-    asyncio.run(main())
-
-
-def test_control_and_data_sockets_round_trip():
-    async def main():
-        boot = Bootstrapper(ServiceConfig(**SMALL))
-        server = ControlServer(boot)
-        await server.start()
-        dr, dw = await asyncio.open_connection(*server.data_address)
-        cr, cw = await asyncio.open_connection(*server.control_address)
-
-        async def command(obj):
-            cw.write((json.dumps(obj) + "\n").encode())
-            await cw.drain()
-            return json.loads(await cr.readline())
-
-        assert await command({"cmd": "ping"}) == {"ok": True, "result": "pong"}
-        started = await command({"cmd": "start"})
-        assert started["ok"] and started["result"]["state"] == "ready"
-
-        reply = await command({
-            "cmd": "drive", "process": "poisson", "rate_per_s": 8.0,
-            "duration_ms": 2_000.0, "drain_ms": 4_000.0,
-        })
-        assert reply["ok"]
-        assert reply["result"]["issued"] > 0
-
-        # malformed input and unknown commands answer on the wire
-        cw.write(b"this is not json\n")
-        await cw.drain()
-        assert json.loads(await cr.readline())["ok"] is False
-        assert (await command({"cmd": "warp"}))["ok"] is False
-        # errors from the bootstrapper surface, connection stays usable
-        assert (await command({"cmd": "start"}))["ok"] is False
-
-        stats = await command({"cmd": "stats"})
-        assert stats["result"]["drives"] == 1
-        assert (await command({"cmd": "stop"}))["result"]["state"] == "stopped"
-
-        # the data subscriber saw the whole lifecycle in order
-        events = [json.loads(await dr.readline())["event"] for _ in range(3)]
-        assert events == ["ready", "report", "stopped"]
-
-        cw.close()
-        dw.close()
-        await server.stop()
-
-    asyncio.run(main())
+def test_rejected_drive_changes_nothing():
+    # a bad mode used to be counted before it was checked: stats() said
+    # one more drive, and every later drive ran on a seed shifted by 1000
+    drive = dict(process="poisson", rate_per_s=10.0,
+                 duration_ms=2_000.0, drain_ms=3_000.0)
+    boot = Bootstrapper(ServiceConfig(**SMALL))
+    boot.build()
+    before = boot.stats()
+    with pytest.raises(ConfigurationError):
+        boot.drive_sync(mode="ajar", **drive)
+    with pytest.raises(ConfigurationError):
+        boot.drive_sync(**{**drive, "process": "lumpy"})
+    assert boot.stats() == before
+    fresh = Bootstrapper(ServiceConfig(**SMALL))
+    fresh.build()
+    assert boot.drive_sync(**drive).as_dict() == fresh.drive_sync(**drive).as_dict()
+    assert boot.stats()["drives"] == 1
