@@ -37,8 +37,8 @@ time, with ``sim.now`` the issue time; membership changes, fault-hook
 changes and other floods' loss draws that fall inside the flood's
 simulated span are not seen by it.  ``tests/gnutella_reference.py``
 keeps the one-event-per-message servent; on serial floods it sends the
-same sorted ``(time, src, dst, kind, size)`` set (see
-:func:`~repro.sim.queryplane.flood_trace_digest`) bit for bit and ends
+same sorted ``(time, src, dst, kind, size)`` set (the send-log digest
+in ``tests/sendlog.py``) bit for bit and ends
 with the same counters, which ``tests/test_query_equivalence.py``
 asserts.
 
@@ -126,8 +126,8 @@ class _Emitter:
         # each observer's shape is resolved once per expansion:
         # aggregate-capable ones get one observe(count=n) per distinct
         # (src, dst, kind) at commit; the rest are called per message,
-        # (True, record) when time-aware (e.g. SendLog), else
-        # (False, observe)
+        # (True, record) when time-aware (the test suite's SendLog),
+        # else (False, observe)
         self._per_message: list[tuple[bool, Callable]] = []
         self._aggregating: list[Callable] = []
         for ob in self._bus._observers:

@@ -13,9 +13,6 @@ Public surface:
 - :class:`~repro.sim.flows.FlowNetwork` / :func:`~repro.sim.flows.max_min_rates`
   / :func:`~repro.sim.flows.single_link_waterfill` — flow-level max-min
   fair bandwidth sharing over capacitated links.
-- :class:`~repro.sim.queryplane.SendLog` /
-  :func:`~repro.sim.queryplane.flood_trace_digest` — the message-level
-  send log and its digest.
 """
 
 from repro.sim.churn import ChurnConfig, ChurnProcess, draw_duration
@@ -23,7 +20,6 @@ from repro.sim.engine import EventHandle, Simulation
 from repro.sim.flows import FlowNetwork, max_min_rates, single_link_waterfill
 from repro.sim.messages import BusStats, Message, MessageBus
 from repro.sim.process import PeriodicProcess, call_after
-from repro.sim.queryplane import SendLog, flood_trace_digest
 from repro.sim.requests import RequestManager, RequestStats, RetryPolicy
 
 __all__ = [
@@ -38,11 +34,9 @@ __all__ = [
     "RequestManager",
     "RequestStats",
     "RetryPolicy",
-    "SendLog",
     "Simulation",
     "call_after",
     "draw_duration",
-    "flood_trace_digest",
     "max_min_rates",
     "single_link_waterfill",
 ]

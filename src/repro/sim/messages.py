@@ -52,6 +52,11 @@ class TrafficObserver(Protocol):
     beside :meth:`MessageBus.account_external`.  The simulation clock
     does not move during an expansion, so a clock-reading observer bills
     the whole expansion at its start time.
+
+    The ``record`` branch is a seam for tests: the only observer that
+    takes it is the send log in ``tests/sendlog.py``, which hashes the
+    virtual send times of a flood to compare it with the per-message
+    reference servent.
     """
 
     def observe(self, src: Hashable, dst: Hashable, size_bytes: int, kind: str) -> None:

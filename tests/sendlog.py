@@ -11,6 +11,10 @@ same messages were sent at the same simulated times.  The kernel appends
 through :meth:`SendLog.record` with the virtual send time it computed;
 for a message that does travel on the bus, the observer hook stamps
 ``sim.now``.
+
+Only tests read a send log, so it lives here; the kernel's ``record``
+branch (see :class:`~repro.sim.messages.TrafficObserver`) is the seam it
+plugs into.
 """
 
 from __future__ import annotations
@@ -65,8 +69,3 @@ class SendLog:
     def clear(self) -> None:
         self.events.clear()
 
-
-__all__ = [
-    "SendLog",
-    "flood_trace_digest",
-]

@@ -33,9 +33,9 @@ from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, flood
 from repro.overlay.kademlia.network import KademliaNetwork
 from repro.sim import Simulation
 from repro.sim.messages import MessageBus
-from repro.sim.queryplane import SendLog
 from repro.underlay import TrafficAccountant, Underlay, UnderlayConfig
 from tests.gnutella_reference import ReferenceGnutellaNetwork
+from tests.sendlog import SendLog
 from tests.test_traffic_oracle import state as traffic_state
 
 SEEDS = (7, 11, 23)

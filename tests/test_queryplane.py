@@ -6,8 +6,8 @@ from collections.abc import Sized
 from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork
 from repro.sim import Simulation
 from repro.sim.messages import MessageBus
-from repro.sim.queryplane import SendLog, flood_trace_digest
 from repro.underlay import Underlay, UnderlayConfig
+from tests.sendlog import SendLog, flood_trace_digest
 
 
 # ------------------------------------------------------------------ SendLog
