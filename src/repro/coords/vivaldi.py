@@ -29,6 +29,8 @@ from repro.errors import ConfigurationError, CoordinateError
 from repro.rng import SeedLike, ensure_rng
 
 _MIN_HEIGHT = 1e-5
+#: a new node's error estimate: no confidence in its coordinates yet
+INITIAL_ERROR = 1.0
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,6 @@ class VivaldiConfig:
     use_height: bool = True
     cc: float = 0.25          # coordinate adaptation gain
     ce: float = 0.25          # error adaptation gain
-    initial_error: float = 1.0
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -59,7 +60,7 @@ class VivaldiNode:
         # unit direction for that case; a kick avoids the branch).
         self.position = rng.normal(0.0, 1e-3, size=config.dim)
         self.height = float(rng.uniform(1e-3, 1e-2)) if config.use_height else 0.0
-        self.error = config.initial_error
+        self.error = INITIAL_ERROR
 
     def distance_to(self, other: "VivaldiNode") -> float:
         d = float(np.linalg.norm(self.position - other.position))

@@ -47,6 +47,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ULTRAPEER = "ultrapeer"
 LEAF = "leaf"
 
+#: connect handshake retry policy: base deadline and retransmissions
+#: (each doubling the deadline, capped at four times the base)
+CONNECT_TIMEOUT_MS = 4000.0
+CONNECT_MAX_RETRIES = 1
+
 
 @dataclass(frozen=True)
 class GnutellaConfig:
@@ -54,8 +59,8 @@ class GnutellaConfig:
 
     The connect handshake is stop-and-wait, so a lost CONNECT_REQUEST or
     CONNECT_REPLY used to wedge the joining servent forever; it now runs
-    under a retry policy (``connect_timeout_ms`` base deadline,
-    ``connect_max_retries`` retransmissions with doubled timeouts) and a
+    under a retry policy (``CONNECT_TIMEOUT_MS`` base deadline,
+    ``CONNECT_MAX_RETRIES`` retransmissions with doubled timeouts) and a
     final failure simply moves on to the next candidate.
     """
 
@@ -67,8 +72,6 @@ class GnutellaConfig:
     leaf_connections: int = 3
     hostcache_capacity: int = 1000
     pong_cache_size: int = 20
-    connect_timeout_ms: float = 4000.0
-    connect_max_retries: int = 1
 
     def __post_init__(self) -> None:
         if self.query_ttl < 1 or self.ping_ttl < 1:
@@ -79,8 +82,6 @@ class GnutellaConfig:
             raise OverlayError("invalid capacity configuration")
         if self.pongs_per_ping < 1 or self.pong_cache_size < 1:
             raise OverlayError("pong parameters must be >= 1")
-        if self.connect_timeout_ms <= 0 or self.connect_max_retries < 0:
-            raise OverlayError("invalid connect retry configuration")
 
 
 class GnutellaNode(OverlayNode):
@@ -110,9 +111,9 @@ class GnutellaNode(OverlayNode):
         self.requests = RequestManager(
             sim,
             policy=RetryPolicy(
-                timeout_ms=config.connect_timeout_ms,
-                max_retries=config.connect_max_retries,
-                max_timeout_ms=4.0 * config.connect_timeout_ms,
+                timeout_ms=CONNECT_TIMEOUT_MS,
+                max_retries=CONNECT_MAX_RETRIES,
+                max_timeout_ms=4.0 * CONNECT_TIMEOUT_MS,
             ),
             component="gnutella",
         )

@@ -39,24 +39,27 @@ RPC_REQUEST_SIZE = 72
 RPC_REPLY_BASE = 40
 CONTACT_WIRE_SIZE = 26
 
+#: RPC retry policy: retransmissions after the first attempt, the
+#: deadline's growth per attempt, and its cap as a multiple of
+#: ``KademliaConfig.rpc_timeout_ms``
+RPC_MAX_RETRIES = 2
+RPC_BACKOFF_FACTOR = 2.0
+RPC_MAX_TIMEOUT_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class KademliaConfig:
-    """Protocol constants: k, alpha, proximity modes, RPC retry policy.
+    """Protocol constants: k, alpha, proximity modes, RPC timeout.
 
-    ``rpc_max_retries`` retransmissions (capped exponential backoff,
-    factor ``rpc_backoff_factor``, deadline capped at
-    ``rpc_max_timeout_ms``, default 4x the base timeout) keep lookups
-    alive over a lossy bus; 0 restores bare-timeout behaviour.
+    ``RPC_MAX_RETRIES`` retransmissions (exponential backoff, factor
+    ``RPC_BACKOFF_FACTOR``, deadline capped at ``RPC_MAX_TIMEOUT_FACTOR``
+    times ``rpc_timeout_ms``) keep lookups alive over a lossy bus.
     """
     k: int = 8
     alpha: int = 3
     proximity_buckets: bool = False   # PNS
     proximity_routing: bool = False   # PR
     rpc_timeout_ms: float = 1500.0
-    rpc_max_retries: int = 2
-    rpc_backoff_factor: float = 2.0
-    rpc_max_timeout_ms: Optional[float] = None
     max_rounds: int = 32
 
     def __post_init__(self) -> None:
@@ -64,24 +67,13 @@ class KademliaConfig:
             raise OverlayError("k and alpha must be >= 1")
         if self.rpc_timeout_ms <= 0:
             raise OverlayError("rpc timeout must be positive")
-        if self.rpc_max_retries < 0 or self.rpc_backoff_factor < 1.0:
-            raise OverlayError("invalid rpc retry configuration")
-        if (
-            self.rpc_max_timeout_ms is not None
-            and self.rpc_max_timeout_ms < self.rpc_timeout_ms
-        ):
-            raise OverlayError("rpc_max_timeout_ms must be >= rpc_timeout_ms")
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
             timeout_ms=self.rpc_timeout_ms,
-            max_retries=self.rpc_max_retries,
-            backoff_factor=self.rpc_backoff_factor,
-            max_timeout_ms=(
-                self.rpc_max_timeout_ms
-                if self.rpc_max_timeout_ms is not None
-                else 4.0 * self.rpc_timeout_ms
-            ),
+            max_retries=RPC_MAX_RETRIES,
+            backoff_factor=RPC_BACKOFF_FACTOR,
+            max_timeout_ms=RPC_MAX_TIMEOUT_FACTOR * self.rpc_timeout_ms,
         )
 
 
