@@ -1,4 +1,4 @@
-"""Start-up guard: importing the package does not load scipy.
+"""Start-up guard: importing the package loads neither scipy nor asyncio.
 
 Only GNP landmark embedding (``repro.coords.gnp``) and the §6 hop/delay
 Spearman (``repro.metrics.challenges.hop_delay_correlation``) use scipy,
@@ -29,10 +29,9 @@ def _bench_repro_modules() -> list[str]:
     return sorted(mods)
 
 
-def test_no_scipy_module_is_loaded_by_bench_or_cli_imports():
-    """Counted in a fresh interpreter, so no earlier test's imports leak
-    in.  Before scipy moved into its call sites this loaded 490 ``scipy``
-    modules (scipy 1.17.1)."""
+def _loaded_by_bench_and_cli(package: str) -> list[str]:
+    """The ``package`` modules the bench + CLI import set loads, counted
+    in a fresh interpreter so no earlier test's imports leak in."""
     modules = _bench_repro_modules() + ["repro.cli"]
     assert "repro.service.load" in modules  # the parse found the imports
     code = (
@@ -40,7 +39,7 @@ def test_no_scipy_module_is_loaded_by_bench_or_cli_imports():
         f"for m in {modules!r}:\n"
         "    importlib.import_module(m)\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+        f"                        if m.partition('.')[0] == {package!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
@@ -48,5 +47,18 @@ def test_no_scipy_module_is_loaded_by_bench_or_cli_imports():
         env=env, cwd=ROOT, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    loaded = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_no_scipy_module_is_loaded_by_bench_or_cli_imports():
+    """Before scipy moved into its call sites this loaded 490 ``scipy``
+    modules (scipy 1.17.1)."""
+    loaded = _loaded_by_bench_and_cli("scipy")
     assert loaded == [], f"{len(loaded)} scipy modules loaded: {loaded[:5]}"
+
+
+def test_no_asyncio_module_is_loaded_by_bench_or_cli_imports():
+    """Nothing in ``src/`` runs an event loop.  While the service layer
+    had a socket front end this loaded 29 ``asyncio`` modules."""
+    loaded = _loaded_by_bench_and_cli("asyncio")
+    assert loaded == [], f"{len(loaded)} asyncio modules loaded: {loaded[:5]}"
