@@ -133,9 +133,9 @@ class FlowPlaneConfig:
     the only bottlenecks).
 
     ``work_conserving`` selects the sender model.  ``False`` (default)
-    mirrors real BitTorrent, where an
-    uploader splits its capacity *equally* across its unchoke slots and a
-    share left unclaimed by a slow receiver is not redistributed: each
+    mirrors real BitTorrent, where an uploader splits its capacity
+    *equally* across its unchoke slots and a share left unclaimed by a
+    slow receiver is not redistributed: each
     flow gets a rate ceiling of ``up_bps / n_slots``.  ``True`` drops the
     ceilings and lets progressive filling redistribute freely (pure
     max-min over access links), an idealised work-conserving swarm.
