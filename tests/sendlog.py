@@ -68,4 +68,3 @@ class SendLog:
 
     def clear(self) -> None:
         self.events.clear()
-
