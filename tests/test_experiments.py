@@ -158,3 +158,32 @@ class TestTable1:
         assert rows["SkyEye.KOM [11]"]["value"] >= 0.9  # top-k recall
         assert rows["Globase.KOM [19]"]["value"] < 0.8  # coherence ratio
         assert rows["Proximity in Kademlia [17][4]"]["value"] > 0.0
+
+    def test_bns_row_holds_on_the_flow_plane(self):
+        """run_table1's BitTorrent recipe at its default size (80 hosts,
+        seed 23, 48 pieces, 2 seeds + 48 leechers) on the flow-level
+        swarm the experiment runs: the biased tracker cuts the transit
+        fraction by more than the 0.1 the row is asserted at (0.1853
+        when recorded)."""
+        from repro.experiments.common import generate_underlay
+        from repro.overlay.bittorrent import (
+            FlowSwarmSimulation,
+            Torrent,
+            Tracker,
+            TrackerPolicy,
+        )
+        from repro.underlay.network import UnderlayConfig
+
+        seed = 23
+        underlay = generate_underlay(UnderlayConfig(n_hosts=80, seed=seed))
+        ids = underlay.host_ids()
+        transit = {}
+        for policy in (TrackerPolicy.RANDOM, TrackerPolicy.BIASED):
+            swarm = FlowSwarmSimulation(
+                underlay, Torrent(0, n_pieces=48),
+                Tracker(underlay, policy=policy, rng=seed), rng=seed + 1,
+            )
+            swarm.populate(leechers=ids[2:50], seeds=ids[:2])
+            transit[policy] = swarm.run(max_time_s=1200).transit_fraction
+        cut = transit[TrackerPolicy.RANDOM] - transit[TrackerPolicy.BIASED]
+        assert cut > 0.1
