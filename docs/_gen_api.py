@@ -20,7 +20,7 @@ def main() -> None:
     print("One line per public item, from the live docstrings. Regenerate with")
     print("`python docs/_gen_api.py > docs/api.md`.\n")
     print("Performance notes for the underlay substrate (fast kernels, lazy")
-    print("matrices, the substrate cache) live in")
+    print("matrices, the streaming delay kernel) live in")
     print("[docs/performance.md](performance.md); the fault-injection model")
     print("and retry semantics in [docs/faults.md](faults.md); the service")
     print("layer (arrival processes, load drivers, the bootstrapper control")

@@ -7,15 +7,11 @@ Usage::
     python -m repro run all
     python -m repro run FIG5 --arg n_hosts=200 --arg seed=7
     python -m repro run FIG5 --trace
-    python -m repro run all --substrate-cache
-    python -m repro run all --substrate-cache ~/.cache/repro-substrate
 
 Each experiment prints the same rows its benchmark asserts on; ``--arg``
 forwards keyword overrides (ints/floats parsed automatically).
 ``--trace`` runs the experiment with the observability layer on and
 prints the metrics snapshot (JSON) and the trace digest after the table.
-``--substrate-cache`` memoises generated underlays across the run (with
-an optional directory to persist hop/delay matrices between runs).
 ``--workers N`` fans multi-arm sweeps (seed robustness, the RESILIENCE
 grid, testlab, the fig4/fig6 arms) out over N worker processes via
 :mod:`repro.runner`; results are bit-identical to the serial run.
@@ -123,15 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         help="collect metrics + a trace while running; print the snapshot",
     )
     runp.add_argument(
-        "--substrate-cache",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help="memoise generated underlays across the experiments of this "
-        "run (optionally persisting hop/delay matrices to DIR)",
-    )
-    runp.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -157,10 +144,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown experiment ids {unknown}; try 'python -m repro list'"
             )
         ids = [by_upper[i.upper()] for i in args.ids]
-    if args.substrate_cache is not None:
-        from repro.underlay.cache import configure_default_cache
-
-        configure_default_cache(disk_dir=args.substrate_cache or None)
     if args.workers is not None:
         from repro.runner import configure_default_workers
 

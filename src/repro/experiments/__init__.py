@@ -25,7 +25,6 @@ heavy-tail, and diurnal arrivals — and reports SLO latency percentiles.
 
 from repro.experiments.common import (
     ExperimentResult,
-    generate_underlay,
     metrics_snapshot,
     observability,
     print_table,
@@ -61,7 +60,6 @@ __all__ = [
     "ExperimentResult",
     "TESTLAB_TOPOLOGIES",
     "build_testlab_underlay",
-    "generate_underlay",
     "metrics_snapshot",
     "observability",
     "print_table",

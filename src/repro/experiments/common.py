@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
 
 from repro import obs
-from repro.underlay.cache import cached_generate
-from repro.underlay.network import Underlay, UnderlayConfig
 
 
 @dataclass
@@ -47,19 +45,6 @@ class ExperimentResult:
             if r.get(key) == value:
                 return r
         raise KeyError(f"no row with {key}={value!r}")
-
-
-def generate_underlay(config: UnderlayConfig | None = None) -> Underlay:
-    """Build an experiment's underlay, through the process-default
-    substrate cache when one is configured (CLI ``--substrate-cache``,
-    benchmark suite option) and directly otherwise.
-
-    Every experiment module goes through this helper, so ablation sweeps
-    that rebuild the same ``(UnderlayConfig, seed)`` dozens of times pay
-    topology generation, the routing BFS, and the delay-matrix builds
-    once per unique substrate instead of once per arm.
-    """
-    return cached_generate(config)
 
 
 def repeat_over_seeds(

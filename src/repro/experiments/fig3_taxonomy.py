@@ -23,13 +23,12 @@ from repro.collection import (
 )
 from repro.coords import VivaldiConfig, VivaldiSystem, evaluate_embedding
 from repro.experiments.common import ExperimentResult
-from repro.experiments.common import generate_underlay
-from repro.underlay.network import UnderlayConfig
+from repro.underlay.network import Underlay, UnderlayConfig
 
 
 def run_fig3(n_hosts: int = 80, seed: int = 21) -> ExperimentResult:
     """Measure every Figure 3 collection technique on one underlay."""
-    underlay = generate_underlay(UnderlayConfig(n_hosts=n_hosts, seed=seed))
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
     ids = underlay.host_ids()
     result = ExperimentResult(
         "FIG3", "Collection techniques: measured accuracy vs overhead"

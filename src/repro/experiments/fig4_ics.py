@@ -31,9 +31,8 @@ from repro.coords import (
     evaluate_embedding,
 )
 from repro.experiments.common import ExperimentResult
-from repro.experiments.common import generate_underlay
 from repro.runner import run_arms
-from repro.underlay.network import UnderlayConfig
+from repro.underlay.network import Underlay, UnderlayConfig
 
 
 def run_fig4_examples() -> ExperimentResult:
@@ -86,7 +85,7 @@ def run_fig4_embedding(
     n_hosts: int = 60, n_beacons: int = 12, seed: int = 33
 ) -> ExperimentResult:
     """Compare latency-prediction systems on a generated underlay."""
-    underlay = generate_underlay(UnderlayConfig(n_hosts=n_hosts, seed=seed))
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
     rtt = underlay.rtt_matrix()
     result = ExperimentResult(
         "FIG4b", "Latency prediction: ICS vs Vivaldi vs GNP"
@@ -140,7 +139,7 @@ def run_fig4_dimension_sweep(
     fan out through :func:`repro.runner.run_arms` (rows identical at any
     worker count; the RTT matrix is inherited by forked workers).
     """
-    underlay = generate_underlay(UnderlayConfig(n_hosts=n_hosts, seed=seed))
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
     rtt = underlay.rtt_matrix()
     beacon_idx = np.arange(n_beacons)
     beacons = rtt[np.ix_(beacon_idx, beacon_idx)]

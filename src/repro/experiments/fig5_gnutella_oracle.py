@@ -29,8 +29,7 @@ from repro.metrics.locality import as_modularity, intra_as_edge_fraction
 from repro.metrics.message_stats import gnutella_table_row
 from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, NeighborPolicy
 from repro.sim.engine import Simulation
-from repro.experiments.common import generate_underlay
-from repro.underlay.network import UnderlayConfig
+from repro.underlay.network import Underlay, UnderlayConfig
 from repro.underlay.topology import TopologyConfig
 from repro.workloads.content import CatalogConfig, ContentCatalog
 
@@ -58,7 +57,7 @@ def _run_arm(
     cache_fill: int,
     seed: int,
 ) -> GnutellaArmResult:
-    underlay = generate_underlay(
+    underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(n_tier1=3, n_tier2=8, n_stub=20, n_regions=5),
             n_hosts=n_hosts,

@@ -17,7 +17,6 @@ from repro.metrics.resilience import resilience_summary
 from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, NeighborPolicy
 from repro.runner import run_arms
 from repro.sim.engine import Simulation
-from repro.experiments.common import generate_underlay
 from repro.underlay.network import Underlay, UnderlayConfig
 from repro.underlay.topology import TopologyConfig
 
@@ -58,7 +57,7 @@ def run_fig6(
     The three policy arms fan out over :func:`repro.runner.run_arms`
     (``workers`` defaults to the process-wide runner setting; rows are
     identical at any worker count)."""
-    underlay = generate_underlay(
+    underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(n_tier1=3, n_tier2=6, n_stub=12, n_regions=4),
             n_hosts=n_hosts,

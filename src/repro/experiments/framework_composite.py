@@ -29,7 +29,6 @@ from repro.core.qos import QoSProfile
 from repro.collection.base import UnderlayInfoType
 from repro.experiments.common import ExperimentResult
 from repro.rng import ensure_rng
-from repro.experiments.common import generate_underlay
 from repro.underlay.network import Underlay, UnderlayConfig
 from repro.underlay.topology import TopologyConfig
 
@@ -54,7 +53,7 @@ def run_framework_composite(
     n_hosts: int = 150, seed: int = 37, k: int = 5, pool: int = 30
 ) -> ExperimentResult:
     """Run the FRAMEWORK experiment; returns one row per selection arm."""
-    underlay = generate_underlay(
+    underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(n_tier1=3, n_tier2=8, n_stub=16, n_regions=4),
             n_hosts=n_hosts,

@@ -21,15 +21,14 @@ from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, NeighborPoli
 from repro.sim.engine import Simulation
 from repro.underlay.autonomous_system import Tier
 from repro.underlay.cost import CostModel
-from repro.experiments.common import generate_underlay
-from repro.underlay.network import UnderlayConfig
+from repro.underlay.network import Underlay, UnderlayConfig
 from repro.underlay.topology import TopologyConfig
 from repro.workloads.content import CatalogConfig, ContentCatalog
 
 
 def _run_workload(policy: NeighborPolicy, biased_download: bool,
                   n_hosts: int, seed: int):
-    underlay = generate_underlay(
+    underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(n_tier1=3, n_tier2=6, n_stub=12, n_regions=4),
             n_hosts=n_hosts,

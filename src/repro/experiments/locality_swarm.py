@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, generate_underlay
+from repro.experiments.common import ExperimentResult
 from repro.overlay.bittorrent import (
     FlowPlaneConfig,
     FlowSwarmSimulation,
@@ -148,7 +148,7 @@ def run_locality_swarm(
             biases = (0.0, 0.8)
     if biases is None:
         biases = DEFAULT_BIASES
-    underlay = generate_underlay(
+    underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(
                 n_tier1=3, n_tier2=8, n_stub=16, n_regions=4

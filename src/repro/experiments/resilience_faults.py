@@ -30,7 +30,7 @@ from collections import Counter as TallyCounter
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, generate_underlay
+from repro.experiments.common import ExperimentResult
 from repro.faults import (
     CrashFault,
     FaultInjector,
@@ -207,7 +207,7 @@ def run_resilience_faults(
         window_ms = min(window_ms, 30_000.0)
         drain_ms = min(drain_ms, 45_000.0)
         scenarios = SMOKE_SCENARIOS
-    underlay = generate_underlay(
+    underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8, n_regions=3),
             n_hosts=n_hosts,

@@ -28,13 +28,12 @@ from repro.overlay.geo import GlobaseOverlay
 from repro.overlay.kademlia import KademliaConfig, KademliaNetwork
 from repro.overlay.superpeer import ElectionPolicy, SuperPeerOverlay
 from repro.sim.engine import Simulation
-from repro.experiments.common import generate_underlay
-from repro.underlay.network import UnderlayConfig
+from repro.underlay.network import Underlay, UnderlayConfig
 
 
 def run_table1(n_hosts: int = 80, seed: int = 23) -> ExperimentResult:
     """Run one representative per Table 1 class; returns their headline metrics."""
-    underlay = generate_underlay(UnderlayConfig(n_hosts=n_hosts, seed=seed))
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
     ids = underlay.host_ids()
     rtt = underlay.rtt_matrix()
     result = ExperimentResult(

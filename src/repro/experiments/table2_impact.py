@@ -55,7 +55,6 @@ from repro.metrics.impact import (
 from repro.overlay.geo import GlobaseOverlay, Rect
 from repro.rng import ensure_rng
 from repro.underlay.autonomous_system import LinkType
-from repro.experiments.common import generate_underlay
 from repro.underlay.network import Underlay, UnderlayConfig
 
 #: bandwidth derating for transfers whose route crosses a transit link
@@ -239,7 +238,7 @@ def run_table2(n_hosts: int = 200, seed: int = 31) -> ExperimentResult:
     """Run the Table 2 factorial and compare symbols against the paper."""
     from repro.underlay.topology import TopologyConfig
 
-    underlay = generate_underlay(
+    underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(n_tier1=3, n_tier2=8, n_stub=20, n_regions=4),
             n_hosts=n_hosts,

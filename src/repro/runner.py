@@ -14,16 +14,11 @@ workers=8)`` returns exactly ``[fn(a) for a in arms]``.
 Worker model
 ------------
 Workers are forked processes (``fork`` start method): the arm function
-and its closure — including already-built underlays and the in-memory
-tier of the process-default :class:`~repro.underlay.cache.SubstrateCache`
-— are inherited by reference at fork time, **not pickled**, so lambdas
-and closures over shared substrate work unchanged.  Only arm indices
-travel to workers (dynamic load balancing via a task queue) and only
-``(index, result, counters, wall_s)`` tuples travel back.  When the
-default substrate cache has a disk tier, cold workers share generated
-matrices through it, so each unique ``(UnderlayConfig, seed)`` is built
-once per machine rather than once per worker (the ``.npz`` writes are
-atomic, so racing workers are safe).
+and its closure — including already-built underlays — are inherited by
+reference at fork time, **not pickled**, so lambdas and closures over
+shared substrate work unchanged.  Only arm indices travel to workers
+(dynamic load balancing via a task queue) and only
+``(index, result, counters, wall_s)`` tuples travel back.
 
 Observability
 -------------

@@ -8,14 +8,6 @@ Quick path::
 """
 
 from repro.underlay.autonomous_system import AutonomousSystem, LinkType, Tier
-from repro.underlay.cache import (
-    SubstrateCache,
-    cached_generate,
-    configure_default_cache,
-    default_cache,
-    disable_default_cache,
-    substrate_digest,
-)
 from repro.underlay.cost import CostModel, CostParams, TransitBillingLedger
 from repro.underlay.geometry import Position, pairwise_distances
 from repro.underlay.hosts import ACCESS_CLASSES, Host, HostFactory, PeerResources
@@ -59,7 +51,6 @@ __all__ = [
     "Position",
     "STREAM_AUTO_HOST_THRESHOLD",
     "StreamingDelayKernel",
-    "SubstrateCache",
     "Tier",
     "TopologyConfig",
     "TrafficAccountant",
@@ -67,15 +58,10 @@ __all__ = [
     "TransitBillingLedger",
     "Underlay",
     "UnderlayConfig",
-    "cached_generate",
     "cached_info_accuracy",
-    "configure_default_cache",
-    "default_cache",
-    "disable_default_cache",
     "generate_mobility",
     "generate_topology",
     "pair_jitter",
     "pairwise_distances",
     "refresh_tradeoff",
-    "substrate_digest",
 ]

@@ -2,10 +2,11 @@
 
 Unlike the simulation components (which pick up the active registry at
 construction time), substrate state is long-lived and often *outlives*
-any single ``obs.observe()`` scope — a cached :class:`Underlay` built by
-one experiment is reused by the next.  Cache events therefore look up
-the active registry at event time, so whichever scope is running when a
-matrix builds (or a cache hits) gets the sample.
+any single ``obs.observe()`` scope — an :class:`Underlay` built outside
+a scope is read inside it, and one underlay can serve several scopes.
+Cache events therefore look up the active registry at event time, so
+whichever scope is running when a lazy matrix builds (or is reused) gets
+the sample.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Iterator
 
 from repro.obs import active_registry
 
-#: Counter of substrate cache events, labelled by ``kind`` (``bfs``,
-#: ``as_delay``, ``host_latency``, ``substrate_memory``, ``substrate_disk``)
-#: and ``event`` (``hit`` / ``miss`` / ``store``).
+#: Counter of lazy substrate builds and reuses, labelled by ``kind``
+#: (``bfs``, ``as_delay``, ``delay_kernel``, ``host_latency``) and
+#: ``event`` (``hit`` / ``miss``).
 CACHE_COUNTER = "underlay_substrate_cache_total"
 
 #: Histogram of wall-clock seconds spent building substrate state,
@@ -27,14 +28,14 @@ BUILD_SECONDS = "underlay_substrate_build_seconds"
 
 
 def note_cache_event(kind: str, event: str) -> None:
-    """Record one cache hit/miss/store on the active registry (no-op
+    """Record one cache hit/miss on the active registry (no-op
     outside an observation scope)."""
     reg = active_registry()
     if reg is None:
         return
     reg.counter(
         CACHE_COUNTER,
-        "Substrate cache events (BFS trees, delay matrices, whole underlays).",
+        "Substrate cache events (BFS trees, delay matrices, delay kernel).",
         ("kind", "event"),
     ).inc(kind=kind, event=event)
 

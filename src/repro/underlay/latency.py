@@ -22,19 +22,18 @@ matrix paths all agree exactly on the same multiplier (see
 :func:`pair_jitter`).  It gives the matrix mild triangle-inequality
 violations like real RTT datasets.
 
-:class:`StreamingDelayKernel` computes delay rows and blocks straight
-from struct-of-arrays host columns (access-latency vector, ASN vector,
-positions) plus the small ``(n_ases, n_ases)`` AS-delay matrix, with no
-``(n_hosts, n_hosts)`` intermediate — the O(n)-memory backend behind
-``Underlay(delay_backend="stream")`` that serves per-message delays for
-10^5–10^6-host underlays where the full host matrix (~80 GB of float64
-at 10^5 hosts) cannot exist.
+:class:`StreamingDelayKernel` is the one place a host-pair delay is
+computed: rows and blocks come straight from struct-of-arrays host
+columns (access-latency vector, ASN vector, positions) plus the small
+``(n_ases, n_ases)`` AS-delay matrix, with no ``(n_hosts, n_hosts)``
+intermediate, and the all-pairs matrix is its chunked
+:meth:`~StreamingDelayKernel.full_matrix`.  The same kernel serves
+per-message delays for 10^5–10^6-host underlays, where the full host
+matrix (~80 GB of float64 at 10^5 hosts) cannot exist.
 
 The all-pairs AS delay matrix is accumulated *during* the routing BFS
 (:meth:`~repro.underlay.routing.ASRouting.delay_matrix`), not
-reconstructed path by path, and is built lazily on first use; see
-:meth:`LatencyModel.precompute` / :meth:`LatencyModel.invalidate` and
-``docs/performance.md`` for the caching rules.
+reconstructed path by path, and is built lazily on first use.
 """
 
 from __future__ import annotations
@@ -55,8 +54,12 @@ from repro.underlay.topology import InternetTopology
 #: Speed of light in fibre: ~200 000 km/s  ->  0.005 ms per km.
 PROPAGATION_MS_PER_KM = 0.005
 
-#: Default bound on the streaming kernel's scalar pair memo (entries).
-DEFAULT_PAIR_MEMO_SIZE = 1 << 17
+#: Bound on the streaming kernel's scalar pair memo (entries).
+PAIR_MEMO_SIZE = 1 << 17
+
+#: Rows per block when the kernel assembles its full matrix, so the
+#: broadcast intermediates stay bounded.
+_FULL_MATRIX_ROW_BLOCK = 2048
 
 
 # -- counter-hash jitter kernel ------------------------------------------------
@@ -177,12 +180,10 @@ class LatencyConfig:
 
 
 class LatencyModel:
-    """Computes one-way delays and all-pairs latency matrices.
+    """AS-level delays, and the streaming host kernel built on them.
 
-    The AS-pair delay matrix is built lazily on first use and cached;
-    :meth:`precompute` forces the build, :meth:`invalidate` drops it
-    (e.g. after swapping the routing tables), and :meth:`warm_as_delay`
-    injects a matrix loaded from a substrate cache.
+    The AS-pair delay matrix is built lazily on first use and cached.
+    Host-pair delays are :class:`StreamingDelayKernel`'s job.
     """
 
     def __init__(
@@ -196,7 +197,6 @@ class LatencyModel:
         self.config = config or LatencyConfig()
         self._as_delay: Optional[np.ndarray] = None
 
-    # -- AS-level -----------------------------------------------------------
     @property
     def as_delay(self) -> np.ndarray:
         """AS-path delay matrix for every AS pair, built lazily once."""
@@ -207,25 +207,6 @@ class LatencyModel:
         else:
             note_cache_event("as_delay", "hit")
         return self._as_delay
-
-    def precompute(self) -> "LatencyModel":
-        """Force the lazy AS delay matrix to build now."""
-        self.as_delay
-        return self
-
-    def invalidate(self) -> None:
-        """Drop the cached AS delay matrix (rebuilt on next use)."""
-        self._as_delay = None
-
-    def warm_as_delay(self, matrix: np.ndarray) -> None:
-        """Inject a precomputed AS delay matrix (substrate cache load)."""
-        mat = np.asarray(matrix, dtype=np.float64)
-        n = self.topology.n_ases
-        if mat.shape != (n, n):
-            raise ConfigurationError(
-                f"AS delay matrix shape {mat.shape} does not match {n} ASes"
-            )
-        self._as_delay = mat
 
     def _build_as_delay_matrix(self) -> np.ndarray:
         """Delay contributed by the AS path for every AS pair (symmetric
@@ -256,71 +237,13 @@ class LatencyModel:
             mat = self.as_delay
         return float(mat[asn_a, asn_b])
 
-    # -- host-level ----------------------------------------------------------
-    def one_way_delay(self, host_a: Host, host_b: Host) -> float:
-        """One-way delay between two hosts (ms).
-
-        Uses the canonical :func:`pair_jitter` counter-hash kernel, so
-        the returned value equals the corresponding
-        :meth:`latency_matrix` entry and :class:`StreamingDelayKernel`
-        row entry bit for bit (for distinct hosts).
-        """
-        if host_a.host_id == host_b.host_id:
-            return 0.05  # loopback-ish
-        cfg = self.config
-        base = (
-            host_a.access_latency_ms
-            + host_b.access_latency_ms
-            + self.as_pair_delay(host_a.asn, host_b.asn)
-        )
-        if host_a.asn == host_b.asn:
-            # direct metro propagation inside the shared ISP; dx*dx+dy*dy
-            # mirrors the einsum reduction of the vector paths exactly
-            dx = host_a.position.x - host_b.position.x
-            dy = host_a.position.y - host_b.position.y
-            base = base + np.sqrt(dx * dx + dy * dy) * cfg.propagation_ms_per_km
-        mult = float(
-            pair_jitter(
-                np.array([host_a.host_id], dtype=np.uint64),
-                np.array([host_b.host_id], dtype=np.uint64),
-                jitter_seed=cfg.jitter_seed,
-                jitter_std_frac=cfg.jitter_std_frac,
-            )[0]
-        )
-        return float(base * mult)
-
-    def delay_kernel(
-        self,
-        hosts: Sequence[Host],
-        *,
-        memo_size: int = DEFAULT_PAIR_MEMO_SIZE,
-    ) -> "StreamingDelayKernel":
+    def delay_kernel(self, hosts: Sequence[Host]) -> "StreamingDelayKernel":
         """Build the O(n)-memory streaming kernel over ``hosts``.
 
         Materialises only the SoA host columns and binds the (small)
         AS-delay matrix; rows/blocks are computed on demand.
         """
-        return StreamingDelayKernel.from_hosts(
-            hosts, self.as_delay, self.config, memo_size=memo_size
-        )
-
-    def latency_matrix(self, hosts: Sequence[Host]) -> np.ndarray:
-        """All-pairs one-way delay matrix for ``hosts`` (ms), vectorised.
-
-        Same decomposition and :func:`pair_jitter` kernel as
-        :meth:`one_way_delay`, so every entry agrees exactly with the
-        scalar path and with :class:`StreamingDelayKernel` rows — this
-        is the equivalence reference for the streaming backend.
-        """
-        hosts = list(hosts)
-        n = len(hosts)
-        if n == 0:
-            return np.zeros((0, 0), dtype=float)
-        return self.delay_kernel(hosts).full_matrix()
-
-    def rtt_matrix(self, hosts: Sequence[Host]) -> np.ndarray:
-        """Round-trip-time matrix: twice the one-way delay."""
-        return 2.0 * self.latency_matrix(hosts)
+        return StreamingDelayKernel.from_hosts(hosts, self.as_delay, self.config)
 
 
 class StreamingDelayKernel:
@@ -330,9 +253,9 @@ class StreamingDelayKernel:
     ``(n, 2)`` position array — and the shared ``(n_ases, n_ases)``
     AS-delay matrix, and computes any rectangular block of the host
     delay matrix on demand with no ``(n_hosts, n_hosts)`` intermediate.
-    :meth:`delay_row` / :meth:`delay_block` are value-identical, entry
-    by entry, to :meth:`LatencyModel.latency_matrix` (which is itself a
-    chunked :meth:`full_matrix` over this kernel).
+    :meth:`delay_block` holds the host-pair delay formula; every other
+    path — :meth:`delay_row`, :meth:`delay_scalar`, :meth:`full_matrix`
+    and so ``Underlay.latency_matrix`` — is a block of it.
 
     Scalar lookups go through a bounded LRU pair memo
     (:meth:`delay_scalar`), which is what a message bus hot path wants:
@@ -347,8 +270,6 @@ class StreamingDelayKernel:
         positions: np.ndarray,
         as_delay: np.ndarray,
         config: LatencyConfig,
-        *,
-        memo_size: int = DEFAULT_PAIR_MEMO_SIZE,
     ) -> None:
         self.host_ids = np.ascontiguousarray(host_ids, dtype=np.uint64)
         self.asns = np.ascontiguousarray(asns, dtype=np.int64)
@@ -360,7 +281,7 @@ class StreamingDelayKernel:
         if not (len(self.asns) == len(self.access_ms) == len(self.positions) == n):
             raise ConfigurationError("streaming kernel columns disagree on n_hosts")
         self.n_hosts = n
-        self._scalar = functools.lru_cache(maxsize=memo_size)(self._scalar_uncached)
+        self._scalar = functools.lru_cache(maxsize=PAIR_MEMO_SIZE)(self._scalar_uncached)
 
     @classmethod
     def from_hosts(
@@ -368,8 +289,6 @@ class StreamingDelayKernel:
         hosts: Sequence[Host],
         as_delay: np.ndarray,
         config: LatencyConfig,
-        *,
-        memo_size: int = DEFAULT_PAIR_MEMO_SIZE,
     ) -> "StreamingDelayKernel":
         hosts = list(hosts)
         return cls(
@@ -379,7 +298,6 @@ class StreamingDelayKernel:
             positions_to_array([h.position for h in hosts]),
             as_delay,
             config,
-            memo_size=memo_size,
         )
 
     # -- block computation ----------------------------------------------------
@@ -415,15 +333,15 @@ class StreamingDelayKernel:
         ``cols`` (ms) — a 1-row :meth:`delay_block`."""
         return self.delay_block((row,), cols)[0]
 
-    def full_matrix(self, row_block: int = 2048) -> np.ndarray:
+    def full_matrix(self) -> np.ndarray:
         """The all-pairs matrix, assembled block-row by block-row so the
         broadcast intermediates stay bounded.  This is the *matrix
         backend build* — only sized populations should call it."""
         n = self.n_hosts
         all_cols = np.arange(n, dtype=np.intp)
         out = np.empty((n, n), dtype=np.float64)
-        for start in range(0, n, row_block):
-            stop = min(start + row_block, n)
+        for start in range(0, n, _FULL_MATRIX_ROW_BLOCK):
+            stop = min(start + _FULL_MATRIX_ROW_BLOCK, n)
             out[start:stop] = self.delay_block(
                 np.arange(start, stop, dtype=np.intp), all_cols
             )

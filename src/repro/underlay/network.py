@@ -8,19 +8,18 @@ This is the substrate every experiment starts from::
     bus = underlay.message_bus(sim)
 
 The facade implements the :class:`~repro.sim.messages.LatencyProvider`
-protocol over *host ids* behind a ``delay_backend`` toggle:
+protocol over *host ids*.  Every delay comes from the one
+:class:`~repro.underlay.latency.StreamingDelayKernel` an underlay
+builds; the population size alone decides how it is served
+(:attr:`Underlay.delay_backend`):
 
-- ``"matrix"`` precomputes the all-pairs host latency matrix so
-  per-message delay lookups are O(1) array reads — the right call up to
-  a few thousand hosts, and the equivalence reference for the stream
-  backend (value-identical row by row).
-- ``"stream"`` computes delays on demand from the O(n)-memory
-  :class:`~repro.underlay.latency.StreamingDelayKernel` (SoA host
-  columns + the small AS-delay matrix), with a bounded LRU pair memo
-  for repeated scalar lookups — the only backend that can serve
-  10^5–10^6-host underlays, where the matrix would need ~80 GB.
-- ``"auto"`` (default) picks ``stream`` above
-  :data:`STREAM_AUTO_HOST_THRESHOLD` hosts and ``matrix`` below.
+- ``"matrix"`` up to :data:`STREAM_AUTO_HOST_THRESHOLD` hosts: the
+  kernel's all-pairs matrix is built once, so per-message delay lookups
+  are O(1) array reads.
+- ``"stream"`` above it: delays are computed on demand from the
+  kernel's O(n)-memory columns, with a bounded LRU pair memo for
+  repeated scalar lookups — the only way to serve 10^5–10^6-host
+  underlays, where the matrix would need ~80 GB.
 """
 
 from __future__ import annotations
@@ -43,17 +42,13 @@ from repro.underlay.topology import InternetTopology, TopologyConfig, generate_t
 from repro.underlay.traffic import TrafficAccountant
 
 
-#: ``delay_backend="auto"`` switches from the precomputed matrix to the
-#: streaming kernel above this host count (matrix memory grows as n^2:
-#: 2048 hosts is ~32 MB of float64; 10^5 hosts would be ~80 GB).
+#: Populations above this many hosts are served by the streaming kernel
+#: instead of the precomputed matrix (matrix memory grows as n^2: 2048
+#: hosts is ~32 MB of float64; 10^5 hosts would be ~80 GB).
 STREAM_AUTO_HOST_THRESHOLD = 2048
 
-#: Hard ceiling on materialising the host latency matrix in stream mode
-#: (the matrix backend refuses nothing — picking it at scale is the
-#: caller's explicit choice).
+#: Hard ceiling on materialising the host latency matrix in stream mode.
 _STREAM_MATRIX_HARD_LIMIT = 20_000
-
-_DELAY_BACKENDS = ("auto", "matrix", "stream")
 
 
 @dataclass(frozen=True)
@@ -65,16 +60,10 @@ class UnderlayConfig:
     cost: CostParams = field(default_factory=CostParams)
     n_hosts: int = 200
     seed: int = 0
-    delay_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_hosts < 0:
             raise ConfigurationError("n_hosts must be non-negative")
-        if self.delay_backend not in _DELAY_BACKENDS:
-            raise ConfigurationError(
-                f"delay_backend must be one of {_DELAY_BACKENDS}, "
-                f"got {self.delay_backend!r}"
-            )
 
 
 class Underlay:
@@ -88,7 +77,6 @@ class Underlay:
         *,
         latency_config: LatencyConfig | None = None,
         cost_params: CostParams | None = None,
-        delay_backend: str = "auto",
     ) -> None:
         self.topology = topology
         self.routing = ASRouting(topology)
@@ -112,18 +100,12 @@ class Underlay:
             for asn, hs in self._hosts_by_as.items()
         }
         self._latency_matrix: Optional[np.ndarray] = None
-        if delay_backend not in _DELAY_BACKENDS:
-            raise ConfigurationError(
-                f"delay_backend must be one of {_DELAY_BACKENDS}, "
-                f"got {delay_backend!r}"
-            )
-        if delay_backend == "auto":
-            delay_backend = (
-                "stream" if len(self.hosts) > STREAM_AUTO_HOST_THRESHOLD else "matrix"
-            )
-        #: Resolved backend ("matrix" or "stream") serving per-message delays.
-        self.delay_backend = delay_backend
         self._delay_kernel: Optional[StreamingDelayKernel] = None
+        #: How per-message delays are served ("matrix" or "stream"),
+        #: resolved from the population size.
+        self.delay_backend = (
+            "stream" if len(self.hosts) > STREAM_AUTO_HOST_THRESHOLD else "matrix"
+        )
 
     # -- construction ----------------------------------------------------------
     @classmethod
@@ -148,7 +130,6 @@ class Underlay:
             hosts,
             latency_config=config.latency,
             cost_params=config.cost,
-            delay_backend=config.delay_backend,
         )
 
     # -- host queries ------------------------------------------------------------
@@ -211,7 +192,8 @@ class Underlay:
 
     @property
     def latency_matrix(self) -> np.ndarray:
-        """All-pairs one-way host delay matrix (ms), computed lazily once.
+        """All-pairs one-way host delay matrix (ms): the
+        :attr:`delay_kernel`'s full matrix, computed lazily once.
 
         In stream mode the matrix is still available for mid-size
         populations (some analyses genuinely want all pairs) but is
@@ -219,11 +201,8 @@ class Underlay:
         :meth:`one_way_delay_row` / :attr:`delay_kernel` there.
         """
         if self._latency_matrix is None:
-            if (
-                self.delay_backend == "stream"
-                and len(self.hosts) > _STREAM_MATRIX_HARD_LIMIT
-            ):
-                n = len(self.hosts)
+            n = len(self.hosts)
+            if self.delay_backend == "stream" and n > _STREAM_MATRIX_HARD_LIMIT:
                 raise ConfigurationError(
                     f"refusing to materialise the {n}x{n} host latency matrix "
                     f"(~{n * n * 8 / 2**30:.0f} GiB) in stream mode; use "
@@ -231,42 +210,10 @@ class Underlay:
                 )
             note_cache_event("host_latency", "miss")
             with timed_build("host_latency"):
-                self._latency_matrix = self.latency.latency_matrix(self.hosts)
+                self._latency_matrix = self.delay_kernel.full_matrix()
         else:
             note_cache_event("host_latency", "hit")
         return self._latency_matrix
-
-    def precompute(self) -> "Underlay":
-        """Force every lazy substrate matrix to build now: per-source BFS
-        trees, the AS delay matrix, and the delay backend's host state
-        (the full latency matrix in matrix mode; only the O(n) kernel
-        columns in stream mode)."""
-        self.routing.precompute()
-        self.latency.precompute()
-        if self.delay_backend == "stream":
-            self.delay_kernel
-        elif self._latency_matrix is None:
-            note_cache_event("host_latency", "miss")
-            with timed_build("host_latency"):
-                self._latency_matrix = self.latency.latency_matrix(self.hosts)
-        return self
-
-    def invalidate(self) -> None:
-        """Drop every cached substrate matrix (rebuilt lazily on use)."""
-        self.routing.invalidate()
-        self.latency.invalidate()
-        self._latency_matrix = None
-        self._delay_kernel = None
-
-    def warm_latency_matrix(self, matrix: np.ndarray) -> None:
-        """Inject a precomputed host latency matrix (substrate cache load)."""
-        mat = np.asarray(matrix, dtype=np.float64)
-        n = len(self.hosts)
-        if mat.shape != (n, n):
-            raise ConfigurationError(
-                f"latency matrix shape {mat.shape} does not match {n} hosts"
-            )
-        self._latency_matrix = mat
 
     def rtt_matrix(self) -> np.ndarray:
         return 2.0 * self.latency_matrix
@@ -277,22 +224,21 @@ class Underlay:
         Matrix mode reads the precomputed matrix; stream mode computes
         through the kernel's LRU pair memo — same value either way.
         """
+        idx = self._index_of
+        try:
+            i = idx[self._host_id_of(src)]
+            j = idx[self._host_id_of(dst)]
+        except KeyError as exc:
+            raise TopologyError(f"unknown host id {exc.args[0]}") from None
         if self.delay_backend == "stream":
             kernel = self._delay_kernel
             if kernel is None:
                 kernel = self.delay_kernel
-            i = self._index_of[self._host_id_of(src)]
-            j = self._index_of[self._host_id_of(dst)]
             return kernel.delay_scalar(i, j)
         mat = self._latency_matrix
         if mat is None:  # build once; per-message lookups stay O(1) reads
             mat = self.latency_matrix
-        i = self._index_of[self._host_id_of(src)]
-        j = self._index_of[self._host_id_of(dst)]
         return float(mat[i, j])
-
-    def one_way_delay_hosts(self, a: Host, b: Host) -> float:
-        return self.one_way_delay(a.host_id, b.host_id)
 
     def one_way_delay_row(
         self, src: Hashable, dsts: Sequence[Hashable]
@@ -302,12 +248,15 @@ class Underlay:
         :meth:`~repro.underlay.latency.StreamingDelayKernel.delay_row`
         in stream mode; the batch form of :meth:`one_way_delay`,
         value-identical entry by entry in either backend."""
-        i = self._index_of[self._host_id_of(src)]
         idx = self._index_of
-        try:  # dsts are almost always bare host ids; resolve tuples lazily
-            cols = [idx[d] for d in dsts]
-        except (KeyError, TypeError):
-            cols = [idx[self._host_id_of(d)] for d in dsts]
+        try:
+            i = idx[self._host_id_of(src)]
+            try:  # dsts are almost always bare host ids; resolve tuples lazily
+                cols = [idx[d] for d in dsts]
+            except (KeyError, TypeError):
+                cols = [idx[self._host_id_of(d)] for d in dsts]
+        except KeyError as exc:
+            raise TopologyError(f"unknown host id {exc.args[0]}") from None
         if self.delay_backend == "stream":
             return self.delay_kernel.delay_row(i, cols)
         mat = self._latency_matrix

@@ -244,19 +244,6 @@ class ASRouting:
         self._best_cache.clear()
         self._plan_cache.clear()
 
-    def warm_hops(self, hop_matrix: np.ndarray) -> None:
-        """Seed the per-source hop cache from a precomputed all-pairs
-        matrix (e.g. loaded from a substrate cache).  Predecessor trees
-        are not derivable from hop counts, so :meth:`path` still runs the
-        BFS on first use for each source."""
-        mat = np.asarray(hop_matrix)
-        if mat.shape != (self._n, self._n):
-            raise RoutingError(
-                f"hop matrix shape {mat.shape} does not match {self._n} ASes"
-            )
-        for src in range(self._n):
-            self._hops_cache.setdefault(src, mat[src].astype(np.int32))
-
     # -- public API ---------------------------------------------------------
     def hops(self, src: int, dst: int) -> int:
         """AS-hop count of the shortest valley-free route (0 if same AS)."""

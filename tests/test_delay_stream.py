@@ -1,10 +1,11 @@
 """Streaming delay kernel: equivalence with the matrix backend.
 
 The contract under test is *bit-identical values across every delay
-path*: ``LatencyModel.one_way_delay`` (scalar), ``latency_matrix``
-(all-pairs), ``StreamingDelayKernel.delay_row``/``delay_block``
-(streamed), and the two ``Underlay`` backends — plus the O(n)-memory
-claim at 10^5 hosts (``-m scale``).
+path*: the scalar oracle :func:`reference_one_way_delay` below,
+``Underlay.latency_matrix`` (all-pairs),
+``StreamingDelayKernel.delay_row``/``delay_block``/``delay_scalar``
+(streamed), and the two ways an ``Underlay`` serves delays — plus the
+O(n)-memory claim at 10^5 hosts (``-m scale``).
 """
 
 from __future__ import annotations
@@ -23,19 +24,62 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.underlay import (
     STREAM_AUTO_HOST_THRESHOLD,
-    LatencyConfig,
+    LatencyModel,
     StreamingDelayKernel,
     Underlay,
     UnderlayConfig,
     pair_jitter,
 )
+from repro.underlay import network
+from repro.underlay.hosts import Host
+
+
+def reference_one_way_delay(
+    model: LatencyModel, host_a: Host, host_b: Host
+) -> float:
+    """Scalar one-way delay between two hosts (ms), written out term by
+    term: access latencies + AS-path delay (+ metro propagation inside a
+    shared AS), times the pair's :func:`pair_jitter` multiplier.  The
+    self-pair delay is 0.0, the kernel's value (the scalar path in
+    ``src/`` used to return 0.05 there)."""
+    if host_a.host_id == host_b.host_id:
+        return 0.0
+    cfg = model.config
+    base = (
+        host_a.access_latency_ms
+        + host_b.access_latency_ms
+        + model.as_pair_delay(host_a.asn, host_b.asn)
+    )
+    if host_a.asn == host_b.asn:
+        # dx*dx+dy*dy mirrors the einsum reduction of the kernel exactly
+        dx = host_a.position.x - host_b.position.x
+        dy = host_a.position.y - host_b.position.y
+        base = base + np.sqrt(dx * dx + dy * dy) * cfg.propagation_ms_per_km
+    mult = float(
+        pair_jitter(
+            np.array([host_a.host_id], dtype=np.uint64),
+            np.array([host_b.host_id], dtype=np.uint64),
+            jitter_seed=cfg.jitter_seed,
+            jitter_std_frac=cfg.jitter_std_frac,
+        )[0]
+    )
+    return float(base * mult)
 
 
 @functools.lru_cache(maxsize=8)
-def _underlay(n_hosts: int, seed: int, backend: str = "auto") -> Underlay:
-    return Underlay.generate(
-        UnderlayConfig(n_hosts=n_hosts, seed=seed, delay_backend=backend)
-    )
+def _underlay(n_hosts: int, seed: int) -> Underlay:
+    return Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
+
+
+def _streamed(u: Underlay, monkeypatch, *, hard_limit: int | None = None) -> Underlay:
+    """A fresh underlay over ``u``'s topology and hosts that the size
+    rule resolves to stream mode (threshold patched below its size)."""
+    monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 0)
+    if hard_limit is not None:
+        monkeypatch.setattr(network, "_STREAM_MATRIX_HARD_LIMIT", hard_limit)
+    s = Underlay(u.topology, u.hosts)
+    assert s.delay_backend == "stream"
+    return s
 
 
 # -- the jitter kernel itself -------------------------------------------------
@@ -77,24 +121,24 @@ def test_scalar_matrix_row_agree_bitwise(seed):
     """The seed bug: the scalar path drew per-pair RNG jitter while the
     matrix path hashed counters, so ``one_way_delay`` disagreed with the
     matrix entry.  All paths now share :func:`pair_jitter` and must
-    agree *bitwise* for every sampled pair."""
-    u = _underlay(40, seed, "matrix")
+    agree *bitwise* with the scalar oracle for every sampled pair,
+    self-pairs included."""
+    u = _underlay(40, seed)
     mat = u.latency_matrix
-    kernel = u.latency.delay_kernel(u.hosts)
+    kernel = u.delay_kernel
     rng = np.random.default_rng(seed)
     n = len(u.hosts)
     for _ in range(50):
         i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        scalar = u.latency.one_way_delay(u.hosts[i], u.hosts[j])
+        scalar = reference_one_way_delay(u.latency, u.hosts[i], u.hosts[j])
         assert mat[i, j] == scalar
+        assert u.one_way_delay(u.hosts[i].host_id, u.hosts[j].host_id) == scalar
         assert kernel.delay_row(int(i), [int(j)])[0] == scalar
         assert kernel.delay_scalar(int(i), int(j)) == scalar
 
 
 def test_matrix_is_symmetric_with_zero_diagonal():
-    u = _underlay(40, 5, "matrix")
+    u = _underlay(40, 5)
     mat = u.latency_matrix
     assert np.array_equal(mat, mat.T)
     assert np.array_equal(np.diag(mat), np.zeros(len(u.hosts)))
@@ -109,9 +153,9 @@ def test_matrix_is_symmetric_with_zero_diagonal():
     data=st.data(),
 )
 def test_stream_block_matches_matrix_entrywise(n_hosts, seed, data):
-    u = _underlay(n_hosts, seed, "matrix")
+    u = _underlay(n_hosts, seed)
     mat = u.latency_matrix
-    kernel = u.latency.delay_kernel(u.hosts)
+    kernel = u.delay_kernel
     idx = st.integers(min_value=0, max_value=len(u.hosts) - 1)
     rows = data.draw(st.lists(idx, min_size=1, max_size=6))
     cols = data.draw(st.lists(idx, min_size=1, max_size=6))
@@ -121,11 +165,11 @@ def test_stream_block_matches_matrix_entrywise(n_hosts, seed, data):
     assert np.array_equal(kernel.delay_row(row, cols), mat[row, cols])
 
 
-# -- Underlay backend toggle --------------------------------------------------
+# -- how an Underlay serves delays: the size rule ------------------------------
 
-def test_stream_and_matrix_backends_value_identical():
-    m = _underlay(60, 9, "matrix")
-    s = _underlay(60, 9, "stream")
+def test_stream_and_matrix_backends_value_identical(monkeypatch):
+    m = _underlay(60, 9)
+    s = _streamed(m, monkeypatch)
     ids = m.host_ids()
     for src in ids[:5]:
         assert np.array_equal(
@@ -133,32 +177,34 @@ def test_stream_and_matrix_backends_value_identical():
         )
         for dst in ids[::7]:
             assert m.one_way_delay(src, dst) == s.one_way_delay(src, dst)
+    # both serve the one kernel's values: rows of the matrix are its rows
+    kernel = m.delay_kernel
+    for i in range(0, len(ids), 11):
+        assert np.array_equal(
+            kernel.delay_row(i, range(len(ids))), m.latency_matrix[i]
+        )
 
 
-def test_auto_backend_threshold():
-    assert _underlay(30, 1).delay_backend == "matrix"
-    small = UnderlayConfig(n_hosts=30, seed=1)
-    assert Underlay.generate(small).delay_backend == "matrix"
-    # don't generate >2048 hosts just for the toggle: construct directly
-    u = _underlay(30, 1)
+def test_auto_backend_threshold(monkeypatch):
     assert STREAM_AUTO_HOST_THRESHOLD == 2048
-    forced = Underlay(
-        u.topology, u.hosts, delay_backend="stream"
-    )
-    assert forced.delay_backend == "stream"
-    with pytest.raises(ConfigurationError):
-        Underlay(u.topology, u.hosts, delay_backend="banana")
-    with pytest.raises(ConfigurationError):
-        UnderlayConfig(delay_backend="banana")
+    u = _underlay(30, 1)
+    assert u.delay_backend == "matrix"
+    assert Underlay.generate(UnderlayConfig(n_hosts=30, seed=1)).delay_backend == "matrix"
+    # don't generate >2048 hosts just for the rule: move the threshold
+    monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 30)
+    assert Underlay(u.topology, u.hosts).delay_backend == "matrix"
+    monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 29)
+    assert Underlay(u.topology, u.hosts).delay_backend == "stream"
 
 
-def test_stream_scalar_memo_hits():
-    u = _underlay(50, 2, "stream")
-    u.one_way_delay(u.host_ids()[0], u.host_ids()[1])
+def test_stream_scalar_memo_hits(monkeypatch):
+    u = _streamed(_underlay(50, 2), monkeypatch)
+    a, b = u.host_ids()[:2]
+    u.one_way_delay(a, b)
     info0 = u.delay_kernel.memo_info()
     for _ in range(10):
-        u.one_way_delay(u.host_ids()[0], u.host_ids()[1])
-        u.one_way_delay(u.host_ids()[1], u.host_ids()[0])  # symmetric key
+        u.one_way_delay(a, b)
+        u.one_way_delay(b, a)  # symmetric key
     info1 = u.delay_kernel.memo_info()
     assert info1.misses == info0.misses  # all served from the memo
     assert info1.hits >= info0.hits + 20
@@ -166,22 +212,59 @@ def test_stream_scalar_memo_hits():
     assert u.delay_kernel.memo_info().hits == 0
 
 
-def test_stream_mode_matrix_available_midsize_refused_at_scale():
-    s = _underlay(60, 9, "stream")
-    m = _underlay(60, 9, "matrix")
+def test_stream_mode_matrix_available_midsize_refused_at_scale(monkeypatch):
+    m = _underlay(60, 9)
     # mid-size stream underlays may still materialise the matrix...
-    assert np.array_equal(s.latency_matrix, m.latency_matrix)
+    assert np.array_equal(_streamed(m, monkeypatch).latency_matrix, m.latency_matrix)
     # ...but past the hard limit the property must refuse, not swap 80 GB
-    big = _underlay(30, 1, "stream")
-    big.delay_backend = "stream"
-    big.hosts = big.hosts * 700  # 21000 > hard limit; only len() is read
-    big._latency_matrix = None
+    big = _streamed(m, monkeypatch, hard_limit=59)
     with pytest.raises(ConfigurationError, match="refusing"):
         big.latency_matrix
+    # the kernel still serves rows there
+    assert big.one_way_delay_row(m.host_ids()[0], m.host_ids()).shape == (60,)
+
+
+def test_one_kernel_per_underlay(monkeypatch):
+    """Counted work, not time: every delay read of one underlay — the
+    matrix, the RTT matrix, scalar and row lookups, kernel rows — comes
+    from one kernel, built once over one AS-delay BFS.  At the parent
+    ``StreamingDelayKernel.from_hosts`` ran twice here, because
+    ``LatencyModel.latency_matrix`` built a private kernel for the
+    matrix beside the one ``Underlay.delay_kernel`` held."""
+    from repro.underlay.routing import ASRouting
+
+    built = {"from_hosts": 0, "as_delay_bfs": 0}
+    from_hosts = StreamingDelayKernel.from_hosts.__func__
+    delay_matrix = ASRouting.delay_matrix
+
+    def counting_from_hosts(cls, *args, **kwargs):
+        built["from_hosts"] += 1
+        return from_hosts(cls, *args, **kwargs)
+
+    def counting_delay_matrix(self, *args, **kwargs):
+        built["as_delay_bfs"] += 1
+        return delay_matrix(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        StreamingDelayKernel, "from_hosts", classmethod(counting_from_hosts)
+    )
+    monkeypatch.setattr(ASRouting, "delay_matrix", counting_delay_matrix)
+
+    u = Underlay.generate(UnderlayConfig(n_hosts=60, seed=21))
+    ids = u.host_ids()
+    mat = u.latency_matrix
+    assert np.array_equal(u.rtt_matrix(), 2.0 * mat)
+    assert u.one_way_delay(ids[3], ids[7]) == mat[3, 7]
+    assert np.array_equal(u.one_way_delay_row(ids[3], ids), mat[3])
+    assert np.array_equal(u.delay_kernel.delay_row(3, range(60)), mat[3])
+    assert built == {"from_hosts": 1, "as_delay_bfs": 1}
+    # the self-pair delay is the kernel's 0.0, and the oracle agrees
+    assert u.one_way_delay(ids[5], ids[5]) == 0.0
+    assert reference_one_way_delay(u.latency, u.hosts[5], u.hosts[5]) == 0.0
 
 
 def test_kernel_memory_is_linear_in_hosts():
-    u = _underlay(50, 2, "stream")
+    u = _underlay(50, 2)
     per_host = u.delay_kernel.memory_bytes() / len(u.hosts)
     # uint64 + int64 + float64 + 2x float64 = 40 bytes of columns per host
     assert per_host == 40.0

@@ -165,17 +165,16 @@ class TestTable1:
         swarm the experiment runs: the biased tracker cuts the transit
         fraction by more than the 0.1 the row is asserted at (0.1853
         when recorded)."""
-        from repro.experiments.common import generate_underlay
         from repro.overlay.bittorrent import (
             FlowSwarmSimulation,
             Torrent,
             Tracker,
             TrackerPolicy,
         )
-        from repro.underlay.network import UnderlayConfig
+        from repro.underlay.network import Underlay, UnderlayConfig
 
         seed = 23
-        underlay = generate_underlay(UnderlayConfig(n_hosts=80, seed=seed))
+        underlay = Underlay.generate(UnderlayConfig(n_hosts=80, seed=seed))
         ids = underlay.host_ids()
         transit = {}
         for policy in (TrackerPolicy.RANDOM, TrackerPolicy.BIASED):

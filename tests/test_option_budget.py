@@ -40,7 +40,7 @@ BUDGET = {
     "runner": {"config": 0, "kwargs": 0, "env": 2},
     "service": {"config": 9, "kwargs": 21, "env": 0},
     "sim": {"config": 8, "kwargs": 12, "env": 0},
-    "underlay": {"config": 25, "kwargs": 13, "env": 0},
+    "underlay": {"config": 24, "kwargs": 9, "env": 0},
     "viz": {"config": 0, "kwargs": 0, "env": 0},
     "workloads": {"config": 4, "kwargs": 6, "env": 0},
 }

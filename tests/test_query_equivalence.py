@@ -34,6 +34,7 @@ from repro.overlay.kademlia.network import KademliaNetwork
 from repro.sim import Simulation
 from repro.sim.messages import MessageBus
 from repro.underlay import TrafficAccountant, Underlay, UnderlayConfig
+from repro.underlay import network
 from tests.gnutella_reference import ReferenceGnutellaNetwork
 from tests.sendlog import SendLog
 from tests.test_traffic_oracle import state as traffic_state
@@ -47,20 +48,28 @@ _NETWORKS = {"batch": GnutellaNetwork, "reference": ReferenceGnutellaNetwork}
 _UNDERLAYS: dict = {}
 
 
-def _underlay(n_hosts, seed=13, delay_backend="matrix"):
-    key = (n_hosts, seed, delay_backend)
+def _underlay(n_hosts, seed=13, stream=False):
+    """The shared underlay; ``stream=True`` serves the same topology and
+    hosts through the streaming kernel (the size rule's threshold moved
+    below the population)."""
+    key = (n_hosts, seed, stream)
     if key not in _UNDERLAYS:
-        _UNDERLAYS[key] = Underlay.generate(
-            UnderlayConfig(
-                n_hosts=n_hosts, seed=seed, delay_backend=delay_backend
-            )
-        )
+        if stream:
+            base = _underlay(n_hosts, seed)
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 0)
+                u = Underlay(base.topology, base.hosts)
+            assert u.delay_backend == "stream"
+        else:
+            u = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
+            assert u.delay_backend == "matrix"
+        _UNDERLAYS[key] = u
     return _UNDERLAYS[key]
 
 
 def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5,
-           fault_schedule=None, accounting=True, delay_backend="matrix"):
-    u = _underlay(n_hosts, delay_backend=delay_backend)
+           fault_schedule=None, accounting=True, stream=False):
+    u = _underlay(n_hosts, stream=stream)
     sim = Simulation()
     bus = MessageBus(sim, u, loss_rate=loss, loss_seed=seed)
     acct = None
@@ -157,9 +166,9 @@ def test_flood_workload_bit_identical(seed):
     # the delay backends are value-identical (test_delay_stream), so the
     # bus and the kernel must not be able to tell them apart either
     for backend in ("reference", "batch"):
-        streamed = _run_workload(backend, seed=seed, delay_backend="stream")
+        streamed = _run_workload(backend, seed=seed, stream=True)
         assert streamed == ref
-    kernel = _underlay(45, delay_backend="stream").delay_kernel
+    kernel = _underlay(45, stream=True).delay_kernel
     assert kernel.memo_info().hits > 0  # the sends did read the pair memo
     # the accountant saw every send, once, and some of it left its AS
     seen, logged = bat["observed"]

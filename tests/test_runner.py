@@ -157,36 +157,3 @@ class TestRunnerObservability:
         # outside any observe() scope the runner records nothing and
         # the worker counter snapshots are dropped silently
         assert run_arms(_square, [5], workers=1) == [25]
-
-
-class TestRunnerSubstrateCacheSharing:
-    def test_workers_share_disk_tier(self, tmp_path):
-        """Cold workers racing on one disk dir leave exactly one valid
-        entry per substrate; every worker returns a usable underlay."""
-        from repro.underlay import UnderlayConfig, substrate_digest
-        from repro.underlay.cache import (
-            SubstrateCache,
-            configure_default_cache,
-            disable_default_cache,
-        )
-
-        config = UnderlayConfig(n_hosts=20, seed=11)
-        configure_default_cache(disk_dir=tmp_path)
-        try:
-            def arm(_i):
-                from repro.underlay.cache import cached_generate
-
-                underlay = cached_generate(config)
-                return float(underlay.latency_matrix[0, 1])
-
-            values = run_arms(arm, [0, 1, 2, 3], workers=2)
-        finally:
-            disable_default_cache()
-        assert len(set(values)) == 1  # all workers agree
-        entry = tmp_path / f"substrate-{substrate_digest(config)}.npz"
-        assert entry.exists()
-        assert not list(tmp_path.glob("*.tmp.npz"))  # no half-written junk
-        # the published entry is complete: a fresh cache warms from it
-        warm = SubstrateCache(disk_dir=tmp_path)
-        underlay = warm.get_or_generate(config)
-        assert float(underlay.latency_matrix[0, 1]) == values[0]

@@ -1,4 +1,4 @@
-"""Unit tests for the latency model."""
+"""Unit tests for the latency model and the host delays of its kernel."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,10 @@ from repro.underlay import (
     LatencyConfig,
     LatencyModel,
     TopologyConfig,
+    Underlay,
     generate_topology,
 )
+from tests.test_delay_stream import reference_one_way_delay
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +34,7 @@ def test_config_validation():
 
 def test_matrix_properties(setup):
     _t, _r, model, hosts = setup
-    mat = model.latency_matrix(hosts)
+    mat = model.delay_kernel(hosts).full_matrix()
     n = len(hosts)
     assert mat.shape == (n, n)
     assert np.allclose(np.diag(mat), 0.0)
@@ -44,7 +46,7 @@ def test_matrix_properties(setup):
 
 def test_same_as_pairs_faster_on_average(setup):
     _t, _r, model, hosts = setup
-    mat = model.latency_matrix(hosts)
+    mat = model.delay_kernel(hosts).full_matrix()
     asns = np.array([h.asn for h in hosts])
     same = asns[:, None] == asns[None, :]
     np.fill_diagonal(same, False)
@@ -55,26 +57,26 @@ def test_same_as_pairs_faster_on_average(setup):
 def test_scalar_matches_matrix_without_jitter(setup):
     topo, routing, _m, hosts = setup
     model = LatencyModel(topo, routing, LatencyConfig(jitter_std_frac=0.0))
-    mat = model.latency_matrix(hosts)
+    mat = model.delay_kernel(hosts).full_matrix()
     for i in (0, 3, 7):
         for j in (1, 5, 9):
             if i == j:
                 continue
-            assert model.one_way_delay(hosts[i], hosts[j]) == pytest.approx(
-                mat[i, j], rel=1e-9
-            )
+            assert reference_one_way_delay(
+                model, hosts[i], hosts[j]
+            ) == pytest.approx(mat[i, j], rel=1e-9)
 
 
 def test_loopback_is_tiny(setup):
     _t, _r, model, hosts = setup
-    assert model.one_way_delay(hosts[0], hosts[0]) < 1.0
+    assert model.delay_kernel(hosts).delay_scalar(0, 0) == 0.0
 
 
 def test_delay_includes_access_latency(setup):
     _t, _r, model, hosts = setup
     a, b = hosts[0], hosts[1]
     # jittered delay never falls below half the access-latency floor
-    assert model.one_way_delay(a, b) >= 0.5 * (
+    assert model.delay_kernel(hosts).delay_scalar(0, 1) >= 0.5 * (
         a.access_latency_ms + b.access_latency_ms
     )
 
@@ -92,10 +94,11 @@ def test_more_as_hops_means_more_base_delay(setup):
 
 
 def test_rtt_is_twice_one_way(setup):
-    _t, _r, model, hosts = setup
-    assert np.allclose(model.rtt_matrix(hosts), 2.0 * model.latency_matrix(hosts))
+    topo, _r, _m, hosts = setup
+    u = Underlay(topo, hosts)
+    assert np.array_equal(u.rtt_matrix(), 2.0 * u.latency_matrix)
 
 
 def test_empty_host_list(setup):
     _t, _r, model, _h = setup
-    assert model.latency_matrix([]).shape == (0, 0)
+    assert model.delay_kernel([]).full_matrix().shape == (0, 0)

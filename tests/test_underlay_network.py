@@ -69,3 +69,31 @@ def test_duplicate_host_ids_rejected(small_underlay):
     u = small_underlay
     with pytest.raises(TopologyError):
         Underlay(u.topology, [u.hosts[0], u.hosts[0]])
+
+
+@pytest.mark.parametrize("backend", ["matrix", "stream"])
+def test_unknown_host_id_raises_topology_error(backend, monkeypatch):
+    """Every host-id entry point reports an unknown id the same way; the
+    delay API used to leak a bare KeyError from its index lookup."""
+    from repro.underlay import network
+
+    base = Underlay.generate(UnderlayConfig(n_hosts=30, seed=3))
+    if backend == "stream":
+        monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 0)
+    u = Underlay(base.topology, base.hosts)
+    assert u.delay_backend == backend
+    h, bad = u.host_ids()[0], 10**9
+    calls = [
+        lambda: u.host(bad),
+        lambda: u.asn_of(bad),
+        lambda: u.asns_of([h, bad]),
+        lambda: u.as_hops(h, bad),
+        lambda: u.one_way_delay(bad, h),
+        lambda: u.one_way_delay(h, bad),
+        lambda: u.one_way_delay_row(bad, [h]),
+        lambda: u.one_way_delay_row(h, [h, bad]),
+        lambda: u.one_way_delay_row(h, [("svc", h), ("svc", bad)]),
+    ]
+    for call in calls:
+        with pytest.raises(TopologyError, match="unknown host id"):
+            call()

@@ -6,8 +6,8 @@ hot path: a sorted-adjacency FIFO BFS over ``(asn, phase)`` states per
 source, per-pair path reconstruction through the predecessor map, and an
 O(n^2) Python loop that re-walks every path to accumulate the AS delay
 matrix.  Every matrix the fast path produces — ``hops()``, ``path()``,
-``hop_matrix()``, and ``LatencyModel``'s AS delay and host latency
-matrices — must match it exactly (same values, same dtypes, same
+``hop_matrix()``, ``LatencyModel``'s AS delay matrix and the host
+latency matrix built on it — must match it exactly (same values, same dtypes, same
 tie-breaking by expansion order), on several seeded topologies.
 """
 
@@ -23,6 +23,7 @@ from repro.underlay import (
     HostFactory,
     LatencyConfig,
     LatencyModel,
+    StreamingDelayKernel,
     TopologyConfig,
     generate_topology,
     pairwise_distances,
@@ -187,12 +188,12 @@ def test_host_latency_matrix_bit_identical(pair):
     topo, fast, ref = pair
     cfg = LatencyConfig()
     hosts = HostFactory(topo, rng=5).create_hosts(60)
-    got = LatencyModel(topo, fast, cfg).latency_matrix(hosts)
+    got = LatencyModel(topo, fast, cfg).delay_kernel(hosts).full_matrix()
     # the host matrix is the AS delay matrix plus vectorised host terms;
     # rebuilding it on top of the reference AS matrix must agree exactly
-    ref_model = LatencyModel(topo, fast, cfg)
-    ref_model.warm_as_delay(reference_as_delay(topo, ref, cfg))
-    expected = ref_model.latency_matrix(hosts)
+    expected = StreamingDelayKernel.from_hosts(
+        hosts, reference_as_delay(topo, ref, cfg), cfg
+    ).full_matrix()
     assert np.array_equal(got, expected)
 
 
@@ -200,10 +201,13 @@ def test_lazy_precompute_invalidate_roundtrip(pair):
     topo, fast, _ref = pair
     model = LatencyModel(topo, fast, LatencyConfig())
     assert model._as_delay is None  # lazy until first use
-    first = model.precompute().as_delay
-    model.invalidate()
-    assert model._as_delay is None
-    second = model.precompute().as_delay
+    first = model.as_delay
+    assert model.as_delay is first  # built once
+    # a model over re-routed (invalidated, then precomputed) routing
+    # rebuilds the same matrix
+    fast.invalidate()
+    fast.precompute()
+    second = LatencyModel(topo, fast, LatencyConfig()).as_delay
     assert np.array_equal(first, second)
 
 
