@@ -1,9 +1,12 @@
 """Unit tests for k-buckets and the routing table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OverlayError
 from repro.overlay.kademlia import Contact, KBucket, RoutingTable, xor_distance
+from tests.kbucket_reference import ReferenceKBucket
 
 
 def c(nid, hid=None, rtt=float("inf")):
@@ -62,6 +65,60 @@ class TestKBucketProximity:
         b.update(c(1, rtt=10.0))
         b.update(c(1, rtt=50.0))  # worse later measurement
         assert b.get(1).rtt_ms == 10.0
+
+
+#: few ids and few RTT values, so refreshes, full buckets and equal worst
+#: RTTs are common rather than rare
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("update"),
+            st.integers(0, 9),
+            st.one_of(st.just(float("inf")), st.sampled_from([5.0, 20.0, 80.0])),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 9), st.none()),
+        st.tuples(st.just("get"), st.integers(0, 9), st.none()),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 4), proximity=st.booleans(), ops=_ops)
+def test_kbucket_matches_list_reference(k, proximity, ops):
+    """The list-backed bucket against the dict-backed reference: every
+    return value and the contact order (LRU position, which eviction
+    picks the first worst RTT among equals) agree after every step."""
+    bucket = KBucket(k=k, proximity=proximity)
+    ref = ReferenceKBucket(k=k, proximity=proximity)
+    for name, node_id, rtt in ops:
+        if name == "update":
+            contact = c(node_id, rtt=rtt)
+            assert bucket.update(contact) == ref.update(contact)
+        elif name == "remove":
+            bucket.remove(node_id)
+            ref.remove(node_id)
+        else:
+            assert bucket.get(node_id) == ref.get(node_id)
+        assert bucket.contacts() == ref.contacts() == list(bucket)
+        assert len(bucket) == len(ref) <= k
+        assert (node_id in bucket) == (node_id in ref)
+
+
+def test_proximity_eviction_takes_the_first_of_equal_worst():
+    for bucket in (KBucket(k=3, proximity=True), ReferenceKBucket(k=3, proximity=True)):
+        for nid, rtt in ((1, 80.0), (2, 10.0), (3, 80.0)):
+            bucket.update(c(nid, rtt=rtt))
+        assert bucket.update(c(4, rtt=20.0))
+        assert [x.node_id for x in bucket.contacts()] == [2, 3, 4]
+        # a worse measurement of a kept contact refreshes its position only
+        assert bucket.update(c(2, rtt=500.0))
+        assert [(x.node_id, x.rtt_ms) for x in bucket.contacts()] == [
+            (3, 80.0), (4, 20.0), (2, 10.0)
+        ]
+        # a better one replaces it
+        assert bucket.update(c(3, rtt=1.0))
+        assert bucket.get(3).rtt_ms == 1.0
 
 
 class TestRoutingTable:

@@ -5,8 +5,8 @@ op lists plus long seeded numpy streams — next to a few-line model of
 its contract written with builtins, and the observable state must agree
 after every step: the hostcache against a most-recent-last list, the
 routing table against a brute-force XOR sort over per-bucket
-:class:`KBucket` models, and the churn process against a replay of its
-own join/leave/crash log.
+:class:`ReferenceKBucket` models (``tests/kbucket_reference.py``), and
+the churn process against a replay of its own join/leave/crash log.
 """
 
 from __future__ import annotations
@@ -18,20 +18,22 @@ from hypothesis import strategies as st
 
 from repro.overlay.gnutella.hostcache import HostCache
 from repro.overlay.kademlia.id_space import ID_BITS, bucket_index, xor_distance
-from repro.overlay.kademlia.kbucket import Contact, KBucket
+from repro.overlay.kademlia.kbucket import Contact
 from repro.overlay.kademlia.routing_table import RoutingTable
 from repro.sim import ChurnConfig, ChurnProcess, Simulation
+from tests.kbucket_reference import ReferenceKBucket
 
 SEEDS = (101, 202, 303)
 
 
-# -- RoutingTable vs brute force over per-bucket KBucket models ---------------------
+# -- RoutingTable vs brute force over per-bucket ReferenceKBucket models ------------
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("proximity", [False, True])
 def test_routing_table_matches_bruteforce(seed, proximity):
     """``closest`` is a brute-force XOR sort of the live contacts, and
     which contacts are live is decided bucket by bucket exactly as a
-    standalone :class:`KBucket` (LRU or proximity eviction) decides it."""
+    standalone :class:`ReferenceKBucket` (LRU or proximity eviction)
+    decides it."""
     rng = np.random.default_rng(seed)
 
     def rand_id():
@@ -45,7 +47,7 @@ def test_routing_table_matches_bruteforce(seed, proximity):
     id_pool = [i for i in id_pool if i != own_id] or [own_id ^ 1]
     k = 4
     table = RoutingTable(own_id, k=k, proximity=proximity)
-    model: dict[int, KBucket] = {}
+    model: dict[int, ReferenceKBucket] = {}
 
     def live():
         return [c for b in sorted(model) for c in model[b].contacts()]
@@ -57,7 +59,7 @@ def test_routing_table_matches_bruteforce(seed, proximity):
         node_id = id_pool[int(rng.integers(len(id_pool)))]
         contact = Contact(node_id, node_id % 1000, float(rng.uniform(1.0, 300.0)))
         bucket = model.setdefault(
-            bucket_index(own_id, node_id), KBucket(k=k, proximity=proximity)
+            bucket_index(own_id, node_id), ReferenceKBucket(k=k, proximity=proximity)
         )
         assert table.update(contact) == bucket.update(contact)
         if i % 10 == 0:

@@ -38,6 +38,29 @@ def test_latency_provider_protocol(small_underlay):
     assert d == pytest.approx(u.latency_matrix[0, 1])
 
 
+def test_one_way_delay_endpoint_forms_read_the_matrix_exactly(small_underlay):
+    """Bare ids, ``("svc", id)`` endpoints and numpy ints all return the
+    Python float stored at ``latency_matrix[i, j]``, bit for bit."""
+    u = small_underlay
+    ids = u.host_ids()
+    mat = u.latency_matrix
+    for i, j in ((0, 1), (1, 0), (3, 3), (0, len(ids) - 1), (7, 22)):
+        want = float(mat[i, j])
+        a, b = ids[i], ids[j]
+        for src, dst in (
+            (a, b),
+            (("svc", a), b),
+            (a, ("svc", b)),
+            (("svc", a), ("other", b)),
+            (np.int64(a), np.int32(b)),
+            (("svc", np.int64(a)), np.int64(b)),
+        ):
+            got = u.one_way_delay(src, dst)
+            assert type(got) is float
+            assert got == want
+            assert np.float64(got).tobytes() == mat[i, j].tobytes()
+
+
 def test_as_hops(small_underlay):
     u = small_underlay
     ids = u.host_ids()
@@ -90,6 +113,8 @@ def test_unknown_host_id_raises_topology_error(backend, monkeypatch):
         lambda: u.as_hops(h, bad),
         lambda: u.one_way_delay(bad, h),
         lambda: u.one_way_delay(h, bad),
+        lambda: u.one_way_delay(("svc", bad), h),
+        lambda: u.one_way_delay(h, ("svc", bad)),
         lambda: u.one_way_delay_row(bad, [h]),
         lambda: u.one_way_delay_row(h, [h, bad]),
         lambda: u.one_way_delay_row(h, [("svc", h), ("svc", bad)]),
