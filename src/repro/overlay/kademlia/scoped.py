@@ -128,12 +128,12 @@ class ScopedKademlia:
             node_id = self.hashing.scoped_node_id(
                 self.region_of(h.host_id), self._rng
             )
-            node = KademliaNode(
-                h, self.network.sim, self.network.bus, node_id,
-                self.network.config,
+            self.network._adopt(
+                KademliaNode(
+                    h, self.network.sim, self.network.bus, node_id,
+                    self.network.config,
+                )
             )
-            node.go_online()
-            self.network.nodes[h.host_id] = node
 
     def bootstrap_all(self, **kwargs) -> None:
         self.network.bootstrap_all(**kwargs)
