@@ -198,20 +198,3 @@ class ISPOracle(InfoSource):
         through the keyed list via :meth:`top_k`, never a full sort."""
         top = self.top_k(querying_host, candidates, 1)
         return top[0] if top else None
-
-    def same_as_candidates(
-        self, querying_host: int, candidates: Sequence[int]
-    ) -> list[int]:
-        """Only the candidates inside the querier's own AS (order kept).
-
-        Uses the underlay's precomputed ``asn -> host`` index, so the
-        filter is one set lookup per candidate regardless of population
-        size."""
-        my_asn = self.underlay.asn_of(querying_host)
-        local_ids = self.underlay.host_ids_in_as(my_asn)
-        self.overhead.charge(queries=1, messages=2,
-                             bytes_on_wire=64 + 8 * len(list(candidates)))
-        return [
-            c for c in candidates
-            if self.underlay._host_id_of(c) in local_ids
-        ]

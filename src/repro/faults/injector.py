@@ -17,7 +17,7 @@ the same seeded scenario inject exactly the same faults.
 
 Usage::
 
-    schedule = FaultSchedule.from_dict(spec)
+    schedule = FaultSchedule((LossFault(start=0.0, end=60e3, rate=0.3),))
     injector = FaultInjector(
         sim, bus, schedule,
         asn_of=underlay.asn_of,

@@ -14,20 +14,15 @@ Biernacki's OPNET study):
 - :class:`CrashFault` — instant peer failures at a point in time, with an
   optional recovery time (no graceful leave — distinct from churn).
 
-Schedules are built programmatically or loaded from a small dict/JSON
-spec (:meth:`FaultSchedule.from_dict` / :meth:`FaultSchedule.from_json`)::
+Schedules are built programmatically::
 
-    {"faults": [
-        {"kind": "loss", "start": 10e3, "end": 40e3, "rate": 0.3},
-        {"kind": "loss", "start": 0, "end": 60e3, "rate": 1.0,
-         "src": 3, "dst": 7},
-        {"kind": "delay", "start": 5e3, "end": 9e3, "extra_ms": 80,
-         "asn": 2},
-        {"kind": "partition", "start": 20e3, "end": 30e3,
-         "groups": [[1, 2]]},
-        {"kind": "crash", "at": 15e3, "peers": [4, 9],
-         "recover_at": 45e3}
-    ]}
+    FaultSchedule((
+        LossFault(start=10e3, end=40e3, rate=0.3),
+        LossFault(start=0, end=60e3, rate=1.0, src=3, dst=7),
+        DelayFault(start=5e3, end=9e3, extra_ms=80, asn=2),
+        PartitionFault(start=20e3, end=30e3, groups=((1, 2),)),
+        CrashFault(at=15e3, peers=(4, 9), recover_at=45e3),
+    ))
 
 The schedule itself is pure data; :class:`~repro.faults.injector.FaultInjector`
 turns it into simulation events and message filtering.
@@ -35,20 +30,10 @@ turns it into simulation events and message filtering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import FaultError
-
-#: Spec keys accepted for each fault kind (beyond "kind" itself).
-_SPEC_KEYS = {
-    "loss": {"start", "end", "rate", "src", "dst", "asn", "bidirectional"},
-    "delay": {"start", "end", "extra_ms", "src", "dst", "asn", "bidirectional"},
-    "partition": {"start", "end", "groups"},
-    "crash": {"at", "peers", "recover_at"},
-}
-
 
 def _check_window(start: float, end: float) -> None:
     if start < 0 or end <= start:
@@ -223,84 +208,3 @@ class FaultSchedule:
             or (isinstance(f, _ScopedFault) and f.is_as_scoped)
             for f in self.faults
         )
-
-    # -- spec loading ----------------------------------------------------------
-    @classmethod
-    def from_dict(cls, spec: Mapping[str, Any]) -> "FaultSchedule":
-        """Build a schedule from the dict spec documented in the module
-        docstring; unknown kinds and stray keys fail loudly."""
-        entries = spec.get("faults")
-        if not isinstance(entries, (list, tuple)):
-            raise FaultError('spec needs a "faults" list')
-        faults: list[Fault] = []
-        for entry in entries:
-            if not isinstance(entry, Mapping):
-                raise FaultError(f"fault entry must be a mapping: {entry!r}")
-            kind = entry.get("kind")
-            if kind not in _SPEC_KEYS:
-                raise FaultError(
-                    f"unknown fault kind {kind!r}; expected one of "
-                    f"{sorted(_SPEC_KEYS)}"
-                )
-            extra = set(entry) - _SPEC_KEYS[kind] - {"kind"}
-            if extra:
-                raise FaultError(f"{kind} fault has unknown keys {sorted(extra)}")
-            args = {k: v for k, v in entry.items() if k != "kind"}
-            if kind == "loss":
-                faults.append(LossFault(**args))
-            elif kind == "delay":
-                faults.append(DelayFault(**args))
-            elif kind == "partition":
-                args["groups"] = tuple(
-                    frozenset(int(a) for a in g) for g in args.get("groups", ())
-                )
-                faults.append(PartitionFault(**args))
-            else:
-                args["peers"] = tuple(int(p) for p in args.get("peers", ()))
-                faults.append(CrashFault(**args))
-        return cls(tuple(faults))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultError(f"bad fault spec JSON: {exc}") from exc
-        return cls.from_dict(spec)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Round-trippable dict form of this schedule."""
-        out: list[dict[str, Any]] = []
-        for f in self.faults:
-            if isinstance(f, LossFault):
-                entry: dict[str, Any] = {
-                    "kind": "loss", "start": f.start, "end": f.end,
-                    "rate": f.rate,
-                }
-                self._scope_to(entry, f)
-            elif isinstance(f, DelayFault):
-                entry = {
-                    "kind": "delay", "start": f.start, "end": f.end,
-                    "extra_ms": f.extra_ms,
-                }
-                self._scope_to(entry, f)
-            elif isinstance(f, PartitionFault):
-                entry = {
-                    "kind": "partition", "start": f.start, "end": f.end,
-                    "groups": [sorted(g) for g in f.groups],
-                }
-            else:
-                entry = {"kind": "crash", "at": f.at, "peers": list(f.peers)}
-                if f.recover_at is not None:
-                    entry["recover_at"] = f.recover_at
-            out.append(entry)
-        return {"faults": out}
-
-    @staticmethod
-    def _scope_to(entry: dict[str, Any], f: _ScopedFault) -> None:
-        if f.src is not None:
-            entry["src"], entry["dst"] = f.src, f.dst
-            if not f.bidirectional:
-                entry["bidirectional"] = False
-        elif f.asn is not None:
-            entry["asn"] = f.asn

@@ -12,19 +12,15 @@ from repro.metrics.impact import (
     impact_symbol,
 )
 from repro.metrics.challenges import (
-    asymmetric_nearest_fraction,
     hop_delay_correlation,
     knn_asymmetry,
     long_hop_fraction,
 )
 from repro.metrics.latency_metrics import (
     delay_percentiles,
-    neighbor_delay_stats,
-    overlay_path_stretch,
     percentile_key,
 )
 from repro.metrics.locality import (
-    as_cluster_sizes,
     as_modularity,
     inter_as_edge_count,
     intra_as_edge_fraction,
@@ -42,7 +38,6 @@ from repro.metrics.message_stats import (
 from repro.metrics.resilience import (
     articulation_point_count,
     largest_component_fraction,
-    largest_component_fraction_under_removal,
     partition_risk,
     resilience_summary,
 )
@@ -57,9 +52,7 @@ __all__ = [
     "SMALL_EFFECT_THRESHOLD",
     "agreement_rate",
     "articulation_point_count",
-    "as_cluster_sizes",
     "as_modularity",
-    "asymmetric_nearest_fraction",
     "compare_with_paper",
     "delay_percentiles",
     "gnutella_table_row",
@@ -70,13 +63,10 @@ __all__ = [
     "is_connected",
     "knn_asymmetry",
     "largest_component_fraction",
-    "largest_component_fraction_under_removal",
     "locality_summary",
     "long_hop_fraction",
     "min_inter_as_edges",
-    "neighbor_delay_stats",
     "overhead_ratio",
-    "overlay_path_stretch",
     "partition_risk",
     "percentile_key",
     "reduction_percent",

@@ -2,9 +2,8 @@
 
 - **Asymmetric node selection**: "the path from node A to node B is the
   shortest for node A, but at the same time the path from node B to node
-  A is not the shortest for B" — quantified as the fraction of nodes
-  whose nearest-neighbour relation is not mutual, and more generally the
-  asymmetry of the k-NN relation.
+  A is not the shortest for B" — quantified as the asymmetry of the k-NN
+  relation.
 - **Long hop**: "one single hop may represent a big distance in terms of
   delay" — hop-based systems that rank by AS hops alone miss that a
   1-hop route can be slower than a 3-hop route.  Quantified as the
@@ -14,26 +13,11 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.coords.base import validate_distance_matrix
 from repro.errors import ReproError
 from repro.underlay.network import Underlay
-
-
-def asymmetric_nearest_fraction(distance_matrix: np.ndarray) -> float:
-    """Fraction of nodes whose nearest neighbour does not reciprocate."""
-    d = validate_distance_matrix(distance_matrix)
-    n = d.shape[0]
-    if n < 2:
-        raise ReproError("need at least two nodes")
-    dd = d.astype(float).copy()
-    np.fill_diagonal(dd, np.inf)
-    nearest = np.argmin(dd, axis=1)
-    non_mutual = sum(1 for i in range(n) if nearest[nearest[i]] != i)
-    return non_mutual / n
 
 
 def knn_asymmetry(distance_matrix: np.ndarray, k: int = 5) -> float:

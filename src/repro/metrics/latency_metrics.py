@@ -1,10 +1,9 @@
-"""Latency metrics: stretch, delay distributions, neighbour quality."""
+"""Latency metrics: delay distributions."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ReproError
@@ -29,47 +28,3 @@ def delay_percentiles(
     if len(out) != len(percentiles):
         raise ReproError(f"duplicate percentiles requested: {tuple(percentiles)}")
     return out
-
-
-def neighbor_delay_stats(
-    graph: nx.Graph, delay_of: Callable[[Hashable, Hashable], float]
-) -> dict[str, float]:
-    """Distribution of direct-neighbour delays in an overlay — the quantity
-    latency-aware construction minimises (§2.2)."""
-    delays = [delay_of(a, b) for a, b in graph.edges()]
-    if not delays:
-        raise ReproError("graph has no edges")
-    stats = delay_percentiles(delays)
-    stats["mean"] = float(np.mean(delays))
-    return stats
-
-
-def overlay_path_stretch(
-    graph: nx.Graph,
-    delay_of: Callable[[Hashable, Hashable], float],
-    pairs: Sequence[tuple[Hashable, Hashable]],
-) -> float:
-    """Mean stretch: (delay along the overlay's shortest-delay path) /
-    (direct underlay delay), over the given node pairs.
-
-    >= 1 by construction; close to 1 means the overlay routes almost as
-    well as the underlay could.
-    """
-    weighted = graph.copy()
-    for a, b in weighted.edges():
-        weighted[a][b]["delay"] = delay_of(a, b)
-    stretches = []
-    for src, dst in pairs:
-        direct = delay_of(src, dst)
-        if direct <= 0:
-            continue
-        try:
-            overlay_delay = nx.shortest_path_length(
-                weighted, src, dst, weight="delay"
-            )
-        except nx.NetworkXNoPath:
-            continue
-        stretches.append(overlay_delay / direct)
-    if not stretches:
-        raise ReproError("no connected pairs to compute stretch over")
-    return float(np.mean(stretches))

@@ -14,7 +14,7 @@ connected".  These metrics quantify that picture:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 import networkx as nx
 
@@ -56,16 +56,6 @@ def as_modularity(graph: nx.Graph, asn_of: Callable[[Hashable], int]) -> float:
     for n in graph.nodes():
         groups.setdefault(asn_of(n), set()).add(n)
     return float(nx.algorithms.community.modularity(graph, groups.values()))
-
-
-def as_cluster_sizes(
-    graph: nx.Graph, asn_of: Callable[[Hashable], int]
-) -> dict[int, int]:
-    """Number of overlay nodes per AS."""
-    sizes: dict[int, int] = {}
-    for n in graph.nodes():
-        sizes[asn_of(n)] = sizes.get(asn_of(n), 0) + 1
-    return sizes
 
 
 def is_connected(graph: nx.Graph) -> bool:

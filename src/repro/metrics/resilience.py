@@ -6,8 +6,6 @@ ISP-based clustering (Figure 6b) makes the overlay fragile: if the few
 inter-AS links die, whole ISP clusters partition.  These metrics measure
 exactly that:
 
-- ``largest_component_fraction_under_removal`` — classic random-failure
-  sweep;
 - ``partition_risk`` — probability that removing ``f`` random nodes
   disconnects at least one AS cluster from the rest;
 - ``cut_vulnerability`` — how many node removals suffice to disconnect
@@ -34,36 +32,6 @@ def largest_component_fraction(graph: nx.Graph) -> float:
     if n == 0:
         raise ReproError("empty graph")
     return max(len(c) for c in nx.connected_components(graph)) / n
-
-
-def largest_component_fraction_under_removal(
-    graph: nx.Graph,
-    removal_fractions: Sequence[float],
-    *,
-    trials: int = 5,
-    rng: SeedLike = None,
-) -> list[dict[str, float]]:
-    """For each removal fraction, the mean size of the largest surviving
-    component (fraction of surviving nodes)."""
-    rng = ensure_rng(rng)
-    nodes = list(graph.nodes())
-    rows = []
-    for f in removal_fractions:
-        if not (0 <= f < 1):
-            raise ReproError(f"removal fraction must be in [0, 1), got {f}")
-        n_remove = int(round(f * len(nodes)))
-        sizes = []
-        for _ in range(trials):
-            idx = rng.choice(len(nodes), size=n_remove, replace=False)
-            removed = {nodes[int(i)] for i in idx}
-            sub = graph.subgraph(n for n in nodes if n not in removed)
-            survivors = sub.number_of_nodes()
-            if survivors == 0:
-                sizes.append(0.0)
-                continue
-            sizes.append(max(len(c) for c in nx.connected_components(sub)) / survivors)
-        rows.append({"removal_fraction": float(f), "largest_component": float(np.mean(sizes))})
-    return rows
 
 
 def partition_risk(

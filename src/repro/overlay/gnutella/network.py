@@ -416,16 +416,6 @@ class GnutellaNetwork:
                 g.add_edge(node.host_id, leaf)
         return g
 
-    def intra_as_edge_fraction(self) -> float:
-        g = self.overlay_graph()
-        edges = list(g.edges())
-        if not edges:
-            return 0.0
-        same = sum(
-            1 for a, b in edges if self.underlay.asn_of(a) == self.underlay.asn_of(b)
-        )
-        return same / len(edges)
-
     def message_counts(self) -> dict[str, int]:
         """Bus-level per-kind counts (every forwarded hop counts once),
         plus protocol-level drop totals: ``dropped_duplicate`` (copies of

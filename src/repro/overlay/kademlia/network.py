@@ -186,11 +186,6 @@ class KademliaNetwork:
     ) -> None:
         self.nodes[origin].iterative_find_value(key, results.append)
 
-    def lookup_node(
-        self, origin: int, target: int, results: list[LookupResult]
-    ) -> None:
-        self.nodes[origin].iterative_find_node(target, results.append)
-
     def run_value_workload(
         self, n_publishes: int, n_lookups: int, *, settle_ms: float = 60_000.0
     ) -> LookupStats:
@@ -224,12 +219,3 @@ class KademliaNetwork:
             if np.isfinite(c.rtt_ms)
         ]
         return float(np.mean(rtts)) if rtts else float("nan")
-
-    def intra_as_contact_fraction(self) -> float:
-        total = same = 0
-        for node in self.nodes.values():
-            for c in node.routing_table.all_contacts():
-                total += 1
-                if self.underlay.asn_of(c.host_id) == node.asn:
-                    same += 1
-        return same / total if total else 0.0

@@ -14,7 +14,6 @@ from repro.service.arrivals import (
     DiurnalArrivals,
     ParetoArrivals,
     PoissonArrivals,
-    exponential_interarrival_times,
     make_arrivals,
 )
 from repro.service.bootstrap import Bootstrapper, ServiceConfig
@@ -42,6 +41,5 @@ __all__ = [
     "ParetoArrivals",
     "PoissonArrivals",
     "ServiceConfig",
-    "exponential_interarrival_times",
     "make_arrivals",
 ]

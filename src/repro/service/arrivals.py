@@ -33,20 +33,6 @@ from repro.errors import ConfigurationError
 from repro.rng import SeedLike, ensure_rng
 
 
-def exponential_interarrival_times(
-    rng: np.random.Generator, n: int, mean_ms: float
-) -> np.ndarray:
-    """Cumulative arrival times of ``n`` events with Exp(``mean_ms``)
-    interarrivals — the per-entity Poisson schedule
-    (:class:`~repro.workloads.queries.QueryWorkload` reuses this for its
-    ``arrival="poisson"`` mode)."""
-    if n < 0:
-        raise ConfigurationError(f"cannot draw {n} interarrivals")
-    if mean_ms <= 0:
-        raise ConfigurationError("mean interarrival must be positive")
-    return np.cumsum(rng.exponential(mean_ms, size=n))
-
-
 class ArrivalProcess:
     """Base class: a seeded point process emitting times in [0, horizon)."""
 

@@ -24,11 +24,7 @@ from repro.underlay.mobility import (
     generate_mobility,
     refresh_tradeoff,
 )
-from repro.underlay.network import (
-    STREAM_AUTO_HOST_THRESHOLD,
-    Underlay,
-    UnderlayConfig,
-)
+from repro.underlay.network import MATRIX_HOST_CAP, Underlay, UnderlayConfig
 from repro.underlay.routing import ASRouting
 from repro.underlay.topology import InternetTopology, TopologyConfig, generate_topology
 from repro.underlay.traffic import TrafficAccountant, TrafficSummary
@@ -45,11 +41,11 @@ __all__ = [
     "LatencyConfig",
     "LatencyModel",
     "LinkType",
+    "MATRIX_HOST_CAP",
     "MobilityConfig",
     "MobilityTrace",
     "PeerResources",
     "Position",
-    "STREAM_AUTO_HOST_THRESHOLD",
     "StreamingDelayKernel",
     "Tier",
     "TopologyConfig",

@@ -179,16 +179,6 @@ class TransitBillingLedger:
         self.samples[payer_asn][bucket] += nbytes
         self.total_bytes[payer_asn] += nbytes
 
-    def merge(self, other: "TransitBillingLedger") -> None:
-        """Fold another ledger (same bucket width) into this one."""
-        if other.bucket_seconds != self.bucket_seconds:
-            raise ConfigurationError("cannot merge ledgers of differing buckets")
-        for asn, buckets in other.samples.items():
-            mine = self.samples[asn]
-            for bucket, nbytes in buckets.items():
-                mine[bucket] += nbytes
-            self.total_bytes[asn] += other.total_bytes[asn]
-
     def bills(
         self, model: CostModel, *, percentile: float | None = None
     ) -> dict[int, float]:

@@ -51,14 +51,6 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between each row of ``a`` (n,2) and each row of ``b`` (m,2)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def scatter_around(
     center: Position, spread_km: float, n: int, rng: np.random.Generator
 ) -> list[Position]:

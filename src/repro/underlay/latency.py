@@ -17,8 +17,8 @@ about.
 The per-pair jitter is a *counter-hash* kernel: a SplitMix64-style mix of
 the sorted host-id pair and the jitter seed produces one uniform per pair,
 mapped through the inverse normal CDF and clipped — symmetric and
-deterministic with **no per-pair RNG state**, so the scalar, row, and
-matrix paths all agree exactly on the same multiplier (see
+deterministic with **no per-pair RNG state**, so every block, row and
+matrix entry of a pair sees exactly the same multiplier (see
 :func:`pair_jitter`).  It gives the matrix mild triangle-inequality
 violations like real RTT datasets.
 
@@ -26,10 +26,8 @@ violations like real RTT datasets.
 computed: rows and blocks come straight from struct-of-arrays host
 columns (access-latency vector, ASN vector, positions) plus the small
 ``(n_ases, n_ases)`` AS-delay matrix, with no ``(n_hosts, n_hosts)``
-intermediate, and the all-pairs matrix is its chunked
-:meth:`~StreamingDelayKernel.full_matrix`.  The same kernel serves
-per-message delays for 10^5–10^6-host underlays, where the full host
-matrix (~80 GB of float64 at 10^5 hosts) cannot exist.
+intermediate, and the all-pairs matrix ``Underlay.latency_matrix``
+serves is its chunked :meth:`~StreamingDelayKernel.full_matrix`.
 
 The all-pairs AS delay matrix is accumulated *during* the routing BFS
 (:meth:`~repro.underlay.routing.ASRouting.delay_matrix`), not
@@ -38,7 +36,6 @@ reconstructed path by path, and is built lazily on first use.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,9 +50,6 @@ from repro.underlay.topology import InternetTopology
 
 #: Speed of light in fibre: ~200 000 km/s  ->  0.005 ms per km.
 PROPAGATION_MS_PER_KM = 0.005
-
-#: Bound on the streaming kernel's scalar pair memo (entries).
-PAIR_MEMO_SIZE = 1 << 17
 
 #: Rows per block when the kernel assembles its full matrix, so the
 #: broadcast intermediates stay bounded.
@@ -142,8 +136,8 @@ def pair_jitter(
     A SplitMix64-style counter hash of the *sorted* host-id pair and the
     seed yields one uniform per pair; the inverse normal CDF turns it
     into a clipped ``N(1, jitter_std_frac)`` draw.  Stateless and
-    symmetric, so the scalar, row, block, and full-matrix delay paths
-    all see bit-identical multipliers for the same pair — no RNG object
+    symmetric, so the row, block and full-matrix delay paths all see
+    bit-identical multipliers for the same pair — no RNG object
     is ever constructed.  Inputs broadcast like any NumPy binary op.
     """
     a = np.asarray(ids_a, dtype=np.uint64)
@@ -254,12 +248,8 @@ class StreamingDelayKernel:
     AS-delay matrix, and computes any rectangular block of the host
     delay matrix on demand with no ``(n_hosts, n_hosts)`` intermediate.
     :meth:`delay_block` holds the host-pair delay formula; every other
-    path — :meth:`delay_row`, :meth:`delay_scalar`, :meth:`full_matrix`
-    and so ``Underlay.latency_matrix`` — is a block of it.
-
-    Scalar lookups go through a bounded LRU pair memo
-    (:meth:`delay_scalar`), which is what a message bus hot path wants:
-    protocol traffic revisits the same pairs constantly.
+    path — :meth:`delay_row`, :meth:`full_matrix` and so
+    ``Underlay.latency_matrix`` — is a block of it.
     """
 
     def __init__(
@@ -281,7 +271,6 @@ class StreamingDelayKernel:
         if not (len(self.asns) == len(self.access_ms) == len(self.positions) == n):
             raise ConfigurationError("streaming kernel columns disagree on n_hosts")
         self.n_hosts = n
-        self._scalar = functools.lru_cache(maxsize=PAIR_MEMO_SIZE)(self._scalar_uncached)
 
     @classmethod
     def from_hosts(
@@ -335,8 +324,7 @@ class StreamingDelayKernel:
 
     def full_matrix(self) -> np.ndarray:
         """The all-pairs matrix, assembled block-row by block-row so the
-        broadcast intermediates stay bounded.  This is the *matrix
-        backend build* — only sized populations should call it."""
+        broadcast intermediates stay bounded."""
         n = self.n_hosts
         all_cols = np.arange(n, dtype=np.intp)
         out = np.empty((n, n), dtype=np.float64)
@@ -346,32 +334,3 @@ class StreamingDelayKernel:
                 np.arange(start, stop, dtype=np.intp), all_cols
             )
         return out
-
-    # -- memoised scalar path --------------------------------------------------
-    def _scalar_uncached(self, i: int, j: int) -> float:
-        return float(self.delay_block((i,), (j,))[0, 0])
-
-    def delay_scalar(self, i: int, j: int) -> float:
-        """Delay between host indices ``i`` and ``j`` through the
-        bounded LRU pair memo (delays are symmetric, so the memo keys on
-        the sorted index pair)."""
-        if i > j:
-            i, j = j, i
-        return self._scalar(i, j)
-
-    def memo_info(self):
-        """Hit/miss statistics of the scalar pair memo."""
-        return self._scalar.cache_info()
-
-    def memo_clear(self) -> None:
-        self._scalar.cache_clear()
-
-    def memory_bytes(self) -> int:
-        """Bytes held in the SoA columns (excludes the shared AS-delay
-        matrix and the pair memo)."""
-        return (
-            self.host_ids.nbytes
-            + self.asns.nbytes
-            + self.access_ms.nbytes
-            + self.positions.nbytes
-        )

@@ -10,16 +10,12 @@ This is the substrate every experiment starts from::
 The facade implements the :class:`~repro.sim.messages.LatencyProvider`
 protocol over *host ids*.  Every delay comes from the one
 :class:`~repro.underlay.latency.StreamingDelayKernel` an underlay
-builds; the population size alone decides how it is served
-(:attr:`Underlay.delay_backend`):
-
-- ``"matrix"`` up to :data:`STREAM_AUTO_HOST_THRESHOLD` hosts: the
-  kernel's all-pairs matrix is built once, so per-message delay lookups
-  are O(1) array reads.
-- ``"stream"`` above it: delays are computed on demand from the
-  kernel's O(n)-memory columns, with a bounded LRU pair memo for
-  repeated scalar lookups — the only way to serve 10^5–10^6-host
-  underlays, where the matrix would need ~80 GB.
+builds, and is served one way: the kernel's all-pairs matrix
+(:attr:`Underlay.latency_matrix`) is built once, so per-message delay
+lookups are O(1) array reads.  Above :data:`MATRIX_HOST_CAP` hosts the
+matrix is refused rather than swapped to disk; the kernel's
+:meth:`~repro.underlay.latency.StreamingDelayKernel.delay_block` still
+computes any block there in O(rows x cols) memory.
 """
 
 from __future__ import annotations
@@ -42,13 +38,9 @@ from repro.underlay.topology import InternetTopology, TopologyConfig, generate_t
 from repro.underlay.traffic import TrafficAccountant
 
 
-#: Populations above this many hosts are served by the streaming kernel
-#: instead of the precomputed matrix (matrix memory grows as n^2: 2048
-#: hosts is ~32 MB of float64; 10^5 hosts would be ~80 GB).
-STREAM_AUTO_HOST_THRESHOLD = 2048
-
-#: Hard ceiling on materialising the host latency matrix in stream mode.
-_STREAM_MATRIX_HARD_LIMIT = 20_000
+#: Most hosts whose all-pairs latency matrix an underlay builds: n^2
+#: float64 entries, ~3 GiB at the cap (10^5 hosts would need ~75 GiB).
+MATRIX_HOST_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -89,23 +81,12 @@ class Underlay:
         # Host is frozen, so the per-id ASN cannot go stale
         self._asn_by_id: dict[int, int] = {h.host_id: h.asn for h in self.hosts}
         self._index_of = {h.host_id: i for i, h in enumerate(self.hosts)}
-        # asn -> hosts index: hosts_in_as and the oracle paths are called
-        # per candidate list, so a linear scan over all hosts is the wrong
-        # complexity class
-        self._hosts_by_as: dict[int, list[Host]] = {}
-        for h in self.hosts:
-            self._hosts_by_as.setdefault(h.asn, []).append(h)
-        self._host_ids_by_as: dict[int, frozenset[int]] = {
-            asn: frozenset(h.host_id for h in hs)
-            for asn, hs in self._hosts_by_as.items()
-        }
         self._latency_matrix: Optional[np.ndarray] = None
         self._delay_kernel: Optional[StreamingDelayKernel] = None
-        #: How per-message delays are served ("matrix" or "stream"),
-        #: resolved from the population size.
-        self.delay_backend = (
-            "stream" if len(self.hosts) > STREAM_AUTO_HOST_THRESHOLD else "matrix"
-        )
+
+    #: How per-message delays are served: always the all-pairs matrix.
+    #: Kept as a constant because ``bench/workloads.py`` reports it.
+    delay_backend = "matrix"
 
     # -- construction ----------------------------------------------------------
     @classmethod
@@ -156,14 +137,6 @@ class Underlay:
     def host_ids(self) -> list[int]:
         return [h.host_id for h in self.hosts]
 
-    def hosts_in_as(self, asn: int) -> list[Host]:
-        """Hosts attached to ``asn`` (O(1) via the asn index)."""
-        return list(self._hosts_by_as.get(asn, ()))
-
-    def host_ids_in_as(self, asn: int) -> frozenset[int]:
-        """Host-id set of one AS — membership tests for oracle ranking."""
-        return self._host_ids_by_as.get(asn, frozenset())
-
     def as_hops(self, host_a: int, host_b: int) -> int:
         """AS-hop distance between two hosts' ASes."""
         return self.routing.hops(self.asn_of(host_a), self.asn_of(host_b))
@@ -195,18 +168,17 @@ class Underlay:
         """All-pairs one-way host delay matrix (ms): the
         :attr:`delay_kernel`'s full matrix, computed lazily once.
 
-        In stream mode the matrix is still available for mid-size
-        populations (some analyses genuinely want all pairs) but is
-        refused beyond ``_STREAM_MATRIX_HARD_LIMIT`` hosts — use
-        :meth:`one_way_delay_row` / :attr:`delay_kernel` there.
+        Refused with :class:`~repro.errors.ConfigurationError` above
+        :data:`MATRIX_HOST_CAP` hosts; ``delay_kernel.delay_block``
+        serves any block of it there.
         """
         if self._latency_matrix is None:
             n = len(self.hosts)
-            if self.delay_backend == "stream" and n > _STREAM_MATRIX_HARD_LIMIT:
+            if n > MATRIX_HOST_CAP:
                 raise ConfigurationError(
-                    f"refusing to materialise the {n}x{n} host latency matrix "
-                    f"(~{n * n * 8 / 2**30:.0f} GiB) in stream mode; use "
-                    "one_way_delay_row()/delay_kernel instead"
+                    f"refusing to build the {n}x{n} host latency matrix: it "
+                    f"needs {n * n * 8 / 2**30:.1f} GiB and the cap is "
+                    f"{MATRIX_HOST_CAP} hosts; use delay_kernel.delay_block()"
                 )
             note_cache_event("host_latency", "miss")
             with timed_build("host_latency"):
@@ -219,18 +191,10 @@ class Underlay:
         return 2.0 * self.latency_matrix
 
     def one_way_delay(self, src: Hashable, dst: Hashable) -> float:
-        """LatencyProvider protocol over host ids (ms).
-
-        Matrix mode reads the precomputed matrix; stream mode computes
-        through the kernel's LRU pair memo — same value either way.
-        """
+        """LatencyProvider protocol over host ids (ms): one read of
+        :attr:`latency_matrix`."""
         i = self._index_for(src)
         j = self._index_for(dst)
-        if self.delay_backend == "stream":
-            kernel = self._delay_kernel
-            if kernel is None:
-                kernel = self.delay_kernel
-            return kernel.delay_scalar(i, j)
         mat = self._latency_matrix
         if mat is None:  # build once; per-message lookups stay O(1) reads
             mat = self.latency_matrix
@@ -247,18 +211,14 @@ class Underlay:
         self, src: Hashable, dsts: Sequence[Hashable]
     ) -> np.ndarray:
         """One-way delay from ``src`` to each of ``dsts`` (ms) as one
-        row — a latency-matrix gather in matrix mode, a streamed
-        :meth:`~repro.underlay.latency.StreamingDelayKernel.delay_row`
-        in stream mode; the batch form of :meth:`one_way_delay`,
-        value-identical entry by entry in either backend."""
+        :attr:`latency_matrix` gather: the batch form of
+        :meth:`one_way_delay`, value-identical entry by entry."""
         idx = self._index_of
         i = self._index_for(src)
         try:  # dsts are almost always bare host ids; resolve tuples lazily
             cols = [idx[d] for d in dsts]
         except (KeyError, TypeError):
             cols = [self._index_for(d) for d in dsts]
-        if self.delay_backend == "stream":
-            return self.delay_kernel.delay_row(i, cols)
         mat = self._latency_matrix
         if mat is None:
             mat = self.latency_matrix

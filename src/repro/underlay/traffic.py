@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Optional
 
 from repro.errors import ConfigurationError
 from repro.underlay.autonomous_system import LinkType
-from repro.underlay.cost import CostModel, TransitBillingLedger
+from repro.underlay.cost import TransitBillingLedger
 from repro.underlay.routing import ASRouting
 from repro.underlay.topology import InternetTopology
 
@@ -152,13 +152,6 @@ class TrafficAccountant:
         self.transit_samples.clear()
         self.kind_bytes.clear()
         self.billing = TransitBillingLedger(bucket_seconds=self.bucket_seconds)
-
-    def per_as_bills(
-        self, model: CostModel, *, percentile: float | None = None
-    ) -> dict[int, float]:
-        """Monthly transit bill per paying AS, percentile-billed through
-        the shared :class:`~repro.underlay.cost.TransitBillingLedger`."""
-        return self.billing.bills(model, percentile=percentile)
 
     def peak_transit_mbps(self, link: tuple[int, int], percentile: float = 95.0) -> float:
         """Billable rate of a transit link: the given percentile of the

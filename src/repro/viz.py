@@ -1,11 +1,11 @@
-"""Graphviz DOT export for topologies and overlays.
+"""Graphviz DOT export for overlays.
 
 The paper's Figures 5 and 6 are *visualisations* of overlay topologies
 (random vs oracle-biased).  This module renders the same pictures: DOT
-text with one colour per AS, peering/transit link styles for the
-underlay, and role-shaped nodes for Gnutella overlays.  Feed the output
-to ``dot -Tsvg`` (Graphviz is not a dependency; the strings are plain
-text and are asserted structurally in the tests).
+text with one colour per AS and role-shaped nodes for Gnutella
+overlays.  Feed the output to ``dot -Tsvg`` (Graphviz is not a
+dependency; the strings are plain text and are asserted structurally
+in the tests).
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from __future__ import annotations
 from typing import Callable, Hashable, Optional
 
 import networkx as nx
-
-from repro.underlay.autonomous_system import LinkType, Tier
-from repro.underlay.topology import InternetTopology
 
 #: Distinguishable fill colours, reused cyclically per AS.
 _PALETTE = (
@@ -29,29 +26,6 @@ _PALETTE = (
 def color_for(asn: int) -> str:
     """Stable fill colour for an AS (palette cycles past 20 ASes)."""
     return _PALETTE[asn % len(_PALETTE)]
-
-
-def dot_topology(topology: InternetTopology) -> str:
-    """The Figure 1 picture: tiers as ranks, transit solid, peering dashed."""
-    lines = [
-        "graph underlay {",
-        "  rankdir=TB;",
-        '  node [style=filled, fontname="Helvetica"];',
-    ]
-    shape = {Tier.TIER1: "doubleoctagon", Tier.TIER2: "box", Tier.STUB: "ellipse"}
-    for asys in topology.ases:
-        lines.append(
-            f'  as{asys.asn} [label="AS{asys.asn}", '
-            f"shape={shape[asys.tier]}, fillcolor=\"{color_for(asys.asn)}\"];"
-        )
-    for provider, customer in topology.transit_links():
-        lines.append(
-            f"  as{provider} -- as{customer} [style=solid, penwidth=1.5];"
-        )
-    for a, b in topology.peering_links():
-        lines.append(f"  as{a} -- as{b} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def dot_overlay(

@@ -1,21 +1,5 @@
-"""Workload generators: content catalogues, query schedules, churn traces."""
+"""Workload generators: content catalogues."""
 
 from repro.workloads.content import CatalogConfig, ContentCatalog
-from repro.workloads.churn_traces import (
-    SessionInterval,
-    availability,
-    generate_trace,
-    online_at,
-)
-from repro.workloads.queries import QueryEvent, QueryWorkload
 
-__all__ = [
-    "CatalogConfig",
-    "ContentCatalog",
-    "QueryEvent",
-    "QueryWorkload",
-    "SessionInterval",
-    "availability",
-    "generate_trace",
-    "online_at",
-]
+__all__ = ["CatalogConfig", "ContentCatalog"]

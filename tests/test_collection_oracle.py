@@ -58,14 +58,6 @@ def test_best_and_empty(dense_underlay):
     assert oracle.best(ids[0], ids[1:4]) in ids[1:4]
 
 
-def test_same_as_filter(dense_underlay):
-    u = dense_underlay
-    oracle = ISPOracle(u)
-    querier = u.hosts[0].host_id
-    got = oracle.same_as_candidates(querier, u.host_ids()[1:])
-    assert all(u.asn_of(c) == u.hosts[0].asn for c in got)
-
-
 def test_overhead_scales_with_list_size(dense_underlay):
     oracle = ISPOracle(dense_underlay)
     ids = dense_underlay.host_ids()

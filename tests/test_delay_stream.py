@@ -1,19 +1,18 @@
-"""Streaming delay kernel: equivalence with the matrix backend.
+"""Streaming delay kernel: the one host-delay formula.
 
 The contract under test is *bit-identical values across every delay
 path*: the scalar oracle :func:`reference_one_way_delay` below,
-``Underlay.latency_matrix`` (all-pairs),
-``StreamingDelayKernel.delay_row``/``delay_block``/``delay_scalar``
-(streamed), and the two ways an ``Underlay`` serves delays — plus the
-O(n)-memory claim at 10^5 hosts (``-m scale``).
+``Underlay.latency_matrix`` (all-pairs, the one way an ``Underlay``
+serves delays), and ``StreamingDelayKernel.delay_row``/``delay_block``
+— plus the matrix's host cap, and the O(rows x cols)-memory claim of
+``delay_block`` at 10^5 hosts (``-m scale``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import json
 import multiprocessing
-import pathlib
 import resource
 
 import numpy as np
@@ -23,14 +22,13 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.underlay import (
-    STREAM_AUTO_HOST_THRESHOLD,
+    MATRIX_HOST_CAP,
     LatencyModel,
     StreamingDelayKernel,
     Underlay,
     UnderlayConfig,
     pair_jitter,
 )
-from repro.underlay import network
 from repro.underlay.hosts import Host
 
 
@@ -69,17 +67,6 @@ def reference_one_way_delay(
 @functools.lru_cache(maxsize=8)
 def _underlay(n_hosts: int, seed: int) -> Underlay:
     return Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
-
-
-def _streamed(u: Underlay, monkeypatch, *, hard_limit: int | None = None) -> Underlay:
-    """A fresh underlay over ``u``'s topology and hosts that the size
-    rule resolves to stream mode (threshold patched below its size)."""
-    monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 0)
-    if hard_limit is not None:
-        monkeypatch.setattr(network, "_STREAM_MATRIX_HARD_LIMIT", hard_limit)
-    s = Underlay(u.topology, u.hosts)
-    assert s.delay_backend == "stream"
-    return s
 
 
 # -- the jitter kernel itself -------------------------------------------------
@@ -134,7 +121,6 @@ def test_scalar_matrix_row_agree_bitwise(seed):
         assert mat[i, j] == scalar
         assert u.one_way_delay(u.hosts[i].host_id, u.hosts[j].host_id) == scalar
         assert kernel.delay_row(int(i), [int(j)])[0] == scalar
-        assert kernel.delay_scalar(int(i), int(j)) == scalar
 
 
 def test_matrix_is_symmetric_with_zero_diagonal():
@@ -165,63 +151,24 @@ def test_stream_block_matches_matrix_entrywise(n_hosts, seed, data):
     assert np.array_equal(kernel.delay_row(row, cols), mat[row, cols])
 
 
-# -- how an Underlay serves delays: the size rule ------------------------------
+# -- the matrix's host cap -----------------------------------------------------
 
-def test_stream_and_matrix_backends_value_identical(monkeypatch):
-    m = _underlay(60, 9)
-    s = _streamed(m, monkeypatch)
-    ids = m.host_ids()
-    for src in ids[:5]:
-        assert np.array_equal(
-            m.one_way_delay_row(src, ids), s.one_way_delay_row(src, ids)
-        )
-        for dst in ids[::7]:
-            assert m.one_way_delay(src, dst) == s.one_way_delay(src, dst)
-    # both serve the one kernel's values: rows of the matrix are its rows
-    kernel = m.delay_kernel
-    for i in range(0, len(ids), 11):
-        assert np.array_equal(
-            kernel.delay_row(i, range(len(ids))), m.latency_matrix[i]
-        )
-
-
-def test_auto_backend_threshold(monkeypatch):
-    assert STREAM_AUTO_HOST_THRESHOLD == 2048
+def test_latency_matrix_refused_above_the_cap():
+    """Above ``MATRIX_HOST_CAP`` hosts the matrix is a refusal naming
+    the memory it would need, not a second way to serve delays; the
+    kernel still computes any block there."""
     u = _underlay(30, 1)
-    assert u.delay_backend == "matrix"
-    assert Underlay.generate(UnderlayConfig(n_hosts=30, seed=1)).delay_backend == "matrix"
-    # don't generate >2048 hosts just for the rule: move the threshold
-    monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 30)
-    assert Underlay(u.topology, u.hosts).delay_backend == "matrix"
-    monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 29)
-    assert Underlay(u.topology, u.hosts).delay_backend == "stream"
-
-
-def test_stream_scalar_memo_hits(monkeypatch):
-    u = _streamed(_underlay(50, 2), monkeypatch)
-    a, b = u.host_ids()[:2]
-    u.one_way_delay(a, b)
-    info0 = u.delay_kernel.memo_info()
-    for _ in range(10):
-        u.one_way_delay(a, b)
-        u.one_way_delay(b, a)  # symmetric key
-    info1 = u.delay_kernel.memo_info()
-    assert info1.misses == info0.misses  # all served from the memo
-    assert info1.hits >= info0.hits + 20
-    u.delay_kernel.memo_clear()
-    assert u.delay_kernel.memo_info().hits == 0
-
-
-def test_stream_mode_matrix_available_midsize_refused_at_scale(monkeypatch):
-    m = _underlay(60, 9)
-    # mid-size stream underlays may still materialise the matrix...
-    assert np.array_equal(_streamed(m, monkeypatch).latency_matrix, m.latency_matrix)
-    # ...but past the hard limit the property must refuse, not swap 80 GB
-    big = _streamed(m, monkeypatch, hard_limit=59)
-    with pytest.raises(ConfigurationError, match="refusing"):
+    hosts = [
+        dataclasses.replace(u.hosts[i % 30], host_id=i)
+        for i in range(MATRIX_HOST_CAP + 1)
+    ]
+    big = Underlay(u.topology, hosts)
+    with pytest.raises(ConfigurationError, match=r"refusing .* 3\.0 GiB"):
         big.latency_matrix
-    # the kernel still serves rows there
-    assert big.one_way_delay_row(m.host_ids()[0], m.host_ids()).shape == (60,)
+    with pytest.raises(ConfigurationError, match="refusing"):
+        big.one_way_delay(0, 1)
+    block = big.delay_kernel.delay_block([0, MATRIX_HOST_CAP], [0, 1, 2])
+    assert block.shape == (2, 3) and block[0, 0] == 0.0 and block[1, 0] > 0
 
 
 def test_one_kernel_per_underlay(monkeypatch):
@@ -263,9 +210,18 @@ def test_one_kernel_per_underlay(monkeypatch):
     assert reference_one_way_delay(u.latency, u.hosts[5], u.hosts[5]) == 0.0
 
 
+def _column_bytes(kernel: StreamingDelayKernel) -> int:
+    """Bytes in the kernel's SoA columns (the shared AS-delay matrix
+    left out)."""
+    return sum(
+        col.nbytes
+        for col in (kernel.host_ids, kernel.asns, kernel.access_ms, kernel.positions)
+    )
+
+
 def test_kernel_memory_is_linear_in_hosts():
     u = _underlay(50, 2)
-    per_host = u.delay_kernel.memory_bytes() / len(u.hosts)
+    per_host = _column_bytes(u.delay_kernel) / len(u.hosts)
     # uint64 + int64 + float64 + 2x float64 = 40 bytes of columns per host
     assert per_host == 40.0
 
@@ -280,26 +236,25 @@ def test_kernel_rejects_mismatched_columns():
         )
 
 
-# -- 10^5-host smoke: O(n) memory, value-consistent rows (-m scale) -----------
+# -- 10^5-host smoke: O(rows x cols) memory, oracle-exact rows (-m scale) -----
 
 def _scale_probe(n_hosts: int) -> dict:
-    """Forked-child body: build a stream underlay at ``n_hosts`` and
-    serve delay rows; peak RSS stays O(n) (the matrix would be
-    ~{n^2 * 8 / 2**30:.0f} GiB)."""
+    """Forked-child body: build a 10^5-host underlay (far above the
+    matrix cap) and compute delay rows with ``delay_block``; peak RSS
+    stays O(n + rows x cols) (the matrix would be ~75 GiB)."""
     u = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=17))
-    assert u.delay_backend == "stream"
     kernel = u.delay_kernel
     cols = list(range(0, n_hosts, max(1, n_hosts // 4096)))[:4096]
-    rows = [kernel.delay_row(r, cols) for r in (0, n_hosts // 2, n_hosts - 1)]
-    # row entries agree with the memoised scalar path
-    scalar_ok = all(
-        rows[0][c] == kernel.delay_scalar(0, cols[c]) for c in (1, 100, 1000)
+    rows = kernel.delay_block([0, n_hosts // 2, n_hosts - 1], cols)
+    oracle_ok = all(
+        rows[0, c] == reference_one_way_delay(u.latency, u.hosts[0], u.hosts[cols[c]])
+        for c in (1, 100, 1000)
     )
     return {
         "n_hosts": n_hosts,
-        "scalar_ok": bool(scalar_ok),
-        "row_finite": bool(all(np.isfinite(r).all() for r in rows)),
-        "kernel_mb": kernel.memory_bytes() / 2**20,
+        "oracle_ok": bool(oracle_ok),
+        "row_finite": bool(np.isfinite(rows).all()),
+        "kernel_mb": _column_bytes(kernel) / 2**20,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -318,7 +273,7 @@ def test_delay_rows_at_1e5_hosts_bounded_rss():
     result = rx.recv()
     proc.join()
     assert proc.exitcode == 0
-    assert result["scalar_ok"] and result["row_finite"]
+    assert result["oracle_ok"] and result["row_finite"]
     assert result["kernel_mb"] < 8.0  # 40 B/host of SoA columns
-    # the full matrix would be ~75 GiB; the stream path must stay O(n)
+    # the full matrix would be ~75 GiB; delay_block must stay O(rows x cols)
     assert result["peak_rss_mb"] < 2048, result

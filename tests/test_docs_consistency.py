@@ -5,6 +5,7 @@ indexed and every indexed module exists; these tests keep the docs from
 rotting as the code moves.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -74,8 +75,12 @@ def test_every_documented_module_exists():
     )
 
 
-#: callables the docs mention that are numpy's or the standard library's
-_FOREIGN = {"np.unique", "dataclass", "bisect_right", "choice"}
+#: names the docs spell that are not ``repro``'s: numpy's, the standard
+#: library's, a parameter's, big-O notation, the surveyed systems' own
+_FOREIGN = {
+    "np.unique", "dataclass", "bisect_right", "choice", "replace", "repr",
+    "min", "float", "mat.item", "callback", "O", "Globase.KOM", "SkyEye.KOM",
+}
 
 
 def _public_callables() -> dict[str, list]:
@@ -130,6 +135,47 @@ def test_every_documented_keyword_exists():
                         )
     assert not wrong, "docs name keywords nothing takes:\n" + "\n".join(
         sorted(set(wrong))
+    )
+
+
+def _has_attr(cls, attr: str) -> bool:
+    """A class attribute, a dataclass field, or an instance attribute
+    its methods assign."""
+    if hasattr(cls, attr) or (
+        dataclasses.is_dataclass(cls)
+        and attr in {f.name for f in dataclasses.fields(cls)}
+    ):
+        return True
+    return re.search(
+        rf"self\.{attr}\b\s*(:[^=]*)?=", inspect.getsource(cls)
+    ) is not None
+
+
+def test_every_documented_name_exists():
+    """Every back-quoted ``Class.attr`` names an attribute of a public
+    ``repro`` class of that name, and every back-quoted call span
+    (``name()``, ``obj.name(args)``) names a public ``repro`` callable:
+    a doc that still names a deleted function fails here."""
+    index = _public_callables()
+    class_attr = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
+    call = re.compile(r"([A-Za-z_][\w.]*)\([^()]*\)")
+    missing = []
+    for doc in _living_docs():
+        for span in _code_spans(doc):
+            for cls_name, attr in class_attr.findall(span):
+                if attr in ("md", "py", "json") or f"{cls_name}.{attr}" in _FOREIGN:
+                    continue  # a file name, or not repro's
+                classes = [c for c in index.get(cls_name, []) if inspect.isclass(c)]
+                if not any(_has_attr(c, attr) for c in classes):
+                    missing.append(f"{doc.relative_to(ROOT)}: {cls_name}.{attr}")
+            whole = call.fullmatch(span.strip())
+            if whole is None or class_attr.search(whole.group(1)):
+                continue  # not a lone call, or checked as Class.attr above
+            callee = whole.group(1)
+            if callee not in _FOREIGN and callee.rsplit(".", 1)[-1] not in index:
+                missing.append(f"{doc.relative_to(ROOT)}: {callee}()")
+    assert not missing, "docs name what repro does not have:\n" + "\n".join(
+        sorted(set(missing))
     )
 
 

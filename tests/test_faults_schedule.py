@@ -1,4 +1,4 @@
-"""Fault schedule construction, validation, and spec round-tripping."""
+"""Fault schedule construction and validation."""
 
 import pytest
 
@@ -10,17 +10,6 @@ from repro.faults import (
     LossFault,
     PartitionFault,
 )
-
-SPEC = {
-    "faults": [
-        {"kind": "loss", "start": 10e3, "end": 40e3, "rate": 0.3},
-        {"kind": "loss", "start": 0, "end": 60e3, "rate": 1.0,
-         "src": 3, "dst": 7, "bidirectional": False},
-        {"kind": "delay", "start": 5e3, "end": 9e3, "extra_ms": 80, "asn": 2},
-        {"kind": "partition", "start": 20e3, "end": 30e3, "groups": [[1, 2]]},
-        {"kind": "crash", "at": 15e3, "peers": [4, 9], "recover_at": 45e3},
-    ]
-}
 
 
 def test_window_validation():
@@ -111,7 +100,13 @@ def test_schedule_rejects_non_faults():
 
 
 def test_schedule_partitions_faults_by_role():
-    sched = FaultSchedule.from_dict(SPEC)
+    sched = FaultSchedule((
+        LossFault(start=10e3, end=40e3, rate=0.3),
+        LossFault(start=0, end=60e3, rate=1.0, src=3, dst=7),
+        DelayFault(start=5e3, end=9e3, extra_ms=80, asn=2),
+        PartitionFault(start=20e3, end=30e3, groups=((1, 2),)),
+        CrashFault(at=15e3, peers=(4, 9), recover_at=45e3),
+    ))
     assert len(sched) == 5
     assert len(sched.message_faults) == 4
     assert len(sched.crash_faults) == 1
@@ -119,27 +114,3 @@ def test_schedule_partitions_faults_by_role():
     assert not FaultSchedule(
         (LossFault(start=0, end=1, rate=0.5),)
     ).needs_asn
-
-
-def test_from_dict_rejects_bad_specs():
-    with pytest.raises(FaultError):
-        FaultSchedule.from_dict({})
-    with pytest.raises(FaultError):
-        FaultSchedule.from_dict({"faults": [{"kind": "meteor", "at": 0}]})
-    with pytest.raises(FaultError):
-        FaultSchedule.from_dict(
-            {"faults": [{"kind": "loss", "start": 0, "end": 1, "rate": 0.5,
-                         "extra_ms": 3}]}
-        )
-    with pytest.raises(FaultError):
-        FaultSchedule.from_dict({"faults": ["loss"]})
-
-
-def test_from_json_and_round_trip():
-    import json
-
-    sched = FaultSchedule.from_json(json.dumps(SPEC))
-    again = FaultSchedule.from_dict(sched.to_dict())
-    assert again == sched
-    with pytest.raises(FaultError):
-        FaultSchedule.from_json("{not json")

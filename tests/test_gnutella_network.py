@@ -4,6 +4,7 @@ import pytest
 
 from repro.collection import ISPOracle
 from repro.errors import OverlayError
+from repro.metrics import intra_as_edge_fraction
 from repro.overlay.gnutella import (
     GnutellaConfig,
     GnutellaNetwork,
@@ -125,7 +126,7 @@ def test_biased_join_improves_locality():
         network.bootstrap(cache_fill=59)
         network.join_all()
         sim.run()
-        results[policy] = network.intra_as_edge_fraction()
+        results[policy] = intra_as_edge_fraction(network.overlay_graph(), u.asn_of)
     assert results[NeighborPolicy.BIASED] > 2 * results[NeighborPolicy.UNBIASED]
 
 

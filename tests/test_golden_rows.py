@@ -9,6 +9,10 @@ One SHA-256 per :data:`repro.cli.EXPERIMENTS` id, taken over
 A change that moves a row moves its digest.  If the move is intended,
 replace that id's digest in ``golden_rows.json`` with the one the
 failure prints and name the experiment in the change log.
+
+The same runs check the bus conservation law: once an experiment
+returns, every :class:`~repro.sim.messages.MessageBus` it built has
+delivered or dropped, for exactly one reason, every message it sent.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXPERIMENTS
+from repro.sim.messages import MessageBus
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_rows.json").read_text())
 SMOKE = {"RESILIENCE", "LOCALITY", "SERVICE"}
@@ -37,6 +42,21 @@ def test_every_experiment_is_pinned():
 
 
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
-def test_rows_match_golden(exp_id):
+def test_rows_match_golden(exp_id, monkeypatch):
+    buses = []
+    init = MessageBus.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        buses.append(self)
+
+    monkeypatch.setattr(MessageBus, "__init__", recording_init)
     digest = rows_digest(exp_id)
     assert digest == GOLDEN[exp_id], f"{exp_id}: rows moved, new digest {digest}"
+    for i, bus in enumerate(buses):
+        s = bus.stats
+        dropped = s.dropped_no_handler + s.dropped_loss + s.dropped_fault
+        assert s.sent == s.delivered + dropped, (
+            f"{exp_id}: bus {i} of {len(buses)} sent {s.sent}, delivered "
+            f"{s.delivered}, dropped {dropped}"
+        )

@@ -40,7 +40,7 @@ def test_find_node_converges_to_closest(dht):
     ids = list(net.nodes)
     target = net.nodes[ids[7]].node_id
     results = []
-    net.lookup_node(ids[0], target, results)
+    net.nodes[ids[0]].iterative_find_node(target, results.append)
     sim.run(until=sim.now + 60_000)
     assert len(results) == 1
     res = results[0]

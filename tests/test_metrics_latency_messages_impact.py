@@ -1,7 +1,5 @@
 """Unit tests for latency metrics, message stats and the impact mapping."""
 
-import networkx as nx
-import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -13,9 +11,7 @@ from repro.metrics import (
     delay_percentiles,
     gnutella_table_row,
     impact_symbol,
-    neighbor_delay_stats,
     overhead_ratio,
-    overlay_path_stretch,
     reduction_percent,
     table_reductions,
 )
@@ -37,34 +33,6 @@ class TestLatencyMetrics:
         assert d["p99.9"] > d["p99"]
         with pytest.raises(ReproError):
             delay_percentiles([1.0, 2.0], (99, 99.0))
-
-    def test_neighbor_delay_stats(self):
-        g = nx.path_graph(4)
-        stats = neighbor_delay_stats(g, lambda a, b: abs(a - b) * 10.0)
-        assert stats["mean"] == pytest.approx(10.0)
-
-    def test_stretch_at_least_one(self):
-        g = nx.complete_graph(6)
-        delay = lambda a, b: 1.0 + abs(a - b)
-        pairs = [(0, 5), (1, 4), (2, 3)]
-        s = overlay_path_stretch(g, delay, pairs)
-        assert s >= 1.0
-
-    def test_stretch_penalises_sparse_overlay(self):
-        chain = nx.path_graph(6)
-        full = nx.complete_graph(6)
-        delay = lambda a, b: 1.0 if a != b else 0.0
-        pairs = [(0, 5)]
-        assert overlay_path_stretch(chain, delay, pairs) > overlay_path_stretch(
-            full, delay, pairs
-        )
-
-    def test_stretch_no_paths_raises(self):
-        g = nx.Graph()
-        g.add_nodes_from([0, 1])
-        with pytest.raises(ReproError):
-            overlay_path_stretch(g, lambda a, b: 1.0, [(0, 1)])
-
 
 class TestMessageStats:
     def test_table_row_extracts_kinds(self):

@@ -12,7 +12,6 @@ from repro.metrics import (
     inter_as_edge_count,
     is_connected,
     largest_component_fraction,
-    largest_component_fraction_under_removal,
     locality_summary,
     min_inter_as_edges,
     partition_risk,
@@ -78,21 +77,6 @@ def test_largest_component_fraction():
     assert largest_component_fraction(g) == pytest.approx(3 / 5)
     with pytest.raises(ReproError):
         largest_component_fraction(nx.Graph())
-
-
-def test_removal_sweep_monotone_trend():
-    g = nx.gnm_random_graph(60, 240, seed=2)
-    rows = largest_component_fraction_under_removal(
-        g, [0.0, 0.3, 0.6], trials=5, rng=1
-    )
-    assert rows[0]["largest_component"] == 1.0
-    assert rows[0]["largest_component"] >= rows[2]["largest_component"] - 0.05
-
-
-def test_removal_validates_fraction():
-    g = nx.path_graph(5)
-    with pytest.raises(ReproError):
-        largest_component_fraction_under_removal(g, [1.0])
 
 
 def test_partition_risk_clustered_vs_dense():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.metrics import (
-    asymmetric_nearest_fraction,
     hop_delay_correlation,
     knn_asymmetry,
     long_hop_fraction,
@@ -115,11 +114,11 @@ class TestChallenges:
                 [5.0, 6.0, 0.0],
             ]
         )
-        assert asymmetric_nearest_fraction(d) == pytest.approx(1 / 3)
+        assert knn_asymmetry(d, k=1) == pytest.approx(1 / 3)
 
     def test_asymmetry_zero_for_symmetric_pairs(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert asymmetric_nearest_fraction(d) == 0.0
+        assert knn_asymmetry(d, k=1) == 0.0
 
     def test_knn_asymmetry_bounds(self, small_underlay):
         rtt = small_underlay.rtt_matrix()

@@ -42,7 +42,7 @@ BUDGET = {
     "sim": {"config": 8, "kwargs": 12, "env": 0},
     "underlay": {"config": 24, "kwargs": 9, "env": 0},
     "viz": {"config": 0, "kwargs": 0, "env": 0},
-    "workloads": {"config": 4, "kwargs": 6, "env": 0},
+    "workloads": {"config": 4, "kwargs": 2, "env": 0},
 }
 
 _ENV_NAME = re.compile(r"""["'](REPRO_[A-Z0-9_]+)["']""")

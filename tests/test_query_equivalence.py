@@ -8,8 +8,7 @@ and on bus stats, ``message_counts()`` (including the drop counters),
 per-node counters, what every node learned from the ping round (pong
 cache and hostcache, in order), search hits, and first-hit latencies —
 across seeds,
-loss rates (serial floods), whole-run fault windows, TTL edge cases, and
-both delay backends (matrix and stream).
+loss rates (serial floods), whole-run fault windows and TTL edge cases.
 
 A :class:`TrafficAccountant` rides on the same bus ahead of the
 ``SendLog``: the kernel hands it one aggregate per ``(src, dst, kind)``
@@ -34,7 +33,6 @@ from repro.overlay.kademlia.network import KademliaNetwork
 from repro.sim import Simulation
 from repro.sim.messages import MessageBus
 from repro.underlay import TrafficAccountant, Underlay, UnderlayConfig
-from repro.underlay import network
 from tests.gnutella_reference import ReferenceGnutellaNetwork
 from tests.sendlog import SendLog
 from tests.test_traffic_oracle import state as traffic_state
@@ -48,28 +46,19 @@ _NETWORKS = {"batch": GnutellaNetwork, "reference": ReferenceGnutellaNetwork}
 _UNDERLAYS: dict = {}
 
 
-def _underlay(n_hosts, seed=13, stream=False):
-    """The shared underlay; ``stream=True`` serves the same topology and
-    hosts through the streaming kernel (the size rule's threshold moved
-    below the population)."""
-    key = (n_hosts, seed, stream)
+def _underlay(n_hosts, seed=13):
+    """The shared underlay of one population size."""
+    key = (n_hosts, seed)
     if key not in _UNDERLAYS:
-        if stream:
-            base = _underlay(n_hosts, seed)
-            with pytest.MonkeyPatch.context() as patched:
-                patched.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 0)
-                u = Underlay(base.topology, base.hosts)
-            assert u.delay_backend == "stream"
-        else:
-            u = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
-            assert u.delay_backend == "matrix"
-        _UNDERLAYS[key] = u
+        _UNDERLAYS[key] = Underlay.generate(
+            UnderlayConfig(n_hosts=n_hosts, seed=seed)
+        )
     return _UNDERLAYS[key]
 
 
 def _build(backend, *, seed, n_hosts=45, loss=0.0, ttl=5,
-           fault_schedule=None, accounting=True, stream=False):
-    u = _underlay(n_hosts, stream=stream)
+           fault_schedule=None, accounting=True):
+    u = _underlay(n_hosts)
     sim = Simulation()
     bus = MessageBus(sim, u, loss_rate=loss, loss_seed=seed)
     acct = None
@@ -138,6 +127,13 @@ def _fingerprint(u, bus, net, log, acct, guids):
     }
 
 
+def _conserved(fp) -> bool:
+    """The bus law once a run has drained: every send was delivered or
+    dropped for exactly one reason."""
+    sent, delivered, _bytes, loss, fault, no_handler, _kinds = fp["stats"]
+    return sent == delivered + loss + fault + no_handler
+
+
 def _run_workload(backend, *, seed, serial=False, with_events=False,
                   **kwargs):
     u, sim, bus, net, log, acct = _build(backend, seed=seed, **kwargs)
@@ -163,13 +159,6 @@ def test_flood_workload_bit_identical(seed):
     ref = _run_workload("reference", seed=seed)
     bat = _run_workload("batch", seed=seed)
     assert ref == bat
-    # the delay backends are value-identical (test_delay_stream), so the
-    # bus and the kernel must not be able to tell them apart either
-    for backend in ("reference", "batch"):
-        streamed = _run_workload(backend, seed=seed, stream=True)
-        assert streamed == ref
-    kernel = _underlay(45, stream=True).delay_kernel
-    assert kernel.memo_info().hits > 0  # the sends did read the pair memo
     # the accountant saw every send, once, and some of it left its AS
     seen, logged = bat["observed"]
     assert seen == logged > 0
@@ -182,6 +171,7 @@ def test_serial_floods_bit_identical_under_loss(seed):
     bat = _run_workload("batch", seed=seed, loss=0.12, serial=True)
     assert ref == bat
     assert ref["stats"][3] > 0  # losses actually happened
+    assert _conserved(ref) and _conserved(bat)
     # sends lost in flight were sent, so they are accounted
     assert bat["observed"][0] == bat["observed"][1]
 
@@ -214,6 +204,7 @@ def test_whole_run_fault_window_bit_identical():
         assert ref == bat
         # sends the fault hook dropped are still accounted
         assert bat["observed"][0] == bat["observed"][1]
+        assert _conserved(ref) and _conserved(bat)
         fault_drops += bat["stats"][4]
     assert fault_drops > 0  # the 0<->1 blackhole did drop sends
 
@@ -262,6 +253,7 @@ def test_ping_round_runs_split_by_faults_bit_identical(seed):
     fates = Counter((kind, reason) for _t, kind, reason, *_ in bat["bus_events"])
     assert set(fates) == {("send", None), ("drop", "loss"), ("drop", "fault")}
     assert fates["send", None] == bat["observed"][1]
+    assert _conserved(ref) and _conserved(bat)
 
 
 def test_ping_round_heap_pushes_are_per_run_not_per_pong(monkeypatch):

@@ -9,21 +9,8 @@ from repro.service import (
     DiurnalArrivals,
     ParetoArrivals,
     PoissonArrivals,
-    exponential_interarrival_times,
     make_arrivals,
 )
-
-
-def test_exponential_interarrival_times_shape_and_mean():
-    rng = np.random.default_rng(1)
-    times = exponential_interarrival_times(rng, 5000, 100.0)
-    assert times.shape == (5000,)
-    assert np.all(np.diff(times) > 0) or np.all(np.diff(times) >= 0)
-    assert float(np.mean(np.diff(times))) == pytest.approx(100.0, rel=0.1)
-    with pytest.raises(ConfigurationError):
-        exponential_interarrival_times(rng, -1, 100.0)
-    with pytest.raises(ConfigurationError):
-        exponential_interarrival_times(rng, 10, 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(ARRIVAL_PROCESSES))

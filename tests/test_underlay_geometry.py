@@ -5,7 +5,6 @@ import pytest
 
 from repro.underlay.geometry import (
     Position,
-    cross_distances,
     pairwise_distances,
     positions_to_array,
     scatter_around,
@@ -32,15 +31,6 @@ def test_pairwise_matches_scalar():
 def test_pairwise_rejects_bad_shape():
     with pytest.raises(ValueError):
         pairwise_distances(np.zeros((3, 3)))
-
-
-def test_cross_distances_shape_and_values():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    b = np.array([[0.0, 3.0], [0.0, 4.0], [3.0, 4.0]])
-    d = cross_distances(a, b)
-    assert d.shape == (2, 3)
-    assert d[0, 0] == pytest.approx(3.0)
-    assert d[0, 2] == pytest.approx(5.0)
 
 
 def test_positions_to_array_empty():

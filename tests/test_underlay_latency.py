@@ -69,14 +69,14 @@ def test_scalar_matches_matrix_without_jitter(setup):
 
 def test_loopback_is_tiny(setup):
     _t, _r, model, hosts = setup
-    assert model.delay_kernel(hosts).delay_scalar(0, 0) == 0.0
+    assert model.delay_kernel(hosts).delay_row(0, [0])[0] == 0.0
 
 
 def test_delay_includes_access_latency(setup):
     _t, _r, model, hosts = setup
     a, b = hosts[0], hosts[1]
     # jittered delay never falls below half the access-latency floor
-    assert model.delay_kernel(hosts).delay_scalar(0, 1) >= 0.5 * (
+    assert model.delay_kernel(hosts).delay_row(0, [1])[0] >= 0.5 * (
         a.access_latency_ms + b.access_latency_ms
     )
 

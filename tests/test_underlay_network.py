@@ -23,11 +23,11 @@ def test_host_lookup(small_underlay):
         u.host(99_999)
 
 
-def test_asn_of_and_hosts_in_as(small_underlay):
+def test_asn_of(small_underlay):
     u = small_underlay
     h = u.hosts[0]
     assert u.asn_of(h.host_id) == h.asn
-    assert h in u.hosts_in_as(h.asn)
+    assert u.asn_of(("svc", h.host_id)) == h.asn
 
 
 def test_latency_provider_protocol(small_underlay):
@@ -94,17 +94,10 @@ def test_duplicate_host_ids_rejected(small_underlay):
         Underlay(u.topology, [u.hosts[0], u.hosts[0]])
 
 
-@pytest.mark.parametrize("backend", ["matrix", "stream"])
-def test_unknown_host_id_raises_topology_error(backend, monkeypatch):
+def test_unknown_host_id_raises_topology_error():
     """Every host-id entry point reports an unknown id the same way; the
     delay API used to leak a bare KeyError from its index lookup."""
-    from repro.underlay import network
-
-    base = Underlay.generate(UnderlayConfig(n_hosts=30, seed=3))
-    if backend == "stream":
-        monkeypatch.setattr(network, "STREAM_AUTO_HOST_THRESHOLD", 0)
-    u = Underlay(base.topology, base.hosts)
-    assert u.delay_backend == backend
+    u = Underlay.generate(UnderlayConfig(n_hosts=30, seed=3))
     h, bad = u.host_ids()[0], 10**9
     calls = [
         lambda: u.host(bad),

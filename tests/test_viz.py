@@ -1,30 +1,13 @@
 """Unit tests for the DOT exporters."""
 
 import networkx as nx
-import pytest
 
-from repro.underlay import Tier
-from repro.viz import color_for, dot_overlay, dot_topology, write_figure6_pair
+from repro.viz import color_for, dot_overlay, write_figure6_pair
 
 
 def test_color_cycling():
     assert color_for(0) == color_for(20)
     assert color_for(0) != color_for(1)
-
-
-def test_dot_topology_structure(small_underlay):
-    topo = small_underlay.topology
-    dot = dot_topology(topo)
-    assert dot.startswith("graph underlay {")
-    assert dot.endswith("}")
-    # one node line per AS
-    assert sum(1 for line in dot.splitlines() if "[label=\"AS" in line) == len(topo)
-    # transit solid, peering dashed
-    assert dot.count("style=solid") == len(topo.transit_links())
-    assert dot.count("style=dashed") == len(topo.peering_links())
-    # tier-1 carriers drawn distinctly
-    t1 = topo.ases_by_tier(Tier.TIER1)
-    assert dot.count("doubleoctagon") == len(t1)
 
 
 def test_dot_overlay_edge_classes(dense_underlay):

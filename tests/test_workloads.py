@@ -1,18 +1,9 @@
 """Unit tests for workload generators."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import ChurnConfig
-from repro.workloads import (
-    CatalogConfig,
-    ContentCatalog,
-    QueryWorkload,
-    availability,
-    generate_trace,
-    online_at,
-)
+from repro.workloads import CatalogConfig, ContentCatalog
 
 
 class TestCatalog:
@@ -74,99 +65,3 @@ class TestCatalog:
         b = set(cat.draw_files(3, 8))
         slice3 = set(int(f) for f in cat._as_slice(3))
         assert a <= slice3 and b <= slice3
-
-
-class TestQueryWorkload:
-    def test_schedule_sorted_and_sized(self, small_underlay):
-        cat = ContentCatalog(CatalogConfig(n_files=20), rng=1)
-        wl = QueryWorkload(
-            small_underlay.hosts, cat, queries_per_host=2,
-            duration_ms=1000.0, rng=2,
-        )
-        events = wl.events()
-        assert len(events) == 2 * len(small_underlay.hosts)
-        times = [e.at_ms for e in events]
-        assert times == sorted(times)
-        assert all(0 <= t <= 1000.0 for t in times)
-
-    def test_validation(self, small_underlay):
-        cat = ContentCatalog(rng=1)
-        with pytest.raises(ConfigurationError):
-            QueryWorkload(small_underlay.hosts, cat, queries_per_host=-1)
-        with pytest.raises(ConfigurationError):
-            QueryWorkload(small_underlay.hosts, cat, duration_ms=0)
-        with pytest.raises(ConfigurationError):
-            QueryWorkload(small_underlay.hosts, cat, arrival="weibull")
-
-    def test_uniform_default_is_bit_for_bit_stable(self, small_underlay):
-        # the arrival parameter must not perturb the historical uniform
-        # schedule: replay the exact draw sequence by hand and compare
-        cat = ContentCatalog(CatalogConfig(n_files=20), rng=1)
-        wl = QueryWorkload(
-            small_underlay.hosts, cat, queries_per_host=3,
-            duration_ms=1000.0, rng=7,
-        )
-        events = wl.events()
-
-        ref_cat = ContentCatalog(CatalogConfig(n_files=20), rng=1)
-        ref_rng = np.random.default_rng(7)
-        expected = []
-        for h in small_underlay.hosts:
-            for _ in range(3):
-                kw = ref_cat.draw_query(h.asn)
-                expected.append((h.host_id, kw, float(ref_rng.uniform(0, 1000.0))))
-        expected.sort(key=lambda e: e[2])
-        assert [(e.origin, e.keyword, e.at_ms) for e in events] == expected
-
-    def test_poisson_mode_draws_exponential_gaps(self, small_underlay):
-        cat = ContentCatalog(CatalogConfig(n_files=20), rng=1)
-        wl = QueryWorkload(
-            small_underlay.hosts, cat, queries_per_host=50,
-            duration_ms=10_000.0, arrival="poisson", rng=7,
-        )
-        events = wl.events()
-        assert len(events) == 50 * len(small_underlay.hosts)
-        times = [e.at_ms for e in events]
-        assert times == sorted(times)
-        # an open-loop Poisson schedule has a soft horizon: the expected
-        # span matches duration_ms but events may land beyond it
-        assert max(times) > 0
-        # per-host mean interarrival should be near duration/qph = 200ms
-        per_host: dict[int, list[float]] = {}
-        for e in events:
-            per_host.setdefault(e.origin, []).append(e.at_ms)
-        means = [
-            np.mean(np.diff(sorted(ts))) for ts in per_host.values()
-        ]
-        assert 120.0 < float(np.mean(means)) < 280.0
-
-
-class TestChurnTraces:
-    def test_trace_sessions_within_horizon(self):
-        trace = generate_trace(
-            list(range(10)), ChurnConfig(mean_session=100, mean_offline=50),
-            horizon_s=1000.0, rng=1,
-        )
-        assert trace
-        for s in trace:
-            assert 0 <= s.start_s < s.end_s <= 1000.0
-
-    def test_online_at(self):
-        trace = generate_trace(
-            [1, 2, 3], ChurnConfig(mean_session=400, mean_offline=10),
-            horizon_s=500.0, rng=2,
-        )
-        online = online_at(trace, 250.0)
-        assert online <= {1, 2, 3}
-
-    def test_availability_fraction(self):
-        trace = generate_trace(
-            [7], ChurnConfig(mean_session=100, mean_offline=100),
-            horizon_s=5000.0, rng=3,
-        )
-        a = availability(trace, 7, 5000.0)
-        assert 0.2 < a < 0.8
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            generate_trace([1], ChurnConfig(), horizon_s=0.0)
