@@ -10,11 +10,14 @@ Usage::
 
 Each experiment prints the same rows its benchmark asserts on; ``--arg``
 forwards keyword overrides (ints/floats parsed automatically).
-``--trace`` runs the experiment with the observability layer on and
-prints the metrics snapshot (JSON) and the trace digest after the table.
+``--trace`` runs the experiment inside an :func:`repro.obs.observe`
+scope and prints, after the table, JSON with the trace digest, the
+event count and the per-``"component.kind"`` event tally.
 ``--workers N`` fans multi-arm sweeps (seed robustness, the RESILIENCE
 grid, testlab, the fig4/fig6 arms) out over N worker processes via
 :mod:`repro.runner`; results are bit-identical to the serial run.
+Worker processes ship no trace home, so ``--trace`` refuses to run with
+more than one worker (``--workers`` or ``REPRO_RUNNER_WORKERS``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.experiments import (
     run_table2,
     run_testlab,
 )
+from repro.runner import configure_default_workers, resolve_workers
 
 EXPERIMENTS: dict[str, tuple[Callable[..., Any], str]] = {
     "FIG1": (run_fig1, "Internet hierarchy structure"),
@@ -116,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument(
         "--trace",
         action="store_true",
-        help="collect metrics + a trace while running; print the snapshot",
+        help="trace the run; print its digest and per-kind event counts",
     )
     runp.add_argument(
         "--workers",
@@ -144,11 +148,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown experiment ids {unknown}; try 'python -m repro list'"
             )
         ids = [by_upper[i.upper()] for i in args.ids]
+    if args.workers is not None and args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    if args.trace and resolve_workers(args.workers) > 1:
+        raise SystemExit(
+            "--trace needs a serial run: worker processes ship no trace, "
+            "so drop --workers N / REPRO_RUNNER_WORKERS (or set it to 1)"
+        )
     if args.workers is not None:
-        from repro.runner import configure_default_workers
-
-        if args.workers < 1:
-            raise SystemExit(f"--workers must be >= 1, got {args.workers}")
         configure_default_workers(args.workers)
     overrides = _parse_overrides(args.arg)
     for exp_id in ids:
@@ -161,9 +168,9 @@ def main(argv: list[str] | None = None) -> int:
         except TypeError as exc:
             raise SystemExit(f"{exp_id}: bad --arg for {fn.__name__}: {exc}")
         print_table(result)
-        if result.metrics is not None:
-            print(f"\n--- {exp_id} observability snapshot ---")
-            print(json.dumps(result.metrics, indent=2, sort_keys=True))
+        if result.trace is not None:
+            print(f"\n--- {exp_id} trace ---")
+            print(json.dumps(result.trace, indent=2, sort_keys=True))
     return 0
 
 

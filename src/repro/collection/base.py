@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-from repro.obs import active_registry
-from repro.obs.registry import MetricRegistry
+from dataclasses import dataclass
 
 
 class UnderlayInfoType(enum.Enum):
@@ -69,18 +65,11 @@ class OverheadCounter:
     queries: int = 0
     messages: int = 0
     bytes_on_wire: int = 0
-    #: optional mirror hook ``(queries, messages, bytes)`` — the
-    #: observability layer attaches one; see :meth:`InfoSource.instrument`
-    on_charge: Optional[Callable[[int, int, int], None]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def charge(self, *, queries: int = 0, messages: int = 0, bytes_on_wire: int = 0) -> None:
         self.queries += queries
         self.messages += messages
         self.bytes_on_wire += bytes_on_wire
-        if self.on_charge is not None:
-            self.on_charge(queries, messages, bytes_on_wire)
 
 
 class InfoSource(abc.ABC):
@@ -89,42 +78,6 @@ class InfoSource(abc.ABC):
 
     def __init__(self) -> None:
         self.overhead = OverheadCounter()
-        registry = active_registry()
-        if registry is not None:
-            self.instrument(registry)
-
-    def instrument(
-        self, registry: MetricRegistry, *, service: Optional[str] = None
-    ) -> None:
-        """Mirror every overhead charge into shared collection counters
-        (``collection_{queries,messages,bytes_on_wire}_total``), labelled
-        with the concrete service class name."""
-        name = service or type(self).__name__
-        queries_ctr = registry.counter(
-            "collection_queries_total",
-            "Queries issued to a collection service, by service.",
-            ("service",),
-        )
-        messages_ctr = registry.counter(
-            "collection_messages_total",
-            "Network messages a collection service cost, by service.",
-            ("service",),
-        )
-        bytes_ctr = registry.counter(
-            "collection_bytes_on_wire_total",
-            "Bytes on the wire a collection service cost, by service.",
-            ("service",),
-        )
-
-        def mirror(queries: int, messages: int, nbytes: int) -> None:
-            if queries:
-                queries_ctr.inc(queries, service=name)
-            if messages:
-                messages_ctr.inc(messages, service=name)
-            if nbytes:
-                bytes_ctr.inc(nbytes, service=name)
-
-        self.overhead.on_charge = mirror
 
     @property
     @abc.abstractmethod

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
 from repro.errors import CollectionError
-from repro.obs.registry import MetricRegistry
 from repro.rng import SeedLike, ensure_rng
 from repro.underlay.autonomous_system import LinkType
 from repro.underlay.network import Underlay
@@ -41,8 +40,6 @@ class TracerouteHop:
 class PingService(InfoSource):
     """Active RTT probing with per-probe noise and overhead accounting."""
 
-    _probes_ctr = None
-
     def __init__(
         self, underlay: Underlay, *, noise_std_ms: float = 2.0, rng: SeedLike = None
     ) -> None:
@@ -52,14 +49,6 @@ class PingService(InfoSource):
         self.underlay = underlay
         self.noise_std_ms = noise_std_ms
         self._rng = ensure_rng(rng)
-
-    def instrument(self, registry: MetricRegistry, *, service=None) -> None:
-        super().instrument(registry, service=service)
-        self._probes_ctr = registry.counter(
-            "measurement_probes_total",
-            "Active probes put on the wire, by probing service.",
-            ("service",),
-        )
 
     @property
     def info_type(self) -> UnderlayInfoType:
@@ -78,8 +67,6 @@ class PingService(InfoSource):
         self.overhead.charge(
             queries=1, messages=2 * probes, bytes_on_wire=2 * probes * PING_BYTES
         )
-        if self._probes_ctr is not None:
-            self._probes_ctr.inc(probes, service="ping")
         noise = self._rng.normal(0.0, self.noise_std_ms, size=probes)
         samples = np.maximum(true_rtt + noise, 0.1)
         return float(samples.mean())
@@ -102,8 +89,6 @@ class PingService(InfoSource):
 class TracerouteService(InfoSource):
     """AS-path discovery with cumulative per-hop RTTs."""
 
-    _probes_ctr = None
-
     def __init__(
         self, underlay: Underlay, *, noise_std_ms: float = 1.0, rng: SeedLike = None
     ) -> None:
@@ -111,14 +96,6 @@ class TracerouteService(InfoSource):
         self.underlay = underlay
         self.noise_std_ms = noise_std_ms
         self._rng = ensure_rng(rng)
-
-    def instrument(self, registry: MetricRegistry, *, service=None) -> None:
-        super().instrument(registry, service=service)
-        self._probes_ctr = registry.counter(
-            "measurement_probes_total",
-            "Active probes put on the wire, by probing service.",
-            ("service",),
-        )
 
     @property
     def info_type(self) -> UnderlayInfoType:
@@ -140,8 +117,6 @@ class TracerouteService(InfoSource):
             messages=3 * len(path),
             bytes_on_wire=3 * len(path) * TRACEROUTE_PROBE_BYTES,
         )
-        if self._probes_ctr is not None:
-            self._probes_ctr.inc(3 * len(path), service="traceroute")
         hops: list[TracerouteHop] = []
         for k, asn in enumerate(path):
             frac = (k + 1) / len(path)

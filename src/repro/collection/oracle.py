@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
 from repro.errors import CollectionError, RoutingError
-from repro.obs.registry import MetricRegistry
 from repro.rng import SeedLike, ensure_rng
 from repro.underlay.network import Underlay
 
@@ -55,9 +54,6 @@ class OraclePolicy(enum.Enum):
 class ISPOracle(InfoSource):
     """AS-hop-distance ranking service over candidate peer lists."""
 
-    _lists_ctr = None
-    _candidates_ctr = None
-
     def __init__(
         self,
         underlay: Underlay,
@@ -71,16 +67,6 @@ class ISPOracle(InfoSource):
         self.underlay = underlay
         self.policy = policy
         self._rng = ensure_rng(rng) if rng is not None else None
-
-    def instrument(self, registry: MetricRegistry, *, service=None) -> None:
-        super().instrument(registry, service=service)
-        self._lists_ctr = registry.counter(
-            "oracle_lists_ranked_total", "Candidate lists ranked by the oracle."
-        )
-        self._candidates_ctr = registry.counter(
-            "oracle_candidates_ranked_total",
-            "Individual candidates the oracle examined.",
-        )
 
     @property
     def info_type(self) -> UnderlayInfoType:
@@ -110,9 +96,6 @@ class ISPOracle(InfoSource):
         my_asn = self.underlay.asn_of(querying_host)
         self.lists_ranked += 1
         self.candidates_ranked += len(cand)
-        if self._lists_ctr is not None:
-            self._lists_ctr.inc()
-            self._candidates_ctr.inc(len(cand))
         # one request + one response carrying the list
         self.overhead.charge(
             queries=1, messages=2, bytes_on_wire=64 + 8 * len(cand)

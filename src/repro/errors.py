@@ -39,11 +39,6 @@ class CollectionError(ReproError):
     an unknown subject."""
 
 
-class ObservabilityError(ReproError):
-    """A metric or tracer was declared or used inconsistently (duplicate
-    registration with a different type, bad label set, invalid name)."""
-
-
 class FaultError(ReproError):
     """A fault schedule or injector was configured inconsistently (bad
     window, unknown fault kind, AS-scoped fault without an AS resolver)."""

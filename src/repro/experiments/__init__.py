@@ -25,8 +25,6 @@ heavy-tail, and diurnal arrivals — and reports SLO latency percentiles.
 
 from repro.experiments.common import (
     ExperimentResult,
-    metrics_snapshot,
-    observability,
     print_table,
     repeat_over_seeds,
     run_observed,
@@ -60,8 +58,6 @@ __all__ = [
     "ExperimentResult",
     "TESTLAB_TOPOLOGIES",
     "build_testlab_underlay",
-    "metrics_snapshot",
-    "observability",
     "print_table",
     "repeat_over_seeds",
     "run_fig1",

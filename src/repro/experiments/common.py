@@ -1,5 +1,5 @@
 """Shared experiment plumbing: result containers, table printing, and the
-opt-in observability path.
+opt-in trace path.
 
 Every experiment module exposes a ``run_*`` function returning an
 :class:`ExperimentResult`; benchmarks call it, print the rows (the same
@@ -7,18 +7,17 @@ rows the paper's figure/table reports), and assert the qualitative shape.
 
 Observability: :func:`run_observed` (CLI flag ``--trace``) runs any
 experiment inside an :func:`repro.obs.observe` scope — every simulation,
-bus, overlay and collection service the experiment constructs
-instruments itself — and attaches a metrics snapshot plus the trace
-digest to ``result.metrics``.  Golden-trace regression tests compare the
-digest across runs.
+bus, request manager and fault injector the experiment constructs emits
+trace events — and attaches the trace digest, event count and
+per-``"component.kind"`` tally to ``result.trace``.  Golden-trace
+regression tests compare the digest across runs.
 """
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Mapping, Sequence, TextIO
 
 from repro import obs
 
@@ -31,8 +30,8 @@ class ExperimentResult:
     title: str
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    #: populated by :func:`run_observed`: metrics snapshot + trace summary
-    metrics: dict[str, Any] | None = field(default=None, repr=False)
+    #: populated by :func:`run_observed`: the trace summary
+    trace: dict[str, Any] | None = field(default=None, repr=False)
 
     def add_row(self, **kwargs: Any) -> None:
         self.rows.append(dict(kwargs))
@@ -94,47 +93,21 @@ def repeat_over_seeds(
     return out
 
 
-@contextmanager
-def observability(
-    *,
-    registry: "obs.MetricRegistry | None" = None,
-    tracer: "obs.Tracer | None" = None,
-    trace_capacity: int = 65536,
-) -> Iterator[obs.Observation]:
-    """Scope in which every component an experiment builds records
-    metrics and trace events (thin alias of :func:`repro.obs.observe`,
-    re-exported here so experiment code has one import)."""
-    with obs.observe(
-        registry=registry, tracer=tracer, trace_capacity=trace_capacity
-    ) as session:
-        yield session
-
-
-def metrics_snapshot(session: obs.Observation) -> dict[str, Any]:
-    """JSON-safe snapshot of one observation scope: every metric's cells
-    plus the trace digest and volume."""
-    return {
-        "metrics": obs.registry_to_dict(session.registry),
-        "trace": {
-            "digest": session.tracer.digest(),
-            "events_emitted": session.tracer.emitted,
-            "events_buffered": len(session.tracer),
-        },
-    }
-
-
 def run_observed(
     run: Callable[..., ExperimentResult], *args: Any, **kwargs: Any
 ) -> ExperimentResult:
-    """Run an experiment with instrumentation on and attach the snapshot.
+    """Run an experiment with tracing on and attach the trace summary.
 
-    The ``collect_metrics`` path of the CLI's ``--trace`` flag: any
-    ``run_*`` function works unchanged, because instrumentation is
-    picked up ambiently by the components it constructs.
+    The CLI's ``--trace`` path: any ``run_*`` function works unchanged,
+    because the components it constructs pick up the scope's tracer.
     """
-    with observability() as session:
+    with obs.observe() as tracer:
         result = run(*args, **kwargs)
-    result.metrics = metrics_snapshot(session)
+    result.trace = {
+        "digest": tracer.digest(),
+        "emitted": tracer.emitted,
+        "counts": tracer.counts,
+    }
     return result
 
 

@@ -41,8 +41,7 @@ from repro.faults.schedule import (
     LossFault,
     PartitionFault,
 )
-from repro.obs import active_registry, active_tracer
-from repro.obs.registry import Counter, MetricRegistry
+from repro.obs import active_tracer
 from repro.obs.tracing import Tracer
 from repro.rng import SeedLike, ensure_rng
 from repro.sim.churn import ChurnProcess
@@ -125,26 +124,7 @@ class FaultInjector:
         self._active: list = []  # message faults currently in their window
         self._started = False
         self.stats = InjectorStats()
-        self._injected_ctr: Optional[Counter] = None
-        self._tracer: Optional[Tracer] = None
-        registry, tracer = active_registry(), active_tracer()
-        if registry is not None or tracer is not None:
-            self.instrument(registry, tracer)
-
-    def instrument(
-        self,
-        registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        """Count injected faults by kind and emit fault trace events."""
-        if registry is not None:
-            self._injected_ctr = registry.counter(
-                "faults_injected_total",
-                "Faults activated by the injector, by kind.",
-                ("kind",),
-            )
-        if tracer is not None:
-            self._tracer = tracer
+        self._tracer: Optional[Tracer] = active_tracer()
 
     # -- lifecycle --------------------------------------------------------------
     @property
@@ -171,13 +151,10 @@ class FaultInjector:
     def _activate(self, fault) -> None:
         self._active.append(fault)
         self.stats.activations += 1
-        kind = _fault_kind(fault)
-        if self._injected_ctr is not None:
-            self._injected_ctr.inc(kind=kind)
         if self._tracer is not None:
             self._tracer.emit(
                 "fault", "activate", time=self.sim.now,
-                kind=kind, start=fault.start, end=fault.end,
+                kind=_fault_kind(fault), start=fault.start, end=fault.end,
             )
         self.sim.schedule_at(
             max(fault.end, self.sim.now), self._deactivate, fault
@@ -221,8 +198,6 @@ class FaultInjector:
     # -- crashes -------------------------------------------------------------------
     def _crash(self, fault: CrashFault) -> None:
         self.stats.crashes += len(fault.peers)
-        if self._injected_ctr is not None:
-            self._injected_ctr.inc(len(fault.peers), kind="crash")
         for peer in fault.peers:
             if self.churn is not None:
                 self.churn.crash(peer)

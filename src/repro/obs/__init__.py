@@ -1,117 +1,59 @@
-"""Observability: metrics, tracing, and exports for the whole stack.
+"""Observability: the trace plane.
 
-Zero-dependency (stdlib only) and **off by default**: no component
-records anything unless an observation scope is active or it was handed
-a registry/tracer explicitly.  The one-liner:
+Stdlib only and **off by default**: no component emits anything unless
+an :func:`observe` scope is active when it is built.  Every number an
+experiment reports comes from the components' own counters
+(``bus.stats``, ``requests.stats``, ``injector.stats``, ``sent_counts``,
+``OverheadCounter``); the tracer adds the ordered event stream behind
+them, folded into a running digest and a per-``"component.kind"``
+tally.  The one-liner:
 
     from repro import obs
 
-    with obs.observe() as session:
+    with obs.observe() as tracer:
         result = run_fig5(n_hosts=60)
-    print(obs.to_prometheus_text(session.registry))
-    print(session.tracer.digest())        # golden-trace fingerprint
+    print(tracer.digest(), tracer.emitted)   # golden-trace fingerprint
+    print(tracer.counts["bus.send"])
 
-Inside the ``observe()`` scope, every :class:`~repro.sim.engine.Simulation`,
-:class:`~repro.sim.messages.MessageBus`, overlay network and collection
-service constructed picks up the active registry/tracer at construction
-time and instruments itself; components built outside a scope carry a
+Inside the scope, every :class:`~repro.sim.engine.Simulation`,
+:class:`~repro.sim.messages.MessageBus`,
+:class:`~repro.sim.requests.RequestManager` and
+:class:`~repro.faults.FaultInjector` constructed picks up the active
+tracer at construction time; components built outside a scope carry a
 single ``is None`` check on their hot paths and no other cost.
-
-Explicit wiring is always available too — every instrumented component
-exposes ``instrument(registry, tracer)`` (or accepts them in its
-constructor), so tests can use private registries without touching the
-process-global state.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.obs.export import registry_to_dict, to_json, to_prometheus_text
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    SLO_LATENCY_BUCKETS_MS,
-    Counter,
-    CounterCell,
-    Gauge,
-    Histogram,
-    HistogramCell,
-    Metric,
-    MetricRegistry,
-    default_registry,
-    reset_default_registry,
-)
-from repro.obs.tracing import TraceEvent, Tracer, trace_digest
+from repro.obs.tracing import TraceEvent, Tracer
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "CounterCell",
-    "Gauge",
-    "Histogram",
-    "HistogramCell",
-    "Metric",
-    "MetricRegistry",
-    "Observation",
-    "SLO_LATENCY_BUCKETS_MS",
     "TraceEvent",
     "Tracer",
-    "active_registry",
     "active_tracer",
-    "default_registry",
     "observe",
-    "registry_to_dict",
-    "reset_default_registry",
-    "to_json",
-    "to_prometheus_text",
-    "trace_digest",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """The pair of sinks active inside one ``observe()`` scope."""
-
-    registry: MetricRegistry
-    tracer: Tracer
-
 
 # Stack, not a single slot: observe() scopes may nest (an experiment
 # under test inside a traced meta-experiment), innermost wins.
-_ACTIVE: list[Observation] = []
-
-
-def active_registry() -> Optional[MetricRegistry]:
-    """The registry of the innermost active scope, or ``None``."""
-    return _ACTIVE[-1].registry if _ACTIVE else None
+_ACTIVE: list[Tracer] = []
 
 
 def active_tracer() -> Optional[Tracer]:
     """The tracer of the innermost active scope, or ``None``."""
-    return _ACTIVE[-1].tracer if _ACTIVE else None
+    return _ACTIVE[-1] if _ACTIVE else None
 
 
 @contextmanager
-def observe(
-    registry: Optional[MetricRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    *,
-    trace_capacity: int = 65536,
-) -> Iterator[Observation]:
-    """Activate an observation scope.
-
-    Defaults to a *fresh* registry and tracer so two scopes never bleed
-    into each other; pass :func:`default_registry` explicitly to
-    accumulate into the process-global one.
-    """
-    session = Observation(
-        registry=registry if registry is not None else MetricRegistry(),
-        tracer=tracer if tracer is not None else Tracer(capacity=trace_capacity),
-    )
-    _ACTIVE.append(session)
+def observe() -> Iterator[Tracer]:
+    """Activate an observation scope with a fresh :class:`Tracer`, so two
+    scopes never bleed into each other."""
+    tracer = Tracer()
+    _ACTIVE.append(tracer)
     try:
-        yield session
+        yield tracer
     finally:
         _ACTIVE.pop()

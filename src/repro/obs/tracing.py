@@ -1,27 +1,24 @@
-"""Structured trace events, the ring-buffered tracer, and trace digests.
+"""Structured trace events, the tracer, and its running digest.
 
 A :class:`TraceEvent` is a ``(time, component, kind, attrs)`` record.
-:class:`Tracer` keeps the most recent events in a bounded ring buffer,
-fans each event out to subscriber hooks, and maintains a *running*
-digest — a SHA-256 over the canonical form of every event ever emitted
-(not just those still in the ring).  Two runs of a deterministic
-simulation produce the same digest iff they emitted the same event
-stream, which is what the golden-trace regression tests assert.
+:class:`Tracer` keeps no events: it fans each one out to subscriber
+hooks, tallies it under ``"component.kind"``, and folds it into a
+*running* digest — a SHA-256 over the canonical form of every event
+emitted.  Two runs of a deterministic simulation produce the same digest
+iff they emitted the same event stream, which is what the golden-trace
+regression tests assert.
 
 Determinism convention: attribute keys starting with ``_`` are
-*volatile* (wall-clock timings, object ids) and are excluded from the
-canonical form, so ``tracer.span(...)`` and the engine's per-callback
-timing can record real elapsed time without breaking digest stability.
+*volatile* (wall-clock timings) and are excluded from the canonical
+form, so the engine's per-callback timing can record real elapsed time
+without breaking digest stability.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time as _time
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 #: Attribute-key prefix marking values excluded from the digest.
 VOLATILE_PREFIX = "_"
@@ -63,113 +60,37 @@ class TraceEvent:
         return "|".join(parts)
 
 
-def trace_digest(events: Iterable[TraceEvent]) -> str:
-    """SHA-256 hex digest of an event sequence (offline variant of
-    :meth:`Tracer.digest`, e.g. for a filtered or replayed stream)."""
-    h = hashlib.sha256()
-    for ev in events:
-        h.update(ev.canonical().encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
 class Tracer:
-    """Bounded event recorder with subscriber hooks and a running digest.
+    """Running digest, event count, per-kind tally and subscriber hooks."""
 
-    Parameters
-    ----------
-    capacity:
-        Ring-buffer size; older events are evicted but stay part of the
-        running digest and the ``emitted`` count.
-    clock:
-        Optional time source used when ``emit`` is not given an explicit
-        ``time`` (a :class:`~repro.sim.engine.Simulation` passes its own
-        clock explicitly).  Without one, the event index is used, which
-        keeps untimed traces deterministic.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 65536,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"tracer capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.clock = clock
-        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
         self._subscribers: list[Callable[[TraceEvent], None]] = []
         self._hash = hashlib.sha256()
         self.emitted = 0
+        #: ``"component.kind"`` -> events emitted
+        self.counts: dict[str, int] = {}
 
-    # -- emission -------------------------------------------------------------
     def emit(
-        self,
-        component: str,
-        kind: str,
-        /,
-        *,
-        time: Optional[float] = None,
-        **attrs: Any,
-    ) -> TraceEvent:
-        """Record one event; returns it (mostly for tests).
+        self, component: str, kind: str, /, *, time: float, **attrs: Any
+    ) -> None:
+        """Record one event at simulated ``time``.
 
         ``component`` and ``kind`` are positional-only so attribute keys
         may reuse those names (e.g. a bus message's ``kind=...``).
         """
-        if time is None:
-            time = self.clock() if self.clock is not None else float(self.emitted)
         event = TraceEvent(float(time), component, kind, attrs)
-        self._ring.append(event)
         self.emitted += 1
+        key = f"{component}.{kind}"
+        self.counts[key] = self.counts.get(key, 0) + 1
         self._hash.update(event.canonical().encode())
         self._hash.update(b"\n")
         for sub in self._subscribers:
             sub(event)
-        return event
 
-    @contextmanager
-    def span(self, name: str, component: str = "span", **attrs: Any) -> Iterator[None]:
-        """Time a block: ``begin``/``end`` events with wall-clock elapsed
-        seconds in the volatile ``_elapsed_s`` attribute."""
-        self.emit(component, "span_begin", name=name, **attrs)
-        t0 = _time.perf_counter()
-        try:
-            yield
-        finally:
-            self.emit(
-                component,
-                "span_end",
-                name=name,
-                _elapsed_s=_time.perf_counter() - t0,
-                **attrs,
-            )
-
-    # -- subscribers ----------------------------------------------------------
     def subscribe(self, hook: Callable[[TraceEvent], None]) -> None:
         """Call ``hook(event)`` on every subsequent emit."""
         self._subscribers.append(hook)
 
-    def unsubscribe(self, hook: Callable[[TraceEvent], None]) -> None:
-        self._subscribers.remove(hook)
-
-    # -- inspection -----------------------------------------------------------
-    def events(self) -> list[TraceEvent]:
-        """The events still in the ring (oldest first)."""
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._ring)
-
     def digest(self) -> str:
         """Running SHA-256 over every event emitted so far."""
         return self._hash.copy().hexdigest()
-
-    def clear(self) -> None:
-        """Forget all events and restart the digest."""
-        self._ring.clear()
-        self._hash = hashlib.sha256()
-        self.emitted = 0

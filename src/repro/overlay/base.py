@@ -13,8 +13,6 @@ from collections import Counter
 from typing import Any, Optional
 
 from repro.errors import OverlayError
-from repro.obs.registry import Counter as MetricCounter
-from repro.obs.registry import MetricRegistry
 from repro.sim.engine import Simulation
 from repro.sim.messages import Message, MessageBus
 from repro.sim.requests import RequestManager
@@ -23,12 +21,6 @@ from repro.underlay.hosts import Host
 
 class OverlayNode:
     """Base class: bus registration + handler dispatch + counters."""
-
-    #: Registry-backed counters, shared by all nodes of one instrumented
-    #: network (class default ``None`` keeps the uninstrumented hot path
-    #: to a single attribute check).
-    _sent_metric: Optional[MetricCounter] = None
-    _received_metric: Optional[MetricCounter] = None
 
     def __init__(self, host: Host, sim: Simulation, bus: MessageBus) -> None:
         self.host = host
@@ -41,20 +33,6 @@ class OverlayNode:
         #: cancels whatever is outstanding so a crashed node's retry
         #: timers die with it
         self.requests: Optional[RequestManager] = None
-
-    def instrument(self, registry: MetricRegistry, component: str) -> None:
-        """Mirror this node's per-kind send/receive counts into
-        ``<component>_messages_{sent,received}_total`` in ``registry``."""
-        self._sent_metric = registry.counter(
-            f"{component}_messages_sent_total",
-            f"{component} protocol messages sent, by kind.",
-            ("kind",),
-        )
-        self._received_metric = registry.counter(
-            f"{component}_messages_received_total",
-            f"{component} protocol messages received, by kind.",
-            ("kind",),
-        )
 
     @property
     def host_id(self) -> int:
@@ -88,8 +66,6 @@ class OverlayNode:
                 f"node {self.host_id} tried to send {kind} while offline"
             )
         self.sent_counts[kind] += 1
-        if self._sent_metric is not None:
-            self._sent_metric.inc(kind=kind)
         self.bus.send(self.host_id, dst, kind, payload, size_bytes)
 
     def send_many(
@@ -109,16 +85,12 @@ class OverlayNode:
                 f"node {self.host_id} tried to send {kind} while offline"
             )
         self.sent_counts[kind] += len(dsts)
-        if self._sent_metric is not None:
-            self._sent_metric.inc(len(dsts), kind=kind)
         self.bus.send_many(self.host_id, dsts, kind, payload, size_bytes)
 
     def _dispatch(self, msg: Message) -> None:
         if not self.online:
             return
         self.received_counts[msg.kind] += 1
-        if self._received_metric is not None:
-            self._received_metric.inc(kind=msg.kind)
         handler = getattr(self, f"on_{msg.kind.lower()}", None)
         if handler is None:
             self.on_unhandled(msg)

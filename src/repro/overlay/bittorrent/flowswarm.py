@@ -58,8 +58,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import OverlayError
-from repro.obs import active_registry
-from repro.obs.registry import MetricRegistry
 from repro.overlay.bittorrent.torrent import Torrent
 from repro.overlay.bittorrent.tracker import Tracker
 from repro.rng import SeedLike, ensure_rng, spawn
@@ -71,7 +69,6 @@ from repro.underlay.network import Underlay
 
 #: traffic classes, indexed by the pair-classification code
 _INTRA, _PEERING, _TRANSIT = 0, 1, 2
-_CLASS_NAMES = ("intra_as", "peering", "transit")
 
 #: sampling width of the per-AS transit billing ledger, in seconds
 BILLING_BUCKET_S = 300.0
@@ -272,36 +269,6 @@ class FlowSwarmSimulation:
         self._pending_joins = 0
         self._started = False
 
-        self._bytes_ctr = None
-        self._announce_ctr = None
-        self._dltime_hist = None
-        self._realloc_ctr = None
-        registry = active_registry()
-        if registry is not None:
-            self.instrument(registry)
-
-    def instrument(self, registry: MetricRegistry) -> None:
-        """Count tracker announces, transferred bytes by traffic class
-        and reallocation epochs; histogram leecher download times."""
-        self._announce_ctr = registry.counter(
-            "bittorrent_messages_sent_total",
-            "BitTorrent control messages sent, by kind.",
-            ("kind",),
-        )
-        self._bytes_ctr = registry.counter(
-            "bittorrent_bytes_total",
-            "Payload bytes transferred, by underlay traffic class.",
-            ("traffic_class",),
-        )
-        self._dltime_hist = registry.histogram(
-            "bittorrent_download_time_s",
-            "Per-leecher time to complete the torrent (simulated seconds).",
-        )
-        self._realloc_ctr = registry.counter(
-            "flow_reallocations_total",
-            "Max-min rate recomputations (flow arrival/departure epochs).",
-        )
-
     # -- population ------------------------------------------------------------
     def _grow_columns(self, need: int) -> None:
         cap = self._bytes.size
@@ -345,8 +312,6 @@ class FlowSwarmSimulation:
         self._asn_col[row] = host.asn
         self._complete_col[row] = is_seed
         self._leecher_col[row] = not is_seed
-        if self._announce_ctr is not None:
-            self._announce_ctr.inc(kind="TRACKER_ANNOUNCE")
         peer_list = self.tracker.announce(host_id)
         peer.neighbors.update(peer_list)
         for p in peer_list:
@@ -753,8 +718,6 @@ class FlowSwarmSimulation:
             rates = max_min_rates(capacity, indptr, indices, flow_cap)
         self._f_rate[alive] = rates
         self.reallocs_total += 1
-        if self._realloc_ctr is not None:
-            self._realloc_ctr.inc()
         self._schedule_sync()
 
     def _advance_to(self, t: float) -> None:
@@ -784,12 +747,6 @@ class FlowSwarmSimulation:
         self.intra_as_bytes += float(cls_sum[_INTRA])
         self.peering_bytes += float(cls_sum[_PEERING])
         self.transit_bytes += float(cls_sum[_TRANSIT])
-        if self._bytes_ctr is not None:
-            for code, name in enumerate(_CLASS_NAMES):
-                if cls_sum[code] > 0:
-                    self._bytes_ctr.inc(
-                        float(cls_sum[code]), traffic_class=name
-                    )
         if cls_sum[_TRANSIT] > 0:
             pp_pair, pp_payer = self._payer_members()
             payer_bytes = np.bincount(
@@ -850,8 +807,6 @@ class FlowSwarmSimulation:
             peer.finish_time = now
             self._complete_col[row] = True
             self._bytes[row] = total
-            if self._dltime_hist is not None:
-                self._dltime_hist.observe(now - peer.join_time)
         # tear down the completed peers' inbound flows
         done = np.zeros(n, dtype=bool)
         done[done_rows] = True

@@ -11,11 +11,11 @@ needed outlives it.
 Every message keeps per-message semantics — loss draws from the bus's
 own RNG in per-destination send order, fault-hook interposition with
 in-flight drops, TTL decrement, duplicate and TTL-expiry drops, traffic
-observers and trace events per send — while stats, per-kind metric
-cells, per-node counters, and the sends owed to aggregate-capable
-traffic observers (one call per ``(src, dst, kind)``, see
-:class:`~repro.sim.messages.TrafficObserver`) are committed in
-aggregate at the end (:meth:`MessageBus.account_external`).
+observers and trace events per send — while stats, per-node counters,
+and the sends owed to aggregate-capable traffic observers (one call per
+``(src, dst, kind)``, see :class:`~repro.sim.messages.TrafficObserver`)
+are committed in aggregate at the end
+(:meth:`MessageBus.account_external`).
 
 The PONGs that answer one PING arrival (the node's own address plus
 cached ones) travel as one *run* — one heap entry ``(guid, addresses)``
@@ -299,9 +299,9 @@ class FloodKernel:
         self, em: _Emitter, acc: dict, sent_by: dict, recv_by: dict
     ) -> None:
         """Fold the expansion's aggregate accounting into the bus stats,
-        bound metric cells, aggregate-capable traffic observers, and
-        per-node counters — one pass per kind, per (src, dst, kind) and
-        per (node, kind) instead of one update per message."""
+        aggregate-capable traffic observers, and per-node counters — one
+        pass per kind, per (src, dst, kind) and per (node, kind) instead
+        of one update per message."""
         net = self.net
         bus = net.bus
         nodes = net.nodes
@@ -321,16 +321,10 @@ class FloodKernel:
             for host, n in per_host.items():
                 node = nodes[host]
                 node.sent_counts[kind] += n
-                metric = node._sent_metric
-                if metric is not None:
-                    metric.inc(n, kind=kind)
         for kind, per_host in recv_by.items():
             for host, n in per_host.items():
                 node = nodes[host]
                 node.received_counts[kind] += n
-                metric = node._received_metric
-                if metric is not None:
-                    metric.inc(n, kind=kind)
 
     # ------------------------------------------------------------------ queries
     def expand_query(self, origin: "GnutellaNode", query: "Query") -> None:
@@ -366,9 +360,6 @@ class FloodKernel:
         emit = em.emit
         dup_drops = 0
         ttl_drops = 0
-        hops_depths: list[int] = []
-        level_counts: dict[int, int] = defaultdict(int)
-        level_counts[0] += 1
         hit_commits: list[tuple[float, int]] = []
 
         # -- origin expansion (the synchronous part of start_query) ----------
@@ -377,8 +368,6 @@ class FloodKernel:
             if keyword in origin.shared:
                 responders.append(origin_host)
             responders.extend(sorted(origin.leaf_index.get(keyword, ())))
-            if responders:
-                hops_depths.append(0)
             for responder in responders:
                 net.record_hit(guid, responder)
             if init_ttl > 1:
@@ -393,10 +382,6 @@ class FloodKernel:
             targets = list(origin.neighbors)
             fwd_ttl = init_ttl
         if targets and not origin.online:
-            hh = net.query_hops_hist
-            if hh is not None:
-                for d in hops_depths:
-                    hh.observe(d)
             raise OverlayError(
                 f"node {origin_host} tried to send QUERY while offline"
             )
@@ -433,14 +418,10 @@ class FloodKernel:
                     continue
                 route[dst] = src
                 ttl = aux
-                depth = init_ttl - ttl
-                level_counts[depth] += 1
                 responders = []
                 if keyword in node.shared:
                     responders.append(dst)
                 responders.extend(sorted(node.leaf_index.get(keyword, ())))
-                if responders:
-                    hops_depths.append(depth)
                 for responder in responders:
                     emit(t, dst, src, "QUERYHIT", _BACK, responder)
                 if ttl > 1 and node.role == ULTRAPEER:
@@ -483,17 +464,6 @@ class FloodKernel:
         self._commit(em, acc, sent_by, recv_by)
         net.drop_counts["duplicate"] += dup_drops
         net.drop_counts["ttl"] += ttl_drops
-        hh = net.query_hops_hist
-        if hh is not None:
-            for d in hops_depths:
-                hh.observe(d)
-        ctr = net.queries_expanded_ctr
-        if ctr is not None:
-            ctr.inc(kind="QUERY")
-        fh = net.query_frontier_hist
-        if fh is not None:
-            for depth in sorted(level_counts):
-                fh.observe(level_counts[depth])
         if hit_commits:
             # hits reach the origin at their virtual delivery times, so
             # first-hit latency and listener firing order are preserved
@@ -537,7 +507,6 @@ class FloodKernel:
         #: route back (``None`` at the originator, which consumes)
         routes: dict[int, dict[int, Optional[int]]] = {}
         origin_of: dict[int, int] = {}
-        level_counts: dict[tuple[int, int], int] = defaultdict(int)
 
         # all pings are issued synchronously at t0, in the order given
         for node in origins:
@@ -546,7 +515,6 @@ class FloodKernel:
             guid = net.next_guid()
             origin_of[guid] = node.host_id
             routes[guid] = {node.host_id: None}
-            level_counts[(guid, 0)] += 1
             for dst in node._connected_peers():
                 emit(t0, node.host_id, dst, "PING", _FWD, (guid, cfg.ping_ttl))
 
@@ -555,7 +523,6 @@ class FloodKernel:
         acc_pong = acc["PONG"]
         recv_ping = recv_by["PING"]
         recv_pong = recv_by["PONG"]
-        ping_ttl = cfg.ping_ttl
         nodes_get = nodes.get
         last_t = t0
         while heap:
@@ -577,7 +544,6 @@ class FloodKernel:
                     continue
                 route[dst] = src
                 ttl = arg
-                level_counts[(guid, ping_ttl - ttl)] += 1
                 # answer: own pong + cached addresses (skip the origin)
                 origin = origin_of[guid]
                 burst = [dst] + [
@@ -610,13 +576,6 @@ class FloodKernel:
         self._commit(em, acc, sent_by, recv_by)
         net.drop_counts["duplicate"] += dup_drops
         net.drop_counts["ttl"] += ttl_drops
-        ctr = net.queries_expanded_ctr
-        if ctr is not None and origin_of:
-            ctr.inc(len(origin_of), kind="PING")
-        fh = net.query_frontier_hist
-        if fh is not None:
-            for k in sorted(level_counts):
-                fh.observe(level_counts[k])
         if last_t > t0:
             net.sim.schedule(last_t - t0, _quiesce)
 

@@ -27,8 +27,6 @@ import numpy as np
 
 from repro.collection.oracle import ISPOracle
 from repro.errors import OverlayError
-from repro.obs import active_registry
-from repro.obs.registry import Counter, Histogram, MetricRegistry
 from repro.overlay.gnutella.flood import FloodKernel
 from repro.overlay.gnutella.node import (
     LEAF,
@@ -119,47 +117,12 @@ class GnutellaNetwork:
         #: *first* hit arrives — the completion signal the
         #: :mod:`repro.service` load drivers attach to
         self.search_listener: Optional[Callable[[SearchRecord], None]] = None
-        #: set by :meth:`instrument`; nodes observe answered-query hop
-        #: counts here (``None`` keeps the hot path uninstrumented)
-        self.query_hops_hist: Optional[Histogram] = None
-        self.queries_expanded_ctr: Optional[Counter] = None
-        self.query_frontier_hist: Optional[Histogram] = None
-        self._registry: Optional[MetricRegistry] = None
-        registry = active_registry()
-        if registry is not None:
-            self.instrument(registry)
-
-    def instrument(self, registry: MetricRegistry) -> None:
-        """Count messages by kind and record query-hop histograms into
-        ``registry`` (applies to current and future nodes)."""
-        self._registry = registry
-        self.query_hops_hist = registry.histogram(
-            "gnutella_query_hops",
-            "Overlay hops a QUERY travelled before being answered.",
-            buckets=tuple(range(0, 12)),
-        )
-        self.queries_expanded_ctr = registry.counter(
-            "queries_expanded_total",
-            "Descriptor floods expanded by the flood kernel, by "
-            "descriptor kind.",
-            ("kind",),
-        )
-        self.query_frontier_hist = registry.histogram(
-            "query_frontier_size",
-            "Per-hop frontier width (accepted hosts per TTL level) of "
-            "expanded floods.",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096),
-        )
-        for node in self.nodes.values():
-            node.instrument(registry, "gnutella")
 
     # -- population ------------------------------------------------------------
     def add_node(self, host: Host, role: str) -> GnutellaNode:
         if host.host_id in self.nodes:
             raise OverlayError(f"host {host.host_id} already in network")
         node = GnutellaNode(host, self.sim, self.bus, self, role, self.config)
-        if self._registry is not None:
-            node.instrument(self._registry, "gnutella")
         self.nodes[host.host_id] = node
         node.go_online()
         return node

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import OverlayError
-from repro.obs import active_registry
-from repro.obs.registry import MetricRegistry
 from repro.overlay.kademlia.id_space import key_for, random_id
 from repro.overlay.kademlia.kbucket import Contact
 from repro.overlay.kademlia.node import KademliaConfig, KademliaNode, LookupResult
@@ -71,7 +69,6 @@ class KademliaNetwork:
         #: the heard-of contact table every node of this network shares
         #: (see KademliaNode._heard_of)
         self._heard: dict[tuple[int, int], Contact] = {}
-        self._registry: Optional[MetricRegistry] = active_registry()
         self._maintenance: list = []  # running PeriodicProcess batch
         # When a proximity technique is on, nodes estimate the RTT of
         # heard-of contacts from network coordinates (§3.2 prediction);
@@ -86,13 +83,6 @@ class KademliaNetwork:
                 return true_rtt * float(np.clip(err_rng.normal(1.0, 0.15), 0.5, 1.8))
 
             self._estimator = estimator
-
-    def instrument(self, registry: MetricRegistry) -> None:
-        """Count RPCs by kind and record lookup hop/latency histograms
-        into ``registry`` (applies to current and future nodes)."""
-        self._registry = registry
-        for node in self.nodes.values():
-            node.instrument(registry, "kademlia")
 
     def add_all_hosts(self) -> None:
         self.add_hosts(self.underlay.hosts)
@@ -109,11 +99,9 @@ class KademliaNetwork:
 
     def _adopt(self, node: KademliaNode) -> None:
         """Make ``node`` a member: it shares this network's heard-of
-        table, is instrumented, goes online and is registered.  Every
+        table, goes online and is registered.  Every
         path that builds nodes for this network goes through here."""
         node._heard = self._heard
-        if self._registry is not None:
-            node.instrument(self._registry, "kademlia")
         node.go_online()
         self.nodes[node.host_id] = node
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.errors import OverlayError
-from repro.obs.registry import Histogram, MetricRegistry
 from repro.overlay.base import OverlayNode
 from repro.overlay.kademlia.id_space import validate_id
 from repro.overlay.kademlia.kbucket import Contact
@@ -225,15 +224,11 @@ class _Lookup:
             for i in self._k_closest_ids()
             if self.state[i] == self._DONE
         ]
-        self.node._record_lookup(self.result)
         self.on_done(self.result)
 
 
 class KademliaNode(OverlayNode):
     """One DHT participant: routing table, storage, RPCs, lookup machine."""
-
-    _lookup_hops_hist: Optional[Histogram] = None
-    _lookup_latency_hist: Optional[Histogram] = None
 
     def __init__(
         self,
@@ -265,25 +260,6 @@ class KademliaNode(OverlayNode):
         self.requests = RequestManager(
             sim, policy=self.config.retry_policy(), component="kademlia"
         )
-
-    # -- observability -----------------------------------------------------------
-    def instrument(self, registry: MetricRegistry, component: str = "kademlia") -> None:
-        super().instrument(registry, component)
-        self._lookup_hops_hist = registry.histogram(
-            f"{component}_lookup_hops",
-            "RPCs issued per iterative lookup (overlay hops taken).",
-            buckets=tuple(range(0, 33)),
-        )
-        self._lookup_latency_hist = registry.histogram(
-            f"{component}_lookup_latency_ms",
-            "Iterative lookup completion time (simulated ms).",
-        )
-
-    def _record_lookup(self, result: LookupResult) -> None:
-        hist = self._lookup_hops_hist
-        if hist is not None:
-            hist.observe(result.rpcs_sent)
-            self._lookup_latency_hist.observe(result.latency_ms)
 
     # -- wire helpers ------------------------------------------------------------
     def contact(self) -> Contact:
@@ -453,7 +429,6 @@ class KademliaNode(OverlayNode):
                 started_at=self.sim.now,
                 finished_at=self.sim.now,
             )
-            self._record_lookup(res)
             on_done(res)
             lookup = _Lookup(self, key, find_value=True, on_done=lambda r: None)
             lookup.finished = True

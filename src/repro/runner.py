@@ -18,18 +18,15 @@ and its closure — including already-built underlays — are inherited by
 reference at fork time, **not pickled**, so lambdas and closures over
 shared substrate work unchanged.  Only arm indices travel to workers
 (dynamic load balancing via a task queue) and only
-``(index, result, counters, wall_s)`` tuples travel back.
+``(index, ok, result)`` tuples travel back.
 
 Observability
 -------------
-Each worker runs every arm inside its own ``obs.observe()`` scope and
-ships a counter snapshot home; the parent merges worker counters into
-its own active registry (if any) and records ``runner_arms_total``,
-``runner_workers``, and the per-arm wall-time histogram
-``runner_arm_seconds``.  Traces are per-process and are *not* shipped:
-a traced sweep is only meaningfully digestable when run serially, where
-arms execute in the ambient scope exactly like a plain ``for`` loop
-(identical trace digest to the pre-runner code).
+Traces are per-process and are *not* shipped: a worker's trace events,
+if any, stay in the worker.  A traced sweep is only digestable when run
+serially, where arms execute in the ambient ``obs.observe()`` scope
+exactly like a plain ``for`` loop; the CLI refuses ``--trace`` with
+more than one worker.
 
 Serial fallback
 ---------------
@@ -49,12 +46,9 @@ import multiprocessing
 import os
 import queue
 import traceback
-from time import perf_counter
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
-from repro import obs
 from repro.errors import RunnerError
-from repro.obs.registry import MetricRegistry
 
 __all__ = [
     "configure_default_workers",
@@ -73,18 +67,7 @@ ENV_SERIAL = "REPRO_RUNNER_SERIAL"
 #: :func:`configure_default_workers` specifies one.
 ENV_WORKERS = "REPRO_RUNNER_WORKERS"
 
-#: Buckets for the per-arm wall-time histogram: experiment arms span
-#: ~10 ms smoke cells to minutes-long full sweeps.
-_ARM_SECONDS_BUCKETS = (
-    0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0,
-)
-
 _DEFAULT_WORKERS: Optional[int] = None
-
-#: Worker counter snapshot: ``(name, help, labelnames, cells)`` per
-#: Counter, with cells as ``(label_values, value)`` pairs — plain tuples
-#: so nothing but stdlib types crosses the process boundary.
-_CounterSnapshot = list
 
 
 def configure_default_workers(workers: Optional[int]) -> None:
@@ -132,34 +115,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def _counter_snapshot(registry: MetricRegistry) -> _CounterSnapshot:
-    """Extract every Counter's cells as plain tuples (pickle-friendly)."""
-    from repro.obs.registry import Counter
-
-    out: _CounterSnapshot = []
-    for metric in registry:
-        if isinstance(metric, Counter):
-            out.append(
-                (
-                    metric.name,
-                    metric.help,
-                    metric.labelnames,
-                    tuple(metric.cells().items()),
-                )
-            )
-    return out
-
-
-def _merge_counters(registry: MetricRegistry, snapshot: _CounterSnapshot) -> None:
-    """Fold one worker's counter snapshot into ``registry`` (cell-wise
-    add — counter merge is associative and commutative, so worker
-    arrival order does not matter)."""
-    for name, help_, labelnames, cells in snapshot:
-        counter = registry.counter(name, help_, labelnames)
-        for key, value in cells:
-            counter.inc(value, **dict(zip(labelnames, key)))
-
-
 def _worker_main(
     fn: Callable[[Any], Any],
     arms: Sequence[Any],
@@ -167,25 +122,16 @@ def _worker_main(
     result_queue: Any,
 ) -> None:
     """Worker loop: pull arm indices until the ``None`` sentinel, run
-    each arm in an isolated observation scope, ship the result home."""
+    each arm, ship the result home."""
     while True:
         idx = task_queue.get()
         if idx is None:
             return
-        t0 = perf_counter()
         try:
-            with obs.observe() as session:
-                value = fn(arms[idx])
-            payload = (
-                idx,
-                True,
-                value,
-                _counter_snapshot(session.registry),
-                perf_counter() - t0,
-            )
+            payload = (idx, True, fn(arms[idx]))
         except BaseException as exc:  # ship the failure, do not hang the parent
             detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            payload = (idx, False, detail, None, perf_counter() - t0)
+            payload = (idx, False, detail)
         try:
             result_queue.put(payload)
         except Exception as exc:  # unpicklable result
@@ -194,45 +140,15 @@ def _worker_main(
                     idx,
                     False,
                     f"arm result for index {idx} could not be pickled: {exc!r}",
-                    None,
-                    perf_counter() - t0,
                 )
             )
-
-
-def _record_parent_metrics(
-    n_arms: int, workers: int, wall_times: Sequence[float]
-) -> None:
-    registry = obs.active_registry()
-    if registry is None:
-        return
-    registry.counter(
-        "runner_arms_total", "Sweep arms executed by repro.runner.", ("mode",)
-    ).inc(n_arms, mode="serial" if workers == 1 else "parallel")
-    registry.gauge(
-        "runner_workers", "Worker count of the most recent run_arms call."
-    ).set(workers)
-    hist = registry.histogram(
-        "runner_arm_seconds",
-        "Wall-clock seconds per sweep arm.",
-        buckets=_ARM_SECONDS_BUCKETS,
-    )
-    for wall in wall_times:
-        hist.observe(wall)
 
 
 def _run_serial(fn: Callable[[A], R], arms: Sequence[A]) -> list[R]:
     """In-process path: arms run in the ambient obs scope, in order —
     behaviourally identical to the plain ``for`` loop it replaces (same
     trace digest when traced)."""
-    results: list[R] = []
-    wall_times: list[float] = []
-    for arm in arms:
-        t0 = perf_counter()
-        results.append(fn(arm))
-        wall_times.append(perf_counter() - t0)
-    _record_parent_metrics(len(arms), 1, wall_times)
-    return results
+    return [fn(arm) for arm in arms]
 
 
 def _run_parallel(
@@ -257,25 +173,20 @@ def _run_parallel(
     for _ in procs:
         task_queue.put(None)
 
-    parent_registry = obs.active_registry()
     results: dict[int, R] = {}
-    wall_times: list[float] = [0.0] * len(arms)
     failure: Optional[str] = None
     try:
         while len(results) < len(arms):
             try:
-                idx, ok, value, counters, wall = result_queue.get(timeout=1.0)
+                idx, ok, value = result_queue.get(timeout=1.0)
             except queue.Empty:  # is the pool still alive?
                 if all(not p.is_alive() for p in procs) and result_queue.empty():
                     failure = "worker pool died without reporting results"
                     break
                 continue
-            wall_times[idx] = wall
             if not ok:
                 failure = f"arm {idx} ({arms[idx]!r}) failed in worker:\n{value}"
                 break
-            if counters is not None and parent_registry is not None:
-                _merge_counters(parent_registry, counters)
             results[idx] = value
     finally:
         for p in procs:
@@ -287,7 +198,6 @@ def _run_parallel(
         result_queue.cancel_join_thread()
     if failure is not None:
         raise RunnerError(failure)
-    _record_parent_metrics(len(arms), workers, wall_times)
     return [results[i] for i in range(len(arms))]
 
 

@@ -19,10 +19,7 @@ Per-peer capacity is modelled client-side: at most
 excess arrivals wait in a FIFO queue (the knob that turns offered
 overload into the queueing delay a saturation-knee sweep measures).
 
-Inside an ``obs.observe()`` scope the drivers record
-``service_ops_total{op,status}`` and ``service_op_latency_ms{op}``
-(bucketed by :data:`~repro.obs.registry.SLO_LATENCY_BUCKETS_MS`, which
-unlike ``DEFAULT_BUCKETS`` resolves tails beyond 5 s).  Reports quote
+Every operation is kept as an :class:`OpRecord`; reports quote
 p50/p95/p99 over successful operations plus throughput.
 """
 
@@ -37,13 +34,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.metrics.latency_metrics import delay_percentiles
-from repro.obs import active_registry
-from repro.obs.registry import (
-    SLO_LATENCY_BUCKETS_MS,
-    Counter,
-    Histogram,
-    MetricRegistry,
-)
 from repro.rng import SeedLike, ensure_rng
 from repro.service.arrivals import ArrivalProcess
 from repro.sim.engine import EventHandle, Simulation
@@ -188,7 +178,7 @@ class _CapacityGate:
 
 
 class _DriverBase:
-    """Shared machinery: weighted op choice, lifecycle, metrics, report."""
+    """Shared machinery: weighted op choice, lifecycle, report."""
 
     mode = "abstract"
 
@@ -201,7 +191,6 @@ class _DriverBase:
         timeout_ms: Optional[float],
         concurrency_per_origin: Optional[int],
         rng: SeedLike,
-        registry: Optional[MetricRegistry] = None,
     ) -> None:
         if not ops:
             raise ConfigurationError("need at least one op in the mix")
@@ -217,27 +206,6 @@ class _DriverBase:
         self._rng = ensure_rng(rng)
         self._weights = np.cumsum([spec.weight for spec in self.ops])
         self.records: list[OpRecord] = []
-        self._ops_ctr: Optional[Counter] = None
-        self._latency_hist: Optional[Histogram] = None
-        registry = registry if registry is not None else active_registry()
-        if registry is not None:
-            self.instrument(registry)
-
-    def instrument(self, registry: MetricRegistry) -> None:
-        """Record per-op counters and SLO latency histograms."""
-        self._ops_ctr = registry.counter(
-            "service_ops_total",
-            "Service-level operations issued by the load drivers, by op "
-            "kind and final status.",
-            ("op", "status"),
-        )
-        self._latency_hist = registry.histogram(
-            "service_op_latency_ms",
-            "Arrival-to-completion latency of successful service "
-            "operations (includes client queue wait), by op kind.",
-            ("op",),
-            buckets=SLO_LATENCY_BUCKETS_MS,
-        )
 
     # -- op lifecycle --------------------------------------------------------
     def _choose(self) -> OpSpec:
@@ -291,10 +259,6 @@ class _DriverBase:
     def _finalize(self, record: OpRecord, status: str) -> None:
         record.status = status
         record.finished_at = self.sim.now
-        if self._ops_ctr is not None:
-            self._ops_ctr.inc(op=record.kind, status=status)
-        if status == "ok" and self._latency_hist is not None:
-            self._latency_hist.observe(record.latency_ms, op=record.kind)
         self._on_finalized(record)
 
     def _on_finalized(self, record: OpRecord) -> None:
@@ -352,7 +316,6 @@ class OpenLoopDriver(_DriverBase):
         timeout_ms: Optional[float] = 30_000.0,
         concurrency_per_origin: Optional[int] = None,
         rng: SeedLike = None,
-        registry: Optional[MetricRegistry] = None,
     ) -> None:
         super().__init__(
             sim,
@@ -361,7 +324,6 @@ class OpenLoopDriver(_DriverBase):
             timeout_ms=timeout_ms,
             concurrency_per_origin=concurrency_per_origin,
             rng=rng,
-            registry=registry,
         )
         self.arrivals = arrivals
 
@@ -393,7 +355,6 @@ class ClosedLoopDriver(_DriverBase):
         timeout_ms: float = 30_000.0,
         concurrency_per_origin: Optional[int] = None,
         rng: SeedLike = None,
-        registry: Optional[MetricRegistry] = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError("need at least one worker")
@@ -411,7 +372,6 @@ class ClosedLoopDriver(_DriverBase):
             timeout_ms=timeout_ms,
             concurrency_per_origin=concurrency_per_origin,
             rng=rng,
-            registry=registry,
         )
         self.n_workers = n_workers
         self.think_time_ms = float(think_time_ms)

@@ -13,14 +13,11 @@ loop bodies, and :meth:`Simulation.schedule_many` batch-inserts fan-out
 events (one ``heapify`` instead of many ``heappush`` when the batch is
 large relative to the pending queue).
 
-Observability: inside an ``obs.observe()`` scope (or when a
-:class:`~repro.obs.tracing.Tracer` is attached explicitly) the engine
+Observability: a simulation built inside an ``obs.observe()`` scope
 emits ``schedule``/``fire``/``cancel`` trace events, with per-callback
 wall-clock timing on ``fire`` in the volatile ``_elapsed_s`` attribute.
 Without a tracer the only cost is one ``is None`` check per schedule
-and none at all inside the :meth:`Simulation.run` loop — the tracer is
-sampled when ``run()`` starts, so attaching one mid-run takes effect
-from the next ``run()``/``step()`` call.
+and none at all inside the :meth:`Simulation.run` loop.
 
 Example
 -------
@@ -117,41 +114,23 @@ class Simulation:
     ----------
     start_time:
         Clock value at construction (seconds; any unit is fine as long as
-        it is used consistently).
-    tracer:
-        Optional :class:`~repro.obs.tracing.Tracer`.  When omitted, the
-        active tracer of an enclosing ``obs.observe()`` scope is picked
-        up; outside any scope the engine runs uninstrumented.
+        it is used consistently).  The tracer of an enclosing
+        ``obs.observe()`` scope is picked up at construction; outside any
+        scope the engine runs uninstrumented.
     """
 
-    def __init__(
-        self, start_time: float = 0.0, *, tracer: Optional[Tracer] = None
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._heap: list[_Entry] = []
         self._seq = itertools.count()
         self._running = False
         self.events_processed = 0
-        self._tracer = tracer if tracer is not None else active_tracer()
+        self._tracer: Optional[Tracer] = active_tracer()
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    # -- observability -----------------------------------------------------------
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        return self._tracer
-
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """Start emitting trace events to ``tracer`` (picked up by the
-        next ``run()``/``step()`` call)."""
-        self._tracer = tracer
-
-    def detach_tracer(self) -> None:
-        """Stop tracing (instrumentation back to zero cost)."""
-        self._tracer = None
 
     # -- scheduling ---------------------------------------------------------------
     def schedule(
@@ -228,40 +207,6 @@ class Simulation:
                     callback=_callback_name(entry[_CALLBACK]),
                 )
         return [EventHandle(entry, self) for entry in entries]
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][_CANCELLED]:
-            heapq.heappop(heap)
-        return heap[0][_TIME] if heap else None
-
-    def step(self) -> bool:
-        """Process a single event.  Returns ``False`` if the queue was empty."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[_CANCELLED]:
-                continue
-            self._now = entry[_TIME]
-            entry[_FIRED] = True
-            tracer = self._tracer
-            if tracer is None:
-                entry[_CALLBACK](*entry[_ARGS])
-            else:
-                t0 = _time.perf_counter()
-                entry[_CALLBACK](*entry[_ARGS])
-                tracer.emit(
-                    "sim",
-                    "fire",
-                    time=entry[_TIME],
-                    seq=entry[_SEQ],
-                    callback=_callback_name(entry[_CALLBACK]),
-                    _elapsed_s=_time.perf_counter() - t0,
-                )
-            self.events_processed += 1
-            return True
-        return False
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None

@@ -34,7 +34,6 @@ from typing import Any, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs import active_registry
 
 __all__ = [
     "FlowNetwork",
@@ -441,15 +440,6 @@ class FlowNetwork:
         self._rate[rows] = rates
         self._dirty = False
         self.reallocs_total += 1
-        registry = active_registry()
-        if registry is not None:
-            registry.counter(
-                "flow_reallocations_total",
-                "Max-min rate recomputations (flow arrival/departure epochs).",
-            ).inc()
-            registry.gauge(
-                "flows_active", "Flows live in the flow network."
-            ).set(len(rows))
 
     def advance(self, dt: float) -> None:
         """Integrate ``rate * dt`` bytes into every live flow.

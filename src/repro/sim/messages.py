@@ -19,8 +19,7 @@ from typing import Any, Callable, Hashable, Optional, Protocol, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs import active_registry, active_tracer
-from repro.obs.registry import Counter, CounterCell, MetricRegistry
+from repro.obs import active_tracer
 from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulation
 
@@ -136,63 +135,7 @@ class MessageBus:
         self.loss_rate = loss_rate  # property: validates + creates the RNG
         self._fault_hook: Optional[FaultHook] = None
         self.stats = BusStats()
-        self._sent_ctr: Optional[Counter] = None
-        self._bytes_ctr: Optional[Counter] = None
-        self._delivered_ctr: Optional[Counter] = None
-        self._dropped_ctr: Optional[Counter] = None
-        # Bound label cells: ``kind`` -> (sent, bytes, delivered) cell
-        # views, populated lazily per kind (None when uninstrumented) —
-        # the send fast path pays one dict lookup instead of label
-        # validation per message.
-        self._kind_cells: Optional[dict[str, tuple]] = None
-        self._drop_fault_cell: Optional[CounterCell] = None
-        self._drop_loss_cell: Optional[CounterCell] = None
-        self._drop_nohandler_cell: Optional[CounterCell] = None
-        self._tracer: Optional[Tracer] = None
-        registry, tracer = active_registry(), active_tracer()
-        if registry is not None or tracer is not None:
-            self.instrument(registry, tracer)
-
-    def instrument(
-        self,
-        registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        """Start recording per-kind counters into ``registry`` and/or
-        send/deliver/drop trace events into ``tracer``."""
-        if registry is not None:
-            self._sent_ctr = registry.counter(
-                "bus_messages_sent_total", "Messages sent, by kind.", ("kind",)
-            )
-            self._bytes_ctr = registry.counter(
-                "bus_bytes_sent_total", "Payload bytes sent, by kind.", ("kind",)
-            )
-            self._delivered_ctr = registry.counter(
-                "bus_messages_delivered_total", "Messages delivered, by kind.",
-                ("kind",),
-            )
-            self._dropped_ctr = registry.counter(
-                "bus_messages_dropped_total", "Messages dropped, by reason.",
-                ("reason",),
-            )
-            self._kind_cells = {}
-            self._drop_fault_cell = self._dropped_ctr.labelled(reason="fault")
-            self._drop_loss_cell = self._dropped_ctr.labelled(reason="loss")
-            self._drop_nohandler_cell = self._dropped_ctr.labelled(
-                reason="no_handler"
-            )
-        if tracer is not None:
-            self._tracer = tracer
-
-    def _bind_kind(self, kind: str) -> tuple:
-        """Bind (and cache) the per-kind counter cells."""
-        cells = (
-            self._sent_ctr.labelled(kind=kind),
-            self._bytes_ctr.labelled(kind=kind),
-            self._delivered_ctr.labelled(kind=kind),
-        )
-        self._kind_cells[kind] = cells
-        return cells
+        self._tracer: Optional[Tracer] = active_tracer()
 
     # -- failure injection --------------------------------------------------------
     @property
@@ -235,11 +178,10 @@ class MessageBus:
         counters — the commit half of a flood expansion
         (:mod:`repro.overlay.gnutella.flood`), which delivers messages
         inside its own kernel loop without touching the event heap.  One
-        call per kind updates :class:`BusStats` and the bound metric
-        cells exactly as ``sent``/``delivered`` individual messages would
-        have; traffic observers are *not* notified here (the kernel calls
-        them itself, per message or per aggregate — see
-        :class:`TrafficObserver`).
+        call per kind updates :class:`BusStats` exactly as
+        ``sent``/``delivered`` individual messages would have; traffic
+        observers are *not* notified here (the kernel calls them itself,
+        per message or per aggregate — see :class:`TrafficObserver`).
         """
         stats = self.stats
         if sent:
@@ -250,20 +192,6 @@ class MessageBus:
         stats.dropped_loss += dropped_loss
         stats.dropped_fault += dropped_fault
         stats.dropped_no_handler += dropped_no_handler
-        cells = self._kind_cells
-        if cells is not None:
-            kc = cells.get(kind) or self._bind_kind(kind)
-            if sent:
-                kc[0].inc(sent)
-                kc[1].inc(bytes_sent)
-            if delivered:
-                kc[2].inc(delivered)
-            if dropped_loss:
-                self._drop_loss_cell.inc(dropped_loss)
-            if dropped_fault:
-                self._drop_fault_cell.inc(dropped_fault)
-            if dropped_no_handler:
-                self._drop_nohandler_cell.inc(dropped_no_handler)
 
     def set_fault_hook(self, hook: Optional[FaultHook]) -> None:
         """Install (or with ``None`` remove) the fault-injection hook.
@@ -295,11 +223,10 @@ class MessageBus:
         payload: Any,
         size_bytes: int,
         extra_delay: float,
-        cells: Optional[tuple],
         batch: Optional[list],
     ) -> Message:
         """The single inline send path shared by :meth:`send` and
-        :meth:`send_many`: accounting, bound-cell metrics, fault hook,
+        :meth:`send_many`: accounting, fault hook,
         loss draw, delay validation, then either a direct ``schedule``
         (``batch is None``) or an append to the caller's batch list.
         """
@@ -312,9 +239,6 @@ class MessageBus:
         by_kind[kind] = by_kind.get(kind, 0) + 1
         for obs in self._observers:
             obs.observe(src, dst, size_bytes, kind)
-        if cells is not None:
-            cells[0].inc()
-            cells[1].inc(size_bytes)
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
@@ -325,8 +249,6 @@ class MessageBus:
             penalty = self._fault_hook(src, dst, kind)
             if penalty == math.inf:
                 stats.dropped_fault += 1
-                if self._drop_fault_cell is not None:
-                    self._drop_fault_cell.inc()
                 if tracer is not None:
                     tracer.emit(
                         "bus", "drop", time=self._sim.now,
@@ -344,8 +266,6 @@ class MessageBus:
             )
         if self._loss_rate and self._loss_rng.random() < self._loss_rate:
             stats.dropped_loss += 1
-            if self._drop_loss_cell is not None:
-                self._drop_loss_cell.inc()
             if tracer is not None:
                 tracer.emit(
                     "bus", "drop", time=self._sim.now,
@@ -374,11 +294,8 @@ class MessageBus:
         """
         if size_bytes < 0:
             raise SimulationError(f"negative message size: {size_bytes}")
-        cells = self._kind_cells
-        if cells is not None:
-            cells = cells.get(kind) or self._bind_kind(kind)
         return self._send_one(
-            src, dst, kind, payload, size_bytes, extra_delay, cells, None
+            src, dst, kind, payload, size_bytes, extra_delay, None
         )
 
     def send_many(
@@ -402,16 +319,13 @@ class MessageBus:
         """
         if size_bytes < 0:
             raise SimulationError(f"negative message size: {size_bytes}")
-        cells = self._kind_cells
-        if cells is not None:
-            cells = cells.get(kind) or self._bind_kind(kind)
         messages: list[Message] = []
         batch: list[tuple[float, Callable[..., None], tuple]] = []
         send_one = self._send_one
         for dst in dsts:
             messages.append(
                 send_one(src, dst, kind, payload, size_bytes, extra_delay,
-                         cells, batch)
+                         batch)
             )
         if batch:
             self._sim.schedule_many(batch)
@@ -421,8 +335,6 @@ class MessageBus:
         handler = self._handlers.get(msg.dst)
         if handler is None:
             self.stats.dropped_no_handler += 1
-            if self._drop_nohandler_cell is not None:
-                self._drop_nohandler_cell.inc()
             if self._tracer is not None:
                 self._tracer.emit(
                     "bus", "drop", time=self._sim.now,
@@ -430,10 +342,4 @@ class MessageBus:
                 )
             return
         self.stats.delivered += 1
-        cells = self._kind_cells
-        if cells is not None:
-            kc = cells.get(msg.kind)
-            if kc is None:
-                kc = self._bind_kind(msg.kind)
-            kc[2].inc()
         handler(msg)

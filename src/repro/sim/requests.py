@@ -16,9 +16,8 @@ do on final failure*:
 Retries re-invoke the transmit callable with the timeout doubled each
 attempt (``backoff_factor``), capped at ``max_timeout_ms``; after
 ``max_retries`` retransmissions the request fails and ``on_fail`` runs.
-Inside an ``obs.observe()`` scope the manager records
-``requests_retried_total`` / ``requests_failed_total`` counters (labelled
-by component) and emits ``request`` trace events.
+Inside an ``obs.observe()`` scope the manager emits ``request`` trace
+events; :class:`RequestStats` counts every outcome either way.
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from repro.errors import SimulationError
-from repro.obs import active_registry, active_tracer
-from repro.obs.registry import (
-    SLO_LATENCY_BUCKETS_MS,
-    Counter,
-    Histogram,
-    MetricRegistry,
-)
+from repro.obs import active_tracer
 from repro.obs.tracing import Tracer
 from repro.sim.engine import EventHandle, Simulation
 
@@ -82,21 +75,19 @@ class RequestStats:
 
 
 class _Outstanding:
-    __slots__ = ("transmit", "on_fail", "policy", "attempt", "handle", "issued_at")
+    __slots__ = ("transmit", "on_fail", "policy", "attempt", "handle")
 
     def __init__(
         self,
         transmit: Callable[[], None],
         on_fail: Optional[Callable[[], None]],
         policy: RetryPolicy,
-        issued_at: float,
     ) -> None:
         self.transmit = transmit
         self.on_fail = on_fail
         self.policy = policy
         self.attempt = 0
         self.handle: Optional[EventHandle] = None
-        self.issued_at = issued_at
 
 
 class RequestManager:
@@ -119,40 +110,7 @@ class RequestManager:
         self.component = component
         self._outstanding: dict[Hashable, _Outstanding] = {}
         self.stats = RequestStats()
-        self._retried_ctr: Optional[Counter] = None
-        self._failed_ctr: Optional[Counter] = None
-        self._latency_hist: Optional[Histogram] = None
-        self._tracer: Optional[Tracer] = None
-        registry, tracer = active_registry(), active_tracer()
-        if registry is not None or tracer is not None:
-            self.instrument(registry, tracer)
-
-    def instrument(
-        self,
-        registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        """Record retry/failure counters and request trace events."""
-        if registry is not None:
-            self._retried_ctr = registry.counter(
-                "requests_retried_total",
-                "Request retransmissions after a timeout, by component.",
-                ("component",),
-            )
-            self._failed_ctr = registry.counter(
-                "requests_failed_total",
-                "Requests abandoned after exhausting retries, by component.",
-                ("component",),
-            )
-            self._latency_hist = registry.histogram(
-                "request_latency_ms",
-                "Issue-to-resolve latency of completed requests, by "
-                "component (includes retransmission waits).",
-                ("component",),
-                buckets=SLO_LATENCY_BUCKETS_MS,
-            )
-        if tracer is not None:
-            self._tracer = tracer
+        self._tracer: Optional[Tracer] = active_tracer()
 
     # -- lifecycle -----------------------------------------------------------
     def issue(
@@ -177,7 +135,7 @@ class RequestManager:
         """
         if key in self._outstanding:
             raise SimulationError(f"request {key!r} is already outstanding")
-        entry = _Outstanding(transmit, on_fail, policy or self.policy, self.sim.now)
+        entry = _Outstanding(transmit, on_fail, policy or self.policy)
         self._outstanding[key] = entry
         try:
             transmit()
@@ -217,11 +175,10 @@ class RequestManager:
         """
         pol = policy or self.policy
         entries: list[tuple[Hashable, _Outstanding]] = []
-        now = self.sim.now
         for key, transmit, on_fail in items:
             if key in self._outstanding:
                 raise SimulationError(f"request {key!r} is already outstanding")
-            entry = _Outstanding(transmit, on_fail, pol, now)
+            entry = _Outstanding(transmit, on_fail, pol)
             self._outstanding[key] = entry
             entries.append((key, entry))
         sent = 0
@@ -275,10 +232,6 @@ class RequestManager:
         if entry.handle is not None:
             entry.handle.cancel()
         self.stats.resolved += 1
-        if self._latency_hist is not None:
-            self._latency_hist.observe(
-                self.sim.now - entry.issued_at, component=self.component
-            )
         return True
 
     def cancel(self, key: Hashable) -> bool:
@@ -306,8 +259,6 @@ class RequestManager:
         if entry.attempt < entry.policy.max_retries:
             entry.attempt += 1
             self.stats.retried += 1
-            if self._retried_ctr is not None:
-                self._retried_ctr.inc(component=self.component)
             if self._tracer is not None:
                 self._tracer.emit(
                     "request", "retry", time=self.sim.now,
@@ -322,8 +273,6 @@ class RequestManager:
             return
         del self._outstanding[key]
         self.stats.failed += 1
-        if self._failed_ctr is not None:
-            self._failed_ctr.inc(component=self.component)
         if self._tracer is not None:
             self._tracer.emit(
                 "request", "fail", time=self.sim.now,

@@ -42,7 +42,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.underlay._obs import note_cache_event, timed_build
 from repro.underlay.geometry import pairwise_distances, positions_to_array
 from repro.underlay.hosts import Host
 from repro.underlay.routing import ASRouting
@@ -195,11 +194,7 @@ class LatencyModel:
     def as_delay(self) -> np.ndarray:
         """AS-path delay matrix for every AS pair, built lazily once."""
         if self._as_delay is None:
-            note_cache_event("as_delay", "miss")
-            with timed_build("as_delay"):
-                self._as_delay = self._build_as_delay_matrix()
-        else:
-            note_cache_event("as_delay", "hit")
+            self._as_delay = self._build_as_delay_matrix()
         return self._as_delay
 
     def _build_as_delay_matrix(self) -> np.ndarray:

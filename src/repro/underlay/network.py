@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.rng import ensure_rng, spawn
-from repro.underlay._obs import note_cache_event, timed_build
 from repro.sim.engine import Simulation
 from repro.sim.messages import MessageBus
 from repro.underlay.cost import CostModel, CostParams
@@ -156,11 +155,7 @@ class Underlay:
         """The streaming delay kernel over this host population, built
         lazily once (O(n) columns + the small AS-delay matrix)."""
         if self._delay_kernel is None:
-            note_cache_event("delay_kernel", "miss")
-            with timed_build("delay_kernel"):
-                self._delay_kernel = self.latency.delay_kernel(self.hosts)
-        else:
-            note_cache_event("delay_kernel", "hit")
+            self._delay_kernel = self.latency.delay_kernel(self.hosts)
         return self._delay_kernel
 
     @property
@@ -180,11 +175,7 @@ class Underlay:
                     f"needs {n * n * 8 / 2**30:.1f} GiB and the cap is "
                     f"{MATRIX_HOST_CAP} hosts; use delay_kernel.delay_block()"
                 )
-            note_cache_event("host_latency", "miss")
-            with timed_build("host_latency"):
-                self._latency_matrix = self.delay_kernel.full_matrix()
-        else:
-            note_cache_event("host_latency", "hit")
+            self._latency_matrix = self.delay_kernel.full_matrix()
         return self._latency_matrix
 
     def rtt_matrix(self) -> np.ndarray:

@@ -39,7 +39,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import RoutingError
-from repro.underlay._obs import note_cache_event, timed_build
 from repro.underlay.autonomous_system import LinkType
 from repro.underlay.topology import InternetTopology
 
@@ -219,21 +218,16 @@ class ASRouting:
     def _ensure_tree(self, src: int) -> None:
         """BFS from ``src`` unless its predecessor tree is already cached."""
         if src in self._pred_cache:
-            note_cache_event("bfs", "hit")
             return
         self.topology.asys(src)  # validates the ASN
-        note_cache_event("bfs", "miss")
-        with timed_build("bfs"):
-            self._batch_bfs([src])
+        self._batch_bfs([src])
 
     # -- cache management ---------------------------------------------------
     def precompute(self) -> "ASRouting":
         """Batch-run the BFS for every source AS (one vectorised sweep)."""
         missing = [s for s in range(self._n) if s not in self._pred_cache]
         if missing:
-            note_cache_event("bfs", "miss")
-            with timed_build("bfs"):
-                self._batch_bfs(missing)
+            self._batch_bfs(missing)
         return self
 
     def invalidate(self) -> None:

@@ -138,9 +138,6 @@ class ReferenceGnutellaNode(GnutellaNode):
             responders.append(self.host_id)
         # and on behalf of leaves
         responders.extend(sorted(self.leaf_index.get(query.keyword, ())))
-        hops_hist = self.network.query_hops_hist
-        if hops_hist is not None and responders:
-            hops_hist.observe(self.config.query_ttl - query.ttl)
         for responder in responders:
             hit = QueryHit(guid=query.guid, responder=responder, keyword=query.keyword)
             self._route_hit(hit, via=from_peer)
@@ -180,8 +177,6 @@ class ReferenceGnutellaNetwork(GnutellaNetwork):
         node = ReferenceGnutellaNode(
             host, self.sim, self.bus, self, role, self.config
         )
-        if self._registry is not None:
-            node.instrument(self._registry, "gnutella")
         self.nodes[host.host_id] = node
         node.go_online()
         return node

@@ -41,18 +41,18 @@ SRC = ROOT / "src" / "repro"
 #: package -> never-called functions
 BUDGET = {
     "cli": 3,
-    "collection": 45,
+    "collection": 40,
     "coords": 14,
     "core": 17,
-    "experiments": 3,
+    "experiments": 1,
     "faults": 5,
     "metrics": 3,
-    "obs": 70,
-    "overlay": 58,
+    "obs": 7,
+    "overlay": 52,
     "rng": 0,
-    "runner": 6,
-    "service": 4,
-    "sim": 51,
+    "runner": 4,
+    "service": 3,
+    "sim": 43,
     "underlay": 12,
     "viz": 0,
     "workloads": 0,

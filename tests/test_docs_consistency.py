@@ -78,7 +78,7 @@ def test_every_documented_module_exists():
 #: names the docs spell that are not ``repro``'s: numpy's, the standard
 #: library's, a parameter's, big-O notation, the surveyed systems' own
 _FOREIGN = {
-    "np.unique", "dataclass", "bisect_right", "choice", "replace", "repr",
+    "np.unique", "np.sum", "dataclass", "bisect_right", "choice", "replace", "repr",
     "min", "float", "mat.item", "callback", "O", "Globase.KOM", "SkyEye.KOM",
 }
 

@@ -179,7 +179,7 @@ def test_empty_schedule_is_bit_for_bit_free():
     with and without the injector attached."""
 
     def run(with_injector):
-        with obs.observe() as session:
+        with obs.observe() as tracer:
             sim = Simulation()
             bus = MessageBus(sim, FixedLatency(), loss_rate=0.2, loss_seed=7)
             bus.register(2, lambda m: None)
@@ -188,7 +188,7 @@ def test_empty_schedule_is_bit_for_bit_free():
             for i in range(300):
                 sim.schedule_at(float(i + 1), bus.send, 1, 2, "X")
             sim.run()
-        return session.tracer.digest(), session.tracer.emitted
+        return tracer.digest(), tracer.emitted
 
     digest_plain, emitted_plain = run(with_injector=False)
     digest_idle, emitted_idle = run(with_injector=True)
@@ -197,17 +197,21 @@ def test_empty_schedule_is_bit_for_bit_free():
 
 
 def test_injector_metrics_and_trace_events():
-    with obs.observe() as session:
+    with obs.observe() as tracer:
+        events = []
+        tracer.subscribe(events.append)
         sim = Simulation()
         bus = _bus(sim)
         sched = FaultSchedule((
             LossFault(start=0.0, end=10.0, rate=1.0),
             CrashFault(at=5.0, peers=(9,)),
         ))
-        FaultInjector(sim, bus, sched).start()
+        injector = FaultInjector(sim, bus, sched)
+        injector.start()
         sim.run()
-    counter = session.registry.get("faults_injected_total")
-    assert counter.value(kind="loss") == 1
-    assert counter.value(kind="crash") == 1
-    actions = [e.kind for e in session.tracer if e.component == "fault"]
-    assert actions == ["activate", "crash", "deactivate"]
+    assert injector.stats.activations == 1
+    assert injector.stats.crashes == 1
+    faults = [e for e in events if e.component == "fault"]
+    assert [e.kind for e in faults] == ["activate", "crash", "deactivate"]
+    assert faults[0].attrs["kind"] == "loss"
+    assert tracer.counts["fault.crash"] == 1

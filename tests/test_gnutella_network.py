@@ -195,8 +195,7 @@ def test_join_all_matches_one_rejoin_per_node():
     from repro import obs
 
     def run(batched: bool):
-        tracer = obs.Tracer(capacity=64)
-        with obs.observe(tracer=tracer):
+        with obs.observe() as tracer:
             u = Underlay.generate(UnderlayConfig(n_hosts=45, seed=13))
             sim = Simulation()
             bus, _acct = u.message_bus(sim)

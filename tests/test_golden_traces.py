@@ -1,6 +1,6 @@
 """Golden-trace regression tests.
 
-Run a full scenario under the observability layer twice with the same
+Run a full scenario inside an ``obs.observe()`` scope twice with the same
 seed and assert the trace digests are identical — any refactor that
 changes *behaviour* (message order, event schedule, lookup paths), not
 just outputs, flips the digest.  Then run with a different seed and
@@ -9,15 +9,19 @@ digest that ignores the event stream would pass the determinism check
 vacuously.
 
 These scenarios are deliberately small (seconds, not minutes); the
-digest covers every sim schedule/fire/cancel and every bus send/deliver,
-so even the small runs fingerprint hundreds of thousands of events.
+digest covers every sim schedule/fire/cancel and every bus send and
+drop, so even the small runs fingerprint over a hundred thousand events.
+
+The Kademlia scenario also checks an invariant on the same stream: the
+engine clock never runs backwards.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable, Optional
 
-from repro.experiments import observability
+from repro import obs
 from repro.experiments.fig5_gnutella_oracle import run_fig5
 from repro.overlay.kademlia import KademliaConfig, KademliaNetwork
 from repro.sim import Simulation
@@ -27,13 +31,17 @@ from repro.underlay import Underlay, UnderlayConfig
 @functools.lru_cache(maxsize=None)
 def _fig5_trace_once(seed: int, repeat: int) -> tuple[str, int]:
     # ``repeat`` only distinguishes independent runs of the same seed
-    with observability() as session:
+    with obs.observe() as tracer:
         run_fig5(n_hosts=60, cache_fill=40, seed=seed)
-    return session.tracer.digest(), session.tracer.emitted
+    return tracer.digest(), tracer.emitted
 
 
-def _kademlia_trace(seed: int) -> tuple[str, int]:
-    with observability() as session:
+def _kademlia_trace(
+    seed: int, hook: Optional[Callable[[obs.TraceEvent], None]] = None
+) -> tuple[str, int]:
+    with obs.observe() as tracer:
+        if hook is not None:
+            tracer.subscribe(hook)
         underlay = Underlay.generate(UnderlayConfig(n_hosts=30, seed=seed))
         sim = Simulation()
         bus, _acct = underlay.message_bus(sim)
@@ -44,7 +52,7 @@ def _kademlia_trace(seed: int) -> tuple[str, int]:
         net.bootstrap_all()
         sim.run()
         net.run_value_workload(n_publishes=5, n_lookups=10)
-    return session.tracer.digest(), session.tracer.emitted
+    return tracer.digest(), tracer.emitted
 
 
 def test_fig5_gnutella_oracle_trace_is_deterministic():
@@ -75,18 +83,21 @@ def test_kademlia_lookup_trace_tracks_the_seed():
     assert digest_a != digest_c
 
 
-def test_trace_digest_survives_ring_eviction():
-    """The running digest covers evicted events: a tiny ring and a huge
-    ring over the same scenario agree."""
-    from repro import obs
+def test_kademlia_engine_clock_is_monotone():
+    """The scenario builds one Simulation: successive ``fire`` events
+    never go back in time, and no event is scheduled before the clock."""
+    fired: list[float] = []
+    backwards: list[tuple[float, float]] = []
 
-    def run(capacity: int) -> str:
-        tracer = obs.Tracer(capacity=capacity)
-        with obs.observe(tracer=tracer):
-            sim = Simulation()
-            for i in range(500):
-                sim.schedule(float(i), lambda: None)
-            sim.run()
-        return tracer.digest()
+    def check(ev: obs.TraceEvent) -> None:
+        if ev.component != "sim":
+            return
+        if ev.kind == "fire":
+            fired.append(ev.time)
+        elif ev.kind == "schedule" and ev.attrs["at"] < ev.time:
+            backwards.append((ev.time, ev.attrs["at"]))
 
-    assert run(capacity=16) == run(capacity=1 << 16)
+    _kademlia_trace(seed=3, hook=check)
+    assert len(fired) > 500
+    assert all(a <= b for a, b in zip(fired, fired[1:]))
+    assert backwards == []

@@ -25,9 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import OverlayError
 from repro.faults import DelayFault, FaultInjector, FaultSchedule, LossFault
-from repro.obs import Tracer
 from repro.overlay.gnutella import GnutellaConfig, GnutellaNetwork, flood
 from repro.overlay.kademlia.network import KademliaNetwork
 from repro.sim import Simulation
@@ -213,7 +213,8 @@ def _ping_round_under_splitting_faults(backend, seed):
     """One ping round where PONG runs must split: a fault hook whose
     penalty changes on every call (0 ms, 5 ms, a drop every 7th), 30%
     loss, a per-message observer and a tracer all attached."""
-    u, sim, bus, net, log, acct = _build(backend, seed=seed)
+    with obs.observe() as tracer:
+        u, sim, bus, net, log, acct = _build(backend, seed=seed)
     calls = count(1)
 
     def hook(src, dst, kind):
@@ -229,9 +230,7 @@ def _ping_round_under_splitting_faults(backend, seed):
                 ev.attrs["src"], ev.attrs["dst"], ev.attrs["kind"],
             ))
 
-    tracer = Tracer()
     tracer.subscribe(on_event)
-    bus.instrument(tracer=tracer)
     bus.set_fault_hook(hook)
     bus.loss_rate = 0.3
     log.clear()

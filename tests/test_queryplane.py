@@ -1,5 +1,5 @@
-"""Send-log digests, the flood kernel's obs metrics, and the guarantee
-that no flood leaves state behind."""
+"""Send-log digests and the guarantee that no flood leaves state
+behind."""
 
 from collections.abc import Sized
 
@@ -26,32 +26,6 @@ def test_send_log_observer_and_record():
     d = log.digest()
     log.clear()
     assert log.events == [] and log.digest() != d
-
-
-# ----------------------------------------------------------- obs metrics
-def test_batch_expansion_wires_obs_metrics():
-    from repro.obs.registry import MetricRegistry
-
-    u = Underlay.generate(UnderlayConfig(n_hosts=20, seed=9))
-    sim = Simulation()
-    bus = MessageBus(sim, u)
-    net = GnutellaNetwork(u, sim, bus, rng=2)
-    registry = MetricRegistry()
-    net.instrument(registry)
-    net.add_population(u.hosts)
-    net.bootstrap(cache_fill=15)
-    net.join_all()
-    sim.run()
-    net.ping_round()
-    sim.run()
-    net.search(u.hosts[0].host_id, 1)
-    sim.run()
-
-    expanded = registry.get("queries_expanded_total")
-    assert expanded.value(kind="QUERY") == 1
-    assert expanded.value(kind="PING") == len(net.nodes)
-    frontier = registry.get("query_frontier_size")
-    assert frontier.count() > 0
 
 
 # -------------------------------------------------------- memory-flat regression

@@ -2,7 +2,7 @@
 
 import functools
 
-from repro.experiments import metrics_snapshot, observability
+from repro.experiments import run_observed
 from repro.experiments.resilience_faults import (
     ARMS,
     SMOKE_SCENARIOS,
@@ -13,9 +13,8 @@ from repro.experiments.resilience_faults import (
 @functools.lru_cache(maxsize=None)
 def _smoke_once(repeat: int):
     # ``repeat`` distinguishes independent runs of the same seeded setup
-    with observability() as session:
-        result = run_resilience_faults(smoke=True)
-    return result, metrics_snapshot(session)
+    result = run_observed(run_resilience_faults, smoke=True)
+    return result, result.trace
 
 
 def test_smoke_produces_full_grid():
@@ -39,9 +38,9 @@ def test_faults_actually_bite_and_retries_fire():
         assert dropped > 0, f"{scenario} injected nothing"
     retried = sum(r["requests_retried"] for r in result.rows)
     assert retried > 0
-    # the observability layer saw the same story
-    assert "faults_injected_total" in snap["metrics"]
-    assert "requests_retried_total" in snap["metrics"]
+    # the trace saw the same story
+    assert snap["counts"]["fault.activate"] > 0
+    assert snap["counts"]["request.retry"] > 0
 
 
 def test_baseline_arms_pay_no_fault_cost():
@@ -61,6 +60,6 @@ def test_seeded_run_is_deterministic():
     result_a, snap_a = _smoke_once(0)
     result_b, snap_b = _smoke_once(1)
     assert result_a.rows == result_b.rows
-    assert snap_a["trace"]["digest"] == snap_b["trace"]["digest"]
-    assert snap_a["trace"]["events_emitted"] == snap_b["trace"]["events_emitted"]
-    assert snap_a["trace"]["events_emitted"] > 10_000
+    assert snap_a["digest"] == snap_b["digest"]
+    assert snap_a["emitted"] == snap_b["emitted"]
+    assert snap_a["emitted"] > 10_000

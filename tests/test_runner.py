@@ -115,45 +115,13 @@ class TestRunArms:
 
 
 class TestRunnerObservability:
-    def test_serial_records_parent_metrics(self):
-        with obs.observe() as session:
-            run_arms(_square, [1, 2, 3], workers=1)
-        arms = session.registry.get("runner_arms_total")
-        assert arms.value(mode="serial") == 3.0
-        assert session.registry.get("runner_workers").value() == 1.0
-        assert session.registry.get("runner_arm_seconds").count() == 3
-
-    def test_parallel_records_parent_metrics(self):
-        with obs.observe() as session:
-            run_arms(_square, [1, 2, 3, 4], workers=2)
-        arms = session.registry.get("runner_arms_total")
-        assert arms.value(mode="parallel") == 4.0
-        assert session.registry.get("runner_workers").value() == 2.0
-        assert session.registry.get("runner_arm_seconds").count() == 4
-
-    def test_worker_counters_merge_home(self):
-        def armfn(a):
-            reg = obs.active_registry()
-            reg.counter("sweep_probe_total", "probe", ("arm",)).inc(
-                a, arm=str(a)
-            )
-            return a
-
-        with obs.observe() as session:
-            run_arms(armfn, [1, 2, 3], workers=2)
-        merged = session.registry.get("sweep_probe_total")
-        assert merged is not None
-        assert merged.total() == 6.0
-        assert merged.value(arm="2") == 2.0
-
     def test_worker_scope_is_isolated_from_parent_trace(self):
         # parallel arms must not write into the parent's tracer: only
         # parent-side events (none here) appear
-        with obs.observe() as session:
+        with obs.observe() as tracer:
             run_arms(_square, [1, 2, 3, 4], workers=2)
-        assert session.tracer.emitted == 0
+        assert tracer.emitted == 0
 
     def test_no_registry_no_crash(self):
-        # outside any observe() scope the runner records nothing and
-        # the worker counter snapshots are dropped silently
+        # outside any observe() scope the runner runs plainly
         assert run_arms(_square, [5], workers=1) == [25]

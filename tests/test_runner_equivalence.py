@@ -70,10 +70,10 @@ def test_traced_serial_run_keeps_stable_digest():
     golden-trace property, preserved)."""
     digests = []
     for _repeat in range(2):
-        with obs.observe() as session:
+        with obs.observe() as tracer:
             run_fig6(n_hosts=50, seed=17, workers=1)
-        assert session.tracer.emitted > 0  # arms really traced
-        digests.append(session.tracer.digest())
+        assert tracer.emitted > 0  # arms really traced
+        digests.append(tracer.digest())
     assert digests[0] == digests[1]
 
 

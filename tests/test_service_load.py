@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from repro import obs
 from repro.errors import ConfigurationError
 from repro.service import (
     ClosedLoopDriver,
@@ -218,24 +217,6 @@ def test_closed_loop_requires_timeout():
         ClosedLoopDriver(
             sim, [fixed_service_op(sim, 10.0)], timeout_ms=None, rng=1
         )
-
-
-def test_driver_metrics_inside_observe():
-    with obs.observe() as session:
-        sim = Simulation()
-        driver = OpenLoopDriver(
-            sim,
-            [fixed_service_op(sim, 25.0)],
-            PoissonArrivals(10.0, rng=1),
-            duration_ms=2_000.0,
-            rng=2,
-        )
-        report = driver.run(drain_ms=1_000.0)
-    ctr = session.registry.get("service_ops_total")
-    assert ctr.value(op="op", status="ok") == report.succeeded
-    hist = session.registry.get("service_op_latency_ms")
-    assert hist.count(op="op") == report.succeeded
-    assert hist.quantile(0.5, op="op") == pytest.approx(25.0, abs=1.0)
 
 
 def test_report_as_dict_is_json_safe():

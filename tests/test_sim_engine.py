@@ -116,24 +116,14 @@ def test_max_events_cut_short_does_not_advance_clock_to_until():
     assert sim.now == 100.0
 
 
-def test_pending_and_peek():
+def test_pending_excludes_cancelled_events():
     sim = Simulation()
-    assert sim.peek_time() is None
+    assert sim.pending() == 0
     h = sim.schedule(2.0, lambda: None)
     sim.schedule(4.0, lambda: None)
-    assert sim.peek_time() == 2.0
     assert sim.pending() == 2
     h.cancel()
-    assert sim.peek_time() == 4.0
     assert sim.pending() == 1
-
-
-def test_step_returns_false_on_empty_queue():
-    sim = Simulation()
-    assert sim.step() is False
-    sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
 
 
 def test_events_processed_counter():
@@ -303,7 +293,7 @@ def test_schedule_many_traces_like_schedule():
 
     digests = []
     for batched in (False, True):
-        with obs.observe() as session:
+        with obs.observe() as tracer:
             sim = Simulation()
             if batched:
                 sim.schedule_many(
@@ -313,7 +303,7 @@ def test_schedule_many_traces_like_schedule():
                 sim.schedule(1.0, _noop)
                 sim.schedule(2.0, _noop)
             sim.run()
-        digests.append(session.tracer.digest())
+        digests.append(tracer.digest())
     assert digests[0] == digests[1]
 
 

@@ -214,12 +214,12 @@ def test_message_and_busstats_are_slots():
     assert not hasattr(stats, "__dict__")
 
 
-def test_instrumented_bus_counts_via_bound_cells():
-    """The fast path counts through bound label cells; the registry
-    snapshot must match the per-kind stats exactly."""
+def test_traced_bus_tally_matches_stats():
+    """The tracer's per-kind tally counts the same sends and drops as
+    the bus's own stats, on both the single and the batch send path."""
     from repro import obs
 
-    with obs.observe() as session:
+    with obs.observe() as tracer:
         sim = Simulation()
         bus = MessageBus(sim, FixedLatency(1.0))
         bus.register("b", lambda m: None)
@@ -227,11 +227,8 @@ def test_instrumented_bus_counts_via_bound_cells():
         bus.send_many("a", ["b", "b"], "PING", size_bytes=10)
         bus.send("a", "missing", "PONG")
         sim.run()
-    snap = obs.registry_to_dict(session.registry)
-    assert snap["bus_messages_sent_total"]["values"]["kind=PING"] == 3
-    assert snap["bus_messages_sent_total"]["values"]["kind=PONG"] == 1
-    assert snap["bus_bytes_sent_total"]["values"]["kind=PING"] == 64 + 10 + 10
-    assert snap["bus_messages_delivered_total"]["values"]["kind=PING"] == 3
-    assert (
-        snap["bus_messages_dropped_total"]["values"]["reason=no_handler"] == 1
-    )
+    assert tracer.counts["bus.send"] == bus.stats.sent == 4
+    assert tracer.counts["bus.drop"] == bus.stats.dropped_no_handler == 1
+    assert bus.stats.by_kind == {"PING": 3, "PONG": 1}
+    assert bus.stats.bytes_sent == 64 + 10 + 10 + 64
+    assert bus.stats.delivered == 3

@@ -106,20 +106,6 @@ def test_transmit_raise_rolls_back_registration():
     assert mgr.stats.resolved == 1
 
 
-def test_request_latency_histogram_inside_observe():
-    with obs.observe() as session:
-        sim = Simulation()
-        mgr = RequestManager(
-            sim, policy=RetryPolicy(timeout_ms=1000.0), component="testproto"
-        )
-        mgr.issue("r1", lambda: None)
-        sim.schedule(40.0, mgr.resolve, "r1")
-        sim.run()
-    hist = session.registry.get("request_latency_ms")
-    assert hist.count(component="testproto") == 1
-    assert hist.sum(component="testproto") == pytest.approx(40.0)
-
-
 def test_per_request_policy_override():
     sim = Simulation()
     mgr = RequestManager(
@@ -150,7 +136,9 @@ def test_cancel_all_suppresses_on_fail():
 
 
 def test_counters_and_trace_events_inside_observe():
-    with obs.observe() as session:
+    with obs.observe() as tracer:
+        events = []
+        tracer.subscribe(events.append)
         sim = Simulation()
         mgr = RequestManager(
             sim,
@@ -159,9 +147,9 @@ def test_counters_and_trace_events_inside_observe():
         )
         mgr.issue("r1", lambda: None)
         sim.run()
-    retried = session.registry.get("requests_retried_total")
-    failed = session.registry.get("requests_failed_total")
-    assert retried.value(component="testproto") == 1
-    assert failed.value(component="testproto") == 1
-    kinds = [e.kind for e in session.tracer if e.component == "request"]
-    assert kinds == ["retry", "fail"]
+    assert mgr.stats.retried == 1
+    assert mgr.stats.failed == 1
+    requests = [e for e in events if e.component == "request"]
+    assert [e.kind for e in requests] == ["retry", "fail"]
+    assert {e.attrs["component"] for e in requests} == {"testproto"}
+    assert tracer.counts["request.retry"] == tracer.counts["request.fail"] == 1
