@@ -76,9 +76,10 @@ def test_trace_prints_a_stable_digest_and_tally(capsys, monkeypatch):
 
 def test_trace_refuses_parallel_workers(monkeypatch):
     monkeypatch.delenv(ENV_SERIAL, raising=False)
+    configured = default_workers()
     with pytest.raises(SystemExit, match="--trace.*REPRO_RUNNER_WORKERS"):
         main(["run", "FIG6", "--trace", "--workers", "2"])
-    assert default_workers() is None  # refused before configuring
+    assert default_workers() == configured  # refused before configuring
     monkeypatch.setenv(ENV_WORKERS, "2")
     with pytest.raises(SystemExit, match="--workers"):
         main(["run", "FIG6", "--trace"])
