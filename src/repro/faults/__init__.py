@@ -4,8 +4,8 @@ The survey's open evaluation question is how underlay-aware overlays
 behave under churn and network failure.  This package provides the
 missing instrument: a deterministic, clock-driven fault model that
 interposes on the simulation's transport (:class:`~repro.sim.messages.MessageBus`)
-and peer lifecycle (:class:`~repro.sim.churn.ChurnProcess`) without
-modifying any protocol.
+without modifying any protocol.  Peer departures are modelled only as
+crash faults, each with an optional recovery time.
 
 - :class:`FaultSchedule` — timed loss/delay/partition/crash faults,
   programmatic or loaded from a dict/JSON spec.

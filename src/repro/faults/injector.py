@@ -2,9 +2,10 @@
 
 :class:`FaultInjector` turns a :class:`~repro.faults.schedule.FaultSchedule`
 into scheduled activation/deactivation events and interposes on the
-:class:`~repro.sim.messages.MessageBus` (via its fault hook) and, for
-crashes, on a :class:`~repro.sim.churn.ChurnProcess` — protocols are never
-modified and never know faults exist.
+:class:`~repro.sim.messages.MessageBus` (via its fault hook) — protocols
+are never modified and never know faults exist.  A
+:class:`~repro.faults.schedule.CrashFault` is the one way a peer leaves the
+simulation, and its ``recover_at`` the one way it comes back.
 
 Zero-cost when idle: an empty schedule schedules no events, installs no
 bus hook, and draws no random numbers, so an experiment with an attached
@@ -44,7 +45,6 @@ from repro.faults.schedule import (
 from repro.obs import active_tracer
 from repro.obs.tracing import Tracer
 from repro.rng import SeedLike, ensure_rng
-from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulation
 from repro.sim.messages import MessageBus
 
@@ -84,14 +84,12 @@ class FaultInjector:
     asn_of:
         Endpoint -> ASN resolver (e.g. ``underlay.asn_of``).  Required
         when the schedule contains AS-scoped or partition faults.
-    churn:
-        Optional :class:`ChurnProcess`; crashed peers are silenced in it
-        (their pending join/leave cancelled) and revived on recovery.
     on_crash / on_recover:
         Callbacks invoked with each crashed/recovered peer id — typically
-        ``node.go_offline`` / a rejoin.  When no callback is given the
-        peer's bus endpoint is unregistered on crash, mirroring a process
-        that vanished mid-conversation.
+        ``node.go_offline`` / ``node.go_online``.  When ``on_crash`` is
+        None the peer's bus handler is detached on crash, mirroring a
+        process that vanished mid-conversation, and re-attached on
+        recovery before ``on_recover`` runs.
     seed:
         Seed for the injector's private loss RNG.
     """
@@ -103,7 +101,6 @@ class FaultInjector:
         schedule: FaultSchedule,
         *,
         asn_of: Optional[Callable[[Hashable], int]] = None,
-        churn: Optional[ChurnProcess] = None,
         on_crash: Optional[Callable[[int], None]] = None,
         on_recover: Optional[Callable[[int], None]] = None,
         seed: SeedLike = 0,
@@ -117,12 +114,13 @@ class FaultInjector:
         self.bus = bus
         self.schedule = schedule
         self.asn_of = asn_of
-        self.churn = churn
         self.on_crash = on_crash
         self.on_recover = on_recover
         self._rng = ensure_rng(seed)
         self._active: list = []  # message faults currently in their window
         self._started = False
+        #: bus handlers detached by a callback-less crash, until recovery
+        self._detached: dict[Hashable, Callable] = {}
         self.stats = InjectorStats()
         self._tracer: Optional[Tracer] = active_tracer()
 
@@ -199,12 +197,12 @@ class FaultInjector:
     def _crash(self, fault: CrashFault) -> None:
         self.stats.crashes += len(fault.peers)
         for peer in fault.peers:
-            if self.churn is not None:
-                self.churn.crash(peer)
             if self.on_crash is not None:
                 self.on_crash(peer)
             else:
-                self.bus.unregister(peer)
+                handler = self.bus.unregister(peer)
+                if handler is not None:
+                    self._detached[peer] = handler
             if self._tracer is not None:
                 self._tracer.emit(
                     "fault", "crash", time=self.sim.now, peer=peer,
@@ -217,8 +215,9 @@ class FaultInjector:
     def _recover(self, fault: CrashFault) -> None:
         self.stats.recoveries += len(fault.peers)
         for peer in fault.peers:
-            if self.churn is not None:
-                self.churn.revive(peer)
+            handler = self._detached.pop(peer, None)
+            if handler is not None:
+                self.bus.register(peer, handler)
             if self.on_recover is not None:
                 self.on_recover(peer)
             if self._tracer is not None:

@@ -12,7 +12,9 @@ Biernacki's OPNET study):
 - :class:`PartitionFault` — drop *all* traffic crossing a partition of
   the AS set (ASes not listed form an implicit "rest of the world" side);
 - :class:`CrashFault` — instant peer failures at a point in time, with an
-  optional recovery time (no graceful leave — distinct from churn).
+  optional recovery time.  There is no graceful leave: a crash and its
+  recovery are the only way a peer leaves and returns, so churn is a
+  schedule of ``CrashFault(at, peers, recover_at)`` session windows.
 
 Schedules are built programmatically::
 
@@ -147,7 +149,8 @@ class PartitionFault:
 @dataclass(frozen=True)
 class CrashFault:
     """Instant failure of ``peers`` at time ``at``; with ``recover_at``
-    the peers come back (the injector's recovery callback fires)."""
+    the peers come back (the injector re-attaches any bus handler it
+    detached, then its recovery callback fires)."""
 
     at: float
     peers: tuple[int, ...] = ()

@@ -110,7 +110,6 @@ class GnutellaNetwork:
         self.search_retention = search_retention
         #: how every PING, PONG, QUERY and QUERYHIT travels
         self.flood_kernel = FloodKernel(self)
-        self._maintenance: list = []  # running PeriodicProcess batch
         self._guid_counter = 0
         self.searches: dict[int, SearchRecord] = {}
         #: optional hook invoked with the :class:`SearchRecord` when its
@@ -239,28 +238,6 @@ class GnutellaNetwork:
     def _join_node(self, node: GnutellaNode) -> None:
         node.join(self.ranked_candidates(node))
 
-    # -- churn ----------------------------------------------------------------
-    def part(self, host_id: int) -> None:
-        """Graceful departure of one node (stays known to the network and
-        can rejoin later)."""
-        self.nodes[host_id].leave()
-
-    def rejoin(self, host_id: int, delay_ms: float = 0.0) -> None:
-        """Bring a departed node back online and re-run its join."""
-        node = self.nodes[host_id]
-        node.go_online()
-        self.sim.schedule(delay_ms, self._join_node, node)
-
-    def schedule_repair(self, node: GnutellaNode, delay_ms: float = 500.0) -> None:
-        """A node lost a connection; retry the join shortly (jittered so a
-        departed ultrapeer's leaves do not stampede one replacement)."""
-        delay = delay_ms * (1.0 + float(self._rng.uniform(0.0, 1.0)))
-        self.sim.schedule(delay, self._repair, node)
-
-    def _repair(self, node: GnutellaNode) -> None:
-        if node.online and len(node.neighbors) < node.desired_connections():
-            node.join(self.ranked_candidates(node))
-
     # -- floods -------------------------------------------------------------------
     def query_plane_active(self) -> bool:
         """Always ``True``: every flood goes through the kernel."""
@@ -270,29 +247,6 @@ class GnutellaNetwork:
     def ping_round(self) -> None:
         """Every node emits one PING round (call after joins settle)."""
         self.flood_kernel.expand_ping_round(self.nodes.values())
-
-    def start_auto_maintenance(self, *, ping_period_ms: float = 30_000.0) -> None:
-        """Periodic per-node PINGs (jittered): keeps hostcaches and pong
-        caches fresh so churn repair has candidates to work with.  A
-        second call replaces the running batch."""
-        from repro.sim.process import PeriodicProcess
-
-        self.stop_auto_maintenance()
-        self._maintenance = [
-            PeriodicProcess(
-                self.sim,
-                ping_period_ms,
-                lambda n=node: n.online and n.start_ping(),
-                jitter=0.4,
-                rng=self._rng,
-            )
-            for node in self.nodes.values()
-        ]
-
-    def stop_auto_maintenance(self) -> None:
-        for p in self._maintenance:
-            p.stop()
-        self._maintenance = []
 
     # -- guid / search bookkeeping ---------------------------------------------------
     def next_guid(self) -> int:

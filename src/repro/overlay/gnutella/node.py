@@ -12,9 +12,9 @@ locality experiments of Aggarwal et al. [1]):
 - QUERY flooding among ultrapeers with duplicate suppression, QUERYHIT
   routed back hop-by-hop along the reverse query path.
 
-The handshake, SHARE, BYE and the HTTP download are messages on the
+The handshake, SHARE and the HTTP download are messages on the
 :class:`~repro.sim.messages.MessageBus`, handled here.  The two floods
-are not: :meth:`GnutellaNode.start_ping` and
+are not: :meth:`GnutellaNetwork.ping_round` and
 :meth:`GnutellaNode.start_query` hand the descriptor to the network's
 :class:`~repro.overlay.gnutella.flood.FloodKernel`, which expands the
 whole flood against this node's state (roles, neighbor sets, content
@@ -211,36 +211,7 @@ class GnutellaNode(OverlayNode):
         for kw in keywords:
             self.leaf_index.setdefault(kw, set()).add(leaf_id)
 
-    def drop_peer(self, peer: int) -> None:
-        """Remove a vanished peer from all local state."""
-        self.neighbors.discard(peer)
-        self.leaves.discard(peer)
-        for holders in self.leaf_index.values():
-            holders.discard(peer)
-
-    # ------------------------------------------------------------------ leaving
-    def leave(self) -> None:
-        """Graceful departure: notify connected peers, then go offline."""
-        if not self.online:
-            return
-        for peer in list(self._connected_peers()):
-            self.send(peer, "BYE", self.host_id, 16)
-        self.neighbors.clear()
-        self.leaves.clear()
-        self.go_offline()
-
-    def on_bye(self, msg: Message) -> None:
-        self.drop_peer(msg.src)
-        self.hostcache.remove(msg.src)
-        # a leaf that lost an ultrapeer looks for a replacement
-        if self.role == LEAF and len(self.neighbors) < self.desired_connections():
-            self.network.schedule_repair(self)
-
     # ------------------------------------------------------------------ ping/pong
-    def start_ping(self) -> None:
-        """Flood one PING to all connected peers (none while offline)."""
-        self.network.flood_kernel.expand_ping_round((self,))
-
     def _connected_peers(self) -> list[int]:
         """All connected peer ids, ascending (deterministic fan-out)."""
         return sorted(self.neighbors | self.leaves)

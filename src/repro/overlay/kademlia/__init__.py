@@ -6,7 +6,6 @@ from repro.overlay.kademlia.id_space import (
     bucket_index,
     key_for,
     random_id,
-    random_id_in_bucket,
     sort_by_distance,
     xor_distance,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "bucket_index",
     "key_for",
     "random_id",
-    "random_id_in_bucket",
     "sort_by_distance",
     "xor_distance",
 ]

@@ -51,24 +51,6 @@ def random_id(rng: SeedLike = None) -> int:
     return int.from_bytes(data, "big")
 
 
-def random_id_in_bucket(own_id: int, bucket: int, rng: SeedLike = None) -> int:
-    """Random id whose bucket index relative to ``own_id`` is ``bucket``
-    (used for bucket refresh lookups)."""
-    if not (0 <= bucket < ID_BITS):
-        raise OverlayError(f"bucket index out of range: {bucket}")
-    rng = ensure_rng(rng)
-    # flip bit `bucket`, randomise all lower bits
-    prefix = own_id >> (bucket + 1) << (bucket + 1)
-    flipped = prefix | ((~own_id >> bucket) & 1) << bucket
-    low_bits = 0
-    remaining = bucket
-    while remaining > 0:
-        take = min(remaining, 31)
-        low_bits = (low_bits << take) | int(rng.integers(0, 1 << take))
-        remaining -= take
-    return flipped | low_bits
-
-
 def key_for(content: object) -> int:
     """Hash any hashable/printable content id into the key space (SHA-1,
     Kademlia's original choice — 160 bits exactly)."""

@@ -32,8 +32,8 @@ class KBucket:
 
     ``proximity`` False: classic LRU — new contacts appended, existing
     contacts moved to the tail on update, inserts into a full bucket are
-    dropped (we skip the liveness-ping eviction dance; under our churn
-    model stale contacts are removed explicitly).
+    dropped (we skip the liveness-ping eviction dance; a contact that
+    stops answering is removed explicitly when its RPC fails).
 
     ``proximity`` True: the bucket keeps the k lowest-RTT contacts seen.
     """

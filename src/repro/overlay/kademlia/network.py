@@ -69,7 +69,6 @@ class KademliaNetwork:
         #: the heard-of contact table every node of this network shares
         #: (see KademliaNode._heard_of)
         self._heard: dict[tuple[int, int], Contact] = {}
-        self._maintenance: list = []  # running PeriodicProcess batch
         # When a proximity technique is on, nodes estimate the RTT of
         # heard-of contacts from network coordinates (§3.2 prediction);
         # modelled as the true RTT with multiplicative coordinate error.
@@ -125,43 +124,6 @@ class KademliaNetwork:
             delay = float(self._rng.uniform(0, stagger_ms)) + i * 2.0
             items.append((delay, self.nodes[hid].bootstrap, (seeds,)))
         self.sim.schedule_many(items)
-
-    # -- maintenance ---------------------------------------------------------------
-    def start_maintenance(
-        self, *, refresh_period_ms: float = 60_000.0
-    ) -> None:
-        """Periodic bucket refreshes for every online node (staggered).
-        A second call replaces the running batch."""
-        from repro.sim.process import PeriodicProcess
-
-        self.stop_maintenance()
-        self._maintenance = [
-            PeriodicProcess(
-                self.sim,
-                refresh_period_ms,
-                lambda n=node: n.online and n.refresh_buckets(self._rng),
-                jitter=0.4,
-                rng=self._rng,
-            )
-            for node in self.nodes.values()
-        ]
-
-    def stop_maintenance(self) -> None:
-        for p in self._maintenance:
-            p.stop()
-        self._maintenance = []
-
-    def republish(self, key: int) -> int:
-        """Re-publish a key from every current holder to the (possibly
-        changed) k closest nodes; returns the number of holders."""
-        holders = [
-            (hid, node) for hid, node in self.nodes.items()
-            if node.online and key in node.storage
-        ]
-        for _hid, node in holders:
-            for value in set(node.storage[key]):
-                node.store_value(key, value)
-        return len(holders)
 
     # -- workload -----------------------------------------------------------------
     def publish(self, owner: int, content: object) -> int:

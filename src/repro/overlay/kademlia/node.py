@@ -472,23 +472,3 @@ class KademliaNode(OverlayNode):
             if s.node_id != self.node_id:
                 self.routing_table.update(s)
         self.iterative_find_node(self.node_id, on_done or (lambda r: None))
-
-    # -- maintenance ---------------------------------------------------------------
-    def refresh_buckets(self, rng=None, *, max_buckets: int = 3) -> int:
-        """Kademlia bucket refresh: look up a random id inside each of up
-        to ``max_buckets`` of the emptiest non-trivial buckets, repairing
-        routing state lost to churn.  Returns lookups started."""
-        from repro.overlay.kademlia.id_space import random_id_in_bucket
-
-        table = self.routing_table
-        candidates = sorted(
-            (i for i in table.nonempty_buckets()
-             if len(table.buckets[i]) < self.config.k),
-            key=lambda i: len(table.buckets[i]),
-        )
-        started = 0
-        for bucket in candidates[:max_buckets]:
-            target = random_id_in_bucket(self.node_id, bucket, rng)
-            self.iterative_find_node(target, lambda r: None)
-            started += 1
-        return started

@@ -3,7 +3,7 @@
 Of the 160 possible buckets a node in an N-host network ever fills about
 log2(N), so :class:`~repro.overlay.kademlia.kbucket.KBucket` objects are
 allocated on the first *write* to a bucket; reads of an unoccupied
-bucket (``get``, ``closest``, bucket refresh) allocate nothing.
+bucket (``get``, ``closest``, ``remove``) allocate nothing.
 """
 
 from __future__ import annotations
@@ -96,6 +96,3 @@ class RoutingTable:
 
     def size(self) -> int:
         return sum(len(b) for b in self.buckets.values())
-
-    def nonempty_buckets(self) -> list[int]:
-        return sorted(i for i, b in self.buckets.items() if len(b))

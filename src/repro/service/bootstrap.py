@@ -216,13 +216,5 @@ class Bootstrapper:
         return out
 
     def stop_sync(self) -> dict[str, Any]:
-        if self.state == "stopped":
-            return self.stats()
-        if self.network is not None:
-            stop = getattr(self.network, "stop_maintenance", None)
-            if stop is None:
-                stop = getattr(self.network, "stop_auto_maintenance", None)
-            if stop is not None:
-                stop()
         self.state = "stopped"
         return self.stats()

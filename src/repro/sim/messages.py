@@ -206,8 +206,11 @@ class MessageBus:
         """Attach ``handler`` to ``endpoint``; replaces any previous handler."""
         self._handlers[endpoint] = handler
 
-    def unregister(self, endpoint: Hashable) -> None:
-        self._handlers.pop(endpoint, None)
+    def unregister(
+        self, endpoint: Hashable
+    ) -> Optional[Callable[[Message], None]]:
+        """Detach ``endpoint``'s handler and return it (None if none)."""
+        return self._handlers.pop(endpoint, None)
 
     def is_registered(self, endpoint: Hashable) -> bool:
         return endpoint in self._handlers

@@ -1,9 +1,9 @@
-"""Periodic and one-shot process helpers on top of the event engine.
+"""Periodic process helper on top of the event engine.
 
-Protocol implementations need recurring maintenance loops (Gnutella pings,
-Kademlia bucket refreshes, Vivaldi sampling).  :class:`PeriodicProcess`
-wraps the schedule/re-schedule dance, supports jitter so that thousands of
-peers do not fire in lock-step, and can be stopped idempotently.
+Protocol implementations need recurring loops (Vivaldi coordinate
+gossip).  :class:`PeriodicProcess` wraps the schedule/re-schedule dance,
+supports jitter so that thousands of peers do not fire in lock-step, and
+can be stopped idempotently.
 """
 
 from __future__ import annotations
@@ -85,10 +85,3 @@ class PeriodicProcess:
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-
-
-def call_after(
-    sim: Simulation, delay: float, callback: Callable[[], None]
-) -> EventHandle:
-    """One-shot convenience wrapper around :meth:`Simulation.schedule`."""
-    return sim.schedule(delay, callback)

@@ -48,11 +48,11 @@ BUDGET = {
     "faults": 5,
     "metrics": 3,
     "obs": 7,
-    "overlay": 52,
+    "overlay": 38,
     "rng": 0,
     "runner": 4,
     "service": 3,
-    "sim": 43,
+    "sim": 32,
     "underlay": 12,
     "viz": 0,
     "workloads": 0,

@@ -48,48 +48,41 @@ def test_different_seeds_differ():
 
 
 @pytest.mark.scale
-def test_scale_smoke_100k_hosts_churn_ledger_balances():
-    """10^5-peer churn smoke: an overlay that adds a peer when it joins
-    and drops it when it leaves or crashes ends up with exactly the
-    population churn's own ledger says, across crash/revive cycles, and
-    the run stays inside a bounded memory envelope (deselect with ``-m
-    'not scale'`` on memory-limited CI runners)."""
+def test_scale_smoke_100k_endpoints_crash_recover_reregisters():
+    """10^5-endpoint crash/recover smoke: five rotating crashes of 2,000
+    peers each, every one recovered with no callbacks, leave every
+    endpoint registered again and the heap drained, and the run stays
+    inside a bounded memory envelope (deselect with ``-m 'not scale'``
+    on memory-limited CI runners)."""
     import resource
 
-    from repro.sim import ChurnConfig, ChurnProcess, Simulation
+    from repro.faults import CrashFault, FaultInjector, FaultSchedule
+    from repro.sim import MessageBus, Simulation
+
+    class ZeroLatency:
+        def one_way_delay(self, src, dst):
+            return 0.0
 
     n = 100_000
-    members: set[int] = set()
     sim = Simulation()
-    churn = ChurnProcess(
-        sim, list(range(n)), ChurnConfig(mean_session=1e7, mean_offline=1e7),
-        members.add, members.discard, rng=17,
-    )
-    churn.start(warmup=600.0)
-    sim.run(until=700.0)
-    # a few peers may draw (rare) short sessions; membership must track
-    # the join/leave ledger exactly either way
-    assert members == churn.online
-    assert len(members) == churn.joins - churn.leaves > 0.99 * n
-
-    # crash/revive cycles over a rotating subset (a crash fires no
-    # callback, so the overlay drops the victim itself)
+    bus = MessageBus(sim, ZeroLatency())
+    for peer in range(n):
+        bus.register(peer, lambda m: None)
     rng = np.random.default_rng(17)
-    for cycle in range(5):
-        victims = [int(v) for v in rng.choice(n, size=2000, replace=False)]
-        for v in victims:
-            members.discard(v)
-            churn.crash(v)
-        for v in victims:
-            churn.revive(v, delay=1.0)
-        sim.run(until=sim.now + 10.0)
-        # every join put a peer online, every leave/crash took one offline
-        assert members == churn.online
-        assert len(members) == churn.joins - churn.leaves - churn.crashes
-    assert churn.crashes >= 5 * 1900 and len(members) > 0.99 * n
-
-    churn.stop()
+    schedule = FaultSchedule(tuple(
+        CrashFault(
+            at=10.0 * cycle + 1.0,
+            peers=tuple(int(v) for v in rng.choice(n, size=2000, replace=False)),
+            recover_at=10.0 * cycle + 5.0,
+        )
+        for cycle in range(5)
+    ))
+    injector = FaultInjector(sim, bus, schedule)
+    injector.start()
+    sim.run()
+    assert injector.stats.crashes == injector.stats.recoveries == 10_000
+    assert all(bus.is_registered(peer) for peer in range(n))
     assert sim.pending() == 0
-    # the whole process (sim heap + interpreter) stays well under 2 GiB
+    # the whole process (bus handlers + interpreter) stays well under 2 GiB
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kb < 2 * 2**20, f"peak RSS {peak_kb / 2**20:.2f} GiB"

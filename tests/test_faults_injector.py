@@ -13,7 +13,7 @@ from repro.faults import (
     LossFault,
     PartitionFault,
 )
-from repro.sim import ChurnConfig, ChurnProcess, MessageBus, Simulation
+from repro.sim import MessageBus, Simulation
 
 
 class FixedLatency:
@@ -140,25 +140,32 @@ def test_crash_unregisters_peer_and_recovery_fires():
     assert inj.stats.crashes == 1 and inj.stats.recoveries == 1
 
 
-def test_crash_silences_churn_without_on_leave():
+def test_recovery_without_callbacks_reattaches_the_handler():
+    """A callback-less crash detaches the peer's bus handler; its
+    recovery puts the same handler back, before ``on_recover`` runs."""
     sim = Simulation()
-    events = []
-    churn = ChurnProcess(
-        sim,
-        peers=["p"],
-        config=ChurnConfig(mean_session=1e9, mean_offline=1e9),
-        on_join=lambda p: events.append("join"),
-        on_leave=lambda p: events.append("leave"),
-        rng=1,
-    )
-    churn.start(warmup=0.0)
-    sched = FaultSchedule((CrashFault(at=50.0, peers=("p",), recover_at=80.0),))
-    inj = FaultInjector(sim, _bus(sim), sched, churn=churn)
+    bus = _bus(sim)
+    got = []
+    bus.register(2, got.append)
+    sched = FaultSchedule((CrashFault(at=10.0, peers=(2,), recover_at=30.0),))
+    inj = FaultInjector(sim, bus, sched)
     inj.start()
-    sim.run(until=100.0)
-    # join (start), crash (no leave event), revive -> join again
-    assert events == ["join", "join"]
-    assert churn.crashes == 1
+    sim.schedule_at(20.0, bus.send, 1, 2, "DURING")  # dead: no receiver
+    sim.schedule_at(40.0, bus.send, 1, 2, "AFTER")
+    sim.run()
+    assert [m.kind for m in got] == ["AFTER"]
+    assert bus.stats.dropped_no_handler == 1
+    assert inj.stats.crashes == inj.stats.recoveries == 1
+
+    seen = []
+    sim2 = Simulation()
+    bus2 = _bus(sim2)
+    bus2.register(2, lambda m: None)
+    FaultInjector(
+        sim2, bus2, sched, on_recover=lambda p: seen.append(bus2.is_registered(p)),
+    ).start()
+    sim2.run()
+    assert seen == [True]
 
 
 def test_past_window_activates_and_deactivates_cleanly():

@@ -186,7 +186,7 @@ def test_query_ttl_limits_flooding():
     assert run_with_ttl(1) < run_with_ttl(4)
 
 
-def test_join_all_matches_one_rejoin_per_node():
+def test_join_all_matches_one_join_per_node():
     """join_all inserts the population's joins as one batch; the event
     trace is the one that scheduling them one node at a time leaves —
     same sequence numbers, same handshakes, same digest."""
@@ -210,7 +210,7 @@ def test_join_all_matches_one_rejoin_per_node():
                     delay = float(rng.uniform(0, 2000.0))
                     if node.role == LEAF:
                         delay += 2000.0
-                    network.rejoin(node.host_id, delay)
+                    sim.schedule(delay, network._join_node, node)
             sim.run()
         return tracer.digest(), tracer.emitted
 

@@ -155,16 +155,10 @@ class TestRoutingTable:
         assert rt.get(9) is None
         assert rt.closest(7, 3) == []
         rt.remove(9)
-        assert rt.size() == 0 and rt.nonempty_buckets() == []
+        assert rt.size() == 0
         assert rt.buckets == {}  # only a write allocates
         rt.update(c(9))
         assert list(rt.buckets) == [3]
-
-    def test_nonempty_buckets(self):
-        rt = RoutingTable(own_id=0, k=2)
-        rt.update(c(1))        # bucket 0
-        rt.update(c(0b100))    # bucket 2
-        assert rt.nonempty_buckets() == [0, 2]
 
     def test_all_contacts_collects_everything(self):
         rt = RoutingTable(own_id=0, k=8)

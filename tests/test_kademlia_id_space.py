@@ -4,12 +4,10 @@ import pytest
 
 from repro.errors import OverlayError
 from repro.overlay.kademlia import (
-    ID_BITS,
     ID_SPACE,
     bucket_index,
     key_for,
     random_id,
-    random_id_in_bucket,
     sort_by_distance,
     xor_distance,
 )
@@ -46,18 +44,6 @@ def test_random_id_in_range_and_deterministic():
     b = random_id(rng=5)
     assert a == b
     assert 0 <= a < ID_SPACE
-
-
-def test_random_id_in_bucket_lands_in_bucket():
-    own = random_id(rng=1)
-    for bucket in (0, 1, 7, 63, 159):
-        rid = random_id_in_bucket(own, bucket, rng=2)
-        assert bucket_index(own, rid) == bucket
-
-
-def test_random_id_in_bucket_bad_index():
-    with pytest.raises(OverlayError):
-        random_id_in_bucket(0, ID_BITS)
 
 
 def test_key_for_is_stable_160bit():

@@ -32,14 +32,14 @@ BUDGET = {
     "core": {"config": 0, "kwargs": 4, "env": 0},
     "errors": {"config": 0, "kwargs": 0, "env": 0},
     "experiments": {"config": 0, "kwargs": 0, "env": 0},
-    "faults": {"config": 0, "kwargs": 5, "env": 0},
+    "faults": {"config": 0, "kwargs": 4, "env": 0},
     "metrics": {"config": 0, "kwargs": 0, "env": 0},
     "obs": {"config": 0, "kwargs": 0, "env": 0},
     "overlay": {"config": 31, "kwargs": 48, "env": 0},
     "rng": {"config": 0, "kwargs": 0, "env": 0},
     "runner": {"config": 0, "kwargs": 0, "env": 2},
     "service": {"config": 9, "kwargs": 19, "env": 0},
-    "sim": {"config": 8, "kwargs": 11, "env": 0},
+    "sim": {"config": 4, "kwargs": 10, "env": 0},
     "underlay": {"config": 24, "kwargs": 9, "env": 0},
     "viz": {"config": 0, "kwargs": 0, "env": 0},
     "workloads": {"config": 4, "kwargs": 2, "env": 0},

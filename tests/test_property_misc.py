@@ -1,11 +1,9 @@
-"""Property tests: hostcache, cost model, bitfield, churn durations."""
+"""Property tests: hostcache, cost model, bitfield."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.gnutella import HostCache
-from repro.sim.churn import draw_duration
 from repro.underlay import CostModel, CostParams
 from tests.bittorrent_reference import Bitfield
 
@@ -60,12 +58,3 @@ def test_bitfield_roundtrip(pieces):
     assert bf.missing() == set(range(64)) - set(pieces)
     assert bf.complete == (len(pieces) == 64)
 
-
-@given(
-    st.sampled_from(["exponential", "pareto", "weibull"]),
-    st.floats(min_value=0.1, max_value=1e5),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_durations_always_nonnegative(family, mean, seed):
-    rng = np.random.default_rng(seed)
-    assert draw_duration(rng, family, mean) >= 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import PeriodicProcess, Simulation, call_after
+from repro.sim import PeriodicProcess, Simulation
 
 
 def test_periodic_fires_at_period():
@@ -57,14 +57,6 @@ def test_invalid_parameters():
         PeriodicProcess(sim, 0.0, lambda: None)
     with pytest.raises(ValueError):
         PeriodicProcess(sim, 1.0, lambda: None, jitter=1.5)
-
-
-def test_call_after():
-    sim = Simulation()
-    fired = []
-    call_after(sim, 3.0, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [3.0]
 
 
 def test_callback_exception_does_not_corrupt_stop():
