@@ -12,8 +12,8 @@ Every message keeps per-message semantics — loss draws from the bus's
 own RNG in per-destination send order, fault-hook interposition with
 in-flight drops, TTL decrement, duplicate and TTL-expiry drops, traffic
 observers and trace events per send — while stats, per-node counters,
-and the sends owed to aggregate-capable traffic observers (one call per
-``(src, dst, kind)``, see :class:`~repro.sim.messages.TrafficObserver`)
+and the sends owed to aggregate traffic observers (one ``observe_sends``
+call per expansion, see :class:`~repro.sim.messages.TrafficObserver`)
 are committed in aggregate at the end
 (:meth:`MessageBus.account_external`).
 
@@ -112,7 +112,7 @@ class _Emitter:
     __slots__ = (
         "_bus", "_heap", "_acc", "_sent_by", "_seq", "_delay",
         "_per_message", "_aggregating", "_edge_sends", "_tracer",
-        "uniform", "fast",
+        "uniform",
     )
 
     def __init__(self, kernel: "FloodKernel", heap: list, acc: dict,
@@ -124,15 +124,15 @@ class _Emitter:
         self._seq = count()
         self._delay = kernel._delay
         # each observer's shape is resolved once per expansion:
-        # aggregate-capable ones get one observe(count=n) per distinct
-        # (src, dst, kind) at commit; the rest are called per message,
-        # (True, record) when time-aware (the test suite's SendLog),
-        # else (False, observe)
+        # aggregate ones get the expansion's (src, dst, kind) -> sends
+        # in one observe_sends at commit; the rest are called per
+        # message, (True, record) when time-aware (the test suite's
+        # SendLog), else (False, observe)
         self._per_message: list[tuple[bool, Callable]] = []
         self._aggregating: list[Callable] = []
         for ob in self._bus._observers:
-            if getattr(ob, "accepts_aggregates", False):
-                self._aggregating.append(ob.observe)
+            if hasattr(ob, "observe_sends"):
+                self._aggregating.append(ob.observe_sends)
             elif hasattr(ob, "record"):
                 self._per_message.append((True, ob.record))
             else:
@@ -142,16 +142,13 @@ class _Emitter:
         self._tracer = self._bus._tracer
         #: no per-message observer, tracer, fault hook or loss draw:
         #: every send over an edge meets the same fate, the edge's delay
+        #: (the query loop inlines such sends)
         self.uniform = (
             not self._per_message
             and self._tracer is None
             and self._bus._fault_hook is None
             and not self._bus._loss_rate
         )
-        #: and nothing to hand an aggregate to either — accounting,
-        #: delay and heap push are all a send is (inlined by the query
-        #: loop)
-        self.fast = self.uniform and not self._aggregating
 
     def _offer(
         self, t: float, src: int, dst: int, kind: str
@@ -264,11 +261,10 @@ class _Emitter:
             run.append(item)
 
     def hand_over_aggregates(self) -> None:
-        """One ``observe(..., count=n)`` per distinct ``(src, dst, kind)``
-        sent, to every aggregate-capable observer."""
-        for observe in self._aggregating:
-            for (src, dst, kind), n in self._edge_sends.items():
-                observe(src, dst, _SIZES[kind], kind, n)
+        """The expansion's ``(src, dst, kind) -> sends``, in first-send
+        order, to every aggregate observer in one call each."""
+        for observe_sends in self._aggregating:
+            observe_sends(self._edge_sends, _SIZES)
 
 
 class FloodKernel:
@@ -299,9 +295,9 @@ class FloodKernel:
         self, em: _Emitter, acc: dict, sent_by: dict, recv_by: dict
     ) -> None:
         """Fold the expansion's aggregate accounting into the bus stats,
-        aggregate-capable traffic observers, and per-node counters — one
-        pass per kind, per (src, dst, kind) and per (node, kind) instead
-        of one update per message."""
+        aggregate traffic observers, and per-node counters — one pass
+        per kind, one call per observer and one update per (node, kind)
+        instead of one update per message."""
         net = self.net
         bus = net.bus
         nodes = net.nodes
@@ -395,7 +391,9 @@ class FloodKernel:
         sent_q = sent_by["QUERY"]
         recv_q = recv_by["QUERY"]
         recv_h = recv_by["QUERYHIT"]
-        fast = em.fast
+        uniform = em.uniform
+        aggregating = bool(em._aggregating)
+        edge_sends = em._edge_sends
         memo_row = self._memo_row
         one_way = self._lat.one_way_delay
         seq = em._seq
@@ -426,7 +424,7 @@ class FloodKernel:
                     emit(t, dst, src, "QUERYHIT", _BACK, responder)
                 if ttl > 1 and node.role == ULTRAPEER:
                     fts = [nb for nb in node.neighbors if nb != src]
-                    if fast:
+                    if uniform:
                         # inlined emit: forwards are the bulk of a flood
                         ttl1 = ttl - 1
                         n_fts = len(fts)
@@ -441,6 +439,10 @@ class FloodKernel:
                             heappush(
                                 heap, (t + dd, next(seq), _FWD, dst, nb, ttl1)
                             )
+                        if aggregating:
+                            for nb in fts:
+                                edge = (dst, nb, "QUERY")
+                                edge_sends[edge] = edge_sends.get(edge, 0) + 1
                     else:
                         for nb in fts:
                             emit(t, dst, nb, "QUERY", _FWD, ttl - 1)

@@ -42,15 +42,16 @@ class TrafficObserver(Protocol):
     (:class:`~repro.overlay.gnutella.flood.FloodKernel`) also calls every
     observer once per send, in send order — ``record(time, src, dst,
     kind, size_bytes)`` with the virtual send time if the observer has
-    one, else :meth:`observe` — *unless* the observer sets the class
-    attribute ``accepts_aggregates = True``.  That declares its
-    ``observe`` takes a fifth argument ``count`` and that one call with
-    ``count=n`` equals ``n`` single calls, in any order relative to
-    other ``(src, dst, kind)`` triples.  The kernel then hands such an
-    observer one call per distinct triple when the expansion commits,
-    beside :meth:`MessageBus.account_external`.  The simulation clock
-    does not move during an expansion, so a clock-reading observer bills
-    the whole expansion at its start time.
+    one, else :meth:`observe` — *unless* the observer has a method
+    ``observe_sends(sends, size_of)``.  Such an observer declares that
+    one call with ``sends`` mapping ``(src, dst, kind)`` to a send count
+    and ``size_of`` mapping each kind to its size in bytes equals that
+    many :meth:`observe` calls, in any order relative to other
+    ``(src, dst, kind)`` triples.  The kernel then hands it the whole
+    expansion in one call when the expansion commits, beside
+    :meth:`MessageBus.account_external`.  The simulation clock does not
+    move during an expansion, so a clock-reading observer bills the
+    whole expansion at its start time.
 
     The ``record`` branch is a seam for tests: the only observer that
     takes it is the send log in ``tests/sendlog.py``, which hashes the

@@ -171,11 +171,17 @@ class TransitBillingLedger:
 
     def record(self, payer_asn: int, time_s: float, nbytes: float) -> None:
         """Charge ``nbytes`` of transit to ``payer_asn`` at ``time_s``."""
+        self.charge(payer_asn, int(time_s // self.bucket_seconds), nbytes)
+
+    def charge(self, payer_asn: int, bucket: int, nbytes: float) -> None:
+        """Charge ``nbytes`` of transit to ``payer_asn`` in sample bucket
+        ``bucket``.  A caller that already knows the bucket index passes
+        it here: turning it back into a time and flooring again can land
+        one bucket low when the width is not exact in binary."""
         if nbytes < 0:
             raise ConfigurationError("transit bytes must be non-negative")
         if nbytes == 0:
             return
-        bucket = int(time_s // self.bucket_seconds)
         self.samples[payer_asn][bucket] += nbytes
         self.total_bytes[payer_asn] += nbytes
 

@@ -53,7 +53,7 @@ BUDGET = {
     "runner": 4,
     "service": 3,
     "sim": 32,
-    "underlay": 12,
+    "underlay": 11,
     "viz": 0,
     "workloads": 0,
 }

@@ -6,6 +6,7 @@ rotting as the code moves.
 """
 
 import dataclasses
+import fnmatch
 import importlib
 import inspect
 import pathlib
@@ -201,6 +202,33 @@ def test_every_documented_path_exists():
         for name in result_file.findall(text):
             if not ((ROOT / name).exists() or (ROOT / "benchmarks" / name).exists()):
                 missing.append(f"{doc.relative_to(ROOT)}: {name}")
+    assert not missing, "docs name files that do not exist:\n" + "\n".join(
+        sorted(set(missing))
+    )
+
+
+def test_every_documented_file_name_exists():
+    """Every back-quoted file name in the living docs — bare
+    (`sendlog.py`), package-relative (`gnutella/flood.py`) or a glob
+    (`test_*.py`) — names a file somewhere in the tree."""
+    skip = {".git", ".hypothesis", ".pytest_cache", "__pycache__"}
+    files = [
+        p.relative_to(ROOT).as_posix()
+        for p in ROOT.rglob("*")
+        if p.is_file() and not skip & set(p.relative_to(ROOT).parts)
+    ]
+    file_name = re.compile(
+        r"[\w.*/-]*\w\.(?:py|md|json|txt|toml|cfg|ya?ml|sh|dot|ini|csv)\b"
+    )
+    missing = []
+    for doc in _living_docs():
+        for span in _code_spans(doc):
+            for name in file_name.findall(span):
+                if not any(
+                    fnmatch.fnmatch(f, name) or fnmatch.fnmatch(f, "*/" + name)
+                    for f in files
+                ):
+                    missing.append(f"{doc.relative_to(ROOT)}: {name}")
     assert not missing, "docs name files that do not exist:\n" + "\n".join(
         sorted(set(missing))
     )

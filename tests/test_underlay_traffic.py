@@ -113,17 +113,40 @@ def test_count_below_one_is_rejected(accountant, count):
     u, acct = accountant
     a, b = _pair_with(u, False)
     with pytest.raises(ConfigurationError):
-        acct.observe(a, b, 10, "X", count=count)
+        acct.observe_sends({(a, b, "X"): count}, {"X": 10})
     assert acct.summary.messages == 0 and not acct.link_bytes
 
 
 def test_count_multiplies_bytes_and_messages(accountant):
     u, acct = accountant
     a, b = _pair_with(u, False)
-    acct.observe(a, b, 10, "X", count=7)
+    acct.observe_sends({(a, b, "X"): 7}, {"X": 10})
     assert acct.summary.messages == 7
     assert acct.summary.total_bytes == 70
     assert acct.kind_bytes["X"] == [0, 70]
+
+
+def test_ledger_buckets_match_the_transit_samples(small_underlay):
+    # a width that is not exact in binary: turning the bucket index
+    # back into a time and flooring again put both messages in bucket 4
+    u = small_underlay
+    t = {"now": 0.0}
+    acct = TrafficAccountant(
+        u.topology, u.routing, u.asn_of, clock=lambda: t["now"],
+        bucket_seconds=0.1,
+    )
+    a, b = next(
+        (x.host_id, y.host_id)
+        for x in u.hosts for y in u.hosts
+        if u.routing.route_plan(x.asn, y.asn).link_class is LinkType.TRANSIT
+    )
+    for now in (0.45, 0.55):
+        t["now"] = now
+        acct.observe(a, b, 1000, "X")
+    for per_bucket in acct.transit_samples.values():
+        assert dict(per_bucket) == {4: 1000, 5: 1000}
+    for per_bucket in acct.billing.samples.values():
+        assert dict(per_bucket) == {4: 1000.0, 5: 1000.0}
 
 
 def test_peak_billing_with_clock(small_underlay):
