@@ -1,5 +1,6 @@
 """FIG3 bench: the measured collection-taxonomy trade-off table."""
 
+from repro.collection import TAXONOMY
 from repro.experiments import print_table, run_fig3
 
 
@@ -7,7 +8,10 @@ def test_fig3_collection_taxonomy(once):
     result = once(run_fig3, n_hosts=80, seed=21)
     print_table(result)
     rows = {r["method"]: r for r in result.rows}
-    assert len(rows) == 8  # every Figure 3 leaf measured
+    # one row per Figure 3 edge: the table is TAXONOMY, measured
+    edges = {(info.value, m.value) for info, ms in TAXONOMY.items() for m in ms}
+    assert {(r["info"], r["method"]) for r in result.rows} == edges
+    assert len(result.rows) == len(edges)
 
     # explicit measurement: near-perfect accuracy but the highest cost per
     # answerable pair; prediction covers every pair from O(n) samples

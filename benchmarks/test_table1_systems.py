@@ -1,8 +1,15 @@
-"""TAB1 bench: exercise one representative per surveyed system class."""
+"""TAB1 bench: measure surveyed systems of every Table 1 class."""
+
+import re
 
 from repro.collection import UnderlayInfoType
 from repro.core import TABLE1_SYSTEMS, systems_by_type
 from repro.experiments import print_table, run_table1
+
+
+def _refs(text: str) -> set[str]:
+    """The bracketed citation keys in ``text``: ``"[17][4]"`` -> both."""
+    return set(re.findall(r"\[\d+\]", text))
 
 
 def test_table1_systems(once):
@@ -13,6 +20,19 @@ def test_table1_systems(once):
     # registry coverage: the catalogue holds every Table 1 row of the paper
     assert len(TABLE1_SYSTEMS) >= 20
     assert len(systems_by_type(UnderlayInfoType.ISP_LOCATION)) >= 9
+
+    # each row names registry entries of its own information type by
+    # their references: the registry is the one copy of Table 1
+    covered = set()
+    for r in result.rows:
+        refs = _refs(r["system"])
+        typed = systems_by_type(UnderlayInfoType(r["info"]))
+        entries = [e for e in typed if refs & _refs(e.reference)]
+        matched = set().union(*(_refs(e.reference) for e in entries))
+        assert refs and refs <= matched, r["system"]
+        covered.update(e.name for e in entries)
+    assert {r["info"] for r in result.rows} == {t.value for t in UnderlayInfoType}
+    assert len(covered) == 12
 
     # ISP-location representatives
     assert rows["Oracle [1]"]["value"] <= 1.0      # top candidate 0-1 AS hops

@@ -1,11 +1,14 @@
 """Collection of underlay information (§3, Figure 3).
 
-One service per leaf of the Figure 3 taxonomy:
+The services, by information type of the Figure 3 taxonomy
+(:data:`TAXONOMY`):
 
-- ISP-location: :class:`IPToISPMapping`, :class:`ISPOracle`,
-  :class:`SyntheticCDN` (Ono-style inference).
-- Latency: :class:`PingService` / :class:`TracerouteService`
-  (explicit measurement); prediction lives in :mod:`repro.coords`.
+- ISP-location: :class:`IPToISPMapping`, :class:`ISPOracle` and
+  :class:`P4PService` (ISP components), :class:`SyntheticCDN`
+  (Ono-style inference).
+- Latency: :class:`PingService` (explicit measurement);
+  :class:`GroupMeasurement` and :class:`VivaldiGossipService`
+  (prediction), with offline coordinates in :mod:`repro.coords`.
 - Geolocation: :class:`GPSService`, :class:`IPToLocationMapping`.
 - Peer resources: :class:`SkyEyeOverlay`.
 """
@@ -22,12 +25,7 @@ from repro.collection.coordinate_service import VivaldiGossipService
 from repro.collection.gps import GPSService
 from repro.collection.group_measurement import GroupMeasurement
 from repro.collection.ip_mapping import IPToISPMapping, IPToLocationMapping
-from repro.collection.measurement import (
-    PING_BYTES,
-    PingService,
-    TracerouteHop,
-    TracerouteService,
-)
+from repro.collection.measurement import PING_BYTES, PingService
 from repro.collection.oracle import ISPOracle, OraclePolicy
 from repro.collection.p4p import P4PPolicy, P4PService
 from repro.collection.skyeye import AggregateStats, SkyEyeOverlay
@@ -51,8 +49,6 @@ __all__ = [
     "SkyEyeOverlay",
     "SyntheticCDN",
     "TAXONOMY",
-    "TracerouteHop",
-    "TracerouteService",
     "UnderlayInfoType",
     "VivaldiGossipService",
 ]

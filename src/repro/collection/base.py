@@ -2,15 +2,15 @@
 
 Figure 3 classifies underlay information along two axes: *what* is
 collected (:class:`UnderlayInfoType`) and *how* (:class:`CollectionMethod`).
-Every concrete service in this package declares its position in the
-taxonomy and accounts its own overhead (queries made, bytes on the wire),
-so experiments can compare collection techniques on accuracy *and* cost —
+:data:`TAXONOMY` is the one copy of that figure; FIG3 measures one
+technique per edge of it.  Every concrete service in this package
+accounts its own overhead (queries made, bytes on the wire), so
+experiments can compare collection techniques on accuracy *and* cost —
 the trade-off the survey's §3 discusses qualitatively.
 """
 
 from __future__ import annotations
 
-import abc
 import enum
 from dataclasses import dataclass
 
@@ -72,27 +72,8 @@ class OverheadCounter:
         self.bytes_on_wire += bytes_on_wire
 
 
-class InfoSource(abc.ABC):
-    """A concrete collection service: declares its taxonomy position and
-    carries an :class:`OverheadCounter`."""
+class InfoSource:
+    """A concrete collection service: carries an :class:`OverheadCounter`."""
 
     def __init__(self) -> None:
         self.overhead = OverheadCounter()
-
-    @property
-    @abc.abstractmethod
-    def info_type(self) -> UnderlayInfoType:
-        ...
-
-    @property
-    @abc.abstractmethod
-    def method(self) -> CollectionMethod:
-        ...
-
-    def taxonomy_position(self) -> tuple[UnderlayInfoType, CollectionMethod]:
-        pos = (self.info_type, self.method)
-        if pos[1] not in TAXONOMY[pos[0]]:
-            raise ValueError(
-                f"{type(self).__name__} claims {pos}, which is not a Figure 3 edge"
-            )
-        return pos

@@ -15,11 +15,10 @@ cosine similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.errors import CollectionError
 from repro.rng import SeedLike, ensure_rng
 from repro.underlay.hosts import Host
@@ -65,14 +64,6 @@ class SyntheticCDN(InfoSource):
         self._freq = self._rng.uniform(0.5, 2.0, size=n_edges)
         self._amp = self._rng.uniform(0.2, 0.8, size=n_edges)
 
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.ISP_LOCATION
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.CDN_PROVIDED
-
     def _edge_latency(self, host: Host, edge: EdgeServer) -> float:
         """Latency proxy from a host to an edge server: AS-path delay."""
         return (
@@ -115,11 +106,3 @@ class SyntheticCDN(InfoSource):
         if na == 0 or nb == 0:
             return 0.0
         return float(np.dot(a, b) / (na * nb))
-
-    def peers_look_close(
-        self, host_a: Host, host_b: Host, *, samples: int = 24, threshold: float = 0.9
-    ) -> bool:
-        """Ono's test: cosine similarity of ratio maps above threshold."""
-        ra = self.ratio_map(host_a, samples)
-        rb = self.ratio_map(host_b, samples)
-        return self.cosine_similarity(ra, rb) >= threshold

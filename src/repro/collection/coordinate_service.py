@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.coords.base import row_norms
 from repro.coords.vivaldi import VivaldiConfig, VivaldiNode
 from repro.errors import CollectionError
@@ -78,14 +78,6 @@ class VivaldiGossipService(InfoSource):
                     rng=self._rng,
                 )
             )
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.LATENCY
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.PREDICTION
 
     # -- protocol -----------------------------------------------------------------
     def _probe(self, host_id: int) -> None:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.errors import CollectionError
 from repro.underlay.geometry import Position
 from repro.underlay.network import Underlay
@@ -37,14 +37,6 @@ class GPSService(InfoSource):
         self.error_m = error_m
         self.availability = availability
         self._seed = seed
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.GEOLOCATION
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.GPS
 
     def has_fix(self, host_id: int) -> bool:
         rng = np.random.default_rng(self._seed * 1_000_003 + host_id)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.collection.measurement import PingService
 from repro.errors import CollectionError
 from repro.rng import SeedLike, ensure_rng
@@ -59,17 +59,15 @@ class GroupMeasurement(InfoSource):
         self.beta = 1.0
         self.built = False
 
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.LATENCY
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.PREDICTION
-
     # -- measurement phase ---------------------------------------------------------
     def build(self, host_ids: Optional[Sequence[int]] = None) -> None:
-        """Elect representatives and run the O(G² + N) measurement."""
+        """Elect representatives and run the O(G² + N) measurement.
+
+        Every probe goes through :attr:`ping`; its messages and bytes
+        are charged to this source's :attr:`overhead` too, with one
+        query per build."""
+        probed = self.ping.overhead
+        messages, bytes_on_wire = probed.messages, probed.bytes_on_wire
         ids = list(host_ids) if host_ids is not None else self.underlay.host_ids()
         if len(ids) < 2:
             raise CollectionError("need at least two hosts")
@@ -116,7 +114,11 @@ class GroupMeasurement(InfoSource):
                 ratios.append(self.ping.measure_rtt(a, b, self.probes) / raw)
             if ratios:
                 self.beta = float(np.median(ratios))
-        self.overhead.charge(queries=1)
+        self.overhead.charge(
+            queries=1,
+            messages=probed.messages - messages,
+            bytes_on_wire=probed.bytes_on_wire - bytes_on_wire,
+        )
 
     # -- estimation ---------------------------------------------------------------------
     def _raw_estimate(self, host_a: int, host_b: int) -> float:
@@ -147,19 +149,3 @@ class GroupMeasurement(InfoSource):
             for j in range(i + 1, n):
                 out[i, j] = out[j, i] = self.estimate(ids[i], ids[j])
         return out
-
-    def median_relative_error(self, host_ids: Optional[Sequence[int]] = None) -> float:
-        ids = list(host_ids) if host_ids is not None else sorted(self._group_of)
-        est = self.estimated_matrix(ids)
-        true = np.array(
-            [[2.0 * self.underlay.one_way_delay(a, b) if a != b else 0.0
-              for b in ids] for a in ids]
-        )
-        iu = np.triu_indices(len(ids), 1)
-        mask = true[iu] > 0
-        rel = np.abs(est[iu][mask] - true[iu][mask]) / true[iu][mask]
-        return float(np.median(rel))
-
-    def probe_count(self) -> int:
-        """Total probes spent — O(G² + N), the gMeasure selling point."""
-        return self.ping.overhead.queries

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.errors import CollectionError
 from repro.underlay.geometry import Position
 from repro.underlay.network import Underlay
@@ -37,14 +37,6 @@ class IPToISPMapping(InfoSource):
         self.underlay = underlay
         self.accuracy = accuracy
         self._seed = seed
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.ISP_LOCATION
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.IP_TO_ISP_MAPPING
 
     def lookup(self, host_id: int) -> int:
         """Return the (possibly wrong) ASN for a host."""
@@ -81,14 +73,6 @@ class IPToLocationMapping(InfoSource):
         self.underlay = underlay
         self.error_km = error_km
         self._seed = seed
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.GEOLOCATION
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.IP_TO_LOCATION_MAPPING
 
     def lookup(self, host_id: int) -> Position:
         """Coarse position for a host (deterministic per host)."""

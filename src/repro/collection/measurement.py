@@ -1,4 +1,4 @@
-"""Explicit latency measurement: ping and traceroute (§3.2).
+"""Explicit latency measurement: ping (§3.2).
 
 The survey notes that explicit measurement is accurate but "incurs the
 network with much overhead" and can congest it when many peers probe at
@@ -13,28 +13,17 @@ at proportional cost — the classic accuracy-for-overhead dial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.errors import CollectionError
 from repro.rng import SeedLike, ensure_rng
-from repro.underlay.autonomous_system import LinkType
 from repro.underlay.network import Underlay
 
-#: Conventional sizes: 64-byte ICMP echo, ~52-byte UDP traceroute probe.
+#: Bytes of one ICMP echo request or reply.
 PING_BYTES = 64
-TRACEROUTE_PROBE_BYTES = 52
-
-
-@dataclass(frozen=True)
-class TracerouteHop:
-    """One AS-level hop of a traceroute: AS, cumulative RTT, entry link type."""
-    asn: int
-    rtt_ms: float
-    link_type: LinkType | None  # link used to *enter* this AS; None for hop 0
 
 
 class PingService(InfoSource):
@@ -49,14 +38,6 @@ class PingService(InfoSource):
         self.underlay = underlay
         self.noise_std_ms = noise_std_ms
         self._rng = ensure_rng(rng)
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.LATENCY
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.EXPLICIT_MEASUREMENT
 
     def measure_rtt(self, src: int, dst: int, probes: int = 1) -> float:
         """Mean of ``probes`` noisy RTT samples (ms)."""
@@ -85,54 +66,3 @@ class PingService(InfoSource):
                 out[i, j] = out[j, i] = rtt
         return out
 
-
-class TracerouteService(InfoSource):
-    """AS-path discovery with cumulative per-hop RTTs."""
-
-    def __init__(
-        self, underlay: Underlay, *, noise_std_ms: float = 1.0, rng: SeedLike = None
-    ) -> None:
-        super().__init__()
-        self.underlay = underlay
-        self.noise_std_ms = noise_std_ms
-        self._rng = ensure_rng(rng)
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.LATENCY
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.EXPLICIT_MEASUREMENT
-
-    def trace(self, src: int, dst: int) -> list[TracerouteHop]:
-        """Hops of the AS-level route with cumulative RTT estimates."""
-        asn_src = self.underlay.asn_of(src)
-        asn_dst = self.underlay.asn_of(dst)
-        path = self.underlay.routing.path(asn_src, asn_dst)
-        total_rtt = 2.0 * self.underlay.one_way_delay(src, dst)
-        # three probes per hop, as classic traceroute does
-        self.overhead.charge(
-            queries=1,
-            messages=3 * len(path),
-            bytes_on_wire=3 * len(path) * TRACEROUTE_PROBE_BYTES,
-        )
-        hops: list[TracerouteHop] = []
-        for k, asn in enumerate(path):
-            frac = (k + 1) / len(path)
-            noise = float(self._rng.normal(0.0, self.noise_std_ms))
-            link = (
-                self.underlay.topology.link_type(path[k - 1], asn) if k > 0 else None
-            )
-            hops.append(
-                TracerouteHop(
-                    asn=asn,
-                    rtt_ms=max(total_rtt * frac + noise, 0.1),
-                    link_type=link,
-                )
-            )
-        return hops
-
-    def as_hop_count(self, src: int, dst: int) -> int:
-        """Number of inter-AS links the route crosses."""
-        return len(self.trace(src, dst)) - 1

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.errors import CollectionError, RoutingError
 from repro.rng import SeedLike, ensure_rng
 from repro.underlay.network import Underlay
@@ -67,14 +67,6 @@ class ISPOracle(InfoSource):
         self.underlay = underlay
         self.policy = policy
         self._rng = ensure_rng(rng) if rng is not None else None
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.ISP_LOCATION
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.ISP_COMPONENT_IN_NETWORK
 
     def _keyed(
         self, querying_host: int, candidates: Sequence[int], limit: Optional[int]

@@ -4,8 +4,7 @@ Where the oracle of [1] only *ranks* candidate lists, P4P's iTracker
 exposes the ISP's view as numbers: the network is partitioned into PIDs
 (here: one PID per AS) and the iTracker publishes **p-distances** between
 PIDs that encode the provider's routing policy and link economics —
-intra-PID cheapest, peering links cheap, transit links expensive, with a
-congestion surcharge on heavily used links.
+intra-PID cheapest, peering links cheap, transit links expensive.
 
 Applications (appTrackers) fetch the p-distance map and weight their peer
 selection by it, which lets the ISP steer P2P traffic without revealing
@@ -16,11 +15,11 @@ the network).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.errors import CollectionError
 from repro.rng import SeedLike, ensure_rng
 from repro.underlay.autonomous_system import LinkType
@@ -52,40 +51,23 @@ class P4PPolicy:
 class P4PService(InfoSource):
     """The iTracker: PID assignment + p-distance map + peer weighting."""
 
-    def __init__(
-        self,
-        underlay: Underlay,
-        policy: P4PPolicy | None = None,
-        *,
-        congestion: Optional[Mapping[tuple[int, int], float]] = None,
-    ) -> None:
+    def __init__(self, underlay: Underlay, policy: P4PPolicy | None = None) -> None:
         super().__init__()
         self.underlay = underlay
         self.policy = policy or P4PPolicy()
-        #: optional per-link congestion surcharges keyed by (min, max) ASN
-        self.congestion = dict(congestion or {})
         self._pdistance = self._build_pdistance_matrix()
-
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.ISP_LOCATION
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.ISP_COMPONENT_IN_NETWORK
 
     # -- PID plane -------------------------------------------------------------
     def my_pid(self, host_id: int) -> int:
         """PID of a host (PIDs are ASNs in this deployment)."""
         return self.underlay.asn_of(host_id)
 
-    def _link_cost(self, a: int, b: int, link_type: LinkType) -> float:
-        base = (
+    def _link_cost(self, link_type: LinkType) -> float:
+        return (
             self.policy.peering_link_cost
             if link_type is LinkType.PEERING
             else self.policy.transit_link_cost
         )
-        return base + self.congestion.get((min(a, b), max(a, b)), 0.0)
 
     def _build_pdistance_matrix(self) -> np.ndarray:
         n = self.underlay.topology.n_ases
@@ -96,17 +78,12 @@ class P4PService(InfoSource):
                     mat[src, dst] = self.policy.intra_pid_cost
                     continue
                 cost = 0.0
-                for a, b, t in self.underlay.routing.path_links(src, dst):
-                    cost += self._link_cost(a, b, t)
+                for _a, _b, t in self.underlay.routing.path_links(src, dst):
+                    cost += self._link_cost(t)
                 mat[src, dst] = cost
         # policy costs are symmetric up to routing asymmetry; publish the max
         # (an ISP charges for the worse direction)
         return np.maximum(mat, mat.T)
-
-    def pdistance(self, pid_a: int, pid_b: int) -> float:
-        """Published p-distance between two PIDs."""
-        self.overhead.charge(queries=1, messages=2, bytes_on_wire=96)
-        return float(self._pdistance[pid_a, pid_b])
 
     def pdistance_map(self, pid: int) -> dict[int, float]:
         """The row an appTracker fetches for one PID (one bulk transfer)."""
@@ -115,16 +92,6 @@ class P4PService(InfoSource):
         return {other: float(self._pdistance[pid, other]) for other in range(n)}
 
     # -- appTracker side ----------------------------------------------------------
-    def rank_peers(self, host_id: int, candidates: Sequence[int]) -> list[int]:
-        """Candidates ordered by ascending p-distance (stable on ties)."""
-        my = self.my_pid(host_id)
-        row = self.pdistance_map(my)
-        keyed = [
-            (row[self.my_pid(c)], i, c) for i, c in enumerate(candidates)
-        ]
-        keyed.sort()
-        return [c for _d, _i, c in keyed]
-
     def selection_weights(
         self, host_id: int, candidates: Sequence[int], *, softness: float = 1.0
     ) -> np.ndarray:
@@ -166,12 +133,3 @@ class P4PService(InfoSource):
         w = self.selection_weights(host_id, cand, softness=softness)
         idx = rng.choice(len(cand), size=k, replace=False, p=w)
         return [cand[int(i)] for i in idx]
-
-    # -- ISP-side knob ----------------------------------------------------------------
-    def set_congestion(self, link: tuple[int, int], surcharge: float) -> None:
-        """ISP raises the published cost of a congested link; the matrix is
-        rebuilt (iTrackers refresh their maps periodically)."""
-        if surcharge < 0:
-            raise CollectionError("surcharge must be non-negative")
-        self.congestion[(min(link), max(link))] = surcharge
-        self._pdistance = self._build_pdistance_matrix()

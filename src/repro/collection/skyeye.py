@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.collection.base import CollectionMethod, InfoSource, UnderlayInfoType
+from repro.collection.base import InfoSource
 from repro.errors import CollectionError
 from repro.underlay.hosts import PeerResources
 
@@ -100,33 +100,7 @@ class SkyEyeOverlay(InfoSource):
         self._root_stats: Optional[AggregateStats] = None
         self.aggregation_rounds = 0
 
-    @property
-    def info_type(self) -> UnderlayInfoType:
-        return UnderlayInfoType.PEER_RESOURCES
-
-    @property
-    def method(self) -> CollectionMethod:
-        return CollectionMethod.INFO_MANAGEMENT_OVERLAY
-
     # -- tree structure ------------------------------------------------------
-    def parent_of(self, peer_id: int) -> Optional[int]:
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
-            raise CollectionError(f"peer {peer_id} is not in the overlay")
-        if slot == 0:
-            return None
-        return self.peer_ids[(slot - 1) // self.branching]
-
-    def children_of(self, peer_id: int) -> list[int]:
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
-            raise CollectionError(f"peer {peer_id} is not in the overlay")
-        first = slot * self.branching + 1
-        return [
-            self.peer_ids[i]
-            for i in range(first, min(first + self.branching, len(self.peer_ids)))
-        ]
-
     def depth(self) -> int:
         """Longest root-to-leaf path length."""
         d, n = 0, len(self.peer_ids) - 1
@@ -179,6 +153,3 @@ class SkyEyeOverlay(InfoSource):
         view = self.root_view
         k = self.top_k if k is None else min(k, self.top_k)
         return [pid for _score, pid in view.top_capacity[:k]]
-
-    def mean_resource(self, attr: str) -> float:
-        return self.root_view.mean(attr)

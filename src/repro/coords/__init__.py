@@ -4,8 +4,8 @@
   embedding (Dabek et al.).
 - :class:`~repro.coords.ics.ICS` — PCA/landmark Internet Coordinate System
   (Lim et al., the survey's Figure 4).
-- :class:`~repro.coords.gnp.GNPSystem` / :class:`~repro.coords.gnp.LandmarkBinning`
-  — landmark embedding and distributed binning (Ratnasamy et al.).
+- :class:`~repro.coords.gnp.GNPSystem` — landmark embedding (Ratnasamy
+  et al.).
 - :mod:`~repro.coords.evaluation` — relative error / stretch metrics.
 """
 
@@ -17,7 +17,7 @@ from repro.coords.evaluation import (
     relative_errors,
     selection_stretch,
 )
-from repro.coords.gnp import GNPConfig, GNPSystem, LandmarkBinning
+from repro.coords.gnp import GNPConfig, GNPSystem
 from repro.coords.ics import (
     ICS,
     ICSConfig,
@@ -34,7 +34,6 @@ __all__ = [
     "GNPSystem",
     "ICS",
     "ICSConfig",
-    "LandmarkBinning",
     "PAPER_EXAMPLE_HOST_A",
     "PAPER_EXAMPLE_HOST_B",
     "PAPER_EXAMPLE_MATRIX",

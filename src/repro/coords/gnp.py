@@ -1,24 +1,18 @@
-"""Landmark-based positioning: GNP-style embedding and Ratnasamy binning.
+"""Landmark-based positioning: GNP-style embedding.
 
 The survey's §3.2 cites landmark prediction methods [26] (Ratnasamy et al.,
 "Topologically-aware overlay construction"): peers measure RTTs to a fixed
-set of landmarks.  Two usages exist:
-
-- :class:`GNPSystem` — Global Network Positioning: landmarks are embedded
-  into a low-dimensional space by minimising relative embedding error
-  (scipy simplex-downhill, as in the original GNP), then each host solves
-  the same small optimisation against the landmark coordinates.
-- :class:`LandmarkBinning` — distributed binning: each peer sorts the
-  landmarks by RTT; the ordering (optionally with latency-level digits) is
-  its *bin*.  Peers falling into the same bin are topologically close.
-  This is the cheap technique used for topologically-aware overlay
-  construction and server selection.
+set of landmarks.  :class:`GNPSystem` is Global Network Positioning:
+landmarks are embedded into a low-dimensional space by minimising
+relative embedding error (scipy simplex-downhill, as in the original
+GNP), then each host solves the same small optimisation against the
+landmark coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,44 +132,3 @@ class GNPSystem(CoordinateSystem):
             return np.zeros(0)
         diff = self.landmark_coords[src][None, :] - self.landmark_coords[dst_list]
         return row_norms(diff)
-
-    @staticmethod
-    def distance(x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
-
-
-class LandmarkBinning:
-    """Ratnasamy-style distributed binning.
-
-    ``bin_of`` maps a peer's landmark RTT vector to a hashable bin id:
-    the landmark ordering plus a latency-level digit per landmark
-    (levels split at the given millisecond thresholds).
-    """
-
-    def __init__(
-        self, n_landmarks: int, level_thresholds_ms: Sequence[float] = (100.0, 200.0)
-    ) -> None:
-        if n_landmarks < 1:
-            raise ConfigurationError("need at least one landmark")
-        self.n_landmarks = n_landmarks
-        self.thresholds = tuple(sorted(level_thresholds_ms))
-
-    def bin_of(self, rtt_to_landmarks: Sequence[float]) -> tuple:
-        la = np.asarray(list(rtt_to_landmarks), dtype=float)
-        if la.shape != (self.n_landmarks,):
-            raise CoordinateError(
-                f"expected {self.n_landmarks} landmark RTTs, got {la.shape}"
-            )
-        order = tuple(int(i) for i in np.argsort(la, kind="stable"))
-        levels = tuple(int(np.searchsorted(self.thresholds, v)) for v in la)
-        return order + levels
-
-    def same_bin(self, rtts_a: Sequence[float], rtts_b: Sequence[float]) -> bool:
-        return self.bin_of(rtts_a) == self.bin_of(rtts_b)
-
-    def bin_similarity(self, rtts_a: Sequence[float], rtts_b: Sequence[float]) -> float:
-        """Fraction of matching positions between the two bin vectors —
-        a graded proximity signal (1.0 = identical bins)."""
-        a = self.bin_of(rtts_a)
-        b = self.bin_of(rtts_b)
-        return sum(x == y for x, y in zip(a, b)) / len(a)

@@ -134,9 +134,6 @@ class VivaldiSystem(CoordinateSystem):
     def heights(self) -> np.ndarray:
         return np.array([n.height for n in self.nodes])
 
-    def errors(self) -> np.ndarray:
-        return np.array([n.error for n in self.nodes])
-
     def estimate(self, i: int, j: int) -> float:
         if i == j:
             return 0.0

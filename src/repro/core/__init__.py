@@ -23,8 +23,6 @@ from repro.core.selection import (
 from repro.core.taxonomy import (
     TABLE1_SYSTEMS,
     SystemEntry,
-    implemented_modules,
-    representatives,
     systems_by_type,
 )
 
@@ -47,10 +45,8 @@ __all__ = [
     "SystemEntry",
     "TABLE1_SYSTEMS",
     "UnderlayAwarenessFramework",
-    "implemented_modules",
     "ltm_round",
     "mean_neighbor_delay",
-    "representatives",
     "run_ltm",
     "systems_by_type",
 ]

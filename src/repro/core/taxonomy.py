@@ -1,16 +1,16 @@
 """Table 1: the catalogue of underlay-aware systems, as a code registry.
 
-Each entry records a system the survey lists, its information type, and
-which module of this repository implements the corresponding technique.
-Entries whose technique is implemented carry a factory used by the
-Table 1 benchmark to instantiate a representative configuration; survey
-entries we cover by an equivalent technique point at that technique.
+Each entry records a system the survey lists, its information type and
+reference, and which module of this repository implements the
+corresponding technique; survey entries we cover by an equivalent
+technique point at that technique.  :data:`TABLE1_SYSTEMS` is the one
+copy of Table 1: TAB1 measures a subset of it, one row per measured
+system, each row naming its entries by reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.collection.base import UnderlayInfoType
 
@@ -24,7 +24,6 @@ class SystemEntry:
     reference: str           # citation key in the paper
     technique: str           # short description of the mechanism
     implemented_by: str      # module path in this repo realising it
-    representative: bool = False  # used as its class representative in benches
 
 
 TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
@@ -32,17 +31,17 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "BNS (biased neighbor selection)", UnderlayInfoType.ISP_LOCATION, "[3]",
         "tracker returns same-AS peers plus a small external quota",
-        "repro.overlay.bittorrent.tracker", representative=True,
+        "repro.overlay.bittorrent.tracker",
     ),
     SystemEntry(
         "Oracle (ISP-aided)", UnderlayInfoType.ISP_LOCATION, "[1]",
         "in-network ISP component ranks candidate lists by AS hops",
-        "repro.collection.oracle", representative=True,
+        "repro.collection.oracle",
     ),
     SystemEntry(
         "Ono", UnderlayInfoType.ISP_LOCATION, "[5]",
         "CDN redirection ratio maps as a free proximity signal",
-        "repro.collection.cdn", representative=True,
+        "repro.collection.cdn",
     ),
     SystemEntry(
         "CAT (cost-aware BitTorrent)", UnderlayInfoType.ISP_LOCATION, "[32]",
@@ -57,12 +56,12 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "LTM (location-aware topology matching)", UnderlayInfoType.ISP_LOCATION,
         "[21]", "cuts low-productive overlay links with a cheaper 2-hop relay",
-        "repro.core.ltm", representative=True,
+        "repro.core.ltm",
     ),
     SystemEntry(
         "P4P (iTracker)", UnderlayInfoType.ISP_LOCATION, "[29]",
         "ISP publishes PID-level p-distances; appTrackers weight peers by them",
-        "repro.collection.p4p", representative=True,
+        "repro.collection.p4p",
     ),
     SystemEntry(
         "Brocade", UnderlayInfoType.ISP_LOCATION, "[36]",
@@ -72,7 +71,7 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "Plethora", UnderlayInfoType.ISP_LOCATION, "[9]",
         "local + global overlay split along locality boundaries",
-        "repro.overlay.hierarchical", representative=True,
+        "repro.overlay.hierarchical",
     ),
     SystemEntry(
         "Mithos", UnderlayInfoType.ISP_LOCATION, "[28]",
@@ -88,22 +87,22 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "Vivaldi", UnderlayInfoType.LATENCY, "[7]",
         "decentralized spring-embedding coordinates",
-        "repro.coords.vivaldi", representative=True,
+        "repro.coords.vivaldi",
     ),
     SystemEntry(
         "ICS (Lim et al.)", UnderlayInfoType.LATENCY, "[20]",
         "PCA of a beacon distance matrix; hosts embed locally",
-        "repro.coords.ics", representative=True,
+        "repro.coords.ics",
     ),
     SystemEntry(
         "GNP / landmark proximity", UnderlayInfoType.LATENCY, "[26]",
-        "landmark embedding and distributed binning",
-        "repro.coords.gnp", representative=True,
+        "landmark embedding",
+        "repro.coords.gnp",
     ),
     SystemEntry(
         "gMeasure", UnderlayInfoType.LATENCY, "[23]",
         "group-based network performance measurement",
-        "repro.collection.group_measurement", representative=True,
+        "repro.collection.group_measurement",
     ),
     SystemEntry(
         "Genius", UnderlayInfoType.LATENCY, "[23]",
@@ -113,17 +112,17 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "eCAN", UnderlayInfoType.LATENCY, "[30]",
         "topology-aware structured overlay (proximity route/neighbor selection)",
-        "repro.overlay.chord", representative=True,
+        "repro.overlay.chord",
     ),
     SystemEntry(
         "Leopard", UnderlayInfoType.LATENCY, "[33]",
         "geographically scoped hashing joins content and locality",
-        "repro.overlay.kademlia.scoped", representative=True,
+        "repro.overlay.kademlia.scoped",
     ),
     SystemEntry(
         "Proximity in DHTs", UnderlayInfoType.LATENCY, "[4]",
         "PNS/PR in structured overlays",
-        "repro.overlay.kademlia", representative=True,
+        "repro.overlay.kademlia",
     ),
     SystemEntry(
         "Proximity in Kademlia", UnderlayInfoType.LATENCY, "[17]",
@@ -134,7 +133,7 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "Globase.KOM", UnderlayInfoType.GEOLOCATION, "[18][19]",
         "hierarchical zone tree, fully retrievable location search",
-        "repro.overlay.geo.globase", representative=True,
+        "repro.overlay.geo.globase",
     ),
     SystemEntry(
         "GeoPeer", UnderlayInfoType.GEOLOCATION, "[2]",
@@ -145,17 +144,17 @@ TABLE1_SYSTEMS: tuple[SystemEntry, ...] = (
     SystemEntry(
         "SkyEye.KOM", UnderlayInfoType.PEER_RESOURCES, "[11]",
         "information management over-overlay (oracle view)",
-        "repro.collection.skyeye", representative=True,
+        "repro.collection.skyeye",
     ),
     SystemEntry(
         "Bandwidth-aware P2P-TV scheduling", UnderlayInfoType.PEER_RESOURCES,
         "[6]", "capacity-ordered chunk scheduling in a mesh-pull stream",
-        "repro.overlay.streaming", representative=True,
+        "repro.overlay.streaming",
     ),
     SystemEntry(
         "Capacity-based super-peer election", UnderlayInfoType.PEER_RESOURCES,
         "[11]", "strongest peers take the super-peer role",
-        "repro.overlay.superpeer.hybrid", representative=True,
+        "repro.overlay.superpeer.hybrid",
     ),
 )
 
@@ -164,12 +163,3 @@ def systems_by_type(info: UnderlayInfoType) -> list[SystemEntry]:
     """Registry rows for one information type."""
     return [s for s in TABLE1_SYSTEMS if s.info_type == info]
 
-
-def representatives() -> list[SystemEntry]:
-    """Registry rows marked as their class representative."""
-    return [s for s in TABLE1_SYSTEMS if s.representative]
-
-
-def implemented_modules() -> set[str]:
-    """Distinct module paths the registry maps systems onto."""
-    return {s.implemented_by for s in TABLE1_SYSTEMS}

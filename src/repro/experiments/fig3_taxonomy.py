@@ -23,6 +23,7 @@ from repro.collection import (
 )
 from repro.coords import VivaldiConfig, VivaldiSystem, evaluate_embedding
 from repro.experiments.common import ExperimentResult
+from repro.underlay.geometry import DEFAULT_EXTENT_KM
 from repro.underlay.network import Underlay, UnderlayConfig
 
 
@@ -122,7 +123,8 @@ def run_fig3(n_hosts: int = 80, seed: int = 21) -> ExperimentResult:
     # --- Geolocation -----------------------------------------------------------------
     # GPS is metre-accurate but only covers peers with a fix; IP-to-location
     # covers everyone with 100+ km errors — accuracy and coverage reported
-    # separately so the trade-off is visible.
+    # separately so the trade-off is visible.  Errors are normalised by the
+    # side of the plane (the default ``TopologyConfig.extent_km``).
     gps = GPSService(underlay, availability=0.6)
     fixes = [gps.position_of(h) for h in ids]
     errs = [
@@ -130,10 +132,9 @@ def run_fig3(n_hosts: int = 80, seed: int = 21) -> ExperimentResult:
         for h, p in zip(ids, fixes)
         if p is not None
     ]
-    diag = 5000.0
     result.add_row(
         info="geolocation", method="gps",
-        accuracy=1.0 - float(np.median(errs)) / diag,
+        accuracy=1.0 - float(np.median(errs)) / DEFAULT_EXTENT_KM,
         coverage=len(errs) / len(ids),
         overhead_bytes=0.0,
         overhead_unit="per peer",
@@ -143,7 +144,7 @@ def run_fig3(n_hosts: int = 80, seed: int = 21) -> ExperimentResult:
     med = ipl.median_error_km(ids)
     result.add_row(
         info="geolocation", method="ip-to-location-mapping",
-        accuracy=1.0 - med / diag,
+        accuracy=1.0 - med / DEFAULT_EXTENT_KM,
         coverage=1.0,
         overhead_bytes=ipl.overhead.bytes_on_wire / len(ids),
         overhead_unit="per peer",

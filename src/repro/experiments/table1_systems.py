@@ -1,10 +1,11 @@
 """TAB1 — the catalogue of underlay-aware systems, exercised.
 
 Table 1 lists the prominent systems per information type.  This
-experiment walks the registry (:mod:`repro.core.taxonomy`), instantiates
-one representative per implemented technique on a common small underlay,
-and reports each system's headline metric — the registry is therefore
-not documentation but executable coverage of the survey's Table 1.
+experiment instantiates 11 of them on a common small underlay and
+reports each system's headline metric.  Each row names the Table 1
+entries it covers by their references; the registry
+(:mod:`repro.core.taxonomy`) holds the table itself and supplies only
+the entry count noted here.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.underlay.network import Underlay, UnderlayConfig
 
 
 def run_table1(n_hosts: int = 80, seed: int = 23) -> ExperimentResult:
-    """Run one representative per Table 1 class; returns their headline metrics."""
+    """Measure 11 Table 1 systems; returns their headline metrics."""
     underlay = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=seed))
     ids = underlay.host_ids()
     rtt = underlay.rtt_matrix()
@@ -203,6 +204,6 @@ def run_table1(n_hosts: int = 80, seed: int = 23) -> ExperimentResult:
 
     result.notes.append(
         f"registry covers {len(TABLE1_SYSTEMS)} surveyed systems; "
-        "non-representative entries map to the same implemented techniques"
+        "each row's references name the entries it measures"
     )
     return result

@@ -41,9 +41,9 @@ SRC = ROOT / "src" / "repro"
 #: package -> never-called functions
 BUDGET = {
     "cli": 3,
-    "collection": 40,
-    "coords": 14,
-    "core": 17,
+    "collection": 3,
+    "coords": 8,
+    "core": 15,
     "experiments": 1,
     "faults": 5,
     "metrics": 3,

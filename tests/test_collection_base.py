@@ -1,21 +1,6 @@
 """Unit tests for the collection taxonomy and overhead accounting."""
 
-import pytest
-
-from repro.collection import (
-    TAXONOMY,
-    CollectionMethod,
-    GPSService,
-    IPToISPMapping,
-    IPToLocationMapping,
-    ISPOracle,
-    OverheadCounter,
-    PingService,
-    SkyEyeOverlay,
-    SyntheticCDN,
-    TracerouteService,
-    UnderlayInfoType,
-)
+from repro.collection import TAXONOMY, OverheadCounter, UnderlayInfoType
 
 
 def test_taxonomy_covers_all_info_types():
@@ -25,32 +10,6 @@ def test_taxonomy_covers_all_info_types():
     assert len(TAXONOMY[UnderlayInfoType.LATENCY]) == 2
     assert len(TAXONOMY[UnderlayInfoType.GEOLOCATION]) == 2
     assert len(TAXONOMY[UnderlayInfoType.PEER_RESOURCES]) == 1
-
-
-def test_every_service_sits_on_a_figure3_edge(small_underlay):
-    u = small_underlay
-    services = [
-        IPToISPMapping(u),
-        ISPOracle(u),
-        SyntheticCDN(u, rng=1),
-        PingService(u, rng=1),
-        TracerouteService(u, rng=1),
-        GPSService(u),
-        IPToLocationMapping(u),
-        SkyEyeOverlay(u.host_ids()),
-    ]
-    positions = {s.taxonomy_position() for s in services}
-    # every leaf except "prediction methods" (implemented in repro.coords)
-    expected = {
-        (UnderlayInfoType.ISP_LOCATION, CollectionMethod.IP_TO_ISP_MAPPING),
-        (UnderlayInfoType.ISP_LOCATION, CollectionMethod.ISP_COMPONENT_IN_NETWORK),
-        (UnderlayInfoType.ISP_LOCATION, CollectionMethod.CDN_PROVIDED),
-        (UnderlayInfoType.LATENCY, CollectionMethod.EXPLICIT_MEASUREMENT),
-        (UnderlayInfoType.GEOLOCATION, CollectionMethod.GPS),
-        (UnderlayInfoType.GEOLOCATION, CollectionMethod.IP_TO_LOCATION_MAPPING),
-        (UnderlayInfoType.PEER_RESOURCES, CollectionMethod.INFO_MANAGEMENT_OVERLAY),
-    }
-    assert positions == expected
 
 
 def test_overhead_counter_charge():

@@ -1,9 +1,9 @@
-"""Unit tests for ping/traceroute explicit measurement."""
+"""Unit tests for ping explicit measurement."""
 
 import numpy as np
 import pytest
 
-from repro.collection import PING_BYTES, PingService, TracerouteService
+from repro.collection import PING_BYTES, PingService
 from repro.errors import CollectionError
 
 
@@ -52,29 +52,3 @@ def test_zero_probes_rejected(small_underlay):
     with pytest.raises(CollectionError):
         ping.measure_rtt(ids[0], ids[1], probes=0)
 
-
-def test_traceroute_follows_as_path(small_underlay):
-    u = small_underlay
-    tr = TracerouteService(u, rng=3)
-    ids = u.host_ids()
-    hops = tr.trace(ids[0], ids[7])
-    expected_path = u.routing.path(u.asn_of(ids[0]), u.asn_of(ids[7]))
-    assert [h.asn for h in hops] == expected_path
-    assert hops[0].link_type is None
-    for h in hops[1:]:
-        assert h.link_type is not None
-
-
-def test_traceroute_rtts_monotonic_ish(small_underlay):
-    tr = TracerouteService(small_underlay, noise_std_ms=0.0, rng=1)
-    ids = small_underlay.host_ids()
-    hops = tr.trace(ids[0], ids[9])
-    rtts = [h.rtt_ms for h in hops]
-    assert rtts == sorted(rtts)
-
-
-def test_as_hop_count(small_underlay):
-    u = small_underlay
-    tr = TracerouteService(u, rng=1)
-    ids = u.host_ids()
-    assert tr.as_hop_count(ids[0], ids[4]) == u.as_hops(ids[0], ids[4])

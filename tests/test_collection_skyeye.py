@@ -13,13 +13,19 @@ def _res(up: float, hours: float = 4.0) -> PeerResources:
 
 
 def test_tree_structure():
+    # 13 slots at branching 3: the root, 3 children, 9 grandchildren
+    assert SkyEyeOverlay([0]).depth() == 0
+    assert SkyEyeOverlay(list(range(4)), branching=3).depth() == 1
+    assert SkyEyeOverlay(list(range(5)), branching=3).depth() == 2
     sky = SkyEyeOverlay(list(range(13)), branching=3)
-    assert sky.parent_of(0) is None
-    assert sky.parent_of(1) == 0
-    assert sky.parent_of(4) == 1
-    assert sky.children_of(0) == [1, 2, 3]
-    assert sky.children_of(1) == [4, 5, 6]
     assert sky.depth() == 2
+    for p in range(13):
+        sky.report(p, _res(up=10.0 * (p + 1)))
+    view = sky.run_aggregation_round()
+    # every report reaches the root over one tree edge per non-root peer
+    assert view.count == 13
+    assert sky.overhead.messages == 12
+    assert view.maxima["bandwidth_up_kbps"] == pytest.approx(130.0)
 
 
 def test_depth_logarithmic():
@@ -77,8 +83,6 @@ def test_unknown_peer_rejected():
     sky = SkyEyeOverlay([1, 2, 3])
     with pytest.raises(CollectionError):
         sky.report(99, _res(1.0))
-    with pytest.raises(CollectionError):
-        sky.parent_of(99)
 
 
 def test_duplicate_peers_rejected():
@@ -91,7 +95,7 @@ def test_unknown_attribute_rejected():
     sky.report(1, _res(10.0))
     sky.run_aggregation_round()
     with pytest.raises(CollectionError):
-        sky.mean_resource("nonexistent")
+        sky.root_view.mean("nonexistent")
 
 
 def test_updated_report_replaces_old():

@@ -1,9 +1,9 @@
-"""Unit tests for GNP and landmark binning."""
+"""Unit tests for GNP landmark embedding."""
 
 import numpy as np
 import pytest
 
-from repro.coords import GNPConfig, GNPSystem, LandmarkBinning, evaluate_embedding
+from repro.coords import GNPConfig, GNPSystem, evaluate_embedding
 from repro.errors import ConfigurationError, CoordinateError
 
 
@@ -54,40 +54,3 @@ def test_host_coordinate_validation():
     with pytest.raises(CoordinateError):
         gnp.host_coordinate([-1.0] * 6)
 
-
-class TestBinning:
-    def test_bin_is_order_plus_levels(self):
-        b = LandmarkBinning(3, level_thresholds_ms=(100.0, 200.0))
-        assert b.bin_of([50.0, 150.0, 250.0]) == (0, 1, 2, 0, 1, 2)
-
-    def test_same_bin_for_similar_vectors(self):
-        b = LandmarkBinning(3)
-        assert b.same_bin([10, 20, 30], [15, 25, 35])
-        assert not b.same_bin([10, 20, 30], [30, 20, 10])
-
-    def test_similarity_graded(self):
-        b = LandmarkBinning(4)
-        s_close = b.bin_similarity([1, 2, 3, 4], [1.1, 2.2, 3.3, 4.4])
-        s_far = b.bin_similarity([1, 2, 3, 4], [400, 300, 200, 100])
-        assert s_close > s_far
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LandmarkBinning(0)
-        b = LandmarkBinning(2)
-        with pytest.raises(CoordinateError):
-            b.bin_of([1.0])
-
-    def test_binning_correlates_with_as_on_underlay(self, dense_underlay):
-        u = dense_underlay
-        rtt = u.rtt_matrix()
-        landmarks = list(range(6))
-        b = LandmarkBinning(6)
-        hosts = u.hosts[6:46]
-        sims_same, sims_diff = [], []
-        for i, ha in enumerate(hosts):
-            for hb in hosts[i + 1 :]:
-                ia, ib = u.hosts.index(ha), u.hosts.index(hb)
-                s = b.bin_similarity(rtt[ia, landmarks], rtt[ib, landmarks])
-                (sims_same if ha.asn == hb.asn else sims_diff).append(s)
-        assert np.mean(sims_same) > np.mean(sims_diff)

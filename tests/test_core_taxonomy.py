@@ -2,15 +2,8 @@
 
 import importlib
 
-import pytest
-
 from repro.collection import UnderlayInfoType
-from repro.core import (
-    TABLE1_SYSTEMS,
-    implemented_modules,
-    representatives,
-    systems_by_type,
-)
+from repro.core import TABLE1_SYSTEMS, systems_by_type
 
 
 def test_registry_covers_all_info_types():
@@ -27,8 +20,8 @@ def test_paper_row_counts():
 
 
 def test_every_implemented_module_importable():
-    for module in implemented_modules():
-        importlib.import_module(module)
+    for s in TABLE1_SYSTEMS:
+        importlib.import_module(s.implemented_by)
 
 
 def test_every_entry_has_reference_and_technique():
@@ -36,12 +29,6 @@ def test_every_entry_has_reference_and_technique():
         assert s.reference.startswith("[")
         assert s.technique
         assert s.implemented_by.startswith("repro.")
-
-
-def test_representatives_cover_all_types():
-    reps = representatives()
-    assert {r.info_type for r in reps} == set(UnderlayInfoType)
-    assert len(reps) >= 6
 
 
 def test_unique_names():

@@ -76,11 +76,26 @@ def test_every_documented_module_exists():
     )
 
 
-#: names the docs spell that are not ``repro``'s: numpy's, the standard
-#: library's, a parameter's, big-O notation, the surveyed systems' own
+#: names the docs spell that are not ``repro``'s -> why
 _FOREIGN = {
-    "np.unique", "np.sum", "dataclass", "bisect_right", "choice", "replace", "repr",
-    "min", "float", "mat.item", "callback", "O", "Globase.KOM", "SkyEye.KOM",
+    "np.unique": "numpy",
+    "np.sum": "numpy",
+    "mat.item": "numpy, on a matrix",
+    "dataclass": "the standard library",
+    "bisect_right": "the standard library",
+    "choice": "the standard library's random.choice",
+    "replace": "the standard library's dataclasses.replace",
+    "repr": "a builtin",
+    "min": "a builtin",
+    "float": "a builtin",
+    "None": "a builtin constant",
+    "callback": "a parameter",
+    "O": "big-O notation",
+    "Globase.KOM": "a surveyed system's own name",
+    "SkyEye.KOM": "a surveyed system's own name",
+    "SendLog": "a test oracle, tests/sendlog.py",
+    "ReferenceKBucket": "a test oracle, tests/kbucket_reference.py",
+    "ReferenceLookup": "a test oracle, tests/test_kademlia_lookup_path.py",
 }
 
 
@@ -154,15 +169,22 @@ def _has_attr(cls, attr: str) -> bool:
 
 def test_every_documented_name_exists():
     """Every back-quoted ``Class.attr`` names an attribute of a public
-    ``repro`` class of that name, and every back-quoted call span
-    (``name()``, ``obj.name(args)``) names a public ``repro`` callable:
-    a doc that still names a deleted function fails here."""
+    ``repro`` class of that name, every back-quoted call span
+    (``name()``, ``obj.name(args)``) names a public ``repro`` callable,
+    and every back-quoted lone CamelCase name (``PingService``) names a
+    public ``repro`` class: a doc that still names a deleted function or
+    class fails here."""
     index = _public_callables()
     class_attr = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)")
     call = re.compile(r"([A-Za-z_][\w.]*)\([^()]*\)")
+    lone_class = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
     missing = []
     for doc in _living_docs():
         for span in _code_spans(doc):
+            name = span.strip()
+            if lone_class.fullmatch(name) and name not in _FOREIGN:
+                if not any(inspect.isclass(c) for c in index.get(name, [])):
+                    missing.append(f"{doc.relative_to(ROOT)}: {name}")
             for cls_name, attr in class_attr.findall(span):
                 if attr in ("md", "py", "json") or f"{cls_name}.{attr}" in _FOREIGN:
                     continue  # a file name, or not repro's

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.collection import GroupMeasurement
+from repro.collection import GroupMeasurement, PingService
+from repro.core import UnderlayAwarenessFramework
 from repro.errors import CollectionError
+from repro.underlay import Underlay, UnderlayConfig
+
+
+def _median_relative_error(underlay, gm):
+    """Median relative RTT error of ``gm`` over every pair of hosts."""
+    true = underlay.rtt_matrix()
+    est = gm.estimated_matrix(underlay.host_ids())
+    iu = np.triu_indices(len(true), 1)
+    mask = true[iu] > 0
+    return float(np.median(np.abs(est[iu] - true[iu])[mask] / true[iu][mask]))
 
 
 @pytest.fixture(scope="module")
@@ -36,18 +47,47 @@ def test_calibration_deflates(dense_underlay):
     cal.build()
     assert raw.beta == 1.0
     assert cal.beta < 1.0  # relay composition overestimates
-    assert cal.median_relative_error() < raw.median_relative_error()
+    assert _median_relative_error(dense_underlay, cal) < _median_relative_error(
+        dense_underlay, raw
+    )
 
 
 def test_accuracy_between_fullmesh_and_nothing(dense_underlay, gm):
     # gMeasure should land well under 50% median error on its own hosts
-    assert gm.median_relative_error() < 0.45
+    assert _median_relative_error(dense_underlay, gm) < 0.45
 
 
 def test_probe_cost_subquadratic(dense_underlay, gm):
     n = len(dense_underlay.hosts)
     full_mesh = n * (n - 1) // 2
-    assert gm.probe_count() < 0.5 * full_mesh
+    assert gm.ping.overhead.queries < 0.5 * full_mesh
+
+
+def test_overhead_reports_the_probes_it_paid_for():
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=60, seed=18))
+    gm = GroupMeasurement(underlay, rng=2)
+    gm.build()
+    fw = UnderlayAwarenessFramework(underlay)
+    fw.use_coordinates(gm.estimate, source=gm)
+    probes = gm.ping.overhead
+    assert probes.bytes_on_wire > 0
+    assert gm.overhead.queries == 1
+    assert gm.overhead.messages == probes.messages
+    assert gm.overhead.bytes_on_wire == probes.bytes_on_wire
+    assert fw.total_overhead_bytes() == probes.bytes_on_wire
+
+
+def test_shared_ping_charges_only_this_build(dense_underlay):
+    ids = dense_underlay.host_ids()
+    ping = PingService(dense_underlay, rng=5)
+    ping.measure_rtt(ids[0], ids[1], probes=3)
+    before = ping.overhead.bytes_on_wire
+    gm = GroupMeasurement(dense_underlay, ping=ping, rng=5)
+    gm.build(host_ids=ids[:30])
+    assert gm.overhead.bytes_on_wire == ping.overhead.bytes_on_wire - before
+    gm.build(host_ids=ids[:30])
+    assert gm.overhead.queries == 2
+    assert gm.overhead.bytes_on_wire == ping.overhead.bytes_on_wire - before
 
 
 def test_estimate_before_build_rejected(dense_underlay):

@@ -27,8 +27,8 @@ import repro
 
 BUDGET = {
     "cli": {"config": 0, "kwargs": 0, "env": 0},
-    "collection": {"config": 3, "kwargs": 27, "env": 0},
-    "coords": {"config": 8, "kwargs": 7, "env": 0},
+    "collection": {"config": 3, "kwargs": 24, "env": 0},
+    "coords": {"config": 8, "kwargs": 6, "env": 0},
     "core": {"config": 0, "kwargs": 4, "env": 0},
     "errors": {"config": 0, "kwargs": 0, "env": 0},
     "experiments": {"config": 0, "kwargs": 0, "env": 0},
