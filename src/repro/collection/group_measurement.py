@@ -23,7 +23,7 @@ import numpy as np
 from repro.collection.base import InfoSource
 from repro.collection.measurement import PingService
 from repro.errors import CollectionError
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike, ensure_rng, spawn
 from repro.underlay.network import Underlay
 
 
@@ -45,10 +45,13 @@ class GroupMeasurement(InfoSource):
         if calibration_pairs < 0:
             raise CollectionError("calibration_pairs must be non-negative")
         self.underlay = underlay
-        self.ping = ping or PingService(underlay, rng=rng)
+        self._rng = ensure_rng(rng)
+        # probe noise draws from a child stream: seeding the ping service
+        # with ``rng`` itself would replay this source's election draws
+        (ping_rng,) = spawn(self._rng, 1)
+        self.ping = ping or PingService(underlay, rng=ping_rng)
         self.probes = probes
         self.calibration_pairs = calibration_pairs
-        self._rng = ensure_rng(rng)
         self._rep_of_group: dict[int, int] = {}
         self._group_of: dict[int, int] = {}
         self._to_rep: dict[int, float] = {}

@@ -29,14 +29,12 @@ class HostCache:
     def __contains__(self, peer: int) -> bool:
         return peer in self._entries
 
-    def add(self, peer: int) -> None:
-        """Insert (move-to-back on re-add); evicts the oldest when full."""
-        self.add_all((peer,))
-
     def add_all(self, peers: Iterable[int]) -> None:
-        """:meth:`add` each of ``peers`` in order, evicting once at the
-        end: an entry only ever ages between its re-adds, so whatever
-        adding one by one would have evicted is still the oldest."""
+        """Insert each of ``peers`` in order (move-to-back on re-add),
+        then evict the oldest entries beyond capacity.  Evicting once at
+        the end is evicting after every insert: an entry only ever ages
+        between its re-adds, so whatever one-by-one adding would have
+        evicted is still the oldest."""
         entries = self._entries
         for p in peers:
             entries.pop(p, None)

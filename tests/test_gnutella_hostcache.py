@@ -8,8 +8,8 @@ from repro.overlay.gnutella import HostCache
 
 def test_add_and_contains():
     hc = HostCache(capacity=5)
-    hc.add(1)
-    hc.add(2)
+    hc.add_all((1,))
+    hc.add_all((2,))
     assert 1 in hc and 2 in hc
     assert len(hc) == 2
 
@@ -17,7 +17,7 @@ def test_add_and_contains():
 def test_eviction_of_oldest():
     hc = HostCache(capacity=3)
     for p in (1, 2, 3, 4):
-        hc.add(p)
+        hc.add_all((p,))
     assert 1 not in hc
     assert set(hc.snapshot()) == {2, 3, 4}
 
@@ -25,16 +25,16 @@ def test_eviction_of_oldest():
 def test_readd_moves_to_back():
     hc = HostCache(capacity=3)
     for p in (1, 2, 3):
-        hc.add(p)
-    hc.add(1)  # refresh
-    hc.add(4)  # evicts 2, the now-oldest
+        hc.add_all((p,))
+    hc.add_all((1,))  # refresh
+    hc.add_all((4,))  # evicts 2, the now-oldest
     assert 1 in hc and 2 not in hc
 
 
 def test_snapshot_most_recent_first_with_limit():
     hc = HostCache(capacity=10)
     for p in range(6):
-        hc.add(p)
+        hc.add_all((p,))
     assert hc.snapshot() == [5, 4, 3, 2, 1, 0]
     assert hc.snapshot(limit=2) == [5, 4]
 
@@ -55,7 +55,7 @@ def test_fill_random_respects_capacity():
 
 def test_remove():
     hc = HostCache()
-    hc.add(7)
+    hc.add_all((7,))
     hc.remove(7)
     hc.remove(8)  # absent: no error
     assert 7 not in hc

@@ -63,6 +63,13 @@ def test_probe_cost_subquadratic(dense_underlay, gm):
     assert gm.ping.overhead.queries < 0.5 * full_mesh
 
 
+def test_probe_noise_and_election_draw_from_different_streams(dense_underlay):
+    # one int seed must not hand the ping service a copy of the stream
+    # that elects representatives
+    gm = GroupMeasurement(dense_underlay, rng=2)
+    assert gm.ping._rng.bit_generator.state != gm._rng.bit_generator.state
+
+
 def test_overhead_reports_the_probes_it_paid_for():
     underlay = Underlay.generate(UnderlayConfig(n_hosts=60, seed=18))
     gm = GroupMeasurement(underlay, rng=2)

@@ -15,7 +15,7 @@ from tests.bittorrent_reference import Bitfield
 def test_hostcache_never_exceeds_capacity_and_keeps_recency(ops, capacity):
     hc = HostCache(capacity=capacity)
     for p in ops:
-        hc.add(p)
+        hc.add_all((p,))
     assert len(hc) <= capacity
     snap = hc.snapshot()
     assert len(snap) == len(set(snap))

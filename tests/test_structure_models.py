@@ -103,7 +103,7 @@ def test_hostcache_equivalent_under_seeded_ops(seed):
         r = rng.random()
         peer = int(rng.integers(60))
         if r < 0.70:
-            cache.add(peer)
+            cache.add_all((peer,))
             _model_add(model, peer, 20)
         elif r < 0.85:
             cache.remove(peer)
@@ -140,11 +140,13 @@ def test_hostcache_fill_random_equivalent(seed):
 def test_hostcache_equivalent_property(ops):
     cache, model = HostCache(capacity=8), []
     for kind, peer in ops:
-        getattr(cache, kind)(peer)
         if kind == "add":
+            cache.add_all((peer,))
             _model_add(model, peer, 8)
-        elif peer in model:
-            model.remove(peer)
+        else:
+            cache.remove(peer)
+            if peer in model:
+                model.remove(peer)
     _assert_hostcache_equal(cache, model)
     assert cache.snapshot(3) == model[::-1][:3]
 
