@@ -108,7 +108,7 @@ def run_table1(n_hosts: int = 80, seed: int = 23) -> ExperimentResult:
     rep = evaluate_embedding(gnp.estimated_matrix(), rtt[:nb, :nb])
     result.add_row(
         system="GNP/landmarks [26]", info="latency",
-        metric="median relative embedding error (landmarks)",
+        metric="in-sample landmark fit error",
         value=rep.median_relative_error,
     )
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import OverlayError
 from repro.overlay.base import OverlayNode
@@ -96,9 +97,13 @@ class LookupResult:
 class _Lookup:
     """One iterative lookup in flight.
 
-    ``target`` is validated by the constructor and every candidate id
-    when it first enters ``state``, so distances inside the lookup are
-    plain ``^`` between checked ids.
+    ``target`` is validated by the constructor; a candidate id comes
+    from the routing table or the heard-of table, which checked it when
+    it entered the node, so distances inside the lookup are plain ``^``
+    between checked ids.  ``shortlist`` holds every id not failed,
+    nearest the target first, kept sorted as ids enter and fail;
+    ``inflight`` counts the ids in ``_INFLIGHT``.  No decision sorts or
+    scans ``state``.
     """
 
     _NEW, _INFLIGHT, _DONE, _FAILED = range(4)
@@ -118,24 +123,38 @@ class _Lookup:
         self.result = LookupResult(target=target, started_at=node.sim.now)
         self.state: dict[int, int] = {}
         self.contact_of: dict[int, Contact] = {}
+        self.shortlist: list[int] = []
+        self.inflight = 0
         self.finished = False
-        for c in node.routing_table.closest(target, node.config.k):
-            self._add_candidate(c)
+        self._add_candidates(node.routing_table.closest(target, node.config.k))
 
-    def _add_candidate(self, contact: Contact) -> None:
-        node_id = contact.node_id
-        if node_id == self.node.node_id:
-            return
-        if node_id not in self.state:
-            self.state[validate_id(node_id)] = self._NEW
-            self.contact_of[node_id] = contact
-        elif contact.rtt_ms < self.contact_of[node_id].rtt_ms:
-            self.contact_of[node_id] = contact
+    def _add_candidates(self, contacts: Iterable[Contact]) -> None:
+        """New ids enter ``state`` and ``shortlist``; a known one keeps
+        the lower-RTT of its contacts."""
+        own_id = self.node.node_id
+        state = self.state
+        contact_of = self.contact_of
+        shortlist = self.shortlist
+        distance = self.target.__xor__
+        for contact in contacts:
+            node_id = contact.node_id
+            if node_id == own_id:
+                continue
+            if node_id not in state:
+                state[node_id] = self._NEW
+                contact_of[node_id] = contact
+                insort(shortlist, node_id, key=distance)
+            elif contact.rtt_ms < contact_of[node_id].rtt_ms:
+                contact_of[node_id] = contact
 
-    def _k_closest_ids(self) -> list[int]:
-        ids = [i for i, s in self.state.items() if s != self._FAILED]
-        ids.sort(key=self.target.__xor__)
-        return ids[: self.node.config.k]
+    def _fail(self, node_id: int) -> None:
+        """An in-flight id failed: it leaves the shortlist for good."""
+        self.state[node_id] = self._FAILED
+        self.inflight -= 1
+        distance = self.target.__xor__
+        del self.shortlist[
+            bisect_left(self.shortlist, distance(node_id), key=distance)
+        ]
 
     def start(self) -> None:
         self._launch_queries()
@@ -143,12 +162,11 @@ class _Lookup:
 
     def _launch_queries(self) -> None:
         cfg = self.node.config
-        budget = cfg.alpha - list(self.state.values()).count(self._INFLIGHT)
+        budget = cfg.alpha - self.inflight
         if budget <= 0:
             return
-        candidates = [
-            i for i in self._k_closest_ids() if self.state[i] == self._NEW
-        ]
+        state = self.state
+        candidates = [i for i in self.shortlist[: cfg.k] if state[i] == self._NEW]
         if cfg.proximity_routing:
             # PR: among the useful candidates, lowest measured RTT first.
             # Only the alpha cheapest are dispatched, so take them with a
@@ -161,7 +179,8 @@ class _Lookup:
             )
         dispatch = candidates[:budget]
         for nid in dispatch:
-            self.state[nid] = self._INFLIGHT
+            state[nid] = self._INFLIGHT
+        self.inflight += len(dispatch)
         self.result.rpcs_sent += len(dispatch)
         if dispatch:
             self.node._send_lookup_rpcs(
@@ -178,23 +197,24 @@ class _Lookup:
         """``responder`` answered the RPC that was sent to ``queried_id``."""
         if self.finished:
             return
+        inflight = self.state.get(queried_id) == self._INFLIGHT
         if responder.node_id == queried_id:
-            if self.state.get(queried_id) == self._INFLIGHT:
+            if inflight:
                 self.state[queried_id] = self._DONE
+                self.inflight -= 1
             self.contact_of[queried_id] = responder
         else:
             # the host rejoined under a fresh id: the id we queried is
             # gone for good, the id it answers under is one more candidate
-            if self.state.get(queried_id) == self._INFLIGHT:
-                self.state[queried_id] = self._FAILED
-            self._add_candidate(responder)
+            if inflight:
+                self._fail(queried_id)
+            self._add_candidates((responder,))
         if self.find_value and values:
             self.result.values |= values
             self.result.found_value = True
             self._finish()
             return
-        for c in contacts:
-            self._add_candidate(c)
+        self._add_candidates(contacts)
         self._launch_queries()
         self._check_done()
 
@@ -202,16 +222,17 @@ class _Lookup:
         if self.finished:
             return
         if self.state.get(node_id) == self._INFLIGHT:
-            self.state[node_id] = self._FAILED
+            self._fail(node_id)
             self.result.timeouts += 1
         self._launch_queries()
         self._check_done()
 
     def _check_done(self) -> None:
-        if self.finished or self._INFLIGHT in self.state.values():
+        if self.finished or self.inflight:
             return
         # nothing in flight: done once none of the k closest is still new
-        if all(self.state[i] != self._NEW for i in self._k_closest_ids()):
+        closest = self.shortlist[: self.node.config.k]
+        if self._NEW not in map(self.state.__getitem__, closest):
             self._finish()
 
     def _finish(self) -> None:
@@ -219,10 +240,11 @@ class _Lookup:
             return
         self.finished = True
         self.result.finished_at = self.node.sim.now
+        state = self.state
         self.result.closest = [
             self.contact_of[i]
-            for i in self._k_closest_ids()
-            if self.state[i] == self._DONE
+            for i in self.shortlist[: self.node.config.k]
+            if state[i] == self._DONE
         ]
         self.on_done(self.result)
 
@@ -278,15 +300,17 @@ class KademliaNode(OverlayNode):
             self._heard[node_id, host_id] = contact
         return contact
 
-    def _observe(self, contact: Contact) -> None:
-        """Learn ``contact``; an unmeasured one enters the table with the
-        estimator's RTT when there is an estimator."""
-        if self.rtt_estimator is not None and not math.isfinite(contact.rtt_ms):
-            contact = replace(
-                contact,
-                rtt_ms=float(self.rtt_estimator(self.host_id, contact.host_id)),
-            )
-        self.routing_table.update(contact)
+    def _observe(self, contacts: Iterable[Contact]) -> None:
+        """Learn ``contacts`` with one table write; an unmeasured one
+        enters with the estimator's RTT when there is an estimator."""
+        estimate = self.rtt_estimator
+        if estimate is not None:
+            contacts = [
+                c if math.isfinite(c.rtt_ms)
+                else replace(c, rtt_ms=float(estimate(self.host_id, c.host_id)))
+                for c in contacts
+            ]
+        self.routing_table.update_many(contacts)
 
     def _send_lookup_rpcs(
         self, lookup: _Lookup, target_contacts: "list[Contact]"
@@ -356,7 +380,7 @@ class KademliaNode(OverlayNode):
             RPC_REPLY_BASE + CONTACT_WIRE_SIZE * len(closest) + 8 * len(values),
         )
         # learn the requester
-        self._observe(requester)
+        self._observe((requester,))
 
     def on_find_node(self, msg: Message) -> None:
         self._reply_contacts(msg, with_values=False)
@@ -369,7 +393,7 @@ class KademliaNode(OverlayNode):
         key = validate_id(req["key"])
         requester = self._heard_of(req["sender_id"], msg.src)
         self.storage.setdefault(key, set()).add(req["value"])
-        self._observe(requester)
+        self._observe((requester,))
         self.send(
             msg.src,
             "STORE_ACK",
@@ -380,7 +404,7 @@ class KademliaNode(OverlayNode):
     def on_store_ack(self, msg: Message) -> None:
         # acks carry no lookup state; just refresh the contact
         rep = msg.payload
-        self._observe(self._heard_of(rep["sender_id"], msg.src))
+        self._observe((self._heard_of(rep["sender_id"], msg.src),))
 
     # -- client side --------------------------------------------------------------------
     def _on_lookup_reply(self, msg: Message) -> None:
@@ -391,14 +415,16 @@ class KademliaNode(OverlayNode):
         lookup, queried, sent_at = entry
         self.requests.resolve(rep["rpc_id"])
         responder = Contact(rep["sender_id"], msg.src, self.sim.now - sent_at)
-        self._observe(responder)
-        if responder.node_id != queried.node_id:
-            self.routing_table.remove(queried.node_id)
+        # heard-of (not measured) contacts enter the lookup, and the
+        # routing table only if there is room / they win on proximity;
+        # every id is checked before the table is written
         contacts = [self._heard_of(nid, hid) for nid, hid in rep["contacts"]]
-        for c in contacts:
-            # heard-of (not measured) contacts enter the lookup, and the
-            # routing table only if there is room / they win on proximity
-            self._observe(c)
+        if responder.node_id == queried.node_id:
+            self._observe([responder, *contacts])
+        else:
+            self._observe((responder,))
+            self.routing_table.remove(queried.node_id)
+            self._observe(contacts)
         lookup.on_reply(
             queried.node_id, responder, contacts, set(rep.get("values", ()))
         )
@@ -468,7 +494,5 @@ class KademliaNode(OverlayNode):
 
     def bootstrap(self, seeds: list[Contact], on_done=None) -> None:
         """Insert seed contacts and look up our own id to fill buckets."""
-        for s in seeds:
-            if s.node_id != self.node_id:
-                self.routing_table.update(s)
+        self.routing_table.update_many(seeds)
         self.iterative_find_node(self.node_id, on_done or (lambda r: None))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Any, Callable, Hashable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -229,11 +230,19 @@ class MessageBus:
         extra_delay: float,
         batch: Optional[list],
     ) -> Message:
-        """The single inline send path shared by :meth:`send` and
-        :meth:`send_many`: accounting, fault hook,
-        loss draw, delay validation, then either a direct ``schedule``
-        (``batch is None``) or an append to the caller's batch list.
+        """The single inline send path shared by :meth:`send`,
+        :meth:`send_many` and ``OverlayNode.send``: size check,
+        accounting, fault hook, loss draw, delay validation, then either
+        an append to the caller's batch list or, with ``batch`` None,
+        delivery scheduled on the simulation.
+
+        An untraced simulation gets the heap entry and sequence number
+        :meth:`Simulation.schedule` would make, pushed here without the
+        handle nobody reads; a traced one goes through ``schedule`` so
+        its ``schedule`` trace events stay.
         """
+        if size_bytes < 0:
+            raise SimulationError(f"negative message size: {size_bytes}")
         msg = Message(src, dst, kind, payload, size_bytes)
         delay = self._latency.one_way_delay(src, dst) + extra_delay
         stats = self.stats
@@ -276,10 +285,20 @@ class MessageBus:
                     src=src, dst=dst, kind=kind, reason="loss",
                 )
             return msg
-        if batch is None:
-            self._sim.schedule(delay, self._deliver, msg)
-        else:
+        if batch is not None:
             batch.append((delay, self._deliver, (msg,)))
+            return msg
+        sim = self._sim
+        if sim._tracer is None:
+            # [time, seq, callback, args, cancelled, fired]: the layout
+            # of repro.sim.engine's heap entries
+            heappush(
+                sim._heap,
+                [float(sim._now + delay), next(sim._seq), self._deliver,
+                 (msg,), False, False],
+            )
+        else:
+            sim.schedule(delay, self._deliver, msg)
         return msg
 
     def send(
@@ -294,10 +313,9 @@ class MessageBus:
         """Send a message; it arrives after the underlay one-way delay.
 
         Raises :class:`SimulationError` if the total delay (underlay +
-        ``extra_delay`` + fault penalty) would be negative.
+        ``extra_delay`` + fault penalty) would be negative, or if
+        ``size_bytes`` is.
         """
-        if size_bytes < 0:
-            raise SimulationError(f"negative message size: {size_bytes}")
         return self._send_one(
             src, dst, kind, payload, size_bytes, extra_delay, None
         )
@@ -321,8 +339,6 @@ class MessageBus:
         with one :meth:`Simulation.schedule_many` call, which is what
         flooding/broadcast fan-out wants.
         """
-        if size_bytes < 0:
-            raise SimulationError(f"negative message size: {size_bytes}")
         messages: list[Message] = []
         batch: list[tuple[float, Callable[..., None], tuple]] = []
         send_one = self._send_one

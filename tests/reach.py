@@ -34,6 +34,7 @@ import runpy
 import sys
 import threading
 from pathlib import Path
+from types import CodeType
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -48,7 +49,7 @@ BUDGET = {
     "faults": 5,
     "metrics": 3,
     "obs": 7,
-    "overlay": 38,
+    "overlay": 39,
     "rng": 0,
     "runner": 4,
     "service": 3,
@@ -158,11 +159,15 @@ PARTS = (_cli_ids, _benchmarks, _examples, _bench_drivers)
 
 def called_code() -> set[tuple[str, int]]:
     """``(file, first line)`` of every function the reported runs enter."""
-    seen: set = set()
+    # keyed by identity: code objects compare equal across files (the
+    # file name is not part of code equality), so a set would merge two
+    # identical functions that start on the same line of two modules
+    seen: dict[int, CodeType] = {}
 
     def hook(frame, event, _arg):
         if event == "call":
-            seen.add(frame.f_code)
+            code = frame.f_code
+            seen[id(code)] = code
 
     sys.path.insert(0, str(ROOT))
     os.chdir(ROOT)
@@ -176,7 +181,7 @@ def called_code() -> set[tuple[str, int]]:
             threading.setprofile(None)
     return {
         (str(Path(code.co_filename).resolve()), code.co_firstlineno)
-        for code in seen
+        for code in seen.values()
     }
 
 

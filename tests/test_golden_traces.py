@@ -13,7 +13,9 @@ digest covers every sim schedule/fire/cancel and every bus send and
 drop, so even the small runs fingerprint over a hundred thousand events.
 
 The Kademlia scenario also checks an invariant on the same stream: the
-engine clock never runs backwards.
+engine clock never runs backwards.  Run untraced, it must end exactly
+where the traced run ends: the untraced bus pushes its deliveries onto
+the heap itself, the traced one goes through ``Simulation.schedule``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.experiments.fig5_gnutella_oracle import run_fig5
-from repro.overlay.kademlia import KademliaConfig, KademliaNetwork
+from repro.overlay.kademlia import KademliaConfig, KademliaNetwork, key_for
 from repro.sim import Simulation
 from repro.underlay import Underlay, UnderlayConfig
 
@@ -101,3 +103,43 @@ def test_kademlia_engine_clock_is_monotone():
     assert len(fired) > 500
     assert all(a <= b for a, b in zip(fired, fired[1:]))
     assert backwards == []
+
+
+def _kademlia_outcome(seed: int) -> dict:
+    """The traced scenario plus six node lookups, in whatever ``obs``
+    scope is active; returns everything a run leaves behind."""
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=30, seed=seed))
+    sim = Simulation()
+    bus, _acct = underlay.message_bus(sim)
+    net = KademliaNetwork(
+        underlay, sim, bus, config=KademliaConfig(k=4, alpha=2), rng=seed
+    )
+    net.add_all_hosts()
+    net.bootstrap_all()
+    sim.run()
+    stats = net.run_value_workload(n_publishes=5, n_lookups=10)
+    found: list = []
+    for i, node in enumerate(list(net.nodes.values())[:6]):
+        node.iterative_find_node(key_for(f"probe-{i}"), found.append)
+    sim.run()
+    return {
+        "events": sim.events_processed,
+        "bus": bus.stats,
+        "contacts": {
+            hid: node.routing_table.all_contacts()
+            for hid, node in net.nodes.items()
+        },
+        "stats": stats,
+        "found": found,
+    }
+
+
+def test_untraced_run_equals_traced_run():
+    untraced = _kademlia_outcome(3)
+    with obs.observe() as tracer:
+        traced = _kademlia_outcome(3)
+    assert tracer.emitted > untraced["events"] > 500
+    assert len(untraced["found"]) == 6
+    assert all(untraced["contacts"].values())
+    for key in untraced:
+        assert untraced[key] == traced[key], key

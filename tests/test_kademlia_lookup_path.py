@@ -4,7 +4,8 @@
 The orderings the fast path must reproduce live here, not in ``src/``:
 ``closest`` against a brute-force XOR sort, and :class:`ReferenceLookup`
 — the lookup's bookkeeping with a full ``xor_distance`` re-sort at every
-decision — against the real :class:`_Lookup` driven reply by reply.
+decision — against the real :class:`_Lookup`, whose kept shortlist and
+in-flight count are compared with it reply by reply.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def test_routing_table_rejects_bad_ids_at_every_entry(bad):
     with pytest.raises(OverlayError):
         RoutingTable(own_id=bad)
     table = RoutingTable(own_id=5, k=4)
-    table.update(Contact(9, 9))
+    table.update_many([Contact(9, 9)])
     for call in (
-        lambda: table.update(Contact(bad, 1)),
+        lambda: table.update_many([Contact(bad, 1)]),
         lambda: table.closest(bad),
         lambda: table.closest(bad, 3),
         lambda: table.get(bad),
@@ -86,7 +87,7 @@ def test_routing_table_rejects_bad_ids_at_every_entry(bad):
 @pytest.mark.parametrize("bad", BAD_IDS)
 def test_lookup_rejects_bad_target(small_underlay, bad):
     node = _node(small_underlay)
-    node.routing_table.update(Contact(9, small_underlay.hosts[1].host_id))
+    node.routing_table.update_many([Contact(9, small_underlay.hosts[1].host_id)])
     done = []
     with pytest.raises(OverlayError):
         node.iterative_find_node(bad, done.append)
@@ -103,7 +104,7 @@ def test_reply_carrying_bad_id_is_rejected(small_underlay, bad, where):
     hosts = small_underlay.hosts
     node = _node(small_underlay)
     queried = Contact(9, hosts[1].host_id)
-    node.routing_table.update(queried)
+    node.routing_table.update_many([queried])
     lookup = node.iterative_find_node(200, lambda result: None)
     (rpc_id,) = node._pending
     heard = [Contact(12, hosts[2].host_id)]
@@ -124,7 +125,7 @@ def test_request_carrying_bad_sender_id_is_rejected(small_underlay, bad):
     id the node already knows for ``src`` and is still not an int id."""
     node = _node(small_underlay)
     src = small_underlay.hosts[1].host_id
-    node.routing_table.update(node._heard_of(12, src))
+    node.routing_table.update_many([node._heard_of(12, src)])
     for kind, payload in (
         ("FIND_NODE", {"rpc_id": 0, "target": 9, "sender_id": bad}),
         ("FIND_VALUE", {"rpc_id": 1, "target": 9, "sender_id": bad}),
@@ -196,7 +197,7 @@ def test_closest_equals_bruteforce_xor_sort(history):
     removed = []
     for name, node_id, rtt in ops:
         if name == "update":
-            table.update(Contact(node_id, node_id % 97, rtt))
+            table.update_many([Contact(node_id, node_id % 97, rtt)])
         else:
             table.remove(node_id)
             removed.append(node_id)
@@ -349,7 +350,7 @@ def test_lookup_dispatches_like_its_reference(
     )
     rtts = st.one_of(st.just(float("inf")), st.sampled_from([5.0, 40.0, 300.0]))
     for node_id in data.draw(st.lists(ids, max_size=12, unique=True)):
-        node.routing_table.update(contact(node_id, data.draw(rtts)))
+        node.routing_table.update_many([contact(node_id, data.draw(rtts))])
     seeds = node.routing_table.closest(target, k)
 
     done = []
@@ -365,6 +366,12 @@ def test_lookup_dispatches_like_its_reference(
 
     sent = dict(node._pending)
     for _step in range(60):
+        # the kept shortlist and in-flight count are what a full re-sort
+        # and a full scan of the reference's state give
+        live = [i for i, st in ref.state.items() if st != ref.FAILED]
+        assert lookup.shortlist == sorted(live, key=ref._distance)
+        assert lookup.inflight == list(ref.state.values()).count(ref.INFLIGHT)
+        assert lookup.state == ref.state
         assert dispatched() == ref.dispatched
         assert lookup.result.rpcs_sent == len(ref.dispatched)
         assert lookup.result.timeouts == ref.timeouts
@@ -397,7 +404,7 @@ def test_reply_under_a_fresh_id_settles_the_queried_id(small_underlay):
     hosts = small_underlay.hosts
     node = _node(small_underlay)
     stale = Contact(9, hosts[1].host_id)
-    node.routing_table.update(stale)
+    node.routing_table.update_many([stale])
     done = []
     lookup = node.iterative_find_node(9, done.append)
     (rpc_id,) = node._pending
@@ -448,11 +455,13 @@ def test_lookup_finishes_when_a_peer_rejoined_under_a_fresh_id():
 
 
 # -- counted work, not a timing floor -----------------------------------------------
-#: validate_id calls per bus message on the workload below: twice the 5.59
-#: the lookup path made before the heard-of table (5.68 with it: a pair's
-#: id is also checked when the table first sees it; re-validating both ids
-#: inside every comparison key made it 54.65)
-MAX_VALIDATIONS_PER_MESSAGE = 11.2
+#: validate_id calls per bus message on the workload below: twice the 0.69
+#: it is now.  ``update_many`` range-checks a plain int inline and calls
+#: validate_id only for any other type, and a lookup's candidates come from
+#: tables that checked them on entry; the per-contact table write and the
+#: per-candidate lookup check made it 5.68, and re-validating both ids
+#: inside every comparison key 54.65
+MAX_VALIDATIONS_PER_MESSAGE = 1.4
 
 
 def test_validations_per_message_stay_bounded(monkeypatch, capsys):
@@ -493,7 +502,8 @@ def test_validations_per_message_stay_bounded(monkeypatch, capsys):
 
 #: Contact constructions per bus message on the same workload: the
 #: per-reply build of every heard-of contact made it 4.02; one interned
-#: contact per (node_id, host_id) pair per network makes it 0.44
+#: contact per (node_id, host_id) pair per network makes it 0.44, and the
+#: one-pass reply path keeps it there
 MAX_CONTACTS_PER_MESSAGE = 0.88
 
 
@@ -565,3 +575,85 @@ def test_contacts_per_message_stay_bounded(monkeypatch, capsys):
     sim.run()
     assert net._heard
     check_table()
+
+
+class _ScanCountingDict(dict):
+    """A lookup's ``state`` that counts every full pass over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        _ScanCountingDict.scans += 1
+        return super().__iter__()
+
+    def keys(self):
+        _ScanCountingDict.scans += 1
+        return super().keys()
+
+    def values(self):
+        _ScanCountingDict.scans += 1
+        return super().values()
+
+    def items(self):
+        _ScanCountingDict.scans += 1
+        return super().items()
+
+
+def test_reply_path_work_is_counted(monkeypatch):
+    """Per lookup reply: one routing-table write (``update_many``), no
+    bus delivery scheduled through ``Simulation.schedule`` on an untraced
+    run, and no pass over ``_Lookup.state`` at any decision."""
+    from repro.overlay.kademlia.node import _Lookup
+    from repro.sim.messages import MessageBus
+
+    writes = [0]
+    update_many = RoutingTable.update_many
+
+    def counting_update_many(self, contacts):
+        writes[0] += 1
+        return update_many(self, contacts)
+
+    writes_per_reply: list[int] = []
+    on_reply = KademliaNode._on_lookup_reply
+
+    def counting_reply(self, msg):
+        before = writes[0]
+        on_reply(self, msg)
+        writes_per_reply.append(writes[0] - before)
+
+    scheduled: list = []
+    schedule = Simulation.schedule
+
+    def recording_schedule(self, delay, callback, *args):
+        scheduled.append(getattr(callback, "__func__", callback))
+        return schedule(self, delay, callback, *args)
+
+    lookup_init = _Lookup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        lookup_init(self, *args, **kwargs)
+        self.state = _ScanCountingDict(self.state)
+
+    monkeypatch.setattr(RoutingTable, "update_many", counting_update_many)
+    monkeypatch.setattr(KademliaNode, "_on_lookup_reply", counting_reply)
+    monkeypatch.setattr(Simulation, "schedule", recording_schedule)
+    monkeypatch.setattr(_Lookup, "__init__", counting_init)
+    monkeypatch.setattr(_ScanCountingDict, "scans", 0)
+
+    underlay = Underlay.generate(UnderlayConfig(n_hosts=48, seed=21))
+    sim = Simulation()
+    bus, _acct = underlay.message_bus(sim, with_accounting=False)
+    net = KademliaNetwork(underlay, sim, bus, rng=21)
+    net.add_all_hosts()
+    net.bootstrap_all()
+    sim.run()
+    stats = net.run_value_workload(n_publishes=24, n_lookups=96)
+    assert stats.success_rate == 1.0
+
+    by_kind = bus.stats.by_kind
+    replies = by_kind["FIND_NODE_REPLY"] + by_kind.get("FIND_VALUE_REPLY", 0)
+    assert len(writes_per_reply) == replies > 0
+    assert set(writes_per_reply) == {1}
+    assert MessageBus._deliver not in scheduled
+    assert bus.stats.sent > 10 * len(scheduled)
+    assert _ScanCountingDict.scans == 0

@@ -59,7 +59,7 @@ def test_routing_table_matches_bruteforce(seed, proximity):
         bucket = model.setdefault(
             bucket_index(own_id, node_id), ReferenceKBucket(k=k, proximity=proximity)
         )
-        assert table.update(contact) == bucket.update(contact)
+        assert table.update_many([contact]) == [bucket.update(contact)]
         if i % 10 == 0:
             victim = id_pool[int(rng.integers(len(id_pool)))]
             table.remove(victim)
