@@ -125,11 +125,6 @@ class FaultInjector:
         self._tracer: Optional[Tracer] = active_tracer()
 
     # -- lifecycle --------------------------------------------------------------
-    @property
-    def active_faults(self) -> tuple:
-        """Message faults currently inside their window."""
-        return tuple(self._active)
-
     def start(self) -> None:
         """Schedule every fault's activation; a no-op for an empty schedule."""
         if self._started:

@@ -31,9 +31,6 @@ from repro.metrics.locality import (
 from repro.metrics.message_stats import (
     GNUTELLA_KINDS,
     gnutella_table_row,
-    overhead_ratio,
-    reduction_percent,
-    table_reductions,
 )
 from repro.metrics.resilience import (
     articulation_point_count,
@@ -66,10 +63,7 @@ __all__ = [
     "locality_summary",
     "long_hop_fraction",
     "min_inter_as_edges",
-    "overhead_ratio",
     "partition_risk",
     "percentile_key",
-    "reduction_percent",
     "resilience_summary",
-    "table_reductions",
 ]

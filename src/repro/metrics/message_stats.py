@@ -1,10 +1,8 @@
-"""Message/overhead statistics shared across experiments."""
+"""The Gnutella message table of Figure 5, from bus per-kind counts."""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-from repro.errors import ReproError
+from typing import Mapping
 
 #: The four Gnutella descriptor types of the [1] message table.
 GNUTELLA_KINDS = ("PING", "PONG", "QUERY", "QUERYHIT")
@@ -14,27 +12,3 @@ def gnutella_table_row(counts: Mapping[str, int]) -> dict[str, int]:
     """Extract the Figure 5 message-table row from bus per-kind counts."""
     return {k: int(counts.get(k, 0)) for k in GNUTELLA_KINDS}
 
-
-def reduction_percent(baseline: float, variant: float) -> float:
-    """Percentage reduction of ``variant`` relative to ``baseline``."""
-    if baseline <= 0:
-        raise ReproError("baseline must be positive")
-    return 100.0 * (baseline - variant) / baseline
-
-
-def table_reductions(
-    baseline: Mapping[str, int], variant: Mapping[str, int]
-) -> dict[str, float]:
-    """Per-kind percentage reductions for the Gnutella message table."""
-    out = {}
-    for k in GNUTELLA_KINDS:
-        if baseline.get(k, 0) > 0:
-            out[k] = reduction_percent(baseline[k], variant.get(k, 0))
-    return out
-
-
-def overhead_ratio(control_bytes: int, payload_bytes: int) -> float:
-    """Control-plane bytes per payload byte (lower is better)."""
-    if payload_bytes <= 0:
-        raise ReproError("payload bytes must be positive")
-    return control_bytes / payload_bytes

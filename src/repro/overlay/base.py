@@ -71,25 +71,6 @@ class OverlayNode:
             self.host_id, dst, kind, payload, size_bytes, 0.0, None
         )
 
-    def send_many(
-        self,
-        dsts: "list[int]",
-        kind: str,
-        payload: Any = None,
-        size_bytes: int = 64,
-    ) -> None:
-        """Fan the same message out to ``dsts`` in order (flooding,
-        broadcast) through the bus's batch path — behaviourally identical
-        to calling :meth:`send` per destination."""
-        if not dsts:
-            return
-        if not self.online:
-            raise OverlayError(
-                f"node {self.host_id} tried to send {kind} while offline"
-            )
-        self.sent_counts[kind] += len(dsts)
-        self.bus.send_many(self.host_id, dsts, kind, payload, size_bytes)
-
     def _dispatch(self, msg: Message) -> None:
         if not self.online:
             return

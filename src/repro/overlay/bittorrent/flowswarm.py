@@ -188,7 +188,6 @@ class FlowSwarmSimulation:
         config: SwarmConfig | None = None,
         flow_config: FlowPlaneConfig | None = None,
         rng: SeedLike = None,
-        engine: Simulation | None = None,
     ) -> None:
         self.underlay = underlay
         self.torrent = torrent
@@ -196,7 +195,7 @@ class FlowSwarmSimulation:
         self.config = config or SwarmConfig()
         self.flow_config = flow_config or FlowPlaneConfig()
         self._rng = ensure_rng(rng)
-        self.engine = engine if engine is not None else Simulation()
+        self.engine = Simulation()
 
         self.peers: dict[int, _FlowPeer] = {}
         self._peer_rows: list[_FlowPeer] = []

@@ -147,18 +147,6 @@ class Tracker:
         self._rng.shuffle(combined)
         return combined
 
-    def depart(self, host_id: int) -> None:
-        at = self._swarm.pop(host_id, None)
-        if at is None:
-            return
-        del self._order[at]
-        del self._asns[at]
-        for i in range(at, len(self._order)):
-            self._swarm[self._order[i]] = i
-        self._by_as = {}
-        for i, asn in enumerate(self._asns):
-            self._by_as.setdefault(asn, []).append(i)
-
 
 def _nth_absent(taken: Sequence[int], i: int) -> int:
     """The ``i``-th (from 0) non-negative integer not in the ascending

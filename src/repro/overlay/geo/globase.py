@@ -8,22 +8,23 @@ geolocation sources of §3.3 (GPS or IP-to-location mapping), so overlay
 placement quality inherits the collection technique's accuracy — which is
 exactly the coupling the survey highlights.
 
-The overlay tracks per-operation hop counts and converts them into delay
-estimates using the underlay's latency between the supernodes actually
-traversed, giving the Table 2 "Geolocation" column its measured values.
+The overlay tracks per-operation hop and node-visit counts; Table 2's
+"Geolocation" column reads the recall of its area queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.errors import OverlayError
-from repro.overlay.geo.zones import Rect, ZoneNode, ZoneTree
+from repro.overlay.geo.zones import Rect, ZoneTree
 from repro.underlay.geometry import Position
 from repro.underlay.network import Underlay
+
+#: a generous bounding box around the generated plane (km)
+WORLD = Rect(-1e4, -1e4, 2e4, 2e4)
 
 
 @dataclass
@@ -36,10 +37,6 @@ class GeoOpStats:
     area_nodes_visited: int = 0
     nn_queries: int = 0
     nn_nodes_visited: int = 0
-
-    @property
-    def mean_join_hops(self) -> float:
-        return self.join_hops / self.joins if self.joins else 0.0
 
     @property
     def mean_area_visits(self) -> float:
@@ -55,13 +52,9 @@ class GlobaseOverlay:
         *,
         zone_capacity: int = 8,
         position_source: Optional[Callable[[int], Optional[Position]]] = None,
-        world: Optional[Rect] = None,
     ) -> None:
         self.underlay = underlay
-        if world is None:
-            # generous bounding box around the generated plane
-            world = Rect(-1e4, -1e4, 2e4, 2e4)
-        self.tree = ZoneTree(world, capacity=zone_capacity)
+        self.tree = ZoneTree(WORLD, capacity=zone_capacity)
         #: where the overlay believes each peer is (possibly from a noisy
         #: geolocation source); true positions stay in the underlay.
         self.position_source = position_source or (
@@ -83,10 +76,6 @@ class GlobaseOverlay:
         self.stats.joins += 1
         self.stats.join_hops += hops
         return True
-
-    def leave(self, host_id: int) -> None:
-        self.tree.remove(host_id)
-        self.believed.pop(host_id, None)
 
     def join_all(self, host_ids: Optional[list[int]] = None) -> int:
         """Join many peers; returns how many succeeded."""
@@ -119,29 +108,6 @@ class GlobaseOverlay:
             return 1.0
         got = set(self.peers_in_area(area))
         return len(got & truly) / len(truly)
-
-    def query_delay_ms(self, origin: int, area: Rect) -> float:
-        """Latency estimate of an area query issued by ``origin``: root
-        supernode first, then one hop per traversed level's supernode."""
-        path_nodes: list[ZoneNode] = []
-        stack = [self.tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.rect.intersects(area):
-                continue
-            path_nodes.append(node)
-            if not node.is_leaf:
-                assert node.children is not None
-                stack.extend(node.children)
-        delay = 0.0
-        prev = origin
-        for node in path_nodes:
-            sn = node.supernode()
-            if sn is None or sn == prev:
-                continue
-            delay += self.underlay.one_way_delay(prev, sn)
-            prev = sn
-        return delay
 
     def zone_count(self) -> int:
         return sum(1 for _ in self.tree.leaves())

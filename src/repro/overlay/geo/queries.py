@@ -3,18 +3,16 @@ Globase.KOM [19], §2.4).
 
 A :class:`POIDirectory` registers peers as points of interest with
 categories ("restaurant", "pharmacy", emergency services [10], ...) and
-answers the §2.4 use cases: *what is near me* and *who serves this area*,
-both implemented on top of a :class:`GlobaseOverlay`.
+answers the §2.4 use case *what is near me* on top of a
+:class:`GlobaseOverlay`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.errors import OverlayError
 from repro.overlay.geo.globase import GlobaseOverlay
-from repro.overlay.geo.zones import Rect
 from repro.underlay.geometry import Position
 
 
@@ -32,7 +30,6 @@ class POIDirectory:
     def __init__(self, overlay: GlobaseOverlay) -> None:
         self.overlay = overlay
         self._by_host: dict[int, list[PointOfInterest]] = {}
-        self._categories: set[str] = set()
 
     def register(self, poi: PointOfInterest) -> None:
         if poi.host_id not in self.overlay.believed:
@@ -40,20 +37,6 @@ class POIDirectory:
                 f"host {poi.host_id} must join the overlay before registering a POI"
             )
         self._by_host.setdefault(poi.host_id, []).append(poi)
-        self._categories.add(poi.category)
-
-    def categories(self) -> set[str]:
-        return set(self._categories)
-
-    def find_in_area(self, area: Rect, category: Optional[str] = None) -> list[PointOfInterest]:
-        """All POIs inside ``area`` (optionally of one category)."""
-        hosts = self.overlay.peers_in_area(area)
-        out: list[PointOfInterest] = []
-        for h in hosts:
-            for poi in self._by_host.get(h, ()):
-                if category is None or poi.category == category:
-                    out.append(poi)
-        return out
 
     def find_nearest(
         self, pos: Position, category: str, *, k: int = 1, search_k: int = 32

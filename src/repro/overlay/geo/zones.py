@@ -3,7 +3,7 @@
 Globase.KOM organises peers by geographic position into zones managed by
 supernodes; zones split when they become crowded.  :class:`ZoneTree` is
 that structure: an adaptive quadtree over the projected plane whose leaves
-hold at most ``capacity`` peers.
+hold at most ``capacity`` peers, down to ``ZONE_MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from typing import Iterator, Optional
 
 from repro.errors import OverlayError
 from repro.underlay.geometry import Position
+
+#: levels below which a crowded zone no longer splits
+ZONE_MAX_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,6 @@ class Rect:
             Rect(mx, my, self.x1, self.y1),
         )
 
-    def center(self) -> Position:
-        return Position((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
     def min_distance_to(self, pos: Position) -> float:
         """Distance from ``pos`` to the closest point of the rectangle."""
         dx = max(self.x0 - pos.x, 0.0, pos.x - self.x1)
@@ -61,7 +61,7 @@ class Rect:
 
 class ZoneNode:
     """One quadtree node: a leaf with members, or an inner node with four
-    children.  The supernode of a leaf is its longest-standing member."""
+    children."""
 
     __slots__ = ("rect", "children", "members", "depth")
 
@@ -75,21 +75,15 @@ class ZoneNode:
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def supernode(self) -> Optional[int]:
-        return next(iter(self.members), None)
-
 
 class ZoneTree:
     """Adaptive quadtree holding peer positions."""
 
-    def __init__(self, world: Rect, *, capacity: int = 8, max_depth: int = 16) -> None:
+    def __init__(self, world: Rect, *, capacity: int = 8) -> None:
         if capacity < 1:
             raise OverlayError("zone capacity must be >= 1")
-        if max_depth < 1:
-            raise OverlayError("max_depth must be >= 1")
         self.world = world
         self.capacity = capacity
-        self.max_depth = max_depth
         self.root = ZoneNode(world)
         self._where: dict[int, ZoneNode] = {}
 
@@ -110,15 +104,9 @@ class ZoneTree:
         node, hops = self._descend(self.root, pos)
         node.members[peer_id] = pos
         self._where[peer_id] = node
-        if len(node.members) > self.capacity and node.depth < self.max_depth:
+        if len(node.members) > self.capacity and node.depth < ZONE_MAX_DEPTH:
             self._split(node)
         return hops
-
-    def remove(self, peer_id: int) -> None:
-        node = self._where.pop(peer_id, None)
-        if node is None:
-            raise OverlayError(f"peer {peer_id} not in the tree")
-        del node.members[peer_id]
 
     def _descend(self, node: ZoneNode, pos: Position) -> tuple[ZoneNode, int]:
         hops = 0
@@ -139,16 +127,10 @@ class ZoneTree:
             child.members[pid] = pos
             self._where[pid] = child
         for child in node.children:
-            if len(child.members) > self.capacity and child.depth < self.max_depth:
+            if len(child.members) > self.capacity and child.depth < ZONE_MAX_DEPTH:
                 self._split(child)
 
     # -- queries ---------------------------------------------------------------------
-    def leaf_of(self, peer_id: int) -> ZoneNode:
-        node = self._where.get(peer_id)
-        if node is None:
-            raise OverlayError(f"peer {peer_id} not in the tree")
-        return node
-
     def leaves(self) -> Iterator[ZoneNode]:
         stack = [self.root]
         while stack:

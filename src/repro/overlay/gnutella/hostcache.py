@@ -8,10 +8,9 @@ the "list size 100 / 1000" sent to the oracle in the biased experiments.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.errors import OverlayError
-from repro.rng import SeedLike, ensure_rng
 
 
 class HostCache:
@@ -49,15 +48,3 @@ class HostCache:
         """Most recent entries first, truncated to ``limit``."""
         entries = list(reversed(self._entries))
         return entries if limit is None else entries[:limit]
-
-    def fill_random(
-        self, population: Sequence[int], n: int, rng: SeedLike = None
-    ) -> None:
-        """Bootstrap fill: a random ``n``-subset of ``population``."""
-        rng = ensure_rng(rng)
-        pop = list(population)
-        n = min(n, len(pop), self.capacity)
-        if n == 0:
-            return
-        idx = rng.choice(len(pop), size=n, replace=False)
-        self.add_all(pop[int(i)] for i in idx)

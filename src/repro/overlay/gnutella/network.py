@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import networkx as nx
-import numpy as np
 
 from repro.collection.oracle import ISPOracle
 from repro.errors import OverlayError
@@ -51,8 +50,10 @@ class NeighborPolicy(enum.Enum):
 class SearchRecord:
     """Bookkeeping for one search: origin, keyword, hits, chosen source.
 
-    ``issued_at``/``first_hit_at`` are sim-clock stamps (ms); the first
-    hit's latency is what the service-level SLO drivers measure.
+    ``issued_at``/``first_hit_at`` are sim-clock stamps (ms);
+    ``first_hit_at`` stays ``nan`` until a hit arrives.  The
+    :mod:`repro.service` drivers time a search themselves, from issue to
+    the ``search_listener`` call.
     """
     guid: int
     origin: int
@@ -62,11 +63,6 @@ class SearchRecord:
     download_done: bool = False
     issued_at: float = 0.0
     first_hit_at: float = math.nan
-
-    @property
-    def first_hit_latency_ms(self) -> float:
-        """Issue-to-first-hit latency, ``nan`` while unanswered."""
-        return self.first_hit_at - self.issued_at
 
 
 class GnutellaNetwork:
@@ -173,7 +169,7 @@ class GnutellaNetwork:
         population = list(self.nodes)
         others = len(population) - 1
         for i, node in enumerate(self.nodes.values()):
-            # HostCache.fill_random over everyone but node i without
+            # a random subset of everyone but node i, drawn without
             # building that list: index c of it is population[c], or
             # population[c + 1] from position i on
             n = min(cache_fill, others, node.hostcache.capacity)

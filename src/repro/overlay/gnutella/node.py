@@ -51,6 +51,8 @@ LEAF = "leaf"
 #: (each doubling the deadline, capped at four times the base)
 CONNECT_TIMEOUT_MS = 4000.0
 CONNECT_MAX_RETRIES = 1
+#: leaves an ultrapeer accepts
+MAX_LEAVES = 30
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class GnutellaConfig:
     ping_ttl: int = 2
     pongs_per_ping: int = 10
     max_up_neighbors: int = 6
-    max_leaves: int = 30
     leaf_connections: int = 3
     hostcache_capacity: int = 1000
     pong_cache_size: int = 20
@@ -78,7 +79,7 @@ class GnutellaConfig:
             raise OverlayError("TTLs must be >= 1")
         if self.leaf_connections < 1:
             raise OverlayError("leaves need at least one ultrapeer connection")
-        if self.max_up_neighbors < 1 or self.max_leaves < 0:
+        if self.max_up_neighbors < 1:
             raise OverlayError("invalid capacity configuration")
         if self.pongs_per_ping < 1 or self.pong_cache_size < 1:
             raise OverlayError("pong parameters must be >= 1")
@@ -189,7 +190,7 @@ class GnutellaNode(OverlayNode):
         if self.role != ULTRAPEER:
             return False
         if req.role == LEAF:
-            return len(self.leaves) < self.config.max_leaves
+            return len(self.leaves) < MAX_LEAVES
         # inbound slack (2x the outbound target): real servents keep a
         # separate inbound budget, which prevents late joiners from being
         # orphaned once everyone's outbound slots are filled

@@ -40,10 +40,6 @@ class HierarchicalLookup:
     finished_at: float = 0.0
     done: bool = False
 
-    @property
-    def latency_ms(self) -> float:
-        return self.finished_at - self.started_at
-
 
 class HierarchicalDHT:
     """Global Kademlia + one local Kademlia per region, with read-through

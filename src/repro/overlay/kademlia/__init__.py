@@ -3,11 +3,8 @@
 from repro.overlay.kademlia.id_space import (
     ID_BITS,
     ID_SPACE,
-    bucket_index,
     key_for,
     random_id,
-    sort_by_distance,
-    xor_distance,
 )
 from repro.overlay.kademlia.kbucket import Contact, KBucket
 from repro.overlay.kademlia.network import KademliaNetwork, LookupStats
@@ -28,9 +25,6 @@ __all__ = [
     "RoutingTable",
     "ScopedHashing",
     "ScopedKademlia",
-    "bucket_index",
     "key_for",
     "random_id",
-    "sort_by_distance",
-    "xor_distance",
 ]

@@ -2,8 +2,10 @@
 
 The XOR metric is a genuine metric (symmetric, zero iff equal, triangle
 inequality holds with equality-or-better) and is unidirectional: for any
-target there is exactly one closest id.  Property tests in the test suite
-verify these invariants.
+target there is exactly one closest id.  Between ids that passed
+:func:`validate_id` a distance is plain ``a ^ b``; the property tests
+check these invariants on the validating reference helpers in
+``tests/id_space_reference.py``.
 """
 
 from __future__ import annotations
@@ -28,21 +30,6 @@ def validate_id(node_id: int) -> int:
     return node_id
 
 
-def xor_distance(a: int, b: int) -> int:
-    """XOR distance between two ids."""
-    return validate_id(a) ^ validate_id(b)
-
-
-def bucket_index(own_id: int, other_id: int) -> int:
-    """Index of the k-bucket that ``other_id`` falls into relative to
-    ``own_id``: the position of the highest differing bit (0..159).
-    Raises for identical ids (a node does not bucket itself)."""
-    d = xor_distance(own_id, other_id)
-    if d == 0:
-        raise OverlayError("cannot bucket an identical id")
-    return d.bit_length() - 1
-
-
 def random_id(rng: SeedLike = None) -> int:
     """Uniform random 160-bit id."""
     rng = ensure_rng(rng)
@@ -56,9 +43,3 @@ def key_for(content: object) -> int:
     Kademlia's original choice — 160 bits exactly)."""
     digest = hashlib.sha1(repr(content).encode()).digest()
     return int.from_bytes(digest, "big")
-
-
-def sort_by_distance(ids: list[int], target: int) -> list[int]:
-    """Ids sorted by XOR distance to ``target`` (ties impossible for
-    distinct ids)."""
-    return sorted(ids, key=lambda i: xor_distance(i, target))

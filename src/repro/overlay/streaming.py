@@ -94,14 +94,6 @@ class StreamReport:
     source_chunks_served: int
     chunks_produced: int
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "continuity": self.mean_continuity,
-            "p10_continuity": self.p10_continuity,
-            "startup": self.mean_startup_intervals,
-            "source_load": self.source_chunks_served,
-        }
-
 
 class StreamingSwarm:
     """Time-stepped (one step per chunk interval) mesh-pull streaming."""

@@ -22,8 +22,7 @@ super-peer session time), and super-peer bandwidth headroom.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +46,6 @@ class HybridReport:
     mean_superpeer_session_h: float
     mean_superpeer_up_kbps: float
     max_leaf_load: int
-
-    def as_row(self) -> dict[str, float]:
-        return {
-            "superpeers": self.n_superpeers,
-            "search_latency_ms": self.mean_search_latency_ms,
-            "sp_session_h": self.mean_superpeer_session_h,
-            "sp_up_kbps": self.mean_superpeer_up_kbps,
-            "max_leaf_load": self.max_leaf_load,
-        }
 
 
 class SuperPeerOverlay:

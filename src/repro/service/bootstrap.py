@@ -4,7 +4,7 @@ Batch experiments construct an underlay, an overlay, and a workload in
 one script and tear everything down at the end.  A deployed P2P service
 is operated differently: a control plane stands the population up,
 traffic is driven against it, percentiles are read off, more traffic is
-driven, and eventually the service is drained and stopped.
+driven, and eventually the service is stopped.
 :class:`Bootstrapper` is that control plane over the synchronous
 simulator::
 
@@ -12,13 +12,12 @@ simulator::
     boot.build()                             # build + bootstrap + settle
     report = boot.drive_sync(process="poisson", rate_per_s=40.0)
     print(report.latency_ms["p99"])
-    boot.drain_sync()
     boot.stop_sync()
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
@@ -77,10 +76,9 @@ class ServiceConfig:
 class Bootstrapper:
     """Control plane over one simulated overlay population.
 
-    States: ``new`` → :meth:`build` → ``ready`` → (:meth:`drive_sync` |
-    :meth:`drain_sync`)* → :meth:`stop_sync` → ``stopped``.  Every call
-    checks the state; driving before building raises.  A rejected call
-    changes nothing.
+    States: ``new`` → :meth:`build` → ``ready`` → (:meth:`drive_sync`)* →
+    :meth:`stop_sync` → ``stopped``.  Every call checks the state;
+    driving before building raises.  A rejected call changes nothing.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
@@ -190,14 +188,6 @@ class Bootstrapper:
         self._drives += 1
         self.reports.append(report)
         return report
-
-    def drain_sync(self, *, drain_ms: float = 60_000.0) -> dict[str, Any]:
-        """Run the sim forward so in-flight work completes (bounded)."""
-        if self.state != "ready":
-            raise ConfigurationError(f"cannot drain in state {self.state!r}")
-        before = self.sim.pending()
-        self.sim.run(until=self.sim.now + drain_ms)
-        return {"pending_before": before, "pending_after": self.sim.pending()}
 
     def stats(self) -> dict[str, Any]:
         """Control-plane view of the service (JSON-safe)."""

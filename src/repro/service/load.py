@@ -172,10 +172,6 @@ class _CapacityGate:
         else:
             self._inflight[origin] -= 1
 
-    @property
-    def queued(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
 
 class _DriverBase:
     """Shared machinery: weighted op choice, lifecycle, report."""

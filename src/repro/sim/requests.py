@@ -168,15 +168,21 @@ class RequestManager:
         insert instead of one ``heappush`` per request.  This is what an
         iterative-lookup round issuing its α RPCs wants.
 
-        If a transmit raises, requests already transmitted keep their
-        timeouts armed (they are in flight and must be able to retry or
-        fail), the not-yet-transmitted tail is rolled back, and the
-        exception propagates.
+        A key already outstanding, or repeated within the batch, raises
+        before anything is transmitted and leaves no item of the batch
+        registered.  If a transmit raises, requests already transmitted
+        keep their timeouts armed (they are in flight and must be able
+        to retry or fail), the not-yet-transmitted tail is rolled back,
+        and the exception propagates.
         """
         pol = policy or self.policy
         entries: list[tuple[Hashable, _Outstanding]] = []
         for key, transmit, on_fail in items:
             if key in self._outstanding:
+                # nothing is transmitted yet: the batch's own entries
+                # would never be sent or timed out, so none may stay
+                for registered, _entry in entries:
+                    del self._outstanding[registered]
                 raise SimulationError(f"request {key!r} is already outstanding")
             entry = _Outstanding(transmit, on_fail, pol)
             self._outstanding[key] = entry

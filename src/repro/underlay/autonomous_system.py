@@ -54,10 +54,6 @@ class AutonomousSystem:
         if not self.name:
             self.name = f"AS{self.asn}"
 
-    @property
-    def degree(self) -> int:
-        return len(self.providers) + len(self.customers) + len(self.peers)
-
     def relationship_to(self, other_asn: int) -> LinkType | None:
         """Link type toward a directly connected AS, else ``None``."""
         if other_asn in self.peers:
@@ -65,7 +61,3 @@ class AutonomousSystem:
         if other_asn in self.providers or other_asn in self.customers:
             return LinkType.TRANSIT
         return None
-
-    def is_transit_provider(self) -> bool:
-        """True for ASes that sell transit (have customers)."""
-        return bool(self.customers)

@@ -28,9 +28,6 @@ class Position:
     def distance_to(self, other: "Position") -> float:
         return float(np.hypot(self.x - other.x, self.y - other.y))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 def positions_to_array(positions: list[Position]) -> np.ndarray:
     """Stack positions into an ``(n, 2)`` float array."""

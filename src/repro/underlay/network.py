@@ -136,10 +136,6 @@ class Underlay:
     def host_ids(self) -> list[int]:
         return [h.host_id for h in self.hosts]
 
-    def as_hops(self, host_a: int, host_b: int) -> int:
-        """AS-hop distance between two hosts' ASes."""
-        return self.routing.hops(self.asn_of(host_a), self.asn_of(host_b))
-
     def asns_of(self, host_ids: Sequence[Hashable]) -> np.ndarray:
         """ASN per host id, as one int64 array — the gather step of the
         batched oracle/selection rankers."""

@@ -137,12 +137,6 @@ class InternetTopology:
         except IndexError:
             raise TopologyError(f"unknown ASN {asn}") from None
 
-    def tier(self, asn: int) -> Tier:
-        return self.asys(asn).tier
-
-    def ases_by_tier(self, tier: Tier) -> list[AutonomousSystem]:
-        return [a for a in self.ases if a.tier == tier]
-
     def stub_asns(self) -> list[int]:
         return [a.asn for a in self.ases if a.tier == Tier.STUB]
 

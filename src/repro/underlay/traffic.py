@@ -56,11 +56,6 @@ class TrafficSummary:
         total = self.total_bytes
         return self.intra_as_bytes / total if total else 0.0
 
-    @property
-    def transit_fraction(self) -> float:
-        total = self.total_bytes
-        return self.transit_bytes / total if total else 0.0
-
 
 def _settled(attr: str, doc: str) -> property:
     """A read-only table of the accountant: the pending cells settle

@@ -27,6 +27,7 @@ from repro.overlay.gnutella.messages import (
     QUERYHIT_SIZE,
 )
 from repro.overlay.gnutella.node import LEAF, ULTRAPEER
+from repro.rng import ensure_rng
 from repro.sim.messages import Message
 from repro.underlay.hosts import Host
 
@@ -54,6 +55,20 @@ class QueryHit:
     keyword: int
 
 
+def fill_random(cache, population, n, rng) -> None:
+    """The list-building bootstrap fill: a random ``n``-subset of
+    ``population`` into ``cache``, clipped to its capacity.
+    ``GnutellaNetwork.bootstrap`` draws the same indices without the
+    list."""
+    rng = ensure_rng(rng)
+    pop = list(population)
+    n = min(n, len(pop), cache.capacity)
+    if n == 0:
+        return
+    idx = rng.choice(len(pop), size=n, replace=False)
+    cache.add_all(pop[int(i)] for i in idx)
+
+
 def forwarded(descriptor):
     """The copy of a PING or QUERY a relay sends on: TTL one lower."""
     return replace(descriptor, ttl=descriptor.ttl - 1)
@@ -66,6 +81,18 @@ class ReferenceGnutellaNode(GnutellaNode):
         super().__init__(*args)
         self._seen: set[tuple[str, int]] = set()
         self._routes: dict[tuple[str, int], int] = {}
+
+    def send_many(self, dsts, kind, payload=None, size_bytes=64) -> None:
+        """Fan one message out to ``dsts`` in order through the bus's
+        batch path: the same sends as :meth:`send` per destination."""
+        if not dsts:
+            return
+        if not self.online:
+            raise OverlayError(
+                f"node {self.host_id} tried to send {kind} while offline"
+            )
+        self.sent_counts[kind] += len(dsts)
+        self.bus.send_many(self.host_id, dsts, kind, payload, size_bytes)
 
     # ------------------------------------------------------------------ ping/pong
     def start_ping(self) -> None:

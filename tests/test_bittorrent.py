@@ -65,9 +65,6 @@ class _ScanningTracker:
         idx = self.rng.choice(len(pool), size=n, replace=False)
         return [pool[int(i)] for i in idx]
 
-    def depart(self, host_id):
-        self.swarm.pop(host_id, None)
-
 
 class TestTorrentAndBitfield:
     def test_total_bytes(self):
@@ -130,13 +127,6 @@ class TestTracker:
     def test_oracle_policy_requires_oracle(self, underlay):
         with pytest.raises(OverlayError):
             Tracker(underlay, policy=TrackerPolicy.ORACLE)
-
-    def test_depart(self, underlay):
-        tr = Tracker(underlay, rng=3)
-        ids = underlay.host_ids()
-        tr.announce(ids[0])
-        tr.depart(ids[0])
-        assert ids[0] not in tr.swarm
 
     def test_zero_external_quota_rejected(self, underlay):
         with pytest.raises(OverlayError):
@@ -254,7 +244,7 @@ class TestTracker:
 
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["announce", "announce", "reannounce", "depart"]),
+        st.sampled_from(["announce", "announce", "reannounce"]),
         st.integers(min_value=0, max_value=10**6),
     ),
     min_size=1,
@@ -278,9 +268,9 @@ def small_underlay():
 def test_indexed_tracker_matches_scanning_tracker(
     small_underlay, ops, policy, peer_list_size, quota_share, seed
 ):
-    """Any sequence of first announces, re-announces, departures and
-    announces after a departure: the same lists in the same order, and
-    the tracker RNG left in the same state, as the full scan gave."""
+    """Any sequence of first announces and re-announces: the same lists
+    in the same order, and the tracker RNG left in the same state, as
+    the full scan gave."""
     ids = small_underlay.host_ids()
     config = dict(
         policy=policy,
@@ -297,15 +287,10 @@ def test_indexed_tracker_matches_scanning_tracker(
     for op, pick in ops:
         members = list(ref.swarm)
         if op == "announce" or not members:
-            # never-seen ids and departed ones alike
             host = ids[pick % len(ids)]
         else:
             host = members[pick % len(members)]
-        if op == "depart":
-            tracker.depart(host)
-            ref.depart(host)
-        else:
-            assert tracker.announce(host) == ref.announce(host)
+        assert tracker.announce(host) == ref.announce(host)
         assert list(tracker.swarm) == list(ref.swarm)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -60,7 +60,7 @@ def test_hard_link_loss_only_inside_window():
     assert bus.stats.dropped_fault == 1
     assert inj.stats.messages_dropped == 1
     assert inj.stats.activations == inj.stats.deactivations == 1
-    assert not inj.active_faults
+    assert not inj._active
 
 
 def test_partition_drops_cross_traffic_only():
@@ -178,7 +178,7 @@ def test_past_window_activates_and_deactivates_cleanly():
     inj.start()
     sim.run()
     assert inj.stats.activations == inj.stats.deactivations == 1
-    assert not inj.active_faults
+    assert not inj._active
 
 
 def test_empty_schedule_is_bit_for_bit_free():

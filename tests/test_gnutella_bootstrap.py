@@ -1,7 +1,8 @@
 """Oracle: ``GnutellaNetwork.bootstrap`` against the list-building fill.
 
-The reference hands ``HostCache.fill_random`` an everyone-but-me list per
-node — O(n) per node, O(n²) per bootstrap.  The network draws the same
+The reference hands ``fill_random`` (``tests/gnutella_reference.py``) an
+everyone-but-me list per node — O(n) per node, O(n²) per bootstrap.  The
+network draws the same
 indices over ``len(population) - 1`` and steps over the node's own
 position, so every hostcache and the RNG end state must come out equal.
 """
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.overlay.gnutella import LEAF, GnutellaConfig, GnutellaNetwork
 from repro.sim import Simulation
 from repro.underlay import Underlay, UnderlayConfig
+from tests.gnutella_reference import fill_random
 
 _UNDERLAY = Underlay.generate(UnderlayConfig(n_hosts=40, seed=17))
 
@@ -21,7 +23,7 @@ def _reference_bootstrap(net: GnutellaNetwork, cache_fill: int) -> None:
     population = list(net.nodes)
     for node in net.nodes.values():
         others = [p for p in population if p != node.host_id]
-        node.hostcache.fill_random(others, cache_fill, net._rng)
+        fill_random(node.hostcache, others, cache_fill, net._rng)
 
 
 def _network(hosts, capacity: int, seed: int) -> GnutellaNetwork:

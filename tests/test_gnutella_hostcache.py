@@ -1,9 +1,11 @@
-"""Unit tests for the Gnutella hostcache."""
+"""Unit tests for the Gnutella hostcache and the list-building bootstrap
+fill its oracle uses."""
 
 import pytest
 
 from repro.errors import OverlayError
 from repro.overlay.gnutella import HostCache
+from tests.gnutella_reference import fill_random
 
 
 def test_add_and_contains():
@@ -41,7 +43,7 @@ def test_snapshot_most_recent_first_with_limit():
 
 def test_fill_random_distinct_subset():
     hc = HostCache(capacity=100)
-    hc.fill_random(list(range(1000)), 50, rng=1)
+    fill_random(hc, list(range(1000)), 50, rng=1)
     snap = hc.snapshot()
     assert len(snap) == 50
     assert len(set(snap)) == 50
@@ -49,7 +51,7 @@ def test_fill_random_distinct_subset():
 
 def test_fill_random_respects_capacity():
     hc = HostCache(capacity=10)
-    hc.fill_random(list(range(100)), 50, rng=2)
+    fill_random(hc, list(range(100)), 50, rng=2)
     assert len(hc) == 10
 
 

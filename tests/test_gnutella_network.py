@@ -12,6 +12,7 @@ from repro.overlay.gnutella import (
     NeighborPolicy,
     ULTRAPEER,
 )
+from repro.overlay.gnutella.node import MAX_LEAVES
 from repro.sim import Simulation
 from repro.underlay import Underlay, UnderlayConfig
 
@@ -55,7 +56,7 @@ def test_leaf_neighbor_caps_respected(net):
     for leaf in network.leaves():
         assert len(leaf.neighbors) <= cfg.leaf_connections
     for up in network.ultrapeers():
-        assert len(up.leaves) <= cfg.max_leaves
+        assert len(up.leaves) <= MAX_LEAVES
         # outbound target + inbound slack
         assert len(up.neighbors) <= 2 * cfg.max_up_neighbors + 1
 
@@ -217,3 +218,24 @@ def test_join_all_matches_one_join_per_node():
     batched, serial = run(True), run(False)
     assert batched[1] > 1_000
     assert batched == serial
+
+
+def test_unreachable_candidate_leaves_the_hostcache():
+    """A handshake that times out on every attempt drops the peer from
+    the hostcache (``HostCache.remove``) and moves on to the next
+    candidate instead of wedging the join."""
+    u = Underlay.generate(UnderlayConfig(n_hosts=30, seed=3))
+    sim = Simulation()
+    bus, _acct = u.message_bus(sim, with_accounting=False)
+    net = GnutellaNetwork(u, sim, bus, rng=1)
+    leaf = net.add_node(u.hosts[0], LEAF)
+    dead = net.add_node(u.hosts[1], ULTRAPEER)
+    live = net.add_node(u.hosts[2], ULTRAPEER)
+    dead.go_offline()
+    leaf.hostcache.add_all([dead.host_id, live.host_id])
+    leaf.join([dead.host_id, live.host_id])
+    sim.run()
+    assert dead.host_id not in leaf.hostcache
+    assert live.host_id in leaf.hostcache
+    assert leaf.neighbors == {live.host_id}
+    assert leaf.requests.stats.failed == 1

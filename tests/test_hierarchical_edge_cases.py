@@ -59,7 +59,5 @@ def test_publish_from_every_region_resolves_globally():
 
 def test_scoped_hashing_max_bits():
     h = ScopedHashing(scope_bits=16)
-    key = h.scoped_key(65_535, "x")
-    assert h.scope_of(key) == 65_535
-    nid = h.scoped_node_id(0, rng=1)
-    assert h.scope_of(nid) == 0
+    assert h.scoped_node_id(65_535, rng=1) >> h.body_bits == 65_535
+    assert h.scoped_node_id(0, rng=1) >> h.body_bits == 0

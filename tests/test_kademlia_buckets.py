@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OverlayError
-from repro.overlay.kademlia import Contact, RoutingTable, xor_distance
+from repro.overlay.kademlia import Contact, RoutingTable
 from repro.overlay.kademlia.id_space import ID_BITS, validate_id
+from tests.id_space_reference import xor_distance
 from tests.kbucket_reference import ReferenceKBucket
 
 #: owner id of a one-bucket table: every id below 2**8 lands in bucket 8

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.errors import OverlayError
-from repro.overlay.kademlia import (
-    ID_SPACE,
+from repro.overlay.kademlia import ID_SPACE, key_for, random_id
+from tests.id_space_reference import (
     bucket_index,
-    key_for,
-    random_id,
     sort_by_distance,
     xor_distance,
 )

@@ -25,13 +25,13 @@ from repro.overlay.kademlia import (
     KademliaNetwork,
     RoutingTable,
     ScopedKademlia,
-    xor_distance,
 )
 from repro.overlay.kademlia.id_space import ID_BITS
 from repro.overlay.kademlia.node import KademliaNode
 from repro.sim import Simulation
 from repro.sim.messages import Message
 from repro.underlay import Underlay, UnderlayConfig
+from tests.id_space_reference import xor_distance
 
 #: a non-int, a negative and the first id past the 160-bit space
 BAD_IDS = ["7", -1, 2**ID_BITS]

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import OverlayError
 from repro.overlay.kademlia import ScopedHashing, ScopedKademlia
 from repro.overlay.kademlia.id_space import ID_BITS
+from repro.overlay.kademlia.scoped import HASHING
 from repro.sim import Simulation
 from repro.underlay import Underlay, UnderlayConfig
 
@@ -13,25 +14,16 @@ class TestHashing:
     def test_scope_roundtrip(self):
         h = ScopedHashing(scope_bits=4)
         for region in (0, 3, 15):
-            key = h.scoped_key(region, "file.txt")
-            assert h.scope_of(key) == region
             nid = h.scoped_node_id(region, rng=1)
-            assert h.scope_of(nid) == region
-
-    def test_same_content_different_regions_differ_only_in_scope(self):
-        h = ScopedHashing(scope_bits=4)
-        k0 = h.scoped_key(0, "x")
-        k1 = h.scoped_key(1, "x")
-        mask = (1 << h.body_bits) - 1
-        assert k0 & mask == k1 & mask
-        assert k0 != k1
+            assert 0 <= nid < 1 << ID_BITS
+            assert nid >> h.body_bits == region
 
     def test_region_out_of_range(self):
         h = ScopedHashing(scope_bits=2)
         with pytest.raises(OverlayError):
-            h.scoped_key(4, "x")
+            h.scoped_node_id(4)
         with pytest.raises(OverlayError):
-            h.scoped_node_id(7)
+            h.scoped_node_id(-1)
 
     def test_invalid_scope_bits(self):
         with pytest.raises(OverlayError):
@@ -60,32 +52,10 @@ class TestScopedKademlia:
     def test_node_ids_carry_region(self, dht):
         _u, _sim, net, _a = dht
         for hid, node in net.network.nodes.items():
-            assert net.hashing.scope_of(node.node_id) == net.region_of(hid)
-
-    def test_scoped_publish_and_regional_lookup(self, dht):
-        u, sim, net, _a = dht
-        ids = u.host_ids()
-        regions = sorted({net.region_of(h) for h in ids})
-        owner = ids[0]
-        keys = net.publish_scoped(owner, "popular-video", regions=regions)
-        assert len(keys) == len(regions)
-        sim.run(until=sim.now + 60_000)
-        results = []
-        reader = ids[-1]
-        key_used = net.lookup_scoped(reader, "popular-video", results)
-        assert net.hashing.scope_of(key_used) == net.region_of(reader)
-        sim.run(until=sim.now + 60_000)
-        assert results and results[0].found_value
+            assert node.node_id >> HASHING.body_bits == net.region_of(hid)
 
     def test_scoped_ids_increase_regional_contacts(self, dht):
         u, _sim, net, _a = dht
         frac = net.same_region_contact_fraction()
         # with 4 populated regions, unscoped tables would hold ~25%
         assert frac > 0.35
-
-    def test_own_region_publish_default(self, dht):
-        u, sim, net, _a = dht
-        owner = u.host_ids()[5]
-        keys = net.publish_scoped(owner, "local-notes")
-        assert len(keys) == 1
-        assert net.hashing.scope_of(keys[0]) == net.region_of(owner)

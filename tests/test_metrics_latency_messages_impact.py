@@ -11,9 +11,6 @@ from repro.metrics import (
     delay_percentiles,
     gnutella_table_row,
     impact_symbol,
-    overhead_ratio,
-    reduction_percent,
-    table_reductions,
 )
 
 
@@ -40,23 +37,6 @@ class TestMessageStats:
         row = gnutella_table_row(counts)
         assert set(row) == set(GNUTELLA_KINDS)
         assert row["PONG"] == 50
-
-    def test_reduction_percent(self):
-        assert reduction_percent(100, 60) == pytest.approx(40.0)
-        with pytest.raises(ReproError):
-            reduction_percent(0, 1)
-
-    def test_table_reductions_paper_values(self):
-        paper_unbiased = {"PING": 7.6, "PONG": 75.5, "QUERY": 6.3, "QUERYHIT": 3.5}
-        paper_biased_1000 = {"PING": 4.0, "PONG": 39.1, "QUERY": 2.3, "QUERYHIT": 1.9}
-        red = table_reductions(paper_unbiased, paper_biased_1000)
-        assert red["PING"] == pytest.approx(47.4, abs=0.1)
-        assert red["QUERY"] == pytest.approx(63.5, abs=0.1)
-
-    def test_overhead_ratio(self):
-        assert overhead_ratio(50, 100) == 0.5
-        with pytest.raises(ReproError):
-            overhead_ratio(1, 0)
 
 
 class TestImpact:

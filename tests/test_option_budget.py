@@ -35,7 +35,7 @@ BUDGET = {
     "faults": {"config": 0, "kwargs": 4, "env": 0},
     "metrics": {"config": 0, "kwargs": 0, "env": 0},
     "obs": {"config": 0, "kwargs": 0, "env": 0},
-    "overlay": {"config": 31, "kwargs": 46, "env": 0},
+    "overlay": {"config": 30, "kwargs": 42, "env": 0},
     "rng": {"config": 0, "kwargs": 0, "env": 0},
     "runner": {"config": 0, "kwargs": 0, "env": 2},
     "service": {"config": 9, "kwargs": 19, "env": 0},

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.kademlia import (
-    ID_SPACE,
+from repro.overlay.kademlia import ID_SPACE
+from tests.id_space_reference import (
     bucket_index,
     sort_by_distance,
     xor_distance,

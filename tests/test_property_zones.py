@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.geo import Rect, ZoneTree
+from repro.overlay.geo.zones import ZONE_MAX_DEPTH
 from repro.underlay.geometry import Position
 
 coords = st.floats(min_value=0.0, max_value=99.999, allow_nan=False)
@@ -33,7 +34,7 @@ def test_every_peer_in_exactly_one_leaf(pts):
 def test_leaf_capacity_respected(pts):
     tree = _build(pts)
     for leaf in tree.leaves():
-        assert len(leaf.members) <= 4 or leaf.depth == tree.max_depth
+        assert len(leaf.members) <= 4 or leaf.depth == ZONE_MAX_DEPTH
 
 
 @given(points, coords, coords, coords, coords)
@@ -65,12 +66,3 @@ def test_nearest_matches_brute_force(pts, qx, qy, k):
     exp_d = [d for d, _i in dists[:k]]
     assert np.allclose(got_d, exp_d)
 
-
-@given(points)
-def test_remove_all_leaves_empty_tree(pts):
-    tree = _build(pts)
-    for i in range(len(pts)):
-        tree.remove(i)
-    assert len(tree) == 0
-    found, _ = tree.search_area(Rect(0, 0, 100, 100))
-    assert found == []

@@ -45,8 +45,6 @@ def test_lifecycle_guards():
     boot = Bootstrapper(ServiceConfig(**SMALL))
     with pytest.raises(ConfigurationError):
         boot.drive_sync()  # not started
-    with pytest.raises(ConfigurationError):
-        boot.drain_sync()
     boot.build()
     with pytest.raises(ConfigurationError):
         boot.build()  # double start
@@ -72,8 +70,6 @@ def test_kademlia_sync_build_and_drive():
     assert report.latency_ms["p50"] > 0
     assert boot.stats()["drives"] == 1
     assert boot.stats()["last_report"]["mode"] == "open"
-    drained = boot.drain_sync(drain_ms=1_000.0)
-    assert drained["pending_after"] <= drained["pending_before"]
 
 
 def test_gnutella_closed_loop_drive():

@@ -157,7 +157,7 @@ class TestGnutellaOriginAnswers:
         assert outcomes == [True]  # before the clock moves
         assert ops._pending == {}
         (record,) = net.searches.values()
-        assert record.first_hit_latency_ms == 0.0
+        assert record.first_hit_at == record.issued_at
         net.sim.run(until=net.sim.now + 20_000.0)
         assert outcomes == [True]  # completed exactly once
 

@@ -80,6 +80,41 @@ def test_duplicate_key_rejected_and_resolve_unknown_is_harmless():
     assert mgr.resolve("never-issued") is False
 
 
+@pytest.mark.parametrize("already_outstanding", [False, True])
+def test_issue_many_conflict_registers_nothing(already_outstanding):
+    # regression: a batch whose later item reused a key (outstanding
+    # before, or earlier in the same batch) raised but left its earlier
+    # items registered, never transmitted and with no timeout armed —
+    # outstanding forever, and every re-issue rejected
+    sim = Simulation()
+    mgr = RequestManager(sim, policy=RetryPolicy(timeout_ms=100.0))
+    sends = []
+    if already_outstanding:
+        mgr.issue("b", lambda: None)
+        batch = [("a", lambda: sends.append("a"), None),
+                 ("b", lambda: sends.append("b"), None)]
+    else:
+        batch = [("a", lambda: sends.append("a1"), None),
+                 ("a", lambda: sends.append("a2"), None)]
+    before = mgr.outstanding, sim.pending()
+    with pytest.raises(SimulationError):
+        mgr.issue_many(batch)
+    assert sends == []
+    assert not mgr.is_outstanding("a")
+    assert (mgr.outstanding, sim.pending()) == before
+    sim.run()
+    assert not mgr.is_outstanding("a")
+    assert mgr.stats.issued == int(already_outstanding)
+
+    # the key is reusable
+    issued_at = sim.now
+    mgr.issue_many([("a", lambda: sends.append(sim.now), None)])
+    sim.schedule(10.0, mgr.resolve, "a")
+    sim.run()
+    assert sends == [issued_at]
+    assert mgr.stats.resolved == 1
+
+
 def test_transmit_raise_rolls_back_registration():
     # regression: a transmit() that raised used to leave the key
     # registered with no timeout armed — wedged forever, and every

@@ -63,9 +63,9 @@ def test_one_way_delay_endpoint_forms_read_the_matrix_exactly(small_underlay):
 
 def test_as_hops(small_underlay):
     u = small_underlay
-    ids = u.host_ids()
-    h = u.as_hops(ids[0], ids[1])
-    assert h >= 0
+    a, b = (u.asn_of(h) for h in u.host_ids()[:2])
+    assert u.routing.hops(a, b) >= 0
+    assert u.routing.hops(a, a) == 0
 
 
 def test_message_bus_wiring(small_underlay):
@@ -103,7 +103,6 @@ def test_unknown_host_id_raises_topology_error():
         lambda: u.host(bad),
         lambda: u.asn_of(bad),
         lambda: u.asns_of([h, bad]),
-        lambda: u.as_hops(h, bad),
         lambda: u.one_way_delay(bad, h),
         lambda: u.one_way_delay(h, bad),
         lambda: u.one_way_delay(("svc", bad), h),

@@ -37,7 +37,7 @@ def test_counts_and_numbering(topo):
 
 
 def test_tier1_full_peering_mesh(topo):
-    tier1 = topo.ases_by_tier(Tier.TIER1)
+    tier1 = [a for a in topo.ases if a.tier == Tier.TIER1]
     for a in tier1:
         for b in tier1:
             if a.asn != b.asn:
