@@ -18,12 +18,14 @@ the survey warns about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: two timestamped probe messages per measured pair (TTL-2 flooding cost)
 PROBE_BYTES = 72

@@ -15,7 +15,8 @@ buys over any single technique.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.collection import GPSService, ISPOracle, SkyEyeOverlay
@@ -31,6 +32,9 @@ from repro.experiments.common import ExperimentResult
 from repro.rng import ensure_rng
 from repro.underlay.network import Underlay, UnderlayConfig
 from repro.underlay.topology import TopologyConfig
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _score_graph(underlay: Underlay, graph: nx.Graph) -> dict[str, float]:
@@ -53,6 +57,8 @@ def run_framework_composite(
     n_hosts: int = 150, seed: int = 37, k: int = 5, pool: int = 30
 ) -> ExperimentResult:
     """Run the FRAMEWORK experiment; returns one row per selection arm."""
+    import networkx as nx
+
     underlay = Underlay.generate(
         UnderlayConfig(
             topology=TopologyConfig(n_tier1=3, n_tier2=8, n_stub=16, n_regions=4),

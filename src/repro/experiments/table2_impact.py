@@ -30,9 +30,8 @@ baseline; higher is better):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.collection.gps import GPSService
@@ -56,6 +55,9 @@ from repro.overlay.geo import GlobaseOverlay, Rect
 from repro.rng import ensure_rng
 from repro.underlay.autonomous_system import LinkType
 from repro.underlay.network import Underlay, UnderlayConfig
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: bandwidth derating for transfers whose route crosses a transit link
 TRANSIT_CONGESTION_FACTOR = 0.45
@@ -95,6 +97,8 @@ class _Arm:
         self.graph = self._build_graph()
 
     def _build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         ids = self.underlay.host_ids()
         g = nx.Graph()
         g.add_nodes_from(ids)
@@ -118,6 +122,8 @@ class _Arm:
         )
 
     def measure(self, *, n_downloads: int = 150, n_pairs: int = 150) -> _ArmMetrics:
+        import networkx as nx
+
         ids = self.underlay.host_ids()
         rng = ensure_rng(int(self._rng.integers(2**31)))
 

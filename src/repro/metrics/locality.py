@@ -14,11 +14,12 @@ connected".  These metrics quantify that picture:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def intra_as_edge_fraction(
@@ -50,6 +51,8 @@ def as_modularity(graph: nx.Graph, asn_of: Callable[[Hashable], int]) -> float:
     ~0 for AS-agnostic random topologies, approaching its maximum when the
     overlay clusters along ISP boundaries.
     """
+    import networkx as nx
+
     if graph.number_of_edges() == 0:
         raise ReproError("modularity undefined for an edgeless graph")
     groups: dict[int, set] = {}
@@ -60,6 +63,8 @@ def as_modularity(graph: nx.Graph, asn_of: Callable[[Hashable], int]) -> float:
 
 def is_connected(graph: nx.Graph) -> bool:
     """True when the graph is connected (empty graphs count as connected)."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return True
     return nx.is_connected(graph)

@@ -17,17 +17,21 @@ exactly that:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ReproError
 from repro.rng import SeedLike, ensure_rng
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def largest_component_fraction(graph: nx.Graph) -> float:
     """Size of the largest connected component over all nodes."""
+    import networkx as nx
+
     n = graph.number_of_nodes()
     if n == 0:
         raise ReproError("empty graph")
@@ -44,6 +48,8 @@ def partition_risk(
 ) -> float:
     """Probability that random removal of the given node fraction leaves
     at least one AS's surviving peers unreachable from the rest."""
+    import networkx as nx
+
     rng = ensure_rng(rng)
     nodes = list(graph.nodes())
     n_remove = int(round(removal_fraction * len(nodes)))
@@ -67,6 +73,8 @@ def partition_risk(
 
 def articulation_point_count(graph: nx.Graph) -> int:
     """Nodes whose individual failure disconnects the overlay."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         raise ReproError("empty graph")
     return sum(1 for _ in nx.articulation_points(graph))

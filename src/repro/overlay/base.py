@@ -57,6 +57,12 @@ class OverlayNode:
         if self.requests is not None:
             self.requests.cancel_all()
 
+    def shutdown(self) -> None:
+        """Leave for good: go offline, and (in subclasses) forget every
+        exchange still in flight.  A crashed node (:meth:`go_offline`)
+        may come back and finish them; a shut-down one never does."""
+        self.go_offline()
+
     # -- messaging ---------------------------------------------------------------
     def send(
         self, dst: int, kind: str, payload: Any = None, size_bytes: int = 64

@@ -20,9 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.collection.oracle import ISPOracle
 from repro.errors import OverlayError
@@ -38,6 +36,9 @@ from repro.sim.engine import Simulation
 from repro.sim.messages import MessageBus
 from repro.underlay.hosts import Host
 from repro.underlay.network import Underlay
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class NeighborPolicy(enum.Enum):
@@ -319,6 +320,8 @@ class GnutellaNetwork:
     # -- analysis ----------------------------------------------------------------------
     def overlay_graph(self) -> nx.Graph:
         """Current overlay topology (UP-UP and UP-leaf edges)."""
+        import networkx as nx
+
         g = nx.Graph()
         for node in self.nodes.values():
             g.add_node(node.host_id, role=node.role, asn=node.asn)

@@ -36,8 +36,6 @@ class HierarchicalLookup:
     origin: int
     resolved_locally: Optional[bool] = None
     values: set[int] = field(default_factory=set)
-    started_at: float = 0.0
-    finished_at: float = 0.0
     done: bool = False
 
 
@@ -122,9 +120,7 @@ class HierarchicalDHT:
     def lookup(self, origin: int, content: object) -> HierarchicalLookup:
         """Local-first lookup with global fallback and local caching."""
         key = key_for(content)
-        record = HierarchicalLookup(
-            key=key, origin=origin, started_at=self.sim.now
-        )
+        record = HierarchicalLookup(key=key, origin=origin)
         self.lookups.append(record)
         region = self.region_of(origin)
         local = self.local_dht[region]
@@ -132,7 +128,6 @@ class HierarchicalDHT:
         def on_global_done(res: LookupResult) -> None:
             record.resolved_locally = False
             record.values = set(res.values)
-            record.finished_at = self.sim.now
             record.done = True
             if res.found_value and origin in local.nodes:
                 # read-through cache: future regional readers stay local
@@ -142,7 +137,6 @@ class HierarchicalDHT:
             if res.found_value:
                 record.resolved_locally = True
                 record.values = set(res.values)
-                record.finished_at = self.sim.now
                 record.done = True
                 return
             self.global_dht.nodes[origin].iterative_find_value(

@@ -283,6 +283,11 @@ class KademliaNode(OverlayNode):
             sim, policy=self.config.retry_policy(), component="kademlia"
         )
 
+    def shutdown(self) -> None:
+        super().shutdown()
+        # each unanswered RPC's lookup holds this node: drop them
+        self._pending.clear()
+
     # -- wire helpers ------------------------------------------------------------
     def contact(self) -> Contact:
         return self._heard_of(self.node_id, self.host_id)

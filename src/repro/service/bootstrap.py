@@ -206,5 +206,20 @@ class Bootstrapper:
         return out
 
     def stop_sync(self) -> dict[str, Any]:
+        """Stop for good and return the final stats.
+
+        A stopped service is never driven again, so it shuts every node
+        down, takes the fault hook off the bus and drops the pending
+        events.  What is left of a Kademlia population then holds no
+        reference cycle, so it is freed as soon as the caller lets go of
+        it, not whenever the cyclic garbage collector next runs.  (A
+        Gnutella node points back at its network, so that population
+        still waits for the collector.)
+        """
+        if self.state != "stopped" and self.network is not None:
+            for node in self.network.nodes.values():
+                node.shutdown()
+            self.network.bus.set_fault_hook(None)
+            self.sim.drop_pending()
         self.state = "stopped"
         return self.stats()

@@ -15,7 +15,8 @@ callbacks":
   ``GnutellaNetwork.search_listener``.
 
 Adapters draw origins uniformly from the online population with the
-driver's RNG, so a seeded drive is fully deterministic.
+driver's RNG, so a seeded drive is fully deterministic.  The online-id
+list is rebuilt only when membership changes, not once per operation.
 """
 
 from __future__ import annotations
@@ -34,8 +35,42 @@ from repro.service.load import DoneFn, OpSpec
 from repro.workloads.content import ContentCatalog
 
 
-class KademliaServiceOps:
+class _OnlineOrigins:
+    """Uniform origin draws over the online nodes, in ``net.nodes`` order.
+
+    Every ``go_online`` / ``go_offline`` registers or unregisters the
+    node on the bus, so the online-id list is rebuilt when the bus's
+    ``registrations`` count moves and reused otherwise.
+    """
+
+    net: KademliaNetwork | GnutellaNetwork
+    _protocol: str
+    _online: list[int]
+    _online_at = -1
+
+    def online_ids(self) -> list[int]:
+        """The online node ids; the list is shared, so read it only."""
+        registrations = self.net.bus.registrations
+        if registrations != self._online_at:
+            self._online = [
+                hid for hid, node in self.net.nodes.items() if node.online
+            ]
+            self._online_at = registrations
+        return self._online
+
+    def pick_origin(self, rng: np.random.Generator) -> int:
+        ids = self.online_ids()
+        if not ids:
+            raise ConfigurationError(
+                f"no online {self._protocol} nodes to issue from"
+            )
+        return ids[int(rng.integers(len(ids)))]
+
+
+class KademliaServiceOps(_OnlineOrigins):
     """store/retrieve operations over a bootstrapped Kademlia network."""
+
+    _protocol = "kademlia"
 
     def __init__(self, net: KademliaNetwork, *, rng: SeedLike = None) -> None:
         self.net = net
@@ -46,15 +81,6 @@ class KademliaServiceOps:
         self.keys: list[int] = []
 
     # -- population helpers --------------------------------------------------
-    def online_ids(self) -> list[int]:
-        return [hid for hid, node in self.net.nodes.items() if node.online]
-
-    def pick_origin(self, rng: np.random.Generator) -> int:
-        ids = self.online_ids()
-        if not ids:
-            raise ConfigurationError("no online kademlia nodes to issue from")
-        return ids[int(rng.integers(len(ids)))]
-
     def seed_content(self, n_keys: int, *, settle_ms: float = 30_000.0) -> list[int]:
         """Publish ``n_keys`` fresh keys from random online origins and
         run the sim until the STOREs settle, so retrieve ops have
@@ -111,7 +137,7 @@ class KademliaServiceOps:
         ]
 
 
-class GnutellaServiceOps:
+class GnutellaServiceOps(_OnlineOrigins):
     """Keyword-search operations over a joined Gnutella network.
 
     Installs itself as the network's ``search_listener``; a search
@@ -119,6 +145,8 @@ class GnutellaServiceOps:
     when the origin ultrapeer answers it from its own index — and
     otherwise runs into the op timeout.
     """
+
+    _protocol = "gnutella"
 
     def __init__(
         self,
@@ -146,15 +174,6 @@ class GnutellaServiceOps:
         )
         for hid, files in shared.items():
             self.net.share_content(hid, files)
-
-    def online_ids(self) -> list[int]:
-        return [hid for hid, node in self.net.nodes.items() if node.online]
-
-    def pick_origin(self, rng: np.random.Generator) -> int:
-        ids = self.online_ids()
-        if not ids:
-            raise ConfigurationError("no online gnutella nodes to issue from")
-        return ids[int(rng.integers(len(ids)))]
 
     def _issue_search(self, origin: Hashable, on_done: DoneFn) -> None:
         keyword = self.catalog.draw_query(self.net.underlay.asn_of(origin))

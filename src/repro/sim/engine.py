@@ -297,3 +297,17 @@ class Simulation:
     def pending(self) -> int:
         """Number of pending (non-cancelled) events."""
         return sum(1 for e in self._heap if not e[_CANCELLED])
+
+    def drop_pending(self) -> int:
+        """Cancel every pending event without running it and empty the
+        queue; returns how many were pending.  Their handles read
+        ``cancelled``.  For a simulation that is over: queued callbacks
+        would otherwise keep alive every object they reach."""
+        heap = self._heap
+        dropped = 0
+        for entry in heap:
+            if not entry[_CANCELLED]:
+                entry[_CANCELLED] = True
+                dropped += 1
+        heap.clear()
+        return dropped

@@ -130,6 +130,9 @@ class MessageBus:
         self._sim = sim
         self._latency = latency
         self._handlers: dict[Hashable, Callable[[Message], None]] = {}
+        #: count of :meth:`register` / :meth:`unregister` calls: a reader
+        #: caching who is reachable rebuilds when it moves
+        self.registrations = 0
         self._observers: list[TrafficObserver] = []
         self._loss_seed = loss_seed
         self._loss_rng: Optional[np.random.Generator] = None
@@ -207,11 +210,13 @@ class MessageBus:
     def register(self, endpoint: Hashable, handler: Callable[[Message], None]) -> None:
         """Attach ``handler`` to ``endpoint``; replaces any previous handler."""
         self._handlers[endpoint] = handler
+        self.registrations += 1
 
     def unregister(
         self, endpoint: Hashable
     ) -> Optional[Callable[[Message], None]]:
         """Detach ``endpoint``'s handler and return it (None if none)."""
+        self.registrations += 1
         return self._handlers.pop(endpoint, None)
 
     def is_registered(self, endpoint: Hashable) -> bool:

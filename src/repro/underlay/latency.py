@@ -26,8 +26,11 @@ violations like real RTT datasets.
 computed: rows and blocks come straight from struct-of-arrays host
 columns (access-latency vector, ASN vector, positions) plus the small
 ``(n_ases, n_ases)`` AS-delay matrix, with no ``(n_hosts, n_hosts)``
-intermediate, and the all-pairs matrix ``Underlay.latency_matrix``
-serves is its chunked :meth:`~StreamingDelayKernel.full_matrix`.
+intermediate.  The all-pairs matrix ``Underlay.latency_matrix`` serves
+is its :meth:`~StreamingDelayKernel.full_matrix`, written block by
+block with every block at most :data:`BUDGET` bytes, so building it
+costs the matrix plus about 13 x :data:`BUDGET` of temporaries at any
+population.
 
 The all-pairs AS delay matrix is accumulated *during* the routing BFS
 (:meth:`~repro.underlay.routing.ASRouting.delay_matrix`), not
@@ -50,9 +53,14 @@ from repro.underlay.topology import InternetTopology
 #: Speed of light in fibre: ~200 000 km/s  ->  0.005 ms per km.
 PROPAGATION_MS_PER_KM = 0.005
 
-#: Rows per block when the kernel assembles its full matrix, so the
-#: broadcast intermediates stay bounded.
-_FULL_MATRIX_ROW_BLOCK = 2048
+#: Bytes of output per block when the kernel assembles its full matrix:
+#: a block of ``rows x n`` float64 entries has ``BUDGET // (8 n)`` rows
+#: (at least one), so :meth:`StreamingDelayKernel.delay_block`'s
+#: broadcast temporaries, about 13 times the block, stay near 3 MiB at
+#: any population instead of growing with it.  Chosen from a sweep of
+#: 64 KiB to 4 MiB at 600, 2,000 and 5,000 hosts (docs/performance.md,
+#: "Peak memory"): build time did not move, scratch memory grew with it.
+BUDGET = 256 * 1024
 
 
 # -- counter-hash jitter kernel ------------------------------------------------
@@ -318,14 +326,25 @@ class StreamingDelayKernel:
         return self.delay_block((row,), cols)[0]
 
     def full_matrix(self) -> np.ndarray:
-        """The all-pairs matrix, assembled block-row by block-row so the
-        broadcast intermediates stay bounded."""
+        """The all-pairs matrix, assembled from row blocks of at most
+        :data:`BUDGET` bytes each, so the build needs the matrix plus
+        a fixed amount of scratch memory, whatever ``n_hosts`` is."""
         n = self.n_hosts
         all_cols = np.arange(n, dtype=np.intp)
         out = np.empty((n, n), dtype=np.float64)
-        for start in range(0, n, _FULL_MATRIX_ROW_BLOCK):
-            stop = min(start + _FULL_MATRIX_ROW_BLOCK, n)
+        step = block_rows(n)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
             out[start:stop] = self.delay_block(
                 np.arange(start, stop, dtype=np.intp), all_cols
             )
         return out
+
+
+def block_rows(n_hosts: int) -> int:
+    """Rows in each block of :meth:`StreamingDelayKernel.full_matrix`.
+
+    As many rows of ``n_hosts`` float64 entries as fit in
+    :data:`BUDGET` bytes, and at least one.
+    """
+    return max(1, BUDGET // (8 * max(n_hosts, 1)))

@@ -10,15 +10,17 @@ The generator builds a three-tier hierarchy:
   its region and may peer with geographically close stubs — the "peering
   agreements between closely located ISPs" the survey's §2.1 describes.
 
-The result is an :class:`InternetTopology`: the AS objects plus a
-:mod:`networkx` multigraph view used by routing and by tests.
+The result is an :class:`InternetTopology`: the AS objects, whose
+``providers`` / ``customers`` / ``peers`` sets routing reads, plus a
+:mod:`networkx` graph view built on first access for analysis and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError, TopologyError
@@ -30,6 +32,9 @@ from repro.underlay.geometry import (
     positions_to_array,
     scatter_around,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,7 @@ class InternetTopology:
                 )
         self.ases = ases
         self._validate_symmetry()
-        self.graph = self._build_graph()
-        if not nx.is_connected(self.graph):
+        if not self._is_connected():
             raise TopologyError("generated AS graph is not connected")
 
     # -- construction -----------------------------------------------------
@@ -111,7 +115,25 @@ class InternetTopology:
                         f"AS{asys.asn} lists AS{q} as peer but not vice versa"
                     )
 
-    def _build_graph(self) -> nx.Graph:
+    def _is_connected(self) -> bool:
+        """Whether every AS is reachable from AS 0 over business links."""
+        seen = {0}
+        todo = [0]
+        while todo:
+            asys = self.ases[todo.pop()]
+            for other in (*asys.providers, *asys.customers, *asys.peers):
+                if other not in seen:
+                    seen.add(other)
+                    todo.append(other)
+        return len(seen) == len(self.ases)
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The AS graph as :mod:`networkx` sees it, built on first access:
+        nodes carry ``tier`` / ``region``, edges ``link_type`` (and
+        ``provider`` on transit links)."""
+        import networkx as nx
+
         g = nx.Graph()
         for asys in self.ases:
             g.add_node(asys.asn, tier=asys.tier, region=asys.region)

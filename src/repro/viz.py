@@ -10,9 +10,10 @@ in the tests).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, Optional
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Distinguishable fill colours, reused cyclically per AS.
 _PALETTE = (

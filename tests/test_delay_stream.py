@@ -27,6 +27,7 @@ from repro.underlay import (
     StreamingDelayKernel,
     Underlay,
     UnderlayConfig,
+    latency,
     pair_jitter,
 )
 from repro.underlay.hosts import Host
@@ -236,6 +237,56 @@ def test_kernel_rejects_mismatched_columns():
         )
 
 
+# -- full_matrix blocks: bit-identical to one block, each within BUDGET --------
+
+_BLOCK = 16
+
+
+@pytest.mark.parametrize("n_hosts", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_full_matrix_equals_one_block_at_block_edges(n_hosts, monkeypatch):
+    """``BUDGET`` is set so every block holds ``_BLOCK`` rows: the matrix
+    is one short block, one exact block, or a block plus one row."""
+    u = _underlay(n_hosts, 3)
+    monkeypatch.setattr(latency, "BUDGET", 8 * n_hosts * _BLOCK)
+    assert latency.block_rows(n_hosts) == _BLOCK
+    everyone = range(n_hosts)
+    whole = u.delay_kernel.delay_block(everyone, everyone)
+    assert np.array_equal(u.delay_kernel.full_matrix(), whole)
+
+
+def test_full_matrix_equals_one_block_at_the_real_budget():
+    u = _underlay(600, 11)  # the gnutella_oracle_600 population
+    everyone = range(600)
+    assert latency.block_rows(600) < 600  # several blocks
+    assert np.array_equal(
+        u.delay_kernel.full_matrix(), u.delay_kernel.delay_block(everyone, everyone)
+    )
+
+
+def test_every_block_stays_within_budget(monkeypatch):
+    """Counted at 600 hosts: the blocks ``full_matrix`` asks for cover the
+    rows in order and none exceeds ``BUDGET`` bytes.  At the cap only the
+    row arithmetic is checked; nothing is built there."""
+    kernel = _underlay(600, 11).delay_kernel
+    shapes = []
+    delay_block = StreamingDelayKernel.delay_block
+
+    def counting_block(self, rows, cols):
+        shapes.append((rows[0], len(rows), len(cols)))
+        return delay_block(self, rows, cols)
+
+    monkeypatch.setattr(StreamingDelayKernel, "delay_block", counting_block)
+    kernel.full_matrix()
+    assert [start for start, _, _ in shapes] == list(
+        range(0, 600, latency.block_rows(600))
+    )
+    assert sum(rows for _, rows, _ in shapes) == 600
+    assert all(rows * cols * 8 <= latency.BUDGET for _, rows, cols in shapes)
+
+    rows = latency.block_rows(MATRIX_HOST_CAP)
+    assert 1 <= rows and rows * MATRIX_HOST_CAP * 8 <= latency.BUDGET
+
+
 # -- 10^5-host smoke: O(rows x cols) memory, oracle-exact rows (-m scale) -----
 
 def _scale_probe(n_hosts: int) -> dict:
@@ -277,3 +328,38 @@ def test_delay_rows_at_1e5_hosts_bounded_rss():
     assert result["kernel_mb"] < 8.0  # 40 B/host of SoA columns
     # the full matrix would be ~75 GiB; delay_block must stay O(rows x cols)
     assert result["peak_rss_mb"] < 2048, result
+
+
+# -- 5,000-host matrix build: the matrix plus bounded scratch (-m scale) -------
+
+def _matrix_build_probe(n_hosts: int) -> dict:
+    """Forked-child body: RSS growth while ``latency_matrix`` is built,
+    from the resident size just before to the peak after."""
+    u = Underlay.generate(UnderlayConfig(n_hosts=n_hosts, seed=11))
+    page = resource.getpagesize()
+    with open("/proc/self/statm") as fh:
+        rss_before = int(fh.read().split()[1]) * page
+    mat = u.latency_matrix
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    return {"growth": peak - rss_before, "matrix": mat.nbytes}
+
+
+@pytest.mark.scale
+def test_matrix_build_at_5000_hosts_needs_the_matrix_plus_64_mib():
+    """Before blocks were sized in bytes, one 2,048-row block at 5,000
+    hosts held ~13 block-sized temporaries: 1,035 MiB of growth for a
+    191 MiB matrix."""
+    ctx = multiprocessing.get_context("fork")
+    rx, tx = ctx.Pipe(duplex=False)
+
+    def run() -> None:
+        tx.send(_matrix_build_probe(5000))
+        tx.close()
+
+    proc = ctx.Process(target=run)
+    proc.start()
+    result = rx.recv()
+    proc.join()
+    assert proc.exitcode == 0
+    assert result["matrix"] == 5000 * 5000 * 8
+    assert result["growth"] <= result["matrix"] + 64 * 2**20, result

@@ -1,8 +1,12 @@
 """Bootstrapper lifecycle: build, drive, drain, stop."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults import CrashFault, FaultInjector, FaultSchedule, LossFault
 from repro.service import (
     Bootstrapper,
     LoadReport,
@@ -53,6 +57,44 @@ def test_lifecycle_guards():
     assert boot.stop_sync()["state"] == "stopped"  # idempotent
     with pytest.raises(ConfigurationError):
         boot.drive_sync()  # stopped
+
+
+def test_stopped_kademlia_service_is_freed_without_the_collector():
+    # stop_sync used to leave the nodes' bus handlers, the lookups still
+    # waiting on replies, the fault hook and the queued events in place,
+    # so the dead population sat in reference cycles until the cyclic
+    # collector's next full pass: the peak memory of a process that goes
+    # on after a run depended on when that pass came
+    boot = Bootstrapper(ServiceConfig(overlay="kademlia", **SMALL))
+    boot.build()
+    t0 = boot.sim.now
+    crashed = tuple(sorted(boot.network.nodes)[:4])
+    injector = FaultInjector(
+        boot.sim,
+        boot.network.bus,
+        FaultSchedule((
+            LossFault(start=t0, end=t0 + 60_000.0, rate=0.2),
+            CrashFault(at=t0 + 500.0, peers=crashed, recover_at=t0 + 60_000.0),
+        )),
+        on_crash=lambda hid: boot.network.nodes[hid].go_offline(),
+        on_recover=lambda hid: boot.network.nodes[hid].go_online(),
+        seed=3,
+    )
+    injector.start()
+    boot.drive_sync(rate_per_s=40.0, duration_ms=2_000.0, drain_ms=100.0)
+    nodes = boot.network.nodes.values()
+    assert boot.sim.pending() > 0
+    assert any(node._pending for node in nodes)  # lookups still in flight
+    assert boot.stop_sync()["pending_events"] == 0
+    assert not any(node.online or node._pending for node in nodes)
+    refs = [weakref.ref(o) for o in (boot.network, boot.sim, boot.underlay, injector)]
+    del nodes
+    gc.disable()
+    try:
+        del boot, injector
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_kademlia_sync_build_and_drive():

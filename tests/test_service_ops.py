@@ -188,3 +188,50 @@ class TestGnutellaOriginAnswers:
         assert report.timed_out == 0
         assert [r.status for r in load.records] == ["ok"] * 3
         assert all(r.latency_ms == 0.0 for r in load.records)
+
+
+@pytest.mark.parametrize(
+    "make_ops",
+    [
+        lambda: KademliaServiceOps(_kademlia_net(), rng=1),
+        lambda: GnutellaServiceOps(_gnutella_net(), ContentCatalog(rng=2), rng=1),
+    ],
+    ids=["kademlia", "gnutella"],
+)
+def test_origins_under_crash_and_recovery_match_a_list_scan(make_ops):
+    """``pick_origin`` keeps its online-id list between membership
+    changes.  Under overlapping crash/recover faults its draws equal a
+    scan of ``net.nodes`` before every draw, with the same RNG."""
+    from repro.faults import CrashFault, FaultInjector, FaultSchedule
+
+    ops = make_ops()
+    net = ops.net
+    ids = list(net.nodes)
+    t0 = net.sim.now
+    injector = FaultInjector(
+        net.sim,
+        net.bus,
+        FaultSchedule((
+            CrashFault(at=t0 + 100.0, peers=tuple(ids[:4]), recover_at=t0 + 500.0),
+            CrashFault(at=t0 + 300.0, peers=tuple(ids[6:9]), recover_at=t0 + 700.0),
+            CrashFault(at=t0 + 600.0, peers=(ids[1], ids[7])),
+        )),
+        on_crash=lambda hid: net.nodes[hid].go_offline(),
+        on_recover=lambda hid: net.nodes[hid].go_online(),
+    )
+    injector.start()
+    picked, scanned = np.random.default_rng(5), np.random.default_rng(5)
+    origins, oracle, sizes = [], [], set()
+    for step in range(1, 101):
+        net.sim.run(until=t0 + 10.0 * step)
+        for _ in range(3):
+            online = [hid for hid, node in net.nodes.items() if node.online]
+            sizes.add(len(online))
+            oracle.append(online[int(scanned.integers(len(online)))])
+            origins.append(ops.pick_origin(picked))
+    assert origins == oracle
+    assert injector.stats.crashes == 9 and injector.stats.recoveries == 7
+    # n; 4 down; 7 down; 3 down after the first recovery; 4 down again
+    # (ids[7] was down already); 1 down once ids[6:9] recover
+    n = len(ids)
+    assert sizes == {n, n - 4, n - 7, n - 3, n - 1}

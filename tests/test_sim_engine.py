@@ -126,6 +126,20 @@ def test_pending_excludes_cancelled_events():
     assert sim.pending() == 1
 
 
+def test_drop_pending_cancels_and_empties_the_queue():
+    sim = Simulation()
+    fired = []
+    kept = sim.schedule(2.0, fired.append, "a")
+    sim.schedule(4.0, fired.append, "b").cancel()
+    sim.schedule(6.0, fired.append, "c")
+    assert sim.drop_pending() == 2  # the cancelled one is not counted
+    assert kept.cancelled and not kept.fired
+    assert sim.pending() == 0 and sim._heap == []
+    sim.run()
+    assert fired == [] and sim.now == 0.0
+    assert sim.drop_pending() == 0
+
+
 def test_events_processed_counter():
     sim = Simulation()
     for i in range(5):

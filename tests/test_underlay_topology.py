@@ -118,3 +118,28 @@ def test_stub_regions_are_assigned(topo):
 
 def test_positions_array_shape(topo):
     assert topo.positions_array().shape == (len(topo), 2)
+
+
+def test_disconnected_topology_rejected():
+    """Connectivity is a search over the business links, no graph built:
+    two islands (AS 0 – AS 1, AS 2 alone) are refused."""
+    a = AutonomousSystem(asn=0, tier=Tier.TIER1, position=Position(0, 0))
+    b = AutonomousSystem(asn=1, tier=Tier.STUB, position=Position(1, 1))
+    c = AutonomousSystem(asn=2, tier=Tier.STUB, position=Position(2, 2))
+    a.customers.add(1)
+    b.providers.add(0)
+    with pytest.raises(TopologyError, match="not connected"):
+        InternetTopology([a, b, c])
+
+
+def test_graph_is_built_on_first_access_and_kept():
+    topo = generate_topology(TopologyConfig(seed=5))
+    assert "graph" not in vars(topo)
+    g = topo.graph
+    assert topo.graph is g
+    assert sorted(tuple(sorted(e)) for e in g.edges()) == sorted(
+        tuple(sorted(e)) for e in topo.transit_links() + topo.peering_links()
+    )
+    assert all(
+        g.edges[p, c]["link_type"] is LinkType.TRANSIT for p, c in topo.transit_links()
+    )
